@@ -2,10 +2,16 @@
 train | evaluate | ablate | correlate | export-tree | plot.
 
 Stages communicate through files (corpus JSONL, feature CSV, model
-JSON, report CSV) so expensive steps can be reused across runs.  A JSON
-config file holds the canonical run parameters; flags override it; the
-CONVPERF_CONFIG environment variable names a default config path.  The
-effective config is hashed into every report for provenance.
+JSON, report CSV) so expensive steps can be reused across runs.
+``featurize`` also writes ``<features>.json``, a sidecar naming the
+feature set and prefix window; ``evaluate`` and ``ablate`` label their
+reports from it.  ``train``, ``evaluate`` and ``ablate`` fit and score
+through :func:`convperf.experiment.fit_and_report` and
+:func:`convperf.experiment.evaluate_model`, the path grid runs use.
+
+A JSON config file holds the canonical run parameters; flags override
+it; the CONVPERF_CONFIG environment variable names a default config
+path.  The effective config is hashed into every report for provenance.
 """
 
 from __future__ import annotations
@@ -17,9 +23,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
-import numpy as np
-
 from .corpus import (
+    SPLIT_NAMES,
     CorpusError,
     filter_min_length,
     parse_corpus,
@@ -27,10 +32,11 @@ from .corpus import (
     write_corpus_jsonl,
 )
 from .experiment import (
-    EvalReport,
+    SplitRows,
     correlate_metrics,
+    evaluate_model,
     export_tree,
-    fit_spec,
+    fit_and_report,
     format_correlations,
     format_report_table,
     write_correlations_csv,
@@ -40,12 +46,10 @@ from .features import (
     FEATURE_SETS,
     FeatureSchema,
     INDEPENDENT,
-    Standardizer,
     build_matrix,
     read_feature_csv,
     write_feature_csv,
 )
-from .metrics import mse, pearson, r_squared
 from .plots import length_histogram, rating_histogram, topic_z_bars, write_chart
 from .regressors import (
     BINNED_LENGTH,
@@ -54,10 +58,8 @@ from .regressors import (
     MEDIAN_SPLIT,
     ModelSpec,
     RATING,
-    fit_target,
     load_model,
     save_model,
-    targets_from_values,
 )
 from .synth import (
     GeneratorConfig,
@@ -101,7 +103,6 @@ class RunConfig:
     """Effective run parameters (defaults < config file < flags)."""
 
     seed: int = 0
-    threads: int = 1
     min_length: int = 5
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
     feature_set: str = INDEPENDENT
@@ -123,8 +124,6 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def _validate_config(cfg: RunConfig) -> RunConfig:
-    if cfg.threads < 1:
-        raise CliError(f"--threads must be >= 1, got {cfg.threads}")
     if cfg.feature_set not in FEATURE_SETS:
         raise CliError(f"unknown feature set: {cfg.feature_set!r}")
     if cfg.target not in TARGET_BY_FLAG:
@@ -186,7 +185,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
 
     simple = (
         "seed",
-        "threads",
         "min_length",
         "feature_set",
         "prefix_k",
@@ -311,6 +309,9 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
     splits = [corpus.split_assignment[c.id] for c in corpus]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_feature_csv(fh, ids, names, X, ratings, capped, splits)
+    with open(_sidecar(args.out), "w", encoding="utf-8") as fh:
+        json.dump({"feature_set": cfg.feature_set, "prefix_k": cfg.prefix_k}, fh)
+        fh.write("\n")
     n_train = splits.count("train")
     print(
         f"featurized {len(ids)} conversations ({len(names)} features, "
@@ -337,82 +338,67 @@ def cmd_score_topics(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _load_feature_rows(path: str):
+def _sidecar(features_path: str) -> str:
+    return features_path + ".json"
+
+
+def _feature_provenance(features_path: str) -> tuple[str, int | None]:
+    """(feature_set, prefix_k) from the sidecar featurize wrote."""
+    path = _require_file(_sidecar(features_path), "feature CSV sidecar")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+            return meta["feature_set"], meta["prefix_k"]
+        except (json.JSONDecodeError, KeyError, TypeError) as e:
+            raise CliError(f"feature CSV sidecar {path} is malformed: {e!r}")
+
+
+def _load_feature_splits(path: str):
+    """Feature names and the CSV's rows grouped by split label."""
     _require_file(path, "feature CSV")
     with open(path, encoding="utf-8", newline="") as fh:
         ids, names, X, ratings, lengths, splits = read_feature_csv(fh)
-    rows = {"train": [], "dev": [], "test": []}
+    rows = {s: [] for s in SPLIT_NAMES}
     for i, s in enumerate(splits):
         if s not in rows:
             raise CliError(f"feature CSV {path} has unknown split {s!r}")
         rows[s].append(i)
-    return ids, names, X, ratings, lengths, rows
-
-
-def _fit_from_rows(cfg: RunConfig, names, X, ratings, lengths, rows, drop=()):
-    keep = [i for i, n in enumerate(names) if n not in drop]
-    kept_names = tuple(names[i] for i in keep)
-    tr = rows["train"]
-    if not tr:
-        raise CliError("feature CSV has no train rows")
-    std = Standardizer.fit(X[np.ix_(tr, keep)], kept_names)
-
-    target = fit_target(_target_kind(cfg), [lengths[i] for i in tr])
-    spec = ModelSpec(
-        family=cfg.family, hyperparameters=cfg.hyperparameters, seed=cfg.seed
-    )
-
-    def prepared(idx):
-        return std.transform(X[np.ix_(idx, keep)])
-
-    def target_vec(idx):
-        return targets_from_values(
-            target,
+    return names, {
+        s: SplitRows(
+            [ids[i] for i in idx],
+            X[idx],
             [ratings[i] for i in idx],
             [lengths[i] for i in idx],
         )
-
-    dev_pair = None
-    if rows["dev"] and cfg.family == "mlp":
-        dev_pair = (prepared(rows["dev"]), target_vec(rows["dev"]))
-    model = fit_spec(spec, prepared(tr), target_vec(tr), dev_pair, cfg.seed)
-    model = model.bind(target=target, feature_names=kept_names, standardizer=std)
-    return model, prepared, target_vec
+        for s, idx in rows.items()
+    }
 
 
-def _eval_model(cfg: RunConfig, label, model, prepared, target_vec, rows) -> EvalReport:
-    te = rows["test"]
-    if not te:
-        raise CliError("feature CSV has no test rows")
-    pred = model.predict_prepared(prepared(te))
-    truth = target_vec(te)
-    r, p = pearson(pred, truth)
-    return EvalReport(
-        model=label,
-        target_kind=model.target.kind,
-        feature_set=cfg.feature_set,
-        prefix_k=cfg.prefix_k,
-        mse=mse(pred, truth),
-        r2=r_squared(pred, truth),
-        pearson_r=r,
-        p_value=p,
-        n=len(te),
+def _fit(cfg: RunConfig, names, splits, label, feature_set, prefix_k, drop=()):
+    spec = ModelSpec(
+        family=cfg.family, hyperparameters=cfg.hyperparameters, seed=cfg.seed
+    )
+    return fit_and_report(
+        spec, names, splits, _target_kind(cfg), label, feature_set, prefix_k,
+        drop, cfg.seed,
     )
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    ids, names, X, ratings, lengths, rows = _load_feature_rows(args.features)
-    model, _, _ = _fit_from_rows(cfg, names, X, ratings, lengths, rows)
+    names, splits = _load_feature_splits(args.features)
+    # The test report is not written, so its labels need no sidecar.
+    model, _ = _fit(cfg, names, splits, cfg.family, cfg.feature_set, cfg.prefix_k)
     save_model(model, args.model_out)
     print(
-        f"trained {cfg.family} on {len(rows['train'])} rows "
+        f"trained {cfg.family} on {len(splits['train'].ids)} rows "
         f"(target {model.target.kind}) -> {args.model_out}"
     )
     return 0
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
-    ids, names, X, ratings, lengths, rows = _load_feature_rows(args.features)
+    names, splits = _load_feature_splits(args.features)
+    feature_set, prefix_k = _feature_provenance(args.features)
     _require_file(args.model, "trained model")
     model = load_model(args.model)
     if model.feature_names != tuple(names):
@@ -420,26 +406,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
             f"model {args.model} was trained on a different feature schema "
             f"than {args.features}"
         )
-    te = rows["test"]
-    if not te:
-        raise CliError("feature CSV has no test rows")
-    pred = model.predict_prepared(model.standardizer.transform(X[te]))
-    truth = targets_from_values(
-        model.target,
-        [ratings[i] for i in te],
-        [lengths[i] for i in te],
-    )
-    r, p = pearson(pred, truth)
-    report = EvalReport(
-        model=model.spec.family,
-        target_kind=model.target.kind,
-        feature_set=cfg.feature_set,
-        prefix_k=cfg.prefix_k,
-        mse=mse(pred, truth),
-        r2=r_squared(pred, truth),
-        pearson_r=r,
-        p_value=p,
-        n=len(te),
+    report = evaluate_model(
+        model, splits["test"], model.spec.family, feature_set, prefix_k
     )
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8", newline="") as fh:
@@ -449,17 +417,16 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
-    ids, names, X, ratings, lengths, rows = _load_feature_rows(args.features)
+    names, splits = _load_feature_splits(args.features)
+    feature_set, prefix_k = _feature_provenance(args.features)
     drop = tuple(tok for tok in args.drop.split(",") if tok)
     unknown = [d for d in drop if d not in names]
-    if unknown:
+    if unknown:  # before the base fit, which may fail for its own reasons
         raise CliError(f"unknown feature names: {', '.join(unknown)}")
-    reports = []
-    for label, dropped in ((cfg.family, ()), (f"{cfg.family}-ablated", drop)):
-        model, prepared, target_vec = _fit_from_rows(
-            cfg, names, X, ratings, lengths, rows, drop=dropped
-        )
-        reports.append(_eval_model(cfg, label, model, prepared, target_vec, rows))
+    reports = [
+        _fit(cfg, names, splits, label, feature_set, prefix_k, dropped)[1]
+        for label, dropped in ((cfg.family, ()), (f"{cfg.family}-ablated", drop))
+    ]
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8", newline="") as fh:
             write_reports_csv(fh, reports, config_hash(cfg))
@@ -522,7 +489,6 @@ def _common_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="JSON run-config file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--min-length", dest="min_length", type=int)
     p.add_argument(
         "--split",

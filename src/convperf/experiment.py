@@ -1,21 +1,24 @@
 """Experiment harness: grid runs, metric correlations, ablation, tree export.
 
 A grid cell pairs a model spec with a feature set, a target, and an
-optional prefix window.  Every cell trains on the train split with a
-train-fitted standardizer, uses the dev split only for MLP early
-stopping, and reports test-split metrics.  Reports serialize to CSV
-(byte-stable via repr floats) and to aligned text tables where r gets a
-"**" mark at p <= .01.
+optional prefix window.  Grid cells, ablations and the CLI's
+train/evaluate/ablate commands share one path, :func:`fit_and_report`:
+train on the train split with a train-fitted standardizer, use the dev
+split only for MLP early stopping, and report test-split metrics.
+Reports serialize to CSV (byte-stable via repr floats) and to aligned
+text tables where r gets a "**" mark at p <= .01; constant predictions
+leave r undefined.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import SPLIT_NAMES, Corpus
 from .features import (
     FeatureSchema,
     Standardizer,
@@ -25,7 +28,6 @@ from .metrics import mse, pearson, r_squared
 from .regressors import (
     FOREST,
     LASSO,
-    MEDIAN_SPLIT,
     MLP,
     OLS,
     RIDGE,
@@ -40,7 +42,7 @@ from .regressors import (
     fit_svr,
     fit_target,
     fit_tree,
-    make_targets,
+    targets_from_values,
 )
 from .tagging import SDA_COMPLAINT, SDA_COMPLIMENT
 
@@ -76,9 +78,18 @@ class EvalReport:
     prefix_k: int | None
     mse: float
     r2: float
-    pearson_r: float
-    p_value: float
+    pearson_r: float | None  # None when the predictions are constant
+    p_value: float | None
     n: int
+
+
+class SplitRows(NamedTuple):
+    """One split's raw feature rows with their ids and target sources."""
+
+    ids: list
+    X: np.ndarray
+    ratings: list
+    lengths: list  # capped lengths
 
 
 @dataclass(frozen=True)
@@ -159,86 +170,104 @@ def fit_spec(spec: ModelSpec, X, y, dev=None, fallback_seed: int = 0) -> Trained
     raise ValueError(f"unknown model family: {family!r}")
 
 
-def _split_or_err(corpus: Corpus, split: str, required: bool):
-    convs = corpus.subset(split)
-    if required and not convs:
-        raise ValueError(f"{split} split is empty")
-    return convs
-
-
-def _prepare_matrices(
-    corpus: Corpus,
-    schema: FeatureSchema,
+def fit_and_report(
+    spec: ModelSpec,
+    names,
+    splits: dict[str, SplitRows],
+    target: TargetKind | str,
+    label: str,
     feature_set: str,
     prefix_k: int | None,
     drop: tuple[str, ...] = (),
-):
-    """Split-wise standardized matrices, minus any dropped columns."""
-    all_names = schema.names(feature_set)
-    unknown = [d for d in drop if d not in all_names]
+    seed: int = 0,
+) -> tuple[TrainedModel, EvalReport]:
+    """Fit one model on the train split and report it on the test split.
+
+    ``splits`` maps train/dev/test to raw rows whose columns follow
+    ``names``.  Dropped columns go first; the standardizer, and the
+    median of a median-split target given by kind name, are fitted on
+    train; dev reaches only the MLP's early stopping.  ``label``,
+    ``feature_set`` and ``prefix_k`` are provenance for the report.
+    """
+    unknown = [d for d in drop if d not in names]
     if unknown:
-        raise ValueError(f"unknown feature names: {unknown}")
-    keep = [i for i, n in enumerate(all_names) if n not in drop]
-    names = tuple(all_names[i] for i in keep)
-
-    train = _split_or_err(corpus, "train", required=True)
-    dev = _split_or_err(corpus, "dev", required=False)
-    test = _split_or_err(corpus, "test", required=True)
-
-    mats = {}
-    for split_name, convs in (("train", train), ("dev", dev), ("test", test)):
-        if convs:
-            _, X = build_matrix(convs, schema, feature_set, prefix_k)
-            mats[split_name] = X[:, keep]
-        else:
-            mats[split_name] = np.zeros((0, len(keep)))
-    std = Standardizer.fit(mats["train"], names)
-    mats = {k: std.transform(v) for k, v in mats.items()}
-    return names, std, (train, dev, test), mats
-
-
-def _resolve_target(target: TargetKind, train_convs) -> TargetKind:
-    if target.kind == MEDIAN_SPLIT and target.median is None:
-        return fit_target(
-            MEDIAN_SPLIT, [c.capped_length for c in train_convs]
-        )
-    return target
-
-
-def _run_one(
-    cell: GridCell,
-    corpus: Corpus,
-    schema: FeatureSchema,
-    seed: int,
-    drop: tuple[str, ...] = (),
-) -> CellResult:
-    names, std, (train, dev, test), mats = _prepare_matrices(
-        corpus, schema, cell.feature_set, cell.prefix_k, drop
-    )
-    target = _resolve_target(cell.target, train)
-    y_train = make_targets(train, target)
-    y_test = make_targets(test, target)
+        raise ValueError(f"unknown feature names: {', '.join(unknown)}")
+    keep = [i for i, n in enumerate(names) if n not in drop]
+    names = tuple(names[i] for i in keep)
+    if not splits["train"].ids:
+        raise ValueError("train split is empty")
+    # take() returns C-ordered rows, so the standardizer's sums do not
+    # depend on how the caller laid out its matrices.
+    splits = {k: s._replace(X=s.X.take(keep, axis=1)) for k, s in splits.items()}
+    train, dev = splits["train"], splits["dev"]
+    std = Standardizer.fit(train.X, names)
+    if isinstance(target, str):
+        target = fit_target(target, train.lengths)
     dev_pair = None
-    if len(dev) and cell.spec.family == MLP:
-        dev_pair = (mats["dev"], make_targets(dev, target))
-
-    model = fit_spec(cell.spec, mats["train"], y_train, dev_pair, seed)
+    if dev.ids and spec.family == MLP:
+        dev_pair = (std.transform(dev.X), _targets(target, dev))
+    model = fit_spec(
+        spec, std.transform(train.X), _targets(target, train), dev_pair, seed
+    )
     model = model.bind(target=target, feature_names=names, standardizer=std)
+    return model, evaluate_model(model, splits["test"], label, feature_set, prefix_k)
 
-    pred = model.predict_prepared(mats["test"])
-    r, p = pearson(pred, y_test)
-    report = EvalReport(
-        model=cell.label,
-        target_kind=target.kind,
-        feature_set=cell.feature_set,
-        prefix_k=cell.prefix_k,
-        mse=mse(pred, y_test),
-        r2=r_squared(pred, y_test),
+
+def _targets(target: TargetKind, rows: SplitRows) -> np.ndarray:
+    return targets_from_values(target, rows.ratings, rows.lengths, ids=rows.ids)
+
+
+def evaluate_model(
+    model: TrainedModel,
+    test: SplitRows,
+    label: str,
+    feature_set: str,
+    prefix_k: int | None,
+) -> EvalReport:
+    """Test-split metrics for a bound model with its standardizer.
+
+    A model that predicts one constant value has no correlation with
+    the truth; its report carries None for ``pearson_r`` and ``p_value``.
+    """
+    if not test.ids:
+        raise ValueError("test split is empty")
+    pred = model.predict_prepared(model.standardizer.transform(test.X))
+    truth = _targets(model.target, test)
+    r = p = None
+    if np.any(pred != pred[0]):
+        r, p = pearson(pred, truth)
+    return EvalReport(
+        model=label,
+        target_kind=model.target.kind,
+        feature_set=feature_set,
+        prefix_k=prefix_k,
+        mse=mse(pred, truth),
+        r2=r_squared(pred, truth),
         pearson_r=r,
         p_value=p,
-        n=int(y_test.shape[0]),
+        n=len(test.ids),
     )
-    return CellResult(report=report, model=model)
+
+
+def _fit_cell(cell: GridCell, corpus: Corpus, schema, seed: int, drop=()):
+    splits = {}
+    for split in SPLIT_NAMES:
+        convs = corpus.subset(split)
+        ids, X = build_matrix(convs, schema, cell.feature_set, cell.prefix_k)
+        splits[split] = SplitRows(
+            ids, X, [c.rating for c in convs], [c.capped_length for c in convs]
+        )
+    return fit_and_report(
+        cell.spec,
+        schema.names(cell.feature_set),
+        splits,
+        cell.target,
+        cell.label,
+        cell.feature_set,
+        cell.prefix_k,
+        drop,
+        seed,
+    )
 
 
 def run_grid(
@@ -252,12 +281,13 @@ def run_grid(
     results = []
     for i, cell in enumerate(cells):
         try:
-            results.append(_run_one(cell, corpus, schema, seed))
+            model, report = _fit_cell(cell, corpus, schema, seed)
         except Exception as e:
             raise RuntimeError(
                 f"grid cell {i} ({cell.label}, {cell.feature_set}, "
                 f"{cell.target.kind}, prefix_k={cell.prefix_k}) failed: {e}"
             ) from e
+        results.append(CellResult(report=report, model=model))
     return results
 
 
@@ -280,8 +310,8 @@ def ablate(
     """Refit the cell with the named features removed from its schema."""
     schema = schema if schema is not None else FeatureSchema()
     dropped = tuple(feature_names)
-    result = _run_one(cell, corpus, schema, seed, drop=dropped)
-    return AblationResult(ablated=dropped, report=result.report)
+    _, report = _fit_cell(cell, corpus, schema, seed, drop=dropped)
+    return AblationResult(ablated=dropped, report=report)
 
 
 def correlate_metrics(corpus: Corpus) -> CorrelationReport:
@@ -417,18 +447,27 @@ def write_reports_csv(fh, reports, config_hash: str = "") -> None:
                 r.n,
                 repr(r.mse),
                 repr(r.r2),
-                repr(r.pearson_r),
-                repr(r.p_value),
+                "" if r.pearson_r is None else repr(r.pearson_r),
+                "" if r.p_value is None else repr(r.p_value),
                 config_hash,
             ]
         )
 
 
 def format_report_table(reports) -> str:
-    """Aligned text table in (MSE, R2, r) column order."""
+    """Aligned text table in (MSE, R2, r) column order.
+
+    An undefined r shows as ``n/a``, with a line giving the reason.
+    """
     header = ["model", "target", "features", "k", "n", "MSE", "R2", "r"]
     rows = [header]
+    notes = []
     for r in reports:
+        if r.pearson_r is None:
+            corr = "n/a"
+            notes.append(f"{r.model}: r is n/a, every prediction is the same value\n")
+        else:
+            corr = f"{r.pearson_r:.3f}{_star(r.p_value)}"
         rows.append(
             [
                 r.model,
@@ -438,14 +477,14 @@ def format_report_table(reports) -> str:
                 str(r.n),
                 f"{r.mse:.3f}",
                 f"{r.r2:.3f}",
-                f"{r.pearson_r:.3f}{_star(r.p_value)}",
+                corr,
             ]
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     out = []
     for row in rows:
         out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(out) + "\n"
+    return "\n".join(out) + "\n" + "".join(notes)
 
 
 def write_correlations_csv(fh, report: CorrelationReport, config_hash: str = "") -> None:

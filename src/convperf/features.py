@@ -252,28 +252,6 @@ class Standardizer:
         return np.where(self.std == 0.0, 0.0, Z)
 
 
-def fit_standardizer(train_vectors: list[FeatureVector]) -> Standardizer:
-    if len(train_vectors) < 2:
-        raise ValueError("need at least 2 vectors to fit a standardizer")
-    names = train_vectors[0].names()
-    for v in train_vectors[1:]:
-        if v.names() != names:
-            raise ValueError("feature vectors have mismatched schemas")
-    X = np.stack([v.as_array() for v in train_vectors])
-    return Standardizer.fit(X, names)
-
-
-def apply_standardizer(s: Standardizer, v: FeatureVector) -> FeatureVector:
-    if v.names() != s.feature_names:
-        raise ValueError("feature vector does not match standardizer schema")
-    z = s.transform(v.as_array())
-    return FeatureVector(
-        values=dict(zip(s.feature_names, z.tolist())),
-        feature_set=v.feature_set,
-        prefix_k=v.prefix_k,
-    )
-
-
 def write_feature_csv(fh, ids, names, X, ratings, capped_lengths, splits) -> None:
     """Interchange CSV: id, features..., rating, capped_length, split."""
     writer = csv.writer(fh, lineterminator="\n")

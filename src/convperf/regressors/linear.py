@@ -136,18 +136,9 @@ def fit_linear(
     return TrainedModel(spec=spec, params=LinearParams(beta, intercept))
 
 
-register_family(
-    OLS,
-    lambda p: {"coef": p.coef.tolist(), "intercept": p.intercept},
-    lambda o: LinearParams(np.array(o["coef"], dtype=float), float(o["intercept"])),
-)
-register_family(
-    RIDGE,
-    lambda p: {"coef": p.coef.tolist(), "intercept": p.intercept},
-    lambda o: LinearParams(np.array(o["coef"], dtype=float), float(o["intercept"])),
-)
-register_family(
-    LASSO,
-    lambda p: {"coef": p.coef.tolist(), "intercept": p.intercept},
-    lambda o: LinearParams(np.array(o["coef"], dtype=float), float(o["intercept"])),
-)
+for _family in (OLS, RIDGE, LASSO):
+    register_family(
+        _family,
+        lambda p: {"coef": p.coef.tolist(), "intercept": p.intercept},
+        lambda o: LinearParams(np.array(o["coef"], dtype=float), float(o["intercept"])),
+    )

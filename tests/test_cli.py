@@ -1,5 +1,7 @@
+import io
 import json
 from argparse import Namespace
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +15,10 @@ from convperf.cli import (
     load_run_config,
     main,
 )
+from convperf.corpus import parse_corpus, split_corpus
+from convperf.experiment import GridCell, ablate, run_grid, write_reports_csv
 from convperf.features import FeatureSchema
-from convperf.regressors import load_model
+from convperf.regressors import CAPPED_LENGTH, ModelSpec, TargetKind, load_model
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +262,96 @@ def test_evaluate_schema_mismatch(pipeline, capsys):
     assert "different feature schema" in capsys.readouterr().err
 
 
+def featurize_k10(pipeline, out, feature_set):
+    assert main(["featurize", "--in", str(pipeline.tagged), "--out", str(out),
+                 "--feature-set", feature_set, "--prefix-k", "10", "--seed", "0"]) == 0
+    return out
+
+
+def test_report_provenance_comes_from_featurize(pipeline, tmp_path):
+    feats = featurize_k10(pipeline, tmp_path / "features.csv", "union")
+    model = tmp_path / "ridge.json"
+    rep = tmp_path / "report.csv"
+    assert main(["train", "--features", str(feats), "--model-out", str(model),
+                 "--lambda", "1.0", "--target", "length"]) == 0
+    assert main(["evaluate", "--features", str(feats), "--model", str(model),
+                 "--report-out", str(rep)]) == 0
+    row = rep.read_text().splitlines()[1].split(",")
+    assert row[:4] == ["ridge", "capped_length", "union", "10"]
+
+
+def test_evaluate_needs_the_featurize_sidecar(pipeline, tmp_path, capsys):
+    bare = tmp_path / "bare.csv"
+    bare.write_bytes(pipeline.feats.read_bytes())
+    assert main(["evaluate", "--features", str(bare),
+                 "--model", str(pipeline.model)]) == 1
+    err = capsys.readouterr().err
+    assert "missing feature CSV sidecar" in err and "bare.csv.json" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--family", "lasso", "--lambda", "1e9"], ["--family", "tree", "--max-depth", "0"]],
+    ids=["lasso", "tree"],
+)
+def test_constant_prediction_model_is_evaluable(pipeline, tmp_path, capsys, flags):
+    model = tmp_path / "constant.json"
+    rep = tmp_path / "report.csv"
+    assert main(["train", "--features", str(pipeline.feats), "--model-out",
+                 str(model), "--target", "length", *flags]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--features", str(pipeline.feats), "--model",
+                 str(model), "--report-out", str(rep)]) == 0
+    row = rep.read_text().splitlines()[1].split(",")
+    assert row[0] == flags[1]
+    assert np.isfinite(float(row[5])) and np.isfinite(float(row[6]))
+    assert row[7:9] == ["", ""]
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split()[-1] == "n/a"
+    assert out[2] == f"{flags[1]}: r is n/a, every prediction is the same value"
+
+
+@pytest.mark.parametrize(
+    "family,hp",
+    [("ridge", {"lambda": 1.0}),
+     ("forest", {"n_trees": 5, "max_depth": 4, "min_leaf": 2})],
+    ids=["ridge", "forest"],
+)
+def test_cli_and_library_paths_report_the_same_rows(pipeline, tmp_path, family, hp):
+    feats = featurize_k10(pipeline, tmp_path / "features.csv", "dependent")
+    flags = ["--family", family, "--target", "length"]
+    for key, value in hp.items():
+        flags += [f"--{key.replace('_', '-')}", str(value)]
+    model = tmp_path / "model.json"
+    rep = tmp_path / "report.csv"
+    ablated = tmp_path / "ablated.csv"
+    assert main(["train", "--features", str(feats), "--model-out", str(model),
+                 *flags]) == 0
+    assert main(["evaluate", "--features", str(feats), "--model", str(model),
+                 "--report-out", str(rep)]) == 0
+    assert main(["ablate", "--features", str(feats), "--drop", "length_median",
+                 "--report-out", str(ablated), *flags]) == 0
+
+    with open(pipeline.tagged, encoding="utf-8") as fh:
+        corpus = split_corpus(parse_corpus(fh), seed=0)
+    spec = ModelSpec(family, hp, seed=0)
+    cell = GridCell(spec, "dependent", TargetKind(CAPPED_LENGTH), prefix_k=10)
+    ablated_cell = replace(cell, name=f"{family}-ablated")
+    (base,) = run_grid([cell], corpus, seed=0)
+    dropped = ablate(ablated_cell, ("length_median",), corpus, seed=0)
+
+    def rows(reports):
+        text = io.StringIO()
+        write_reports_csv(text, reports)
+        return [line.rsplit(",", 1)[0] for line in text.getvalue().splitlines()]
+
+    def cli_rows(path):
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    assert cli_rows(rep) == rows([base.report])
+    assert cli_rows(ablated) == rows([base.report, dropped.report])
+
+
 def test_correlate_outputs(pipeline, capsys):
     rep = pipeline.root / "corr.csv"
     assert (
@@ -432,7 +526,7 @@ def test_config_hyperparameters_merge_with_flags(tmp_path):
 @pytest.mark.parametrize(
     "ns,msg",
     [
-        (Namespace(threads=0), "--threads"),
+        (Namespace(split=(0.5, 0.5)), "three ratios"),
         (Namespace(prefix_k=0), "--prefix-k"),
         (Namespace(target="zzz"), "unknown target"),
         (Namespace(feature_set="zzz"), "unknown feature set"),

@@ -13,10 +13,8 @@ from convperf.features import (
     INDEPENDENT,
     Standardizer,
     UNION,
-    apply_standardizer,
     build_matrix,
     extract_features,
-    fit_standardizer,
     read_feature_csv,
     word_count,
     write_feature_csv,
@@ -224,22 +222,6 @@ def test_standardizer_round_trip(rng):
     assert np.abs(back - X).max() < 1e-12
 
 
-def test_apply_standardizer_vector():
-    vecs = [
-        extract_features(conv_with_topics(["movies"] * k), SCHEMA, INDEPENDENT)
-        for k in (2, 3, 4)
-    ]
-    s = fit_standardizer(vecs)
-    out = apply_standardizer(s, vecs[0])
-    assert out.names() == vecs[0].names()
-
-    mismatched = extract_features(
-        conv_with_topics(["movies"] * 2), SCHEMA, DEPENDENT
-    )
-    with pytest.raises(ValueError, match="schema"):
-        apply_standardizer(s, mismatched)
-
-
 def test_apply_standardizer_arithmetic():
     s = Standardizer(feature_names=("a", "b"), mean=np.array([3.0, 0.0]),
                      std=np.array([2.0, 0.0]))
@@ -249,9 +231,6 @@ def test_apply_standardizer_arithmetic():
 
 
 def test_fit_standardizer_errors():
-    v = extract_features(conv_with_topics(["movies"]), SCHEMA, INDEPENDENT)
-    with pytest.raises(ValueError, match="at least 2"):
-        fit_standardizer([v])
     with pytest.raises(ValueError, match="at least 2 rows"):
         Standardizer.fit(np.ones((1, 2)), ("a", "b"))
 
