@@ -19,11 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import SPLIT_NAMES, Corpus
-from .features import (
-    FeatureSchema,
-    Standardizer,
-    build_matrix,
-)
+from .features import INDEPENDENT, FeatureSchema, Standardizer, build_matrix
 from .metrics import mse, pearson, r_squared
 from .regressors import (
     FOREST,
@@ -318,31 +314,24 @@ def correlate_metrics(corpus: Corpus) -> CorrelationReport:
     """Pearson over per-conversation rating, length, and SDA rates.
 
     Lengths are the capped modeling lengths; compliment and complaint
-    rates are tagged-exchange counts over raw length.  Every
+    rates are the whole-conversation frequency features.  Every
     conversation must be rated.
     """
-    series: dict[str, list[float]] = {
-        "rating": [],
-        "length": [],
-        "compliments": [],
-        "complaints": [],
-    }
     for conv in corpus:
         if conv.rating is None:
             raise ValueError(f"conversation {conv.id!r} has no rating")
-        n = conv.raw_length
-        series["rating"].append(float(conv.rating))
-        series["length"].append(float(conv.capped_length))
-        series["compliments"].append(
-            sum(1 for ex in conv.exchanges if SDA_COMPLIMENT in ex.sda_tags) / n
-        )
-        series["complaints"].append(
-            sum(1 for ex in conv.exchanges if SDA_COMPLAINT in ex.sda_tags) / n
-        )
-    arrays = {k: np.array(v) for k, v in series.items()}
+    schema = FeatureSchema()
+    names = schema.names(INDEPENDENT)
+    _, X = build_matrix(corpus.conversations, schema, INDEPENDENT)
+    series = {
+        "rating": np.array([float(c.rating) for c in corpus]),
+        "length": np.array([float(c.capped_length) for c in corpus]),
+        "compliments": X[:, names.index(f"freq_{SDA_COMPLIMENT}")],
+        "complaints": X[:, names.index(f"freq_{SDA_COMPLAINT}")],
+    }
     entries = []
     for a, b in METRIC_PAIRS:
-        r, p = pearson(arrays[a], arrays[b])
+        r, p = pearson(series[a], series[b])
         entries.append((a, b, r, p))
     return CorrelationReport(entries=tuple(entries), n=len(corpus))
 
@@ -454,13 +443,21 @@ def write_reports_csv(fh, reports, config_hash: str = "") -> None:
         )
 
 
+def _aligned(rows) -> str:
+    """Rows of cells as left-aligned columns two spaces apart."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+        for row in rows
+    )
+
+
 def format_report_table(reports) -> str:
     """Aligned text table in (MSE, R2, r) column order.
 
     An undefined r shows as ``n/a``, with a line giving the reason.
     """
-    header = ["model", "target", "features", "k", "n", "MSE", "R2", "r"]
-    rows = [header]
+    rows = [["model", "target", "features", "k", "n", "MSE", "R2", "r"]]
     notes = []
     for r in reports:
         if r.pearson_r is None:
@@ -480,11 +477,7 @@ def format_report_table(reports) -> str:
                 corr,
             ]
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    out = []
-    for row in rows:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(out) + "\n" + "".join(notes)
+    return _aligned(rows) + "".join(notes)
 
 
 def write_correlations_csv(fh, report: CorrelationReport, config_hash: str = "") -> None:
@@ -498,8 +491,4 @@ def format_correlations(report: CorrelationReport) -> str:
     rows = [["pair", "r", "p"]]
     for a, b, r, p in report.entries:
         rows.append([f"{a}/{b}", f"{r:.3f}{_star(p)}", f"{p:.3g}"])
-    widths = [max(len(row[i]) for row in rows) for i in range(3)]
-    out = []
-    for row in rows:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(out) + f"\nn={report.n}\n"
+    return _aligned(rows) + f"n={report.n}\n"

@@ -11,8 +11,11 @@ feature sets are supported:
   response-generator frequencies and the per-topic dwell median.
 
 ``union`` is accepted as an alias of ``dependent`` (dependent is already
-the superset).  Standardizers are fitted on training vectors only and
-applied unchanged to dev/test.
+the superset).  :func:`build_matrix` is the one place that turns
+exchanges into feature values, one pass over each conversation's
+window, with column positions taken from :meth:`FeatureSchema.names`.
+Standardizers are fitted on training vectors only and applied unchanged
+to dev/test.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
-
-from .corpus import Conversation
 
 logger = logging.getLogger(__name__)
 
@@ -81,9 +82,8 @@ DEFAULT_RESPONSE_GENERATORS = (
 _warned_unknown: set[tuple[str, str]] = set()
 
 
-def _catchall(kind: str, value: str, inventory: tuple[str, ...]) -> str:
-    if value in inventory:
-        return value
+def _catchall(kind: str, value: str) -> str:
+    """The catch-all for a value missing from the schema, warned once."""
     key = (kind, value)
     if key not in _warned_unknown:
         _warned_unknown.add(key)
@@ -139,88 +139,69 @@ class FeatureSchema:
         raise ValueError(f"unknown feature set: {feature_set!r}")
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: dict[str, float]
-    feature_set: str
-    prefix_k: int | None = None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(list(self.values.values()), dtype=float)
-
-
-def extract_features(
-    conv: Conversation,
-    schema: FeatureSchema,
-    feature_set: str = DEPENDENT,
-    prefix_k: int | None = None,
-) -> FeatureVector:
-    """Compute the feature vector over the first ``prefix_k`` exchanges.
-
-    With ``prefix_k=None`` the whole conversation is used; a prefix
-    larger than the conversation clamps to its length, so the prefix
-    vector then equals the full vector.
-    """
-    if feature_set not in FEATURE_SETS:
-        raise ValueError(f"unknown feature set: {feature_set!r}")
-    if prefix_k is not None and prefix_k < 1:
-        raise ValueError(f"prefix_k must be >= 1, got {prefix_k}")
-    end = conv.raw_length if prefix_k is None else min(prefix_k, conv.raw_length)
-    window = conv.exchanges[:end]
-    n = len(window)
-    if n == 0:
-        raise ValueError(f"conversation {conv.id!r}: empty feature window")
-
-    user_words = [word_count(ex.user_text) for ex in window if ex.user_text.strip()]
-    length_median = float(median(user_words)) if user_words else 0.0
-
-    values: dict[str, float] = {"length_median": length_median}
-    for label in schema.sda_labels:
-        count = sum(1 for ex in window if label in ex.sda_tags)
-        values[f"freq_{label}"] = count / n
-    for label in schema.midas_labels:
-        count = sum(1 for ex in window if label in ex.midas_tags)
-        values[f"freq_midas_{label}"] = count / n
-
-    if feature_set in (DEPENDENT, UNION):
-        topic_counts: dict[str, int] = {}
-        rg_counts: dict[str, int] = {}
-        for ex in window:
-            t = _catchall("topic", ex.topic, schema.topics)
-            topic_counts[t] = topic_counts.get(t, 0) + 1
-            g = _catchall("response generator", ex.response_generator,
-                          schema.response_generators)
-            rg_counts[g] = rg_counts.get(g, 0) + 1
-        for t in schema.topics:
-            values[f"topic_freq_{t}"] = topic_counts.get(t, 0) / n
-        for g in schema.response_generators:
-            values[f"rg_freq_{g}"] = rg_counts.get(g, 0) / n
-        # Median share of the window per distinct topic.  Normalizing by the
-        # window keeps the feature invariant under exchange duplication, like
-        # every other feature here.
-        values["topic_dist_median"] = float(median(topic_counts.values())) / n
-
-    return FeatureVector(values=values, feature_set=feature_set, prefix_k=prefix_k)
-
-
 def build_matrix(
     conversations,
     schema: FeatureSchema,
     feature_set: str = DEPENDENT,
     prefix_k: int | None = None,
 ) -> tuple[list[str], np.ndarray]:
-    """Feature matrix for a sequence of conversations (ids, rows)."""
+    """Feature matrix for a sequence of conversations (ids, rows).
+
+    Columns follow ``schema.names(feature_set)``.  Each row covers the
+    conversation's first ``prefix_k`` exchanges; with ``prefix_k=None``
+    the whole conversation is used, and a prefix longer than the
+    conversation clamps to its length.  Unknown topics and response
+    generators count toward the ``other`` catch-all.
+    """
     names = schema.names(feature_set)
-    ids = []
-    rows = np.empty((len(conversations), len(names)), dtype=float)
+    if prefix_k is not None and prefix_k < 1:
+        raise ValueError(f"prefix_k must be >= 1, got {prefix_k}")
+    col = {name: j for j, name in enumerate(names)}
+    sda_col = {l: col[f"freq_{l}"] for l in schema.sda_labels}
+    midas_col = {l: col[f"freq_midas_{l}"] for l in schema.midas_labels}
+    dependent = feature_set != INDEPENDENT
+    if dependent:
+        topic_col = {t: col[f"topic_freq_{t}"] for t in schema.topics}
+        rg_col = {g: col[f"rg_freq_{g}"] for g in schema.response_generators}
+        dist_col = col["topic_dist_median"]
+
+    counts = np.empty((len(conversations), len(names)))
+    window_len = np.empty(len(conversations))
+    length_median = np.empty(len(conversations))
     for i, conv in enumerate(conversations):
-        vec = extract_features(conv, schema, feature_set, prefix_k)
-        rows[i] = vec.as_array()
-        ids.append(conv.id)
-    return ids, rows
+        window = conv.exchanges[:prefix_k]
+        row = [0] * len(names)
+        user_words = []
+        for ex in window:
+            words = word_count(ex.user_text)
+            if words:  # blank user turns do not count toward the median
+                user_words.append(words)
+            for label in ex.sda_tags:
+                if label in sda_col:
+                    row[sda_col[label]] += 1
+            for label in ex.midas_tags:
+                if label in midas_col:
+                    row[midas_col[label]] += 1
+            if dependent:
+                j = topic_col.get(ex.topic)
+                if j is None:
+                    j = topic_col[_catchall("topic", ex.topic)]
+                row[j] += 1
+                j = rg_col.get(ex.response_generator)
+                if j is None:
+                    j = rg_col[_catchall("response generator", ex.response_generator)]
+                row[j] += 1
+        if dependent:
+            # Median share of the window per distinct topic.  Dividing by
+            # the window, like every count, keeps the feature invariant
+            # under exchange duplication.
+            row[dist_col] = median(row[j] for j in topic_col.values() if row[j])
+        counts[i] = row
+        window_len[i] = len(window)
+        length_median[i] = median(user_words) if user_words else 0.0
+    rows = counts / window_len[:, None]
+    rows[:, col["length_median"]] = length_median
+    return [conv.id for conv in conversations], rows
 
 
 @dataclass(frozen=True)
@@ -269,7 +250,8 @@ def read_feature_csv(fh):
     """Inverse of :func:`write_feature_csv`.
 
     Returns (ids, names, X, ratings, capped_lengths, splits); missing
-    ratings come back as None.
+    ratings come back as None.  A NaN or infinite feature cell is
+    rejected with its row id and column name.
     """
     reader = csv.reader(fh)
     header = next(reader)
@@ -284,4 +266,11 @@ def read_feature_csv(fh):
         lengths.append(int(rec[-2]))
         splits.append(rec[-1])
     X = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(
+            f"feature CSV row {ids[i]!r}, column {names[j]!r}: "
+            f"{X[i, j]} is not a finite value"
+        )
     return ids, names, X, ratings, lengths, splits

@@ -6,14 +6,12 @@ Importing this package registers every family's JSON codec, so
 
 from .base import (
     FAMILIES,
-    FingerprintMismatch,
     MODEL_FORMAT_VERSION,
     ModelSpec,
     TrainedModel,
     load_model,
     model_from_json,
     model_to_json,
-    predict,
     save_model,
     schema_fingerprint,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "DivergenceError",
     "FAMILIES",
     "FOREST",
-    "FingerprintMismatch",
     "ForestParams",
     "LASSO",
     "LinearParams",
@@ -71,7 +68,6 @@ __all__ = [
     "make_targets",
     "model_from_json",
     "model_to_json",
-    "predict",
     "resolve_gamma",
     "save_model",
     "schema_fingerprint",

@@ -1,10 +1,11 @@
-"""Model containers and self-describing JSON serialization.
+"""Model containers, training-data checks and self-describing JSON.
 
 A trained model carries its full spec (family, hyperparameters, seed),
 its learned parameters, the target it predicts, and the feature schema
 it was fitted on (names + fingerprint) together with the train-fitted
-standardizer, so a serialized model is reproducible and safe to apply:
-prediction refuses feature vectors whose schema fingerprint differs.
+standardizer, so a serialized model is reproducible and can be checked
+against the feature columns it is applied to.  Every family's fit
+function passes its inputs through :func:`check_training_data` first.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..features import FeatureVector, Standardizer
+from ..features import Standardizer
 from .targets import TargetKind
 
 MODEL_FORMAT_VERSION = 1
@@ -23,8 +24,15 @@ MODEL_FORMAT_VERSION = 1
 FAMILIES = ("ols", "ridge", "lasso", "tree", "forest", "svr", "mlp")
 
 
-class FingerprintMismatch(ValueError):
-    """Feature schema of the input does not match the trained model."""
+def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float arrays, shaped (n, d) and (n,), every value finite."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be (n, d) and y must be (n,)")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("NaN or inf in training data")
+    return X, y
 
 
 def schema_fingerprint(feature_names) -> str:
@@ -80,26 +88,6 @@ class TrainedModel:
             feature_names=tuple(feature_names),
             standardizer=standardizer,
         )
-
-
-def predict(model: TrainedModel, vec: FeatureVector) -> float:
-    """Predict a single conversation from its raw feature vector.
-
-    The vector's schema must fingerprint-match the model's; the model's
-    own standardizer is applied before the family predictor runs.  For
-    median-split targets the returned value is the raw regression score,
-    not a thresholded class.
-    """
-    if model.feature_names is None:
-        raise ValueError("model is not bound to a feature schema")
-    if schema_fingerprint(vec.names()) != model.fingerprint:
-        raise FingerprintMismatch(
-            "feature vector schema does not match the trained model"
-        )
-    row = vec.as_array()[None, :]
-    if model.standardizer is not None:
-        row = model.standardizer.transform(row)
-    return float(model.predict_prepared(row)[0])
 
 
 _PARAM_CODECS: dict[str, tuple] = {}

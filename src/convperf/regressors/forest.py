@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, register_family
+from .base import ModelSpec, TrainedModel, check_training_data, register_family
 from .tree import TreeParams, _tree_from_json, _tree_to_json, grow_tree
 
 FOREST = "forest"
@@ -47,10 +47,7 @@ def fit_forest(
     ``bootstrap=False`` trains every tree on the full sample, leaving
     the per-split feature draw as the only source of variety.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (n, d) and y must be (n,)")
+    X, y = check_training_data(X, y)
     if y.shape[0] == 0:
         raise ValueError("cannot fit a forest on zero rows")
     if n_trees < 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, register_family
+from .base import ModelSpec, TrainedModel, check_training_data, register_family
 
 OLS = "ols"
 RIDGE = "ridge"
@@ -104,12 +104,7 @@ def fit_linear(
     OLS requires more rows than columns and raises
     :class:`SingularSystemError` on rank-deficient inputs.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (n, d) and y must be (n,)")
-    if np.isnan(X).any() or np.isnan(y).any():
-        raise ValueError("NaN in training data")
+    X, y = check_training_data(X, y)
     if lam < 0:
         raise ValueError(f"regularization must be >= 0, got {lam}")
     if family == OLS and X.shape[0] <= X.shape[1]:

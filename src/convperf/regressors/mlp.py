@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, register_family
+from .base import ModelSpec, TrainedModel, check_training_data, register_family
 
 MLP = "mlp"
 
@@ -96,10 +96,7 @@ def fit_mlp(
     returns the untouched initialization.  Raises
     :class:`DivergenceError` when the loss goes non-finite.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (n, d) and y must be (n,)")
+    X, y = check_training_data(X, y)
     if y.shape[0] == 0:
         raise ValueError("cannot train on zero rows")
     if any(h < 1 for h in hidden):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, register_family
+from .base import ModelSpec, TrainedModel, check_training_data, register_family
 
 SVR = "svr"
 
@@ -136,10 +136,7 @@ def fit_svr(
     Raises :class:`ConvergenceError` with the final KKT gap if the
     budget runs out.  Only points with nonzero beta are stored.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (n, d) and y must be (n,)")
+    X, y = check_training_data(X, y)
     n = y.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 rows, got {n}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, register_family
+from .base import ModelSpec, TrainedModel, check_training_data, register_family
 
 TREE = "tree"
 
@@ -184,10 +184,7 @@ def fit_tree(
     ``max_depth=None`` grows until nodes are pure or min_leaf blocks
     every boundary; depth 0 is a single leaf predicting the mean.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be (n, d) and y must be (n,)")
+    X, y = check_training_data(X, y)
     if y.shape[0] == 0:
         raise ValueError("cannot fit a tree on zero rows")
     if min_leaf < 1:

@@ -4,7 +4,8 @@ SDAs label user behaviors that proxy satisfaction or dissatisfaction:
 compliments, complaints, abuse, repeat requests, out-of-skill requests
 (dev commands), and prohibited ("red") topics.  Tags are assigned by
 phrase lexicons, which are data, not code: a lexicon directory holds one
-file per label, one lowercase pattern per line.
+file per label, one lowercase pattern per line; blank lines and lines
+starting with ``#`` are skipped.
 
 MIDAS dialogue-act tags are deliberately never synthesized here; they
 come from ingested logs only, since producing them requires the host
@@ -25,16 +26,6 @@ WORD_BOUNDARY = "word_boundary"
 
 SDA_COMPLIMENT = "sda_compliment"
 SDA_COMPLAINT = "sda_complaint"
-
-# Labels with reserved frequency features in the schema.
-KNOWN_SDA_LABELS = (
-    SDA_COMPLIMENT,
-    SDA_COMPLAINT,
-    "sda_abuse",
-    "sda_repeat",
-    "sda_dev_command",
-    "sda_red_topic",
-)
 
 
 def _normalize(text: str) -> str:
@@ -102,14 +93,11 @@ def load_lexicon_dir(path: Path, match_mode: str = WORD_BOUNDARY) -> TaggerConfi
 
 def default_config(match_mode: str = WORD_BOUNDARY) -> TaggerConfig:
     """Tagger over the shipped compliment/complaint lexicons."""
-    root = resources.files("convperf").joinpath("data/lexicons")
-    lexicons = []
-    for name in (SDA_COMPLIMENT, SDA_COMPLAINT):
-        text = root.joinpath(f"{name}.txt").read_text(encoding="utf-8")
-        patterns = tuple(
-            line.strip().lower() for line in text.splitlines() if line.strip()
-        )
-        lexicons.append(Lexicon(label=name, patterns=patterns))
+    root = resources.files("convperf") / "data" / "lexicons"
+    lexicons = [
+        load_lexicon_file(root / f"{name}.txt", label=name)
+        for name in (SDA_COMPLIMENT, SDA_COMPLAINT)
+    ]
     return TaggerConfig(lexicons, match_mode=match_mode)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from convperf.corpus import Conversation, Corpus, Exchange
+from convperf.features import DEPENDENT, build_matrix
 
 
 def make_exchange(i, topic="movies", rg="fact", user="quartz lantern", system="ok",
@@ -28,6 +29,12 @@ def make_conversation(cid, n=5, rating=3, topic="movies", user="quartz lantern",
         ),
         rating=rating,
     )
+
+
+def feature_values(conv, schema, feature_set=DEPENDENT, prefix_k=None):
+    """One conversation's features by name, as build_matrix computes them."""
+    names = schema.names(feature_set)
+    return dict(zip(names, build_matrix([conv], schema, feature_set, prefix_k)[1][0]))
 
 
 def corpus_of(*convs, split=None):

@@ -28,7 +28,6 @@ from convperf.features import (
     FeatureSchema,
     Standardizer,
     build_matrix,
-    extract_features,
 )
 from convperf.metrics import mse, pearson, r_squared, student_t_two_tailed_p
 from convperf.regressors import (
@@ -42,7 +41,7 @@ from convperf.regressors import (
 )
 from convperf.regressors.mlp import init_weights, loss_and_grads
 
-from conftest import make_exchange
+from conftest import feature_values, make_exchange
 
 SCHEMA = FeatureSchema()
 FOREST_HP = {"n_trees": 10, "max_depth": 14, "min_leaf": 8}
@@ -408,14 +407,14 @@ def test_criterion_3_feature_invariants(capsys):
     failures = []
 
     conv = mixed_conversation()
-    base = extract_features(conv, SCHEMA, "union").values
+    base = feature_values(conv, SCHEMA, "union")
     for times in (2, 3):
         seq = conv.exchanges * times
         big = replace(
             conv,
             exchanges=tuple(replace(ex, index=i) for i, ex in enumerate(seq)),
         )
-        if extract_features(big, SCHEMA, "union").values != base:
+        if feature_values(big, SCHEMA, "union") != base:
             failures.append("features changed under exchange duplication")
             break
 
@@ -440,7 +439,7 @@ def test_criterion_3_feature_invariants(capsys):
         ),
         rating=4,
     )
-    vec = extract_features(conv, SCHEMA, "union").values
+    vec = feature_values(conv, SCHEMA, "union")
     if vec["topic_freq_comics"] != 13 / 41 or vec["topic_freq_movies"] != 5 / 41:
         failures.append("worked topic frequencies 13/41 and 5/41 do not hold")
 

@@ -1,7 +1,10 @@
 import io
 import json
+import re
+import shlex
 from argparse import Namespace
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +14,7 @@ from convperf.cli import (
     CONFIG_ENV,
     CliError,
     RunConfig,
+    build_parser,
     config_hash,
     load_run_config,
     main,
@@ -352,6 +356,21 @@ def test_cli_and_library_paths_report_the_same_rows(pipeline, tmp_path, family, 
     assert cli_rows(ablated) == rows([base.report, dropped.report])
 
 
+def test_train_rejects_a_non_finite_feature_cell(pipeline, tmp_path, capsys):
+    lines = pipeline.feats.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[3].split(",")
+    cells[2] = "nan"
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "features.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    model_out = tmp_path / "model.json"
+    assert main(["train", "--features", str(bad), "--model-out", str(model_out)]) == 1
+    err = capsys.readouterr().err
+    assert repr(cells[0]) in err and repr(header[2]) in err
+    assert not model_out.exists()
+
+
 def test_correlate_outputs(pipeline, capsys):
     rep = pipeline.root / "corr.csv"
     assert (
@@ -553,3 +572,38 @@ def test_config_hash_stability():
     assert a != config_hash(RunConfig(seed=1))
     assert len(a) == 16
     int(a, 16)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = [ROOT / "README.md", ROOT / "src/convperf/data/lexicons/README.md"]
+
+
+def documented_commands(text):
+    """Every `convperf ...` command in a document, as an argv list.
+
+    Commands are lines of a code block (joined over trailing backslashes)
+    or inline code spans.
+    """
+    commands = re.findall(r"`convperf ([^`]+)`", text)
+    lines = iter(text.splitlines())
+    for line in lines:
+        line = line.strip()
+        if not line.startswith("convperf "):
+            continue
+        while line.endswith("\\"):
+            line = line[:-1] + next(lines).strip()
+        commands.append(line[len("convperf "):])
+    return [shlex.split(c) for c in commands]
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_documented_command_lines_parse(doc):
+    commands = documented_commands(doc.read_text(encoding="utf-8"))
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{doc.name} documents a command that does not parse: "
+                        f"convperf {shlex.join(argv)}")

@@ -29,7 +29,10 @@ from convperf.regressors import (
     RATING,
     ModelSpec,
     TargetKind,
+    fit_forest,
     fit_linear,
+    fit_mlp,
+    fit_svr,
     fit_target,
     fit_tree,
 )
@@ -360,3 +363,22 @@ def test_correlations_csv_and_table():
     text = format_correlations(report)
     assert "rating/length" in text
     assert text.endswith("n=4\n")
+
+
+@pytest.mark.parametrize("where", ["X", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "fit",
+    [fit_linear, fit_tree, fit_forest, fit_svr, fit_mlp],
+    ids=lambda f: f.__name__,
+)
+def test_every_family_rejects_non_finite_training_data(fit, bad, where):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(12, 3))
+    y = rng.normal(size=12)
+    if where == "X":
+        X[4, 1] = bad
+    else:
+        y[4] = bad
+    with pytest.raises(ValueError, match="NaN or inf in training data"):
+        fit(X, y)

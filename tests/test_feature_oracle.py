@@ -1,0 +1,96 @@
+"""build_matrix against a plain per-exchange oracle, bit for bit.
+
+The oracle computes each feature on its own, straight from its
+definition, with a separate pass over the window per feature.  Any
+faster extraction path has to keep producing exactly these bytes.
+"""
+
+from statistics import median
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from convperf.corpus import Conversation, Exchange
+from convperf.features import (
+    DEPENDENT,
+    INDEPENDENT,
+    UNION,
+    FeatureSchema,
+    build_matrix,
+)
+
+SCHEMA = FeatureSchema()
+
+
+def oracle_row(conv, schema, feature_set, prefix_k):
+    end = len(conv.exchanges)
+    if prefix_k is not None:
+        end = min(prefix_k, end)
+    window = conv.exchanges[:end]
+    n = len(window)
+    words = [len(ex.user_text.split()) for ex in window if ex.user_text.strip()]
+    values = {"length_median": float(median(words)) if words else 0.0}
+    for label in schema.sda_labels:
+        values[f"freq_{label}"] = sum(label in ex.sda_tags for ex in window) / n
+    for label in schema.midas_labels:
+        values[f"freq_midas_{label}"] = sum(label in ex.midas_tags for ex in window) / n
+    if feature_set != INDEPENDENT:
+        topics = [
+            ex.topic if ex.topic in schema.topics else "other" for ex in window
+        ]
+        rgs = [
+            g if g in schema.response_generators else "other"
+            for g in (ex.response_generator for ex in window)
+        ]
+        for t in schema.topics:
+            values[f"topic_freq_{t}"] = topics.count(t) / n
+        for g in schema.response_generators:
+            values[f"rg_freq_{g}"] = rgs.count(g) / n
+        dwell = [topics.count(t) for t in set(topics)]
+        values["topic_dist_median"] = float(median(dwell)) / n
+    return [values[name] for name in schema.names(feature_set)]
+
+
+_topics = st.sampled_from(SCHEMA.topics + ("klingon_opera", "Movies"))
+_rgs = st.sampled_from(SCHEMA.response_generators + ("??", "smalltalk"))
+_users = st.sampled_from(
+    ["", "   ", "yes", "quartz lantern", "one two three four", "tab\tsplit  words"]
+)
+_sda = st.frozensets(st.sampled_from(SCHEMA.sda_labels + ("sda_flirt",)), max_size=3)
+_midas = st.frozensets(
+    st.sampled_from(SCHEMA.midas_labels + ("open_question",)), max_size=3
+)
+
+
+@st.composite
+def conversations(draw):
+    n = draw(st.integers(min_value=1, max_value=14))
+    exchanges = tuple(
+        Exchange(
+            index=i,
+            topic=draw(_topics),
+            response_generator=draw(_rgs),
+            user_text=draw(_users),
+            system_text="ok",
+            midas_tags=draw(_midas),
+            sda_tags=draw(_sda),
+        )
+        for i in range(n)
+    )
+    return Conversation(id=f"c{draw(st.integers(0, 999))}", exchanges=exchanges)
+
+
+@pytest.mark.parametrize("prefix_k", [None, 1, 3, 10])
+@pytest.mark.parametrize("feature_set", [INDEPENDENT, DEPENDENT, UNION])
+@given(convs=st.lists(conversations(), min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_build_matrix_matches_oracle(feature_set, prefix_k, convs):
+    ids, X = build_matrix(convs, SCHEMA, feature_set, prefix_k)
+    expected = np.array(
+        [oracle_row(c, SCHEMA, feature_set, prefix_k) for c in convs]
+    )
+    assert ids == [c.id for c in convs]
+    assert X.shape == expected.shape
+    assert X.dtype == expected.dtype
+    assert X.tobytes() == expected.tobytes()

@@ -14,13 +14,12 @@ from convperf.features import (
     Standardizer,
     UNION,
     build_matrix,
-    extract_features,
     read_feature_csv,
     word_count,
     write_feature_csv,
 )
 
-from conftest import make_exchange
+from conftest import feature_values, make_exchange
 
 SCHEMA = FeatureSchema()
 
@@ -35,37 +34,37 @@ def conv_with_topics(topic_plan, user="quartz lantern pebble"):
 def test_worked_topic_frequencies():
     plan = ["comics"] * 13 + ["movies"] * 5 + ["music"] * 23
     conv = conv_with_topics(plan)
-    vec = extract_features(conv, SCHEMA, DEPENDENT)
+    vec = feature_values(conv, SCHEMA, DEPENDENT)
     assert conv.raw_length == 41
-    assert vec.values["topic_freq_comics"] == 13 / 41
-    assert vec.values["topic_freq_movies"] == 5 / 41
-    assert vec.values["topic_freq_sports"] == 0.0
+    assert vec["topic_freq_comics"] == 13 / 41
+    assert vec["topic_freq_movies"] == 5 / 41
+    assert vec["topic_freq_sports"] == 0.0
     # counts {13, 5, 23} -> median count 13, normalized by the window
-    assert vec.values["topic_dist_median"] == 13 / 41
+    assert vec["topic_dist_median"] == 13 / 41
 
 
 def test_topic_freq_sums_to_one_when_all_topics_known():
     plan = ["movies", "music", "music", "intro", "comics"]
-    vec = extract_features(conv_with_topics(plan), SCHEMA, DEPENDENT)
-    total = sum(v for k, v in vec.values.items() if k.startswith("topic_freq_"))
+    vec = feature_values(conv_with_topics(plan), SCHEMA, DEPENDENT)
+    total = sum(v for k, v in vec.items() if k.startswith("topic_freq_"))
     assert math.isclose(total, 1.0, abs_tol=1e-12)
-    rg_total = sum(v for k, v in vec.values.items() if k.startswith("rg_freq_"))
+    rg_total = sum(v for k, v in vec.items() if k.startswith("rg_freq_"))
     assert math.isclose(rg_total, 1.0, abs_tol=1e-12)
 
 
 def test_unknown_topic_maps_to_other():
-    vec = extract_features(
+    vec = feature_values(
         conv_with_topics(["movies", "klingon_opera"]), SCHEMA, DEPENDENT
     )
-    assert vec.values["topic_freq_other"] == 0.5
+    assert vec["topic_freq_other"] == 0.5
 
 
 def test_single_word_utterances():
     conv = conv_with_topics(["movies"] * 6, user="yes")
-    vec = extract_features(conv, SCHEMA, INDEPENDENT)
-    assert vec.values["length_median"] == 1.0
+    vec = feature_values(conv, SCHEMA, INDEPENDENT)
+    assert vec["length_median"] == 1.0
     for label in SCHEMA.sda_labels:
-        assert vec.values[f"freq_{label}"] == 0.0
+        assert vec[f"freq_{label}"] == 0.0
 
 
 def test_length_median_skips_empty_user_turns():
@@ -75,13 +74,13 @@ def test_length_median_skips_empty_user_turns():
         make_exchange(2, user="one"),
     )
     conv = Conversation(id="e", exchanges=exchanges)
-    vec = extract_features(conv, SCHEMA, INDEPENDENT)
-    assert vec.values["length_median"] == 2.0
+    vec = feature_values(conv, SCHEMA, INDEPENDENT)
+    assert vec["length_median"] == 2.0
 
     all_empty = Conversation(
         id="e2", exchanges=(make_exchange(0, user="  "),)
     )
-    assert extract_features(all_empty, SCHEMA, INDEPENDENT).values["length_median"] == 0.0
+    assert feature_values(all_empty, SCHEMA, INDEPENDENT)["length_median"] == 0.0
 
 
 def test_tag_frequencies():
@@ -92,24 +91,24 @@ def test_tag_frequencies():
         make_exchange(3),
     )
     conv = Conversation(id="f", exchanges=exchanges)
-    vec = extract_features(conv, SCHEMA, INDEPENDENT)
-    assert vec.values["freq_sda_compliment"] == 0.5
-    assert vec.values["freq_sda_complaint"] == 0.25
-    assert vec.values["freq_midas_pos_answer"] == 0.25
-    assert vec.values["freq_midas_neg_answer"] == 0.0
+    vec = feature_values(conv, SCHEMA, INDEPENDENT)
+    assert vec["freq_sda_compliment"] == 0.5
+    assert vec["freq_sda_complaint"] == 0.25
+    assert vec["freq_midas_pos_answer"] == 0.25
+    assert vec["freq_midas_neg_answer"] == 0.0
 
 
 def test_prefix_window():
     plan = ["movies"] * 3 + ["comics"] * 3
     conv = conv_with_topics(plan)
-    full = extract_features(conv, SCHEMA, DEPENDENT)
-    clamped = extract_features(conv, SCHEMA, DEPENDENT, prefix_k=10)
-    assert clamped.values == full.values
-    head = extract_features(conv, SCHEMA, DEPENDENT, prefix_k=3)
-    assert head.values["topic_freq_movies"] == 1.0
-    assert head.values["topic_freq_comics"] == 0.0
+    full = feature_values(conv, SCHEMA, DEPENDENT)
+    clamped = feature_values(conv, SCHEMA, DEPENDENT, prefix_k=10)
+    assert clamped == full
+    head = feature_values(conv, SCHEMA, DEPENDENT, prefix_k=3)
+    assert head["topic_freq_movies"] == 1.0
+    assert head["topic_freq_comics"] == 0.0
     with pytest.raises(ValueError, match="prefix_k"):
-        extract_features(conv, SCHEMA, DEPENDENT, prefix_k=0)
+        feature_values(conv, SCHEMA, DEPENDENT, prefix_k=0)
 
 
 def test_word_count():
@@ -170,16 +169,16 @@ def duplicate_exchanges(conv, times=2):
 def test_duplication_leaves_features_unchanged(conv, times):
     big = duplicate_exchanges(conv, times)
     for feature_set in (INDEPENDENT, DEPENDENT):
-        a = extract_features(conv, SCHEMA, feature_set)
-        b = extract_features(big, SCHEMA, feature_set)
-        assert a.values == b.values
+        a = feature_values(conv, SCHEMA, feature_set)
+        b = feature_values(big, SCHEMA, feature_set)
+        assert a == b
 
 
 @given(random_conversation())
 @settings(max_examples=60, deadline=None)
 def test_feature_ranges(conv):
-    vec = extract_features(conv, SCHEMA, DEPENDENT)
-    for name, v in vec.values.items():
+    vec = feature_values(conv, SCHEMA, DEPENDENT)
+    for name, v in vec.items():
         assert not math.isnan(v)
         if name != "length_median":
             assert 0.0 <= v <= 1.0
