@@ -12,7 +12,8 @@ JSONL schema, one conversation per line::
      "exchanges": [{"topic": str, "rg": str, "user": str, "system": str,
                     "midas": [str], "sda": [str]}]}
 
-``midas``/``sda`` are optional and default to empty.
+``midas``/``sda`` are optional and default to empty; when present they
+must be lists of strings.
 """
 
 from __future__ import annotations
@@ -123,15 +124,27 @@ def _parse_exchange(index: int, obj: dict) -> Exchange:
     for key in ("topic", "rg", "user", "system"):
         if key in obj and not isinstance(obj[key], str):
             raise CorpusError(f"exchange field {key!r} must be a string")
+    # Positional, in field order: the keyword form costs more per exchange.
     return Exchange(
-        index=index,
-        topic=obj.get("topic", ""),
-        response_generator=obj.get("rg", ""),
-        user_text=obj.get("user", ""),
-        system_text=obj.get("system", ""),
-        midas_tags=frozenset(obj.get("midas", ())),
-        sda_tags=frozenset(obj.get("sda", ())),
+        index,
+        obj.get("topic", ""),
+        obj.get("rg", ""),
+        obj.get("user", ""),
+        obj.get("system", ""),
+        _tag_set(obj, "midas"),
+        _tag_set(obj, "sda"),
     )
+
+
+def _tag_set(obj: dict, key: str) -> frozenset[str]:
+    tags = obj.get(key, [])
+    if isinstance(tags, list):
+        try:
+            "".join(tags)  # a TypeError names any item that is not a string
+            return frozenset(tags)
+        except TypeError:
+            pass
+    raise CorpusError(f"exchange field {key!r} must be a list of strings")
 
 
 def conversation_from_record(obj: dict) -> Conversation:

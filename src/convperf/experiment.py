@@ -19,7 +19,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import SPLIT_NAMES, Corpus
-from .features import INDEPENDENT, FeatureSchema, Standardizer, build_matrix
+from .features import (
+    INDEPENDENT,
+    FeatureSchema,
+    FeatureTable,
+    Standardizer,
+    build_matrix,
+)
 from .metrics import mse, pearson, r_squared
 from .regressors import (
     FOREST,
@@ -192,9 +198,15 @@ def fit_and_report(
     names = tuple(names[i] for i in keep)
     if not splits["train"].ids:
         raise ValueError("train split is empty")
-    # take() returns C-ordered rows, so the standardizer's sums do not
-    # depend on how the caller laid out its matrices.
-    splits = {k: s._replace(X=s.X.take(keep, axis=1)) for k, s in splits.items()}
+    # C-ordered rows (take() returns them), so the standardizer's sums do
+    # not depend on how the caller laid out its matrices; without a drop
+    # a C-ordered matrix is used as it is, not copied.
+    splits = {
+        k: s._replace(
+            X=s.X.take(keep, axis=1) if drop else np.ascontiguousarray(s.X)
+        )
+        for k, s in splits.items()
+    }
     train, dev = splits["train"], splits["dev"]
     std = Standardizer.fit(train.X, names)
     if isinstance(target, str):
@@ -245,14 +257,24 @@ def evaluate_model(
     )
 
 
-def _fit_cell(cell: GridCell, corpus: Corpus, schema, seed: int, drop=()):
-    splits = {}
+def _split_tables(corpus: Corpus, schema) -> dict:
+    """Per split: its FeatureTable, ratings and capped lengths."""
+    tables = {}
     for split in SPLIT_NAMES:
         convs = corpus.subset(split)
-        ids, X = build_matrix(convs, schema, cell.feature_set, cell.prefix_k)
-        splits[split] = SplitRows(
-            ids, X, [c.rating for c in convs], [c.capped_length for c in convs]
+        tables[split] = (
+            FeatureTable(convs, schema),
+            [c.rating for c in convs],
+            [c.capped_length for c in convs],
         )
+    return tables
+
+
+def _fit_cell(cell: GridCell, tables, schema, seed: int, drop=()):
+    splits = {}
+    for split, (table, ratings, lengths) in tables.items():
+        ids, X = table.matrix(cell.feature_set, cell.prefix_k)
+        splits[split] = SplitRows(ids, X, ratings, lengths)
     return fit_and_report(
         cell.spec,
         schema.names(cell.feature_set),
@@ -272,12 +294,17 @@ def run_grid(
     seed: int = 0,
     schema: FeatureSchema | None = None,
 ) -> list[CellResult]:
-    """Train and evaluate every grid cell; results follow grid order."""
+    """Train and evaluate every grid cell; results follow grid order.
+
+    Each split is encoded into a :class:`FeatureTable` once per call,
+    and every cell takes its matrices from those tables.
+    """
     schema = schema if schema is not None else FeatureSchema()
+    tables = _split_tables(corpus, schema)
     results = []
     for i, cell in enumerate(cells):
         try:
-            model, report = _fit_cell(cell, corpus, schema, seed)
+            model, report = _fit_cell(cell, tables, schema, seed)
         except Exception as e:
             raise RuntimeError(
                 f"grid cell {i} ({cell.label}, {cell.feature_set}, "
@@ -306,7 +333,7 @@ def ablate(
     """Refit the cell with the named features removed from its schema."""
     schema = schema if schema is not None else FeatureSchema()
     dropped = tuple(feature_names)
-    _, report = _fit_cell(cell, corpus, schema, seed, drop=dropped)
+    _, report = _fit_cell(cell, _split_tables(corpus, schema), schema, seed, dropped)
     return AblationResult(ablated=dropped, report=report)
 
 

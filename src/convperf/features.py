@@ -11,19 +11,25 @@ feature sets are supported:
   response-generator frequencies and the per-topic dwell median.
 
 ``union`` is accepted as an alias of ``dependent`` (dependent is already
-the superset).  :func:`build_matrix` is the one place that turns
-exchanges into feature values, one pass over each conversation's
-window, with column positions taken from :meth:`FeatureSchema.names`.
-Standardizers are fitted on training vectors only and applied unchanged
-to dev/test.
+the superset).  :func:`build_matrix` is the public way to turn exchanges
+into feature values.  It encodes the conversations once into a columnar
+:class:`FeatureTable` and asks it for one matrix: counts come from
+``np.bincount`` over the integer codes in each window and are divided by
+the window length, the medians come from sorted per-row segments, and
+column positions come from :meth:`FeatureSchema.names`.  Callers that
+need several matrices over the same conversations, such as
+:func:`convperf.experiment.run_grid`, keep the table and call
+:meth:`FeatureTable.matrix` for each.  Standardizers are fitted on
+training vectors only and applied unchanged to dev/test.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass
-from statistics import median
+from itertools import repeat
 
 import numpy as np
 
@@ -139,6 +145,141 @@ class FeatureSchema:
         raise ValueError(f"unknown feature set: {feature_set!r}")
 
 
+def _row_counts(row_of: np.ndarray, codes: np.ndarray, n_codes: int, n: int):
+    """(n, n_codes) counts of each (row, code) pair; rows past n-1 are dropped."""
+    keys = np.multiply(row_of, n_codes, dtype=np.intp)
+    keys += codes
+    counts = np.bincount(keys, minlength=(n + 1) * n_codes)
+    return counts[: n * n_codes].reshape(n, n_codes)
+
+
+def _segment_medians(segment: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Median of each of ``n`` segments' nonnegative integers, 0.0 for none.
+
+    ``segment`` holds each value's segment number in nondecreasing order.
+    """
+    size = np.bincount(segment, minlength=n)
+    span = int(values.max()) + 1 if len(values) else 1
+    # Sorting segment * span + value sorts the values within each segment.
+    ordered = np.multiply(segment, span, dtype=np.int64)
+    ordered += values
+    ordered.sort()
+    ordered %= span
+    start = np.cumsum(size) - size
+    has = size > 0
+    lo = start[has] + (size[has] - 1) // 2
+    hi = start[has] + size[has] // 2
+    medians = np.zeros(n)
+    medians[has] = (ordered[lo] + ordered[hi]) / 2
+    return medians
+
+
+class FeatureTable:
+    """Columnar encoding of a sequence of conversations for one schema.
+
+    Built once from the exchanges, it holds flat per-exchange arrays:
+    CSR (compressed sparse row) conversation offsets, user word counts,
+    topic and response-generator codes into the schema inventories
+    (values outside them take the ``other`` code), and, per SDA and
+    MIDAS label of the schema, the positions of the exchanges carrying
+    it.  :meth:`matrix` turns them into any feature set and
+    prefix window with ``np.bincount``, so one table serves every grid
+    cell over the same conversations.
+    """
+
+    def __init__(self, conversations, schema: FeatureSchema):
+        self.schema = schema
+        self.ids = [conv.id for conv in conversations]
+        self.offsets = np.zeros(len(self.ids) + 1, dtype=np.intp)
+        lengths = [len(conv.exchanges) for conv in conversations]
+        np.cumsum(lengths, out=self.offsets[1:])
+        exchanges = [ex for conv in conversations for ex in conv.exchanges]
+        words = np.fromiter(
+            map(word_count, [ex.user_text for ex in exchanges]), np.intp, len(exchanges)
+        )
+        self.words = words.astype(np.min_scalar_type(words.max(initial=0)))
+        self.unknown = set()
+        self.topic = self._schema_codes(
+            [ex.topic for ex in exchanges], schema.topics, "topic"
+        )
+        self.rg = self._schema_codes(
+            [ex.response_generator for ex in exchanges],
+            schema.response_generators,
+            "response generator",
+        )
+        # Positions of the exchanges carrying each SDA, then MIDAS, label.
+        sda = {l: j for j, l in enumerate(schema.sda_labels)}
+        midas = {l: len(sda) + j for j, l in enumerate(schema.midas_labels)}
+        positions = [array("i") for _ in range(len(sda) + len(midas))]
+        for e, ex in enumerate(exchanges):
+            for label in ex.sda_tags:
+                if label in sda:
+                    positions[sda[label]].append(e)
+            for label in ex.midas_tags:
+                if label in midas:
+                    positions[midas[label]].append(e)
+        self.tagged = [np.frombuffer(p, np.intc) for p in positions]
+
+    def _schema_codes(self, values, inventory, kind) -> np.ndarray:
+        """Codes into ``inventory``; values outside it take ``other``'s code."""
+        code = {v: i for i, v in enumerate(inventory)}
+        self.unknown |= {(kind, v) for v in set(values) - code.keys()}
+        codes = map(code.get, values, repeat(code["other"]))
+        return np.fromiter(codes, np.min_scalar_type(len(inventory)), len(values))
+
+    def matrix(
+        self, feature_set: str = DEPENDENT, prefix_k: int | None = None
+    ) -> tuple[list[str], np.ndarray]:
+        """(ids, rows) for one feature set and window; see :func:`build_matrix`."""
+        schema = self.schema
+        names = schema.names(feature_set)
+        if prefix_k is not None and prefix_k < 1:
+            raise ValueError(f"prefix_k must be >= 1, got {prefix_k}")
+        col = {name: j for j, name in enumerate(names)}
+        n = len(self.ids)
+        starts = self.offsets[:-1]
+        lengths = np.diff(self.offsets)
+        window = lengths if prefix_k is None else np.minimum(lengths, prefix_k)
+        # Matrix row of each exchange; exchanges past the window go to row n.
+        row_of = np.repeat(np.arange(n, dtype=np.int32), lengths)
+        if prefix_k is not None:
+            # +1 where a window starts and -1 where it ends: the running
+            # sum is 0 exactly on the exchanges outside every window.
+            edge = np.zeros(len(row_of) + 1, np.int8)
+            edge[starts] = 1
+            edge[starts + window] -= 1
+            row_of[np.cumsum(edge[:-1], dtype=np.int8) == 0] = n
+        X = np.zeros((n, len(names)))
+        tag_cols = [col[f"freq_{l}"] for l in schema.sda_labels] + [
+            col[f"freq_midas_{l}"] for l in schema.midas_labels
+        ]
+        for j, tagged in zip(tag_cols, self.tagged):
+            X[:, j] = np.bincount(row_of[tagged], minlength=n + 1)[:n] / window
+        # Blank user turns do not count toward the median.
+        said = (row_of < n) & (self.words > 0)
+        X[:, col["length_median"]] = _segment_medians(
+            row_of[said], self.words[said], n
+        )
+        if feature_set != INDEPENDENT:
+            for kind, value in sorted(self.unknown):
+                _catchall(kind, value)
+            topics = _row_counts(row_of, self.topic, len(schema.topics), n)
+            X[:, [col[f"topic_freq_{t}"] for t in schema.topics]] = (
+                topics / window[:, None]
+            )
+            rgs = _row_counts(row_of, self.rg, len(schema.response_generators), n)
+            X[:, [col[f"rg_freq_{g}"] for g in schema.response_generators]] = (
+                rgs / window[:, None]
+            )
+            # Median share of the window per distinct topic.  Dividing by
+            # the window, like every count, keeps the feature invariant
+            # under exchange duplication.
+            seen = topics > 0
+            dwell = _segment_medians(np.nonzero(seen)[0], topics[seen], n)
+            X[:, col["topic_dist_median"]] = dwell / window
+        return list(self.ids), X
+
+
 def build_matrix(
     conversations,
     schema: FeatureSchema,
@@ -153,55 +294,7 @@ def build_matrix(
     conversation clamps to its length.  Unknown topics and response
     generators count toward the ``other`` catch-all.
     """
-    names = schema.names(feature_set)
-    if prefix_k is not None and prefix_k < 1:
-        raise ValueError(f"prefix_k must be >= 1, got {prefix_k}")
-    col = {name: j for j, name in enumerate(names)}
-    sda_col = {l: col[f"freq_{l}"] for l in schema.sda_labels}
-    midas_col = {l: col[f"freq_midas_{l}"] for l in schema.midas_labels}
-    dependent = feature_set != INDEPENDENT
-    if dependent:
-        topic_col = {t: col[f"topic_freq_{t}"] for t in schema.topics}
-        rg_col = {g: col[f"rg_freq_{g}"] for g in schema.response_generators}
-        dist_col = col["topic_dist_median"]
-
-    counts = np.empty((len(conversations), len(names)))
-    window_len = np.empty(len(conversations))
-    length_median = np.empty(len(conversations))
-    for i, conv in enumerate(conversations):
-        window = conv.exchanges[:prefix_k]
-        row = [0] * len(names)
-        user_words = []
-        for ex in window:
-            words = word_count(ex.user_text)
-            if words:  # blank user turns do not count toward the median
-                user_words.append(words)
-            for label in ex.sda_tags:
-                if label in sda_col:
-                    row[sda_col[label]] += 1
-            for label in ex.midas_tags:
-                if label in midas_col:
-                    row[midas_col[label]] += 1
-            if dependent:
-                j = topic_col.get(ex.topic)
-                if j is None:
-                    j = topic_col[_catchall("topic", ex.topic)]
-                row[j] += 1
-                j = rg_col.get(ex.response_generator)
-                if j is None:
-                    j = rg_col[_catchall("response generator", ex.response_generator)]
-                row[j] += 1
-        if dependent:
-            # Median share of the window per distinct topic.  Dividing by
-            # the window, like every count, keeps the feature invariant
-            # under exchange duplication.
-            row[dist_col] = median(row[j] for j in topic_col.values() if row[j])
-        counts[i] = row
-        window_len[i] = len(window)
-        length_median[i] = median(user_words) if user_words else 0.0
-    rows = counts / window_len[:, None]
-    rows[:, col["length_median"]] = length_median
-    return [conv.id for conv in conversations], rows
+    return FeatureTable(conversations, schema).matrix(feature_set, prefix_k)
 
 
 @dataclass(frozen=True)
@@ -227,10 +320,12 @@ class Standardizer:
     def transform(self, X: np.ndarray) -> np.ndarray:
         if X.shape[-1] != len(self.feature_names):
             raise ValueError("column count does not match standardizer")
-        safe = np.where(self.std == 0.0, 1.0, self.std)
-        Z = (X - self.mean) / safe
+        constant = self.std == 0.0
+        Z = X - self.mean
+        Z /= np.where(constant, 1.0, self.std)
         # Zero-variance features carry no information; map them to 0.
-        return np.where(self.std == 0.0, 0.0, Z)
+        Z[..., constant] = 0.0
+        return Z
 
 
 def write_feature_csv(fh, ids, names, X, ratings, capped_lengths, splits) -> None:
@@ -250,8 +345,10 @@ def read_feature_csv(fh):
     """Inverse of :func:`write_feature_csv`.
 
     Returns (ids, names, X, ratings, capped_lengths, splits); missing
-    ratings come back as None.  A NaN or infinite feature cell is
-    rejected with its row id and column name.
+    ratings come back as None.  A row whose width differs from the
+    header, a rating or capped length that is not an integer, and a
+    feature cell that is not a finite number are rejected with the row
+    id (and column).
     """
     reader = csv.reader(fh)
     header = next(reader)
@@ -260,10 +357,25 @@ def read_feature_csv(fh):
     names = tuple(header[1:-3])
     ids, rows, ratings, lengths, splits = [], [], [], [], []
     for rec in reader:
-        ids.append(rec[0])
-        rows.append([float(x) for x in rec[1 : 1 + len(names)]])
-        ratings.append(int(rec[-3]) if rec[-3] else None)
-        lengths.append(int(rec[-2]))
+        row_id = rec[0] if rec else ""
+        if len(rec) != len(header):
+            raise ValueError(
+                f"feature CSV row {row_id!r} has {len(rec)} cells, "
+                f"the header has {len(header)} columns"
+            )
+        ids.append(row_id)
+        try:
+            rows.append([float(x) for x in rec[1:-3]])
+        except ValueError:
+            name, cell = next(
+                (name, x) for name, x in zip(names, rec[1:-3]) if not _is_float(x)
+            )
+            raise ValueError(
+                f"feature CSV row {row_id!r}, column {name!r}: "
+                f"{cell!r} is not a number"
+            ) from None
+        ratings.append(_int_cell(row_id, "rating", rec[-3]) if rec[-3] else None)
+        lengths.append(_int_cell(row_id, "capped_length", rec[-2]))
         splits.append(rec[-1])
     X = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
     bad = np.argwhere(~np.isfinite(X))
@@ -274,3 +386,21 @@ def read_feature_csv(fh):
             f"{X[i, j]} is not a finite value"
         )
     return ids, names, X, ratings, lengths, splits
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _int_cell(row_id: str, column: str, cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise ValueError(
+            f"feature CSV row {row_id!r}, column {column!r}: "
+            f"{cell!r} is not an integer"
+        ) from None

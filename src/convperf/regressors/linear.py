@@ -21,7 +21,7 @@ LASSO = "lasso"
 
 
 class SingularSystemError(ValueError):
-    """Raised when the OLS normal system is singular."""
+    """Raised when an unregularized (OLS or ridge at 0) system is singular."""
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,25 @@ def _soft_threshold(value: float, threshold: float) -> float:
     return 0.0
 
 
-def _fit_ols(Xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
-    Q, R = np.linalg.qr(Xc)
+def _require_full_rank(R: np.ndarray) -> None:
+    """Reject a least-squares system whose QR factor ``R`` is rank-deficient."""
     diag = np.abs(np.diag(R))
     if diag.size == 0 or diag.min() <= diag.max() * 1e-12 or diag.max() == 0.0:
         raise SingularSystemError(
             "singular least-squares system (collinear or constant features); "
             "use ridge with a small regularization instead"
         )
+
+
+def _fit_ols(Xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    Q, R = np.linalg.qr(Xc)
+    _require_full_rank(R)
     return np.linalg.solve(R, Q.T @ yc)
 
 
 def _fit_ridge(Xc: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
+    if lam == 0.0:  # unregularized: the same singular systems as OLS
+        _require_full_rank(np.linalg.qr(Xc, mode="r"))
     d = Xc.shape[1]
     return np.linalg.solve(Xc.T @ Xc + lam * np.eye(d), Xc.T @ yc)
 
@@ -101,8 +108,8 @@ def fit_linear(
     """Fit one of the linear family members.
 
     ``lam`` is the ridge/lasso regularization weight (ignored for OLS).
-    OLS requires more rows than columns and raises
-    :class:`SingularSystemError` on rank-deficient inputs.
+    OLS requires more rows than columns; OLS and ridge at ``lam=0``
+    raise :class:`SingularSystemError` on rank-deficient inputs.
     """
     X, y = check_training_data(X, y)
     if lam < 0:

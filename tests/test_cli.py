@@ -371,6 +371,91 @@ def test_train_rejects_a_non_finite_feature_cell(pipeline, tmp_path, capsys):
     assert not model_out.exists()
 
 
+def edited_feature_csv(pipeline, tmp_path, edit):
+    """Copy of the pipeline's feature CSV with ``edit`` applied to row 3's cells."""
+    lines = pipeline.feats.read_text().splitlines()
+    cells = lines[3].split(",")
+    edit(cells)
+    lines[3] = ",".join(cells)
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path, cells[0]
+
+
+def test_train_rejects_a_row_with_a_missing_cell(pipeline, tmp_path, capsys):
+    bad, row_id = edited_feature_csv(pipeline, tmp_path, lambda cells: cells.pop(2))
+    model_out = tmp_path / "model.json"
+    assert main(["train", "--features", str(bad), "--model-out", str(model_out)]) == 1
+    err = capsys.readouterr().err
+    assert repr(row_id) in err and "cells" in err
+    assert not model_out.exists()
+
+
+@pytest.mark.parametrize(
+    "column, offset", [("rating", -3), ("capped_length", -2)], ids=["rating", "length"]
+)
+def test_train_rejects_a_non_integer_target_cell(
+    pipeline, tmp_path, capsys, column, offset
+):
+    def edit(cells):
+        cells[offset] = "4.5"
+
+    bad, row_id = edited_feature_csv(pipeline, tmp_path, edit)
+    model_out = tmp_path / "model.json"
+    assert main(["train", "--features", str(bad), "--model-out", str(model_out)]) == 1
+    err = capsys.readouterr().err
+    assert repr(row_id) in err and repr(column) in err and "not an integer" in err
+    assert not model_out.exists()
+
+
+def test_train_rejects_a_non_numeric_feature_cell(pipeline, tmp_path, capsys):
+    def edit(cells):
+        cells[2] = "abc"
+
+    bad, row_id = edited_feature_csv(pipeline, tmp_path, edit)
+    header = pipeline.feats.read_text().splitlines()[0].split(",")
+    model_out = tmp_path / "model.json"
+    assert main(["train", "--features", str(bad), "--model-out", str(model_out)]) == 1
+    err = capsys.readouterr().err
+    assert repr(row_id) in err and repr(header[2]) in err and "not a number" in err
+    assert not model_out.exists()
+
+
+def test_train_rejects_an_unknown_split_label(pipeline, tmp_path, capsys):
+    def edit(cells):
+        cells[-1] = "holdout"
+
+    bad, _ = edited_feature_csv(pipeline, tmp_path, edit)
+    model_out = tmp_path / "model.json"
+    assert main(["train", "--features", str(bad), "--model-out", str(model_out)]) == 1
+    assert "unknown split 'holdout'" in capsys.readouterr().err
+    assert not model_out.exists()
+
+
+@pytest.mark.parametrize("command, source", [("ingest", "raw"), ("tag", "kept")])
+def test_truncated_last_jsonl_line_is_rejected(
+    pipeline, tmp_path, capsys, command, source
+):
+    lines = getattr(pipeline, source).read_text().splitlines()
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]))
+    out = tmp_path / "out.jsonl"
+    assert main([command, "--in", str(cut), "--out", str(out)]) == 1
+    assert f"line {len(lines)}: invalid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tag_rejects_a_lexicon_dir_without_lexicons(pipeline, tmp_path, capsys):
+    empty = tmp_path / "lexicons"
+    empty.mkdir()
+    (empty / "notes.md").write_text("not a lexicon\n")
+    out = tmp_path / "out.jsonl"
+    argv = ["tag", "--in", str(pipeline.kept), "--out", str(out)]
+    assert main(argv + ["--lexicon-dir", str(empty)]) == 1
+    assert "no lexicon files" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_correlate_outputs(pipeline, capsys):
     rep = pipeline.root / "corr.csv"
     assert (

@@ -88,6 +88,20 @@ def test_parse_errors_carry_line_numbers():
         parse_corpus(lines)
 
 
+@pytest.mark.parametrize("field", ["midas", "sda"])
+@pytest.mark.parametrize(
+    "value", ["user_init", 3, ["user_init", 1]], ids=["string", "int", "int-item"]
+)
+def test_tag_fields_must_be_lists_of_strings(field, value):
+    obj = record("c1")
+    obj["exchanges"][1][field] = value
+    lines = [json.dumps(record("c0")), json.dumps(obj)]
+    with pytest.raises(
+        CorpusError, match=f"line 2: exchange field '{field}' must be a list of strings"
+    ):
+        parse_corpus(lines)
+
+
 def test_unknown_fields_ignored():
     obj = record()
     obj["asr_confidence"] = 0.93

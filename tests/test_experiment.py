@@ -11,9 +11,11 @@ from convperf.experiment import (
     EvalReport,
     GridCell,
     METRIC_PAIRS,
+    SplitRows,
     ablate,
     correlate_metrics,
     export_tree,
+    fit_and_report,
     fit_spec,
     format_correlations,
     format_report_table,
@@ -22,7 +24,7 @@ from convperf.experiment import (
     write_correlations_csv,
     write_reports_csv,
 )
-from convperf.features import FeatureSchema
+from convperf.features import FeatureSchema, build_matrix
 from convperf.regressors import (
     CAPPED_LENGTH,
     MEDIAN_SPLIT,
@@ -192,6 +194,67 @@ def test_ablate_drops_named_feature(corpus400):
 def test_ablate_unknown_feature_errors(corpus400):
     with pytest.raises(ValueError, match="unknown feature names"):
         ablate(ridge_cell(), ("no_such_column",), corpus400, seed=0)
+
+
+def per_cell_reference(cell, corpus, seed=0, drop=()):
+    """fit_and_report fed by build_matrix, one fresh matrix per split and cell."""
+    schema = FeatureSchema()
+    splits = {}
+    for split in cz.SPLIT_NAMES:
+        convs = corpus.subset(split)
+        ids, X = build_matrix(convs, schema, cell.feature_set, cell.prefix_k)
+        splits[split] = SplitRows(
+            ids, X, [c.rating for c in convs], [c.capped_length for c in convs]
+        )
+    return fit_and_report(
+        cell.spec,
+        schema.names(cell.feature_set),
+        splits,
+        cell.target,
+        cell.label,
+        cell.feature_set,
+        cell.prefix_k,
+        drop,
+        seed,
+    )
+
+
+def grid_of_windows():
+    return [
+        GridCell(ModelSpec("ridge", {"lambda": 1.0}), fs, TargetKind(kind), k)
+        for fs in ("independent", "dependent")
+        for k in (None, 3, 10)
+        for kind in (RATING, CAPPED_LENGTH)
+    ] + [
+        GridCell(
+            ModelSpec("tree", {"max_depth": 3}),
+            "union",
+            TargetKind(CAPPED_LENGTH),
+            50,
+            name="cart",
+        )
+    ]
+
+
+def test_run_grid_matches_per_cell_build_matrix(corpus400):
+    base = grid_of_windows()
+    cells = base + base[::-1] + base[3:5]
+    results = run_grid(cells, corpus400, seed=4)
+    assert len(results) == len(cells)
+    for cell, result in zip(cells, results):
+        model, report = per_cell_reference(cell, corpus400, seed=4)
+        assert result.report == report
+        assert result.model.feature_names == model.feature_names
+        mean = result.model.standardizer.mean
+        assert mean.tobytes() == model.standardizer.mean.tobytes()
+
+
+@pytest.mark.parametrize("index", [0, 9, 12])
+def test_ablate_matches_per_cell_build_matrix(corpus400, index):
+    cell = grid_of_windows()[index]
+    drop = ("length_median", "freq_sda_compliment")
+    result = ablate(cell, drop, corpus400, seed=4)
+    assert result.report == per_cell_reference(cell, corpus400, 4, drop)[1]
 
 
 def hand_metric_corpus():

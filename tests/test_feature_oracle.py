@@ -1,4 +1,4 @@
-"""build_matrix against a plain per-exchange oracle, bit for bit.
+"""build_matrix and FeatureTable against a plain per-exchange oracle, bit for bit.
 
 The oracle computes each feature on its own, straight from its
 definition, with a separate pass over the window per feature.  Any
@@ -17,6 +17,7 @@ from convperf.features import (
     INDEPENDENT,
     UNION,
     FeatureSchema,
+    FeatureTable,
     build_matrix,
 )
 
@@ -94,3 +95,29 @@ def test_build_matrix_matches_oracle(feature_set, prefix_k, convs):
     assert X.shape == expected.shape
     assert X.dtype == expected.dtype
     assert X.tobytes() == expected.tobytes()
+
+
+# 15 is longer than any generated conversation, so its window clamps.
+_WINDOWS = [
+    (feature_set, prefix_k)
+    for feature_set in (INDEPENDENT, DEPENDENT, UNION)
+    for prefix_k in (None, 1, 3, 10, 15)
+]
+
+
+@given(
+    convs=st.lists(conversations(), min_size=1, max_size=4),
+    order=st.permutations(_WINDOWS),
+)
+@settings(max_examples=40, deadline=None)
+def test_one_table_serves_every_window_in_any_order(convs, order):
+    table = FeatureTable(convs, SCHEMA)
+    for feature_set, prefix_k in order:
+        ids, X = table.matrix(feature_set, prefix_k)
+        expected = np.array(
+            [oracle_row(c, SCHEMA, feature_set, prefix_k) for c in convs]
+        )
+        assert ids == [c.id for c in convs]
+        assert X.shape == expected.shape
+        assert X.dtype == expected.dtype
+        assert X.tobytes() == expected.tobytes()

@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from convperf.corpus import Conversation, Exchange
 from convperf.features import (
     DEPENDENT,
     FeatureSchema,
+    FeatureTable,
     INDEPENDENT,
     Standardizer,
     UNION,
@@ -57,6 +59,46 @@ def test_unknown_topic_maps_to_other():
         conv_with_topics(["movies", "klingon_opera"]), SCHEMA, DEPENDENT
     )
     assert vec["topic_freq_other"] == 0.5
+
+
+def test_unknown_topic_and_rg_warn_once_and_count_as_other(caplog):
+    plan = [("movies", "fact"), ("tachyon_lore", "fact"), ("tachyon_lore", "oracle_rg")]
+    exchanges = tuple(
+        make_exchange(i, topic=t, rg=g) for i, (t, g) in enumerate(plan)
+    )
+    conv = Conversation(id="u", exchanges=exchanges, rating=4)
+    table = FeatureTable([conv], SCHEMA)
+    names = SCHEMA.names(DEPENDENT)
+    with caplog.at_level(logging.WARNING, logger="convperf.features"):
+        table.matrix(INDEPENDENT)  # topics and rgs are not features there
+        assert caplog.records == []
+        _, X = table.matrix(DEPENDENT)
+        _, head = table.matrix(DEPENDENT, prefix_k=2)
+        build_matrix([conv], SCHEMA, UNION)
+    assert sorted(r.getMessage() for r in caplog.records) == [
+        "unknown response generator 'oracle_rg' mapped to 'other'",
+        "unknown topic 'tachyon_lore' mapped to 'other'",
+    ]
+    assert X[0, names.index("topic_freq_other")] == 2 / 3
+    assert X[0, names.index("rg_freq_other")] == 1 / 3
+    assert head[0, names.index("topic_freq_other")] == 1 / 2
+    assert head[0, names.index("rg_freq_other")] == 0.0
+
+
+@pytest.mark.parametrize("prefix_k", [0, -1])
+def test_prefix_k_below_one_is_rejected(prefix_k):
+    conv = conv_with_topics(["movies"] * 3)
+    with pytest.raises(ValueError, match="prefix_k must be >= 1"):
+        build_matrix([conv], SCHEMA, INDEPENDENT, prefix_k)
+    with pytest.raises(ValueError, match="prefix_k must be >= 1"):
+        FeatureTable([conv], SCHEMA).matrix(DEPENDENT, prefix_k)
+
+
+@pytest.mark.parametrize("feature_set", [INDEPENDENT, DEPENDENT])
+def test_build_matrix_of_no_conversations(feature_set):
+    ids, X = build_matrix([], SCHEMA, feature_set)
+    assert ids == []
+    assert X.shape == (0, len(SCHEMA.names(feature_set)))
 
 
 def test_single_word_utterances():

@@ -69,6 +69,20 @@ def test_singular_system_advises_ridge():
         fit_linear(X, y)
 
 
+def test_ridge_without_regularization_reports_a_singular_system():
+    # Like a standardized feature CSV: a zeroed constant column and two
+    # columns that sum to 1.
+    rng = np.random.default_rng(5)
+    share = rng.uniform(size=40)
+    X = np.column_stack([np.zeros(40), share, 1.0 - share, rng.normal(size=40)])
+    y = rng.normal(size=40)
+    with pytest.raises(SingularSystemError, match="ridge"):
+        fit_linear(X, y, family=RIDGE, lam=0.0)
+    with pytest.raises(SingularSystemError, match="ridge"):
+        fit_linear(X[:, 1:], y, family=RIDGE, lam=0.0)
+    assert np.isfinite(fit_linear(X, y, family=RIDGE, lam=1.0).params.coef).all()
+
+
 def test_ols_needs_more_rows_than_columns():
     with pytest.raises(ValueError, match="rows"):
         fit_linear(np.ones((3, 3)), np.ones(3))
