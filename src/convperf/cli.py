@@ -12,6 +12,11 @@ through :func:`convperf.experiment.fit_and_report` and
 A JSON config file holds the canonical run parameters; flags override
 it; the CONVPERF_CONFIG environment variable names a default config
 path.  The effective config is hashed into every report for provenance.
+Hyperparameter flags convert their values in argparse and land in
+``RunConfig.hyperparameters`` under their own names (``--lambda`` as
+``lambda``, ``--no-bootstrap`` as ``bootstrap``);
+:func:`convperf.experiment.fit_spec` passes them to the family's fit
+function and rejects a key it does not take.
 """
 
 from __future__ import annotations
@@ -94,6 +99,11 @@ SYNTH_PRESETS = {
 }
 
 
+# Dest prefix of the hyperparameter flags: "--max-depth" parses to
+# "hp.max_depth", which load_run_config stores as hyperparameters["max_depth"].
+HP_DEST = "hp."
+
+
 class CliError(Exception):
     """User-facing failure; main() turns it into exit code 1."""
 
@@ -146,25 +156,6 @@ def _validate_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-_HP_FLAGS = (
-    # (argparse dest, hyperparameter key, converter)
-    ("lam", "lambda", float),
-    ("max_depth", "max_depth", None),
-    ("min_leaf", "min_leaf", int),
-    ("n_trees", "n_trees", int),
-    ("feat_frac", "feat_frac", float),
-    ("C", "C", float),
-    ("epsilon", "epsilon", float),
-    ("gamma", "gamma", None),
-    ("max_iter", "max_iter", int),
-    ("hidden", "hidden", None),
-    ("lr", "lr", float),
-    ("batch_size", "batch_size", int),
-    ("max_epochs", "max_epochs", int),
-    ("patience", "patience", int),
-)
-
-
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     data: dict = {}
@@ -204,23 +195,9 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         data["split"] = args.split
 
     hp = dict(data.get("hyperparameters") or {})
-    for dest, key, conv in _HP_FLAGS:
-        v = getattr(args, dest, None)
-        if v is None:
-            continue
-        if dest == "max_depth":
-            hp[key] = None if v < 0 else int(v)
-        elif dest == "gamma":
-            hp[key] = "scale" if v == "scale" else float(v)
-        elif dest == "hidden":
-            try:
-                hp[key] = [int(tok) for tok in v.split(",") if tok.strip()]
-            except ValueError:
-                raise CliError(f"--hidden expects comma-separated integers, got {v!r}")
-        else:
-            hp[key] = conv(v)
-    if getattr(args, "no_bootstrap", False):
-        hp["bootstrap"] = False
+    for dest, v in vars(args).items():
+        if dest.startswith(HP_DEST):
+            hp[dest[len(HP_DEST):]] = v
     data["hyperparameters"] = hp
 
     if "split" in data:
@@ -254,12 +231,7 @@ def _target_kind(cfg: RunConfig) -> str:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    preset = SYNTH_PRESETS[cfg.synth_preset]
-    if preset is GeneratorConfig:
-        gen = GeneratorConfig(n_conversations=cfg.synth_n, seed=cfg.seed)
-    else:
-        gen = preset(cfg.synth_n, seed=cfg.seed)
-    corpus = generate(gen)
+    corpus = generate(SYNTH_PRESETS[cfg.synth_preset](cfg.synth_n, seed=cfg.seed))
     with open(args.out, "w", encoding="utf-8") as fh:
         write_corpus_jsonl(corpus, fh)
     print(f"wrote {len(corpus)} conversations to {args.out}")
@@ -499,24 +471,44 @@ def _common_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=list(TARGET_BY_FLAG))
     p.add_argument("--prefix-k", dest="prefix_k", type=int)
     p.add_argument("--family", choices=list(FAMILIES))
-    p.add_argument("--lambda", dest="lam", type=float, help="ridge/lasso weight")
-    p.add_argument(
-        "--max-depth", dest="max_depth", type=int,
-        help="tree/forest depth cap; negative means unbounded",
-    )
-    p.add_argument("--min-leaf", dest="min_leaf", type=int)
-    p.add_argument("--n-trees", dest="n_trees", type=int)
-    p.add_argument("--feat-frac", dest="feat_frac", type=float)
-    p.add_argument("--no-bootstrap", dest="no_bootstrap", action="store_true")
-    p.add_argument("--C", dest="C", type=float, help="SVR regularization")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--gamma", help='"scale" or a positive number')
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--hidden", help="MLP hidden sizes, e.g. 100,50")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
+
+    # argparse names a converter in its error ("invalid gamma value: 'x'")
+    def max_depth(text: str) -> int | None:
+        depth = int(text)
+        return None if depth < 0 else depth
+
+    def gamma(text: str) -> str | float:
+        return "scale" if text == "scale" else float(text)
+
+    def hidden_sizes(text: str) -> list[int]:
+        try:
+            return [int(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expects comma-separated integers, got {text!r}"
+            )
+
+    def hp(flag, key=None, **kwargs):
+        key = key or flag[2:].replace("-", "_")
+        p.add_argument(flag, dest=HP_DEST + key, metavar=key.upper(),
+                       default=argparse.SUPPRESS, **kwargs)
+
+    hp("--lambda", type=float, help="ridge/lasso weight")
+    hp("--max-depth", type=max_depth,
+       help="tree/forest depth cap; negative means unbounded")
+    hp("--min-leaf", type=int)
+    hp("--n-trees", type=int)
+    hp("--feat-frac", type=float)
+    hp("--no-bootstrap", "bootstrap", action="store_const", const=False)
+    hp("--C", type=float, help="SVR regularization")
+    hp("--epsilon", type=float)
+    hp("--gamma", type=gamma, help='"scale" or a positive number')
+    hp("--max-iter", type=int)
+    hp("--hidden", type=hidden_sizes, help="MLP hidden sizes, e.g. 100,50")
+    hp("--lr", type=float)
+    hp("--batch-size", type=int)
+    hp("--max-epochs", type=int)
+    hp("--patience", type=int)
     p.add_argument("--match-mode", dest="match_mode",
                    choices=[WORD_BOUNDARY, WHOLE_UTTERANCE])
     p.add_argument("--lexicon-dir", dest="lexicon_dir")

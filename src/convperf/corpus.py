@@ -153,14 +153,11 @@ def conversation_from_record(obj: dict) -> Conversation:
     if not isinstance(cid, str) or not cid:
         raise CorpusError("missing or invalid conversation id")
     rating = obj.get("rating")
-    if rating is not None:
-        if not isinstance(rating, int) or isinstance(rating, bool):
-            raise CorpusError(f"conversation {cid!r}: rating must be an integer")
-        if rating not in (1, 2, 3, 4, 5):
-            raise CorpusError(f"conversation {cid!r}: rating out of range: {rating}")
+    if rating is not None and (isinstance(rating, bool) or not isinstance(rating, int)):
+        raise CorpusError(f"conversation {cid!r}: rating must be an integer")
     raw = obj.get("exchanges")
-    if not isinstance(raw, list) or not raw:
-        raise CorpusError(f"conversation {cid!r}: missing or empty exchanges")
+    if not isinstance(raw, list):
+        raise CorpusError(f"conversation {cid!r}: exchanges must be a list")
     exchanges = tuple(_parse_exchange(i, e) for i, e in enumerate(raw))
     return Conversation(id=cid, exchanges=exchanges, rating=rating)
 

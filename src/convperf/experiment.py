@@ -13,6 +13,7 @@ leave r undefined.
 from __future__ import annotations
 
 import csv
+import inspect
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -120,56 +121,48 @@ class AblationResult:
     report: EvalReport
 
 
-def fit_spec(spec: ModelSpec, X, y, dev=None, fallback_seed: int = 0) -> TrainedModel:
-    """Dispatch one prepared-matrix fit by model family.
+# Fit keywords spelled differently as spec keys (``lambda`` is a Python
+# keyword), and the keywords fit_spec supplies itself.
+_SPEC_KEY = {"lam": "lambda"}
+_SUPPLIED = {"X", "y", "family", "seed", "dev"}
 
+
+def _fit_function(family: str):
+    # Looked up by module-level name on every call, so a wrapped
+    # (e.g. traced) fit function is the one called.
+    if family in (OLS, RIDGE, LASSO):
+        return fit_linear
+    return {TREE: fit_tree, FOREST: fit_forest, SVR: fit_svr, MLP: fit_mlp}[family]
+
+
+def fit_spec(spec: ModelSpec, X, y, dev=None, fallback_seed: int = 0) -> TrainedModel:
+    """Fit ``spec``'s family with its hyperparameters as keyword arguments.
+
+    The family's fit function signature is the one place hyperparameter
+    names and defaults are written; a key it does not take is rejected
+    with a ValueError naming the family, the key and the accepted keys.
     ``dev`` is an (X, y) pair used only by the MLP's early stopping.
     Families without their own seed field fall back to
     ``fallback_seed``.
     """
-    hp = spec.hyperparameters
-    seed = spec.seed if spec.seed is not None else fallback_seed
     family = spec.family
-    if family in (OLS, RIDGE, LASSO):
-        return fit_linear(X, y, family=family, lam=hp.get("lambda", 0.0))
-    if family == TREE:
-        return fit_tree(
-            X, y, max_depth=hp.get("max_depth"), min_leaf=hp.get("min_leaf", 1)
+    fit = _fit_function(family)
+    params = inspect.signature(fit).parameters
+    keyword = {_SPEC_KEY.get(p, p): p for p in params if p not in _SUPPLIED}
+    unknown = [key for key in spec.hyperparameters if key not in keyword]
+    if unknown:
+        raise ValueError(
+            f"{family} has no hyperparameter{'s' * (len(unknown) > 1)} "
+            f"{', '.join(map(repr, unknown))} (it takes {', '.join(keyword)})"
         )
-    if family == FOREST:
-        return fit_forest(
-            X,
-            y,
-            n_trees=hp.get("n_trees", 100),
-            max_depth=hp.get("max_depth"),
-            min_leaf=hp.get("min_leaf", 1),
-            feat_frac=hp.get("feat_frac", 1.0 / 3.0),
-            bootstrap=hp.get("bootstrap", True),
-            seed=seed,
-        )
-    if family == SVR:
-        return fit_svr(
-            X,
-            y,
-            C=hp.get("C", 1.0),
-            epsilon=hp.get("epsilon", 0.1),
-            gamma=hp.get("gamma", "scale"),
-            tol=hp.get("tol", 1e-3),
-            max_iter=hp.get("max_iter"),
-        )
-    if family == MLP:
-        return fit_mlp(
-            X,
-            y,
-            hidden=tuple(hp.get("hidden", (5,))),
-            lr=hp.get("lr", 1e-3),
-            batch_size=hp.get("batch_size", 32),
-            max_epochs=hp.get("max_epochs", 1000),
-            patience=hp.get("patience", 20),
-            seed=seed,
-            dev=dev,
-        )
-    raise ValueError(f"unknown model family: {family!r}")
+    kwargs = {keyword[k]: v for k, v in spec.hyperparameters.items()}
+    supplied = {
+        "family": family,
+        "seed": spec.seed if spec.seed is not None else fallback_seed,
+        "dev": dev,
+    }
+    kwargs.update((k, v) for k, v in supplied.items() if k in params)
+    return fit(X, y, **kwargs)
 
 
 def fit_and_report(
@@ -196,8 +189,9 @@ def fit_and_report(
         raise ValueError(f"unknown feature names: {', '.join(unknown)}")
     keep = [i for i, n in enumerate(names) if n not in drop]
     names = tuple(names[i] for i in keep)
-    if not splits["train"].ids:
-        raise ValueError("train split is empty")
+    for split in ("train", "test"):  # before a fit that may take long
+        if not splits[split].ids:
+            raise ValueError(f"{split} split is empty")
     # C-ordered rows (take() returns them), so the standardizer's sums do
     # not depend on how the caller laid out its matrices; without a drop
     # a C-ordered matrix is used as it is, not copied.
@@ -236,11 +230,17 @@ def evaluate_model(
 
     A model that predicts one constant value has no correlation with
     the truth; its report carries None for ``pearson_r`` and ``p_value``.
+    A constant truth leaves R² undefined for every model and is rejected.
     """
     if not test.ids:
         raise ValueError("test split is empty")
-    pred = model.predict_prepared(model.standardizer.transform(test.X))
     truth = _targets(model.target, test)
+    if np.all(truth == truth[0]):
+        raise ValueError(
+            f"test split's {model.target.kind} target is constant "
+            f"(every value is {truth[0]:g}); R² is undefined"
+        )
+    pred = model.predict_prepared(model.standardizer.transform(test.X))
     r = p = None
     if np.any(pred != pred[0]):
         r, p = pearson(pred, truth)

@@ -19,6 +19,10 @@ OLS = "ols"
 RIDGE = "ridge"
 LASSO = "lasso"
 
+# Lasso stops when no coefficient moved by more than LASSO_TOL in a sweep.
+LASSO_TOL = 1e-8
+LASSO_MAX_SWEEPS = 100_000
+
 
 class SingularSystemError(ValueError):
     """Raised when an unregularized (OLS or ridge at 0) system is singular."""
@@ -64,18 +68,12 @@ def _fit_ridge(Xc: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
     return np.linalg.solve(Xc.T @ Xc + lam * np.eye(d), Xc.T @ yc)
 
 
-def _fit_lasso(
-    Xc: np.ndarray,
-    yc: np.ndarray,
-    lam: float,
-    tol: float,
-    max_sweeps: int,
-) -> np.ndarray:
+def _fit_lasso(Xc: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
     n, d = Xc.shape
     col_sq = np.einsum("ij,ij->j", Xc, Xc)
     beta = np.zeros(d)
     resid = yc.copy()
-    for _ in range(max_sweeps):
+    for _ in range(LASSO_MAX_SWEEPS):
         max_delta = 0.0
         for j in range(d):
             if col_sq[j] == 0.0:
@@ -89,11 +87,11 @@ def _fit_lasso(
                 resid -= Xc[:, j] * delta
                 beta[j] = new
                 max_delta = max(max_delta, abs(delta))
-        if max_delta < tol:
+        if max_delta < LASSO_TOL:
             return beta
     raise RuntimeError(
-        f"lasso coordinate descent did not reach tolerance {tol} "
-        f"in {max_sweeps} sweeps"
+        f"lasso coordinate descent did not reach tolerance {LASSO_TOL} "
+        f"in {LASSO_MAX_SWEEPS} sweeps"
     )
 
 
@@ -102,8 +100,6 @@ def fit_linear(
     y: np.ndarray,
     family: str = OLS,
     lam: float = 0.0,
-    tol: float = 1e-8,
-    max_sweeps: int = 100_000,
 ) -> TrainedModel:
     """Fit one of the linear family members.
 
@@ -129,7 +125,7 @@ def fit_linear(
     elif family == RIDGE:
         beta = _fit_ridge(Xc, yc, lam)
     elif family == LASSO:
-        beta = _fit_lasso(Xc, yc, lam, tol, max_sweeps)
+        beta = _fit_lasso(Xc, yc, lam)
     else:
         raise ValueError(f"unknown linear family: {family!r}")
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import re
@@ -12,6 +13,7 @@ import pytest
 
 from convperf.cli import (
     CONFIG_ENV,
+    HP_DEST,
     CliError,
     RunConfig,
     build_parser,
@@ -20,9 +22,22 @@ from convperf.cli import (
     main,
 )
 from convperf.corpus import parse_corpus, split_corpus
-from convperf.experiment import GridCell, ablate, run_grid, write_reports_csv
+from convperf.experiment import (
+    GridCell,
+    ablate,
+    fit_spec,
+    run_grid,
+    write_reports_csv,
+)
 from convperf.features import FeatureSchema
-from convperf.regressors import CAPPED_LENGTH, ModelSpec, TargetKind, load_model
+from convperf.regressors import (
+    CAPPED_LENGTH,
+    FAMILIES,
+    ConvergenceError,
+    ModelSpec,
+    TargetKind,
+    load_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -596,9 +611,16 @@ def test_config_file_problems(tmp_path):
         load_run_config(Namespace(config=str(arr)))
 
 
+def parse_train(*flags):
+    return build_parser().parse_args(
+        ["train", "--features", "f.csv", "--model-out", "m.json", *flags]
+    )
+
+
 def test_hyperparameter_flag_conversion():
     cfg = load_run_config(
-        Namespace(lam=2.5, max_depth=-1, gamma="scale", hidden="8,4")
+        parse_train("--lambda", "2.5", "--max-depth", "-1", "--gamma", "scale",
+                    "--hidden", "8,4")
     )
     assert cfg.hyperparameters == {
         "lambda": 2.5,
@@ -606,7 +628,9 @@ def test_hyperparameter_flag_conversion():
         "gamma": "scale",
         "hidden": [8, 4],
     }
-    cfg = load_run_config(Namespace(max_depth=4, gamma="0.25", no_bootstrap=True))
+    cfg = load_run_config(
+        parse_train("--max-depth", "4", "--gamma", "0.25", "--no-bootstrap")
+    )
     assert cfg.hyperparameters == {
         "max_depth": 4,
         "gamma": 0.25,
@@ -614,17 +638,83 @@ def test_hyperparameter_flag_conversion():
     }
 
 
-def test_hidden_flag_rejects_garbage():
-    with pytest.raises(CliError, match="hidden"):
-        load_run_config(Namespace(hidden="eight"))
+def test_hidden_flag_rejects_garbage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_train("--hidden", "eight")
+    assert exc.value.code == 2
+    assert "--hidden: expects comma-separated integers" in capsys.readouterr().err
 
 
 def test_config_hyperparameters_merge_with_flags(tmp_path):
     path = write_config(
         tmp_path, {"hyperparameters": {"lambda": 9.0, "min_leaf": 3}}
     )
-    cfg = load_run_config(Namespace(config=path, lam=1.0))
+    cfg = load_run_config(parse_train("--config", path, "--lambda", "1.0"))
     assert cfg.hyperparameters == {"lambda": 1.0, "min_leaf": 3}
+
+
+def test_every_hyperparameter_flag_reaches_a_fit_function():
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    flags = [
+        (a.option_strings[0], a.nargs == 0)
+        for a in subparsers.choices["train"]._actions
+        if a.dest.startswith(HP_DEST)
+    ]
+    assert len(flags) == 15
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(10, 2)), rng.normal(size=10)
+
+    def accepted(family, key, value):
+        try:
+            fit_spec(ModelSpec(family, {key: value}), X, y)
+        except ValueError as e:
+            return "has no hyperparameter" not in str(e)
+        except ConvergenceError:  # max_iter 1 reached SMO and ran out
+            pass
+        return True
+
+    for flag, bare in flags:
+        args = parse_train(flag, *([] if bare else ["1"]))
+        ((key, value),) = load_run_config(args).hyperparameters.items()
+        assert any(accepted(f, key, value) for f in FAMILIES), flag
+
+
+def test_config_key_no_family_takes_is_rejected(pipeline, tmp_path, capsys):
+    path = write_config(tmp_path, {"hyperparameters": {"max_dept": 2}})
+    model_out = tmp_path / "tree.json"
+    assert main(["train", "--features", str(pipeline.feats), "--config", path,
+                 "--family", "tree", "--target", "length",
+                 "--model-out", str(model_out)]) == 1
+    err = capsys.readouterr().err
+    assert "tree has no hyperparameter 'max_dept' (it takes max_depth, min_leaf)" in err
+    assert not model_out.exists()
+
+
+def test_flag_of_another_family_is_rejected(pipeline, tmp_path, capsys):
+    model_out = tmp_path / "ridge.json"
+    assert main(["train", "--features", str(pipeline.feats), "--family", "ridge",
+                 "--n-trees", "10", "--model-out", str(model_out)]) == 1
+    assert "ridge has no hyperparameter 'n_trees'" in capsys.readouterr().err
+    assert not model_out.exists()
+
+
+def test_train_and_evaluate_reject_an_empty_test_split(pipeline, tmp_path, capsys):
+    lines = pipeline.feats.read_text().splitlines()
+    feats = tmp_path / "features.csv"
+    feats.write_text("\n".join(
+        [lines[0]] + [re.sub(r",test$", ",dev", line) for line in lines[1:]]
+    ) + "\n")
+    sidecar = Path(str(pipeline.feats) + ".json").read_text()
+    Path(str(feats) + ".json").write_text(sidecar)
+    model_out = tmp_path / "model.json"
+    assert main(["train", "--features", str(feats), "--model-out", str(model_out)]) == 1
+    assert "test split is empty" in capsys.readouterr().err
+    assert not model_out.exists()
+    assert main(["evaluate", "--features", str(feats), "--model",
+                 str(pipeline.model)]) == 1
+    assert "test split is empty" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

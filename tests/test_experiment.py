@@ -161,6 +161,107 @@ def test_fit_spec_dispatches_every_family(spec):
     assert model.predict_prepared(X).shape == (30,)
 
 
+FITS = {
+    "ols": lambda X, y: fit_linear(X, y, family="ols"),
+    "ridge": lambda X, y: fit_linear(X, y, family="ridge"),
+    "lasso": lambda X, y: fit_linear(X, y, family="lasso"),
+    "tree": fit_tree,
+    "forest": fit_forest,
+    "svr": fit_svr,
+    "mlp": fit_mlp,
+}
+
+
+@pytest.mark.parametrize("family", list(FITS))
+def test_fit_spec_defaults_come_from_the_fit_signature(family):
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(20, 3))
+    y = X[:, 0] + 0.1 * rng.normal(size=20)
+    assert fit_spec(ModelSpec(family), X, y).spec == FITS[family](X, y).spec
+
+
+@pytest.mark.parametrize(
+    "family,hp,message",
+    [
+        ("tree", {"max_dept": 2},
+         "tree has no hyperparameter 'max_dept' (it takes max_depth, min_leaf)"),
+        ("ridge", {"lamda": 5.0},
+         "ridge has no hyperparameter 'lamda' (it takes lambda)"),
+        ("ridge", {"n_trees": 10}, "ridge has no hyperparameter 'n_trees'"),
+        ("ols", {"lam": 1.0}, "ols has no hyperparameter 'lam' (it takes lambda)"),
+        ("forest", {"seed": 1, "hidden": [4]},
+         "forest has no hyperparameters 'seed', 'hidden' (it takes n_trees,"),
+        ("mlp", {"dev": None}, "mlp has no hyperparameter 'dev'"),
+    ],
+    ids=["misspelled", "misspelled-lambda", "other-family", "keyword-name",
+         "supplied-and-other", "supplied"],
+)
+def test_fit_spec_rejects_keys_the_fit_function_does_not_take(family, hp, message):
+    X = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(ValueError) as exc:
+        fit_spec(ModelSpec(family, hp), X, X[:, 0])
+    assert message in str(exc.value)
+
+
+def test_run_grid_names_the_cell_of_an_unknown_hyperparameter(corpus400):
+    spec = ModelSpec("tree", {"max_dept": 2})
+    cell = GridCell(spec, "independent", TargetKind(RATING))
+    with pytest.raises(RuntimeError, match=r"grid cell 0 \(tree, .*'max_dept'"):
+        run_grid([cell], corpus400, seed=0)
+
+
+def split_rows(rng, n, ratings=None):
+    ratings = list(rng.integers(1, 6, size=n)) if ratings is None else ratings
+    return SplitRows([f"r{i}" for i in range(n)], rng.normal(size=(n, 3)),
+                     [int(r) for r in ratings], [5 + i % 7 for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec("ridge", {"lambda": 1.0}), ModelSpec("lasso", {"lambda": 1e9}),
+     ModelSpec("tree", {"max_depth": 0})],
+    ids=["ridge", "lasso-constant", "tree-depth-0"],
+)
+def test_constant_test_target_gets_one_message(spec):
+    rng = np.random.default_rng(8)
+    splits = {"train": split_rows(rng, 30), "dev": split_rows(rng, 0),
+              "test": split_rows(rng, 6, ratings=[4] * 6)}
+    with pytest.raises(ValueError) as exc:
+        fit_and_report(spec, ("a", "b", "c"), splits, TargetKind(RATING),
+                       spec.family, "independent", None)
+    assert str(exc.value) == (
+        "test split's rating target is constant (every value is 4); R² is undefined"
+    )
+
+
+@pytest.mark.parametrize("family", list(FITS))
+def test_every_family_trains_with_an_empty_dev_split(family):
+    rng = np.random.default_rng(9)
+    splits = {"train": split_rows(rng, 40), "dev": split_rows(rng, 0),
+              "test": split_rows(rng, 8)}
+    small = {"forest": {"n_trees": 3}, "mlp": {"hidden": [3], "max_epochs": 40}}
+    spec = ModelSpec(family, small.get(family, {}), seed=0)
+    model, report = fit_and_report(spec, ("a", "b", "c"), splits, TargetKind(RATING),
+                                   family, "independent", None)
+    assert report.n == 8 and np.isfinite(report.mse)
+    if family == "mlp":  # no dev rows, so no early stopping: every epoch runs
+        train = splits["train"]
+        direct = fit_mlp(model.standardizer.transform(train.X),
+                         np.array(train.ratings, dtype=float), hidden=(3,),
+                         max_epochs=40, seed=0)
+        for a, b in zip(model.params.layers, direct.params.layers):
+            assert np.array_equal(a, b)
+
+
+def test_fit_and_report_rejects_an_empty_test_split():
+    rng = np.random.default_rng(10)
+    splits = {"train": split_rows(rng, 20), "dev": split_rows(rng, 4),
+              "test": split_rows(rng, 0)}
+    with pytest.raises(ValueError, match="test split is empty"):
+        fit_and_report(ModelSpec("ridge", {"lambda": 1.0}), ("a", "b", "c"), splits,
+                       TargetKind(RATING), "ridge", "independent", None)
+
+
 def test_run_grid_wraps_failures_with_context():
     # 8 train rows against 11 features makes plain least squares refuse
     convs = [
