@@ -261,9 +261,7 @@ def cmd_tag(cfg: RunConfig, args) -> int:
     tagged = tag_corpus(corpus, tagger, overwrite=args.overwrite)
     with open(args.out, "w", encoding="utf-8") as fh:
         write_corpus_jsonl(tagged, fh)
-    n_tagged = sum(
-        1 for c in tagged for ex in c.exchanges if ex.sda_tags
-    )
+    n_tagged = int((tagged.sda != 0).sum())  # code 0 is the empty tag set
     print(f"tagged {len(tagged)} conversations ({n_tagged} exchanges carry tags)")
     return 0
 
@@ -272,15 +270,13 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
     corpus = _read_corpus(args.input)
     corpus = split_corpus(corpus, ratios=cfg.split, seed=cfg.seed)
     schema = FeatureSchema()
-    ids, X = build_matrix(
-        corpus.conversations, schema, cfg.feature_set, cfg.prefix_k
-    )
+    ids, X = build_matrix(corpus, schema, cfg.feature_set, cfg.prefix_k)
     names = schema.names(cfg.feature_set)
-    ratings = [c.rating for c in corpus]
-    capped = [c.capped_length for c in corpus]
-    splits = [corpus.split_assignment[c.id] for c in corpus]
+    splits = [SPLIT_NAMES[k] for k in corpus.split.tolist()]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        write_feature_csv(fh, ids, names, X, ratings, capped, splits)
+        write_feature_csv(
+            fh, ids, names, X, corpus.ratings, corpus.capped_lengths(), splits
+        )
     with open(_sidecar(args.out), "w", encoding="utf-8") as fh:
         json.dump({"feature_set": cfg.feature_set, "prefix_k": cfg.prefix_k}, fh)
         fh.write("\n")

@@ -13,14 +13,29 @@ JSONL schema, one conversation per line::
                     "midas": [str], "sda": [str]}]}
 
 ``midas``/``sda`` are optional and default to empty; when present they
-must be lists of strings.
+must be lists of strings.  They are sets: they are written back sorted
+and de-duplicated.
+
+A :class:`Corpus` is columnar.  It holds per-conversation ids, ratings
+and CSR (compressed sparse row) offsets into per-exchange columns:
+``topic``/``rg``/``user``/``system`` strings, and ``midas``/``sda``
+integer codes into ``tagsets``, the corpus's table of distinct tag sets
+(each a sorted, de-duplicated tuple; code 0 is the empty set).
+:func:`parse_corpus` and :func:`convperf.synth.generate` fill the
+columns directly; filtering, splitting and :meth:`Corpus.subset` are
+index selections.  :class:`Exchange` and :class:`Conversation` objects
+are one way in, ``Corpus(conversations=...)``, and one way out: iterating
+a corpus yields read-only :class:`Conversation` views whose
+``exchanges`` build each :class:`Exchange` only when it is accessed.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -30,6 +45,9 @@ logger = logging.getLogger(__name__)
 LENGTH_CAP = 75
 
 SPLIT_NAMES = ("train", "dev", "test")
+
+# Conversations serialized per write() call, which bounds the text held.
+_WRITE_BLOCK = 200
 
 
 class CorpusError(ValueError):
@@ -56,18 +74,20 @@ class Exchange:
 @dataclass(frozen=True)
 class Conversation:
     id: str
-    exchanges: tuple[Exchange, ...]
+    exchanges: Sequence[Exchange]
     rating: int | None = None
 
     def __post_init__(self):
         if not self.exchanges:
             raise CorpusError(f"conversation {self.id!r} has no exchanges")
-        for i, ex in enumerate(self.exchanges):
-            if ex.index != i:
-                raise CorpusError(
-                    f"conversation {self.id!r}: exchange index {ex.index} at "
-                    f"position {i} (indices must be contiguous from 0)"
-                )
+        # A corpus view's exchanges were checked when its columns were built.
+        if not isinstance(self.exchanges, _Exchanges):
+            for i, ex in enumerate(self.exchanges):
+                if ex.index != i:
+                    raise CorpusError(
+                        f"conversation {self.id!r}: exchange index {ex.index} at "
+                        f"position {i} (indices must be contiguous from 0)"
+                    )
         if self.rating is not None and self.rating not in (1, 2, 3, 4, 5):
             raise CorpusError(
                 f"conversation {self.id!r}: rating out of range: {self.rating}"
@@ -82,73 +102,256 @@ class Conversation:
         return min(self.raw_length, LENGTH_CAP)
 
 
-@dataclass(frozen=True)
-class Corpus:
-    conversations: tuple[Conversation, ...]
-    split_assignment: dict[str, str] | None = None
+class _Exchanges(Sequence):
+    """One conversation's exchanges in a corpus; each is built on access."""
 
-    def __post_init__(self):
-        ids = [c.id for c in self.conversations]
-        if len(set(ids)) != len(ids):
-            seen = set()
-            dup = next(i for i in ids if i in seen or seen.add(i))
-            raise CorpusError(f"duplicate conversation id: {dup!r}")
-        if self.split_assignment is not None:
-            assigned = set(self.split_assignment)
-            if assigned != set(ids):
-                raise CorpusError("split assignment does not cover the id set")
-            bad = set(self.split_assignment.values()) - set(SPLIT_NAMES)
-            if bad:
-                raise CorpusError(f"unknown split names: {sorted(bad)}")
+    __slots__ = ("_corpus", "_start", "_stop")
+
+    def __init__(self, corpus: Corpus, start: int, stop: int):
+        self._corpus = corpus
+        self._start = start
+        self._stop = stop
 
     def __len__(self) -> int:
-        return len(self.conversations)
+        return self._stop - self._start
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        n = self._stop - self._start
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("exchange index out of range")
+        return self._corpus._exchange(self._start, i)
 
     def __iter__(self):
-        return iter(self.conversations)
+        return (self._corpus._exchange(self._start, i) for i in range(len(self)))
 
-    def subset(self, split: str) -> tuple[Conversation, ...]:
-        """Conversations assigned to one split, in corpus order."""
-        if self.split_assignment is None:
-            raise CorpusError("corpus has no split assignment")
-        if split not in SPLIT_NAMES:
-            raise CorpusError(f"unknown split name: {split!r}")
-        return tuple(
-            c for c in self.conversations if self.split_assignment[c.id] == split
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Exchanges)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class _TagSets:
+    """Distinct tag sets, each a sorted, de-duplicated tuple; code 0 is ()."""
+
+    def __init__(self, sets=((),)):
+        self.sets = list(sets)
+        self.codes = {s: i for i, s in enumerate(self.sets)}
+
+    def code(self, tags) -> int:
+        key = tuple(sorted(set(tags)))
+        code = self.codes.get(key)
+        if code is None:
+            code = self.codes[key] = len(self.sets)
+            self.sets.append(key)
+        return code
+
+
+class _Columns:
+    """Columns of a corpus under construction, appended conversation by
+    conversation."""
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self.ratings: list[int | None] = []
+        self.ends: list[int] = []
+        self.topic: list[str] = []
+        self.rg: list[str] = []
+        self.user: list[str] = []
+        self.system: list[str] = []
+        self.midas: list[int] = []
+        self.sda: list[int] = []
+        self.tags = _TagSets()
+
+    def corpus(self) -> Corpus:
+        offsets = np.zeros(len(self.ends) + 1, dtype=np.intp)
+        offsets[1:] = self.ends
+        return Corpus._from_columns(
+            self.ids, self.ratings, offsets,
+            self.topic, self.rg, self.user, self.system,
+            np.array(self.midas, dtype=np.int32), np.array(self.sda, dtype=np.int32),
+            tuple(self.tags.sets), None,
         )
 
 
-def _parse_exchange(index: int, obj: dict) -> Exchange:
+def encode(conversations) -> Corpus:
+    """Columnar corpus of :class:`Conversation` objects, in order.
+
+    Ids are not checked for uniqueness here (feature extraction takes any
+    sequence of conversations); ``Corpus(conversations=...)`` checks them.
+    """
+    b = _Columns()
+    for conv in conversations:
+        b.ids.append(conv.id)
+        b.ratings.append(conv.rating)
+        for ex in conv.exchanges:
+            b.topic.append(ex.topic)
+            b.rg.append(ex.response_generator)
+            b.user.append(ex.user_text)
+            b.system.append(ex.system_text)
+            b.midas.append(b.tags.code(ex.midas_tags))
+            b.sda.append(b.tags.code(ex.sda_tags))
+        b.ends.append(len(b.topic))
+    return b.corpus()
+
+
+class Corpus:
+    """Columnar conversations, optionally assigned to train/dev/test.
+
+    Columns (read-only): ``ids``, ``ratings`` and ``offsets`` per
+    conversation (conversation ``i`` owns exchanges ``offsets[i]`` to
+    ``offsets[i + 1]``); ``topic``, ``rg``, ``user``, ``system``,
+    ``midas`` and ``sda`` per exchange; ``tagsets``, the tag-set table
+    the ``midas``/``sda`` codes index; and ``split``, each
+    conversation's index into :data:`SPLIT_NAMES` (None when the corpus
+    is not split).
+
+    ``Corpus(conversations, split_assignment)`` encodes objects and
+    rejects duplicate ids and a split assignment that does not cover
+    exactly the ids with known split names.
+    """
+
+    def __init__(self, conversations=(), split_assignment: dict[str, str] | None = None):
+        self.__dict__.update(encode(conversations).__dict__)
+        if len(set(self.ids)) != len(self.ids):
+            seen = set()
+            dup = next(i for i in self.ids if i in seen or seen.add(i))
+            raise CorpusError(f"duplicate conversation id: {dup!r}")
+        if split_assignment is not None:
+            if set(split_assignment) != set(self.ids):
+                raise CorpusError("split assignment does not cover the id set")
+            bad = set(split_assignment.values()) - set(SPLIT_NAMES)
+            if bad:
+                raise CorpusError(f"unknown split names: {sorted(bad)}")
+            code = {s: k for k, s in enumerate(SPLIT_NAMES)}
+            self.split = np.array(
+                [code[split_assignment[i]] for i in self.ids], dtype=np.int8
+            )
+
+    @classmethod
+    def _from_columns(
+        cls, ids, ratings, offsets, topic, rg, user, system, midas, sda, tagsets, split
+    ) -> Corpus:
+        self = cls.__new__(cls)
+        self.ids = ids
+        self.ratings = ratings
+        self.offsets = offsets
+        self.topic = topic
+        self.rg = rg
+        self.user = user
+        self.system = system
+        self.midas = midas
+        self.sda = sda
+        self.tagsets = tagsets
+        self.split = split
+        return self
+
+    def _replace(self, **columns) -> Corpus:
+        return Corpus._from_columns(**dict(self.__dict__, **columns))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return map(self._conversation, range(len(self.ids)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (
+            self.conversations == other.conversations
+            and self.split_assignment == other.split_assignment
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"<Corpus: {len(self)} conversations, {len(self.topic)} exchanges>"
+
+    @property
+    def conversations(self) -> tuple[Conversation, ...]:
+        """Every conversation as a read-only view, in corpus order."""
+        return tuple(self)
+
+    @property
+    def split_assignment(self) -> dict[str, str] | None:
+        """Conversation id -> split name, or None when not split."""
+        if self.split is None:
+            return None
+        return dict(zip(self.ids, map(SPLIT_NAMES.__getitem__, self.split.tolist())))
+
+    def lengths(self) -> np.ndarray:
+        """Raw length (exchange count) of each conversation."""
+        return np.diff(self.offsets)
+
+    def capped_lengths(self) -> list[int]:
+        return np.minimum(self.lengths(), LENGTH_CAP).tolist()
+
+    def _conversation(self, i: int) -> Conversation:
+        start, stop = int(self.offsets[i]), int(self.offsets[i + 1])
+        return Conversation(self.ids[i], _Exchanges(self, start, stop), self.ratings[i])
+
+    def _exchange(self, start: int, i: int) -> Exchange:
+        e = start + i
+        return Exchange(
+            i, self.topic[e], self.rg[e], self.user[e], self.system[e],
+            frozenset(self.tagsets[self.midas[e]]), frozenset(self.tagsets[self.sda[e]]),
+        )
+
+    def _select(self, rows: np.ndarray) -> Corpus:
+        """The conversations at ``rows`` (ascending positions), columns and all."""
+        starts = self.offsets[rows]
+        sizes = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        # Position of each kept exchange in this corpus's columns.
+        picked = np.arange(offsets[-1], dtype=np.intp)
+        picked += np.repeat(starts - offsets[:-1], sizes)
+        at = picked.tolist()
+        rows_at = rows.tolist()
+        return self._replace(
+            ids=list(map(self.ids.__getitem__, rows_at)),
+            ratings=list(map(self.ratings.__getitem__, rows_at)),
+            offsets=offsets,
+            topic=list(map(self.topic.__getitem__, at)),
+            rg=list(map(self.rg.__getitem__, at)),
+            user=list(map(self.user.__getitem__, at)),
+            system=list(map(self.system.__getitem__, at)),
+            midas=self.midas[picked],
+            sda=self.sda[picked],
+            split=None if self.split is None else self.split[rows],
+        )
+
+    def subset(self, split: str) -> Corpus:
+        """Conversations assigned to one split, in corpus order."""
+        if self.split is None:
+            raise CorpusError("corpus has no split assignment")
+        if split not in SPLIT_NAMES:
+            raise CorpusError(f"unknown split name: {split!r}")
+        return self._select(np.flatnonzero(self.split == SPLIT_NAMES.index(split)))
+
+
+_STRING_FIELDS = ("topic", "rg", "user", "system")
+_NO_TAGS: list = []  # a missing tag list; read, never mutated
+
+
+def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
+    """Validate one decoded record and append it to the columns.
+
+    ``raw_codes`` maps each tag list already seen, as a tuple in input
+    order, to its tag-set code.  Returns the conversation id.
+    """
     if not isinstance(obj, dict):
-        raise CorpusError("exchange record must be an object")
-    for key in ("topic", "rg", "user", "system"):
-        if key in obj and not isinstance(obj[key], str):
-            raise CorpusError(f"exchange field {key!r} must be a string")
-    # Positional, in field order: the keyword form costs more per exchange.
-    return Exchange(
-        index,
-        obj.get("topic", ""),
-        obj.get("rg", ""),
-        obj.get("user", ""),
-        obj.get("system", ""),
-        _tag_set(obj, "midas"),
-        _tag_set(obj, "sda"),
-    )
-
-
-def _tag_set(obj: dict, key: str) -> frozenset[str]:
-    tags = obj.get(key, [])
-    if isinstance(tags, list):
-        try:
-            "".join(tags)  # a TypeError names any item that is not a string
-            return frozenset(tags)
-        except TypeError:
-            pass
-    raise CorpusError(f"exchange field {key!r} must be a list of strings")
-
-
-def conversation_from_record(obj: dict) -> Conversation:
-    """Build a Conversation from one decoded JSONL record."""
+        raise CorpusError("conversation record must be an object")
     cid = obj.get("id")
     if not isinstance(cid, str) or not cid:
         raise CorpusError("missing or invalid conversation id")
@@ -158,8 +361,82 @@ def conversation_from_record(obj: dict) -> Conversation:
     raw = obj.get("exchanges")
     if not isinstance(raw, list):
         raise CorpusError(f"conversation {cid!r}: exchanges must be a list")
-    exchanges = tuple(_parse_exchange(i, e) for i, e in enumerate(raw))
-    return Conversation(id=cid, exchanges=exchanges, rating=rating)
+    if not raw:
+        raise CorpusError(f"conversation {cid!r} has no exchanges")
+    topics, rgs, users, systems = b.topic, b.rg, b.user, b.system
+    midas, sda = b.midas, b.sda
+    for j, e in enumerate(raw):
+        if type(e) is not dict and not isinstance(e, dict):
+            raise CorpusError(f"exchange record must be an object{_at(cid, j)}")
+        fields = (
+            e.get("topic", ""), e.get("rg", ""), e.get("user", ""), e.get("system", "")
+        )
+        topic, rg, user, system = fields
+        if not (
+            type(topic) is str and type(rg) is str
+            and type(user) is str and type(system) is str
+        ):
+            for key, value in zip(_STRING_FIELDS, fields):
+                if not isinstance(value, str):
+                    raise CorpusError(
+                        f"exchange field {key!r} must be a string{_at(cid, j)}"
+                    )
+        m = e.get("midas", _NO_TAGS)
+        s = e.get("sda", _NO_TAGS)
+        try:
+            mc = raw_codes[tuple(m)] if type(m) is list else None
+        except (KeyError, TypeError):
+            mc = None
+        if mc is None:
+            mc = _new_tag_code(b, raw_codes, m, "midas", cid, j)
+        try:
+            sc = raw_codes[tuple(s)] if type(s) is list else None
+        except (KeyError, TypeError):
+            sc = None
+        if sc is None:
+            sc = _new_tag_code(b, raw_codes, s, "sda", cid, j)
+        if not topic:
+            raise CorpusError(f"exchange topic must be non-empty{_at(cid, j)}")
+        topics.append(topic)
+        rgs.append(rg)
+        users.append(user)
+        systems.append(system)
+        midas.append(mc)
+        sda.append(sc)
+    if rating is not None and rating not in (1, 2, 3, 4, 5):
+        raise CorpusError(f"conversation {cid!r}: rating out of range: {rating}")
+    b.ids.append(cid)
+    b.ratings.append(rating)
+    b.ends.append(len(topics))
+    return cid
+
+
+def _at(cid: str, j: int) -> str:
+    return f" (conversation {cid!r}, exchange {j})"
+
+
+def _new_tag_code(b: _Columns, raw_codes: dict, tags, key: str, cid: str, j: int) -> int:
+    """Tag-set code of a tag list not seen before, which must hold strings."""
+    if isinstance(tags, list):
+        try:
+            "".join(tags)  # a TypeError names any item that is not a string
+        except TypeError:
+            pass
+        else:
+            code = raw_codes[tuple(tags)] = b.tags.code(tags)
+            return code
+    raise CorpusError(
+        f"exchange field {key!r} must be a list of strings{_at(cid, j)}"
+    )
+
+
+def conversation_from_record(obj: dict) -> Conversation:
+    """Build a Conversation (a one-conversation corpus view) from one
+    decoded JSONL record."""
+    b = _Columns()
+    _add_record(b, {(): 0}, obj)
+    (conv,) = b.corpus()
+    return conv
 
 
 def parse_corpus(stream) -> Corpus:
@@ -168,11 +445,12 @@ def parse_corpus(stream) -> Corpus:
     ``stream`` is any iterable of lines (an open file works).  Input order
     is preserved; blank lines are skipped.  Raises :class:`CorpusError`
     carrying the 1-based line number on the first malformed line, and on
-    duplicate ids.
+    duplicate ids; a malformed exchange is also named by its
+    conversation id and position.
     """
-    conversations = []
+    b = _Columns()
+    raw_codes = {(): 0}  # code 0 is the empty tag set
     seen: set[str] = set()
-    empty_user = 0
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
@@ -181,18 +459,22 @@ def parse_corpus(stream) -> Corpus:
         except json.JSONDecodeError as e:
             raise CorpusError(f"line {lineno}: invalid JSON: {e.msg}") from e
         try:
-            conv = conversation_from_record(obj)
+            cid = _add_record(b, raw_codes, obj)
         except CorpusError as e:
             raise CorpusError(f"line {lineno}: {e}") from e
-        if conv.id in seen:
-            raise CorpusError(f"line {lineno}: duplicate conversation id {conv.id!r}")
-        seen.add(conv.id)
-        empty_user += sum(1 for ex in conv.exchanges[1:] if not ex.user_text.strip())
-        conversations.append(conv)
+        if cid in seen:
+            raise CorpusError(f"line {lineno}: duplicate conversation id {cid!r}")
+        seen.add(cid)
+    corpus = b.corpus()
+    # Blank user turns past each conversation's first exchange.
+    user = corpus.user
+    empty_user = sum(1 for u in user if not u.strip()) - sum(
+        1 for i in corpus.offsets[:-1].tolist() if not user[i].strip()
+    )
     if empty_user:
         # Real ASR logs contain blank user turns; tolerated outside exchange 0.
         logger.warning("parsed %d empty user utterances past exchange 0", empty_user)
-    return Corpus(conversations=tuple(conversations))
+    return corpus
 
 
 def conversation_to_record(conv: Conversation) -> dict:
@@ -213,11 +495,42 @@ def conversation_to_record(conv: Conversation) -> dict:
     }
 
 
+_EXCHANGE_JSON = (
+    '{"topic": %s, "rg": %s, "user": %s, "system": %s, "midas": %s, "sda": %s}'
+)
+
+
 def write_corpus_jsonl(corpus: Corpus, fh) -> None:
-    """Serialize a corpus to the JSONL schema (lossless round-trip)."""
-    for conv in corpus:
-        fh.write(json.dumps(conversation_to_record(conv), ensure_ascii=False))
-        fh.write("\n")
+    """Serialize a corpus to the JSONL schema (lossless round-trip).
+
+    The bytes are those of ``json.dumps(conversation_to_record(conv),
+    ensure_ascii=False)`` per line, assembled from the columns.
+    """
+    enc = encode_basestring
+    tag_json = [json.dumps(list(t), ensure_ascii=False) for t in corpus.tagsets]
+    offsets = corpus.offsets.tolist()
+    for first in range(0, len(corpus), _WRITE_BLOCK):
+        last = min(first + _WRITE_BLOCK, len(corpus))
+        a, b = offsets[first], offsets[last]
+        exchanges = list(map(_EXCHANGE_JSON.__mod__, zip(
+            map(enc, corpus.topic[a:b]),
+            map(enc, corpus.rg[a:b]),
+            map(enc, corpus.user[a:b]),
+            map(enc, corpus.system[a:b]),
+            map(tag_json.__getitem__, corpus.midas[a:b].tolist()),
+            map(tag_json.__getitem__, corpus.sda[a:b].tolist()),
+        )))
+        lines = []
+        for i in range(first, last):
+            rating = corpus.ratings[i]
+            lines.append(
+                '{"id": %s, "rating": %s, "exchanges": [%s]}\n' % (
+                    enc(corpus.ids[i]),
+                    "null" if rating is None else int.__repr__(rating),
+                    ", ".join(exchanges[offsets[i] - a : offsets[i + 1] - a]),
+                )
+            )
+        fh.write("".join(lines))
 
 
 def filter_min_length(corpus: Corpus, min_len: int = 5) -> Corpus:
@@ -230,14 +543,7 @@ def filter_min_length(corpus: Corpus, min_len: int = 5) -> Corpus:
     """
     if min_len < 1:
         raise ValueError(f"min_len must be >= 1, got {min_len}")
-    kept = tuple(c for c in corpus if c.raw_length >= min_len)
-    assignment = None
-    if corpus.split_assignment is not None:
-        kept_ids = {c.id for c in kept}
-        assignment = {
-            i: s for i, s in corpus.split_assignment.items() if i in kept_ids
-        }
-    return Corpus(conversations=kept, split_assignment=assignment)
+    return corpus._select(np.flatnonzero(corpus.lengths() >= min_len))
 
 
 def split_corpus(
@@ -259,16 +565,9 @@ def split_corpus(
     n_dev = int(n * ratios[1])
     n_test = int(n * ratios[2])
     n_train = n - n_dev - n_test
-    ids = [c.id for c in corpus]
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    assignment: dict[str, str] = {}
-    for pos, idx in enumerate(order):
-        if pos < n_train:
-            split = "train"
-        elif pos < n_train + n_dev:
-            split = "dev"
-        else:
-            split = "test"
-        assignment[ids[idx]] = split
-    return replace(corpus, split_assignment=assignment)
+    order = np.random.default_rng(seed).permutation(n)
+    split = np.empty(n, dtype=np.int8)
+    split[order[:n_train]] = 0
+    split[order[n_train : n_train + n_dev]] = 1
+    split[order[n_train + n_dev :]] = 2
+    return corpus._replace(split=split)

@@ -261,11 +261,9 @@ def _split_tables(corpus: Corpus, schema) -> dict:
     """Per split: its FeatureTable, ratings and capped lengths."""
     tables = {}
     for split in SPLIT_NAMES:
-        convs = corpus.subset(split)
+        part = corpus.subset(split)
         tables[split] = (
-            FeatureTable(convs, schema),
-            [c.rating for c in convs],
-            [c.capped_length for c in convs],
+            FeatureTable(part, schema), part.ratings, part.capped_lengths()
         )
     return tables
 
@@ -344,15 +342,15 @@ def correlate_metrics(corpus: Corpus) -> CorrelationReport:
     rates are the whole-conversation frequency features.  Every
     conversation must be rated.
     """
-    for conv in corpus:
-        if conv.rating is None:
-            raise ValueError(f"conversation {conv.id!r} has no rating")
+    if None in corpus.ratings:
+        cid = corpus.ids[corpus.ratings.index(None)]
+        raise ValueError(f"conversation {cid!r} has no rating")
     schema = FeatureSchema()
     names = schema.names(INDEPENDENT)
-    _, X = build_matrix(corpus.conversations, schema, INDEPENDENT)
+    _, X = build_matrix(corpus, schema, INDEPENDENT)
     series = {
-        "rating": np.array([float(c.rating) for c in corpus]),
-        "length": np.array([float(c.capped_length) for c in corpus]),
+        "rating": np.array(corpus.ratings, dtype=float),
+        "length": np.array(corpus.capped_lengths(), dtype=float),
         "compliments": X[:, names.index(f"freq_{SDA_COMPLIMENT}")],
         "complaints": X[:, names.index(f"freq_{SDA_COMPLAINT}")],
     }

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import csv
 import logging
-from array import array
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
+
+from .corpus import Corpus, encode
 
 logger = logging.getLogger(__name__)
 
@@ -177,48 +178,38 @@ def _segment_medians(segment: np.ndarray, values: np.ndarray, n: int) -> np.ndar
 class FeatureTable:
     """Columnar encoding of a sequence of conversations for one schema.
 
-    Built once from the exchanges, it holds flat per-exchange arrays:
-    CSR (compressed sparse row) conversation offsets, user word counts,
-    topic and response-generator codes into the schema inventories
-    (values outside them take the ``other`` code), and, per SDA and
-    MIDAS label of the schema, the positions of the exchanges carrying
-    it.  :meth:`matrix` turns them into any feature set and
-    prefix window with ``np.bincount``, so one table serves every grid
-    cell over the same conversations.
+    Built once from a :class:`~convperf.corpus.Corpus` (other sequences
+    of conversations are encoded into one first), it holds flat
+    per-exchange arrays: the corpus's CSR (compressed sparse row)
+    conversation offsets, user word counts, topic and
+    response-generator codes into the schema inventories (values outside
+    them take the ``other`` code), and, per SDA and MIDAS label of the
+    schema, the positions of the exchanges carrying it.  :meth:`matrix`
+    turns them into any feature set and prefix window with
+    ``np.bincount``, so one table serves every grid cell over the same
+    conversations.
     """
 
     def __init__(self, conversations, schema: FeatureSchema):
+        corpus = conversations if isinstance(conversations, Corpus) else encode(conversations)
         self.schema = schema
-        self.ids = [conv.id for conv in conversations]
-        self.offsets = np.zeros(len(self.ids) + 1, dtype=np.intp)
-        lengths = [len(conv.exchanges) for conv in conversations]
-        np.cumsum(lengths, out=self.offsets[1:])
-        exchanges = [ex for conv in conversations for ex in conv.exchanges]
-        words = np.fromiter(
-            map(word_count, [ex.user_text for ex in exchanges]), np.intp, len(exchanges)
-        )
+        self.ids = corpus.ids
+        self.offsets = corpus.offsets
+        words = np.fromiter(map(word_count, corpus.user), np.intp, len(corpus.user))
         self.words = words.astype(np.min_scalar_type(words.max(initial=0)))
         self.unknown = set()
-        self.topic = self._schema_codes(
-            [ex.topic for ex in exchanges], schema.topics, "topic"
-        )
+        self.topic = self._schema_codes(corpus.topic, schema.topics, "topic")
         self.rg = self._schema_codes(
-            [ex.response_generator for ex in exchanges],
-            schema.response_generators,
-            "response generator",
+            corpus.rg, schema.response_generators, "response generator"
         )
         # Positions of the exchanges carrying each SDA, then MIDAS, label.
-        sda = {l: j for j, l in enumerate(schema.sda_labels)}
-        midas = {l: len(sda) + j for j, l in enumerate(schema.midas_labels)}
-        positions = [array("i") for _ in range(len(sda) + len(midas))]
-        for e, ex in enumerate(exchanges):
-            for label in ex.sda_tags:
-                if label in sda:
-                    positions[sda[label]].append(e)
-            for label in ex.midas_tags:
-                if label in midas:
-                    positions[midas[label]].append(e)
-        self.tagged = [np.frombuffer(p, np.intc) for p in positions]
+        self.tagged = [
+            np.flatnonzero(np.array([label in t for t in corpus.tagsets])[codes])
+            for labels, codes in (
+                (schema.sda_labels, corpus.sda), (schema.midas_labels, corpus.midas)
+            )
+            for label in labels
+        ]
 
     def _schema_codes(self, values, inventory, kind) -> np.ndarray:
         """Codes into ``inventory``; values outside it take ``other``'s code."""

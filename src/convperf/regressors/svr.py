@@ -205,7 +205,9 @@ def fit_svr(
     keep = beta != 0.0
     spec = ModelSpec(
         family=SVR,
-        hyperparameters={"C": C, "epsilon": epsilon, "gamma": g, "tol": tol},
+        hyperparameters={
+            "C": C, "epsilon": epsilon, "gamma": g, "tol": tol, "max_iter": max_iter
+        },
     )
     params = SvrParams(
         sv_x=X[keep].copy(), sv_beta=beta[keep].copy(), intercept=b, gamma=g

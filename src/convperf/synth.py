@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Conversation, Corpus, Exchange
+from .corpus import Corpus
 from .tagging import default_config
 
 _SHORT_MAX = 4  # accidental-invocation lengths are 1.._SHORT_MAX
@@ -171,107 +171,155 @@ def _clamp01(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
-def _one_conversation(
-    conv_id: str,
-    rng: np.random.Generator,
-    cfg: GeneratorConfig,
-    compliments: tuple[str, ...],
-    complaints: tuple[str, ...],
-    topics: list[str],
-    appeal: np.ndarray,
-) -> Conversation:
-    e = float(rng.beta(cfg.engagement_alpha, cfg.engagement_beta))
+# Conversations drawn before their draws become columns; bounds the
+# memory the draws hold.
+_BLOCK = 1000
 
-    if rng.random() < cfg.short_mass:
-        length = int(rng.integers(1, _SHORT_MAX + 1))
-    else:
-        log_len = rng.normal(
-            cfg.length_log_base + cfg.length_log_gain * e, cfg.length_log_noise
-        )
-        length = int(math.floor(math.exp(log_len) + 0.5))
-        length = min(max(length, _BODY_MIN), cfg.length_max)
+_MIDAS_SETS = tuple(
+    (init,) + answer
+    for init in ("sys_init", "user_init")
+    for answer in ((), ("pos_answer",), ("neg_answer",))
+)
 
-    r_cont = rng.normal(cfg.rating_base + cfg.rating_gain * e, cfg.rating_noise)
-    rating = int(min(5, max(1, math.floor(r_cont + 0.5))))
 
-    interest = rng.dirichlet(cfg.topic_concentration * appeal)
-    topic_idx = rng.choice(len(topics), size=length, p=interest)
-    rg_idx = rng.choice(len(_RG_CHOICES), size=length, p=_RG_PROBS)
+class _Draws:
+    """The random draws of a block of conversations, one conversation after
+    another, in each conversation's draw order."""
 
-    ui_rate = _clamp01(cfg.user_init_base + cfg.user_init_gain * e)
-    pos_rate = _clamp01(cfg.pos_answer_base + cfg.pos_answer_gain * e)
-    neg_rate = _clamp01(cfg.neg_answer_base + cfg.neg_answer_gain * (1.0 - e))
-    comp_rate = _clamp01(cfg.compliment_base + cfg.compliment_gain * e)
-    compl_rate = _clamp01(cfg.complaint_base + cfg.complaint_gain * (1.0 - e))
+    def __init__(self):
+        self.lengths, self.ratings = [], []
+        # Per-conversation rates, repeated over its exchanges when compared.
+        self.ui_rate, self.pos_rate, self.answer_rate = [], [], []
+        # Per-exchange draws.
+        self.topic_idx, self.rg_idx = [], []
+        self.init_draw, self.answer_draw, self.comp_flags, self.compl_flags = [], [], [], []
+        self.comp_pick, self.compl_pick, self.word_counts, self.word_idx = [], [], [], []
 
-    init_draw = rng.random(length)
-    answer_draw = rng.random(length)
-    comp_flags = rng.random(length) < comp_rate
-    compl_flags = rng.random(length) < compl_rate
-    comp_pick = rng.integers(0, len(compliments), size=length)
-    compl_pick = rng.integers(0, len(complaints), size=length)
+    def add(self, rng: np.random.Generator, cfg: GeneratorConfig, n_phrases, appeal):
+        """Draw one conversation from its own generator."""
+        e = float(rng.beta(cfg.engagement_alpha, cfg.engagement_beta))
 
-    lam = cfg.verbosity_base + cfg.verbosity_gain * e
-    word_counts = 1 + rng.poisson(lam, size=length)
-    word_idx = rng.integers(0, len(_FILLER), size=int(word_counts.sum()))
-
-    exchanges = []
-    pos = 0
-    for j in range(length):
-        # Planted phrases consume the utterance's word budget rather than
-        # extending it, so word counts read verbosity and nothing else.
-        wc = int(word_counts[j])
-        tail = []
-        if comp_flags[j]:
-            tail.append(compliments[comp_pick[j]])
-        if compl_flags[j]:
-            tail.append(complaints[compl_pick[j]])
-        planted = sum(len(t.split()) for t in tail)
-        n_fill = max(0, wc - planted)
-        parts = [_FILLER[w] for w in word_idx[pos : pos + n_fill]] + tail
-        pos += wc
-        midas = ["user_init" if init_draw[j] < ui_rate else "sys_init"]
-        if answer_draw[j] < pos_rate:
-            midas.append("pos_answer")
-        elif answer_draw[j] < pos_rate + neg_rate:
-            midas.append("neg_answer")
-        topic = "intro" if j == 0 else topics[topic_idx[j]]
-        rg = "intro" if j == 0 else _RG_CHOICES[rg_idx[j]]
-        exchanges.append(
-            Exchange(
-                index=j,
-                topic=topic,
-                response_generator=rg,
-                user_text=" ".join(parts),
-                system_text=f"let us talk about {topic}",
-                midas_tags=frozenset(midas),
-                sda_tags=frozenset(),
+        if rng.random() < cfg.short_mass:
+            length = int(rng.integers(1, _SHORT_MAX + 1))
+        else:
+            log_len = rng.normal(
+                cfg.length_log_base + cfg.length_log_gain * e, cfg.length_log_noise
             )
+            length = int(math.floor(math.exp(log_len) + 0.5))
+            length = min(max(length, _BODY_MIN), cfg.length_max)
+        self.lengths.append(length)
+
+        r_cont = rng.normal(cfg.rating_base + cfg.rating_gain * e, cfg.rating_noise)
+        self.ratings.append(int(min(5, max(1, math.floor(r_cont + 0.5)))))
+
+        interest = rng.dirichlet(cfg.topic_concentration * appeal)
+        self.topic_idx.append(rng.choice(len(appeal), size=length, p=interest))
+        self.rg_idx.append(rng.choice(len(_RG_CHOICES), size=length, p=_RG_PROBS))
+
+        pos_rate = _clamp01(cfg.pos_answer_base + cfg.pos_answer_gain * e)
+        neg_rate = _clamp01(cfg.neg_answer_base + cfg.neg_answer_gain * (1.0 - e))
+        self.ui_rate.append(_clamp01(cfg.user_init_base + cfg.user_init_gain * e))
+        self.pos_rate.append(pos_rate)
+        self.answer_rate.append(pos_rate + neg_rate)
+        comp_rate = _clamp01(cfg.compliment_base + cfg.compliment_gain * e)
+        compl_rate = _clamp01(cfg.complaint_base + cfg.complaint_gain * (1.0 - e))
+
+        self.init_draw.append(rng.random(length))
+        self.answer_draw.append(rng.random(length))
+        self.comp_flags.append(rng.random(length) < comp_rate)
+        self.compl_flags.append(rng.random(length) < compl_rate)
+        self.comp_pick.append(rng.integers(0, n_phrases[0], size=length))
+        self.compl_pick.append(rng.integers(0, n_phrases[1], size=length))
+
+        lam = cfg.verbosity_base + cfg.verbosity_gain * e
+        word_counts = 1 + rng.poisson(lam, size=length)
+        self.word_counts.append(word_counts)
+        self.word_idx.append(rng.integers(0, len(_FILLER), size=int(word_counts.sum())))
+
+    def columns(self, topics, compliments, complaints):
+        """(topic, rg, user, midas code) of every drawn exchange; midas
+        codes index ``((),) + _MIDAS_SETS``."""
+        lengths = np.array(self.lengths)
+        topic = list(map(topics.__getitem__, np.concatenate(self.topic_idx).tolist()))
+        rg = list(map(_RG_CHOICES.__getitem__, np.concatenate(self.rg_idx).tolist()))
+        for j in (np.cumsum(lengths) - lengths).tolist():
+            topic[j] = rg[j] = "intro"
+        user_init = np.concatenate(self.init_draw) < np.repeat(self.ui_rate, lengths)
+        answer_draw = np.concatenate(self.answer_draw)
+        answer = np.where(
+            answer_draw < np.repeat(self.pos_rate, lengths),
+            1,
+            np.where(answer_draw < np.repeat(self.answer_rate, lengths), 2, 0),
         )
-    return Conversation(id=conv_id, exchanges=tuple(exchanges), rating=rating)
+        midas = (1 + 3 * user_init + answer).astype(np.int32)
+        return topic, rg, self._user_texts(compliments, complaints), midas
+
+    def _user_texts(self, compliments, complaints) -> list[str]:
+        """Each exchange's filler words, then its planted phrases.
+
+        Planted phrases consume the utterance's word budget rather than
+        extending it, so word counts read verbosity and nothing else.
+        """
+        word_counts = np.concatenate(self.word_counts)
+        comp_flags = np.concatenate(self.comp_flags)
+        compl_flags = np.concatenate(self.compl_flags)
+        comp_pick = np.concatenate(self.comp_pick)
+        compl_pick = np.concatenate(self.compl_pick)
+        planted = comp_flags * np.array([len(p.split()) for p in compliments])[comp_pick]
+        planted += compl_flags * np.array([len(p.split()) for p in complaints])[compl_pick]
+        n_fill = np.maximum(0, word_counts - planted).tolist()
+        starts = (np.cumsum(word_counts) - word_counts).tolist()
+        words = list(map(_FILLER.__getitem__, np.concatenate(self.word_idx).tolist()))
+        texts = [" ".join(words[a : a + k]) for a, k in zip(starts, n_fill)]
+        for j in np.flatnonzero(comp_flags | compl_flags).tolist():
+            tail = []
+            if comp_flags[j]:
+                tail.append(compliments[comp_pick[j]])
+            if compl_flags[j]:
+                tail.append(complaints[compl_pick[j]])
+            texts[j] = " ".join(words[starts[j] : starts[j] + n_fill[j]] + tail)
+        return texts
 
 
 def generate(cfg: GeneratorConfig) -> Corpus:
     """Generate a corpus; same config (seed included) → identical output."""
     _validate(cfg)
     compliments, complaints = _lexicon_phrases()
+    n_phrases = (len(compliments), len(complaints))
     topics = [t for t, _ in cfg.topic_appeal]
     appeal = np.array([w for _, w in cfg.topic_appeal], dtype=float)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_conversations)
-    width = max(6, len(str(cfg.n_conversations - 1)))
-    convs = [
-        _one_conversation(
-            f"syn-{i:0{width}d}",
-            np.random.default_rng(child),
-            cfg,
-            compliments,
-            complaints,
-            topics,
-            appeal,
+    ratings, lengths, topic, rg, user, midas = [], [], [], [], [], []
+    for first in range(0, cfg.n_conversations, _BLOCK):
+        d = _Draws()
+        for child in children[first : first + _BLOCK]:
+            d.add(np.random.default_rng(child), cfg, n_phrases, appeal)
+        block_topic, block_rg, block_user, block_midas = d.columns(
+            topics, compliments, complaints
         )
-        for i, child in enumerate(children)
-    ]
-    return Corpus(tuple(convs))
+        topic += block_topic
+        rg += block_rg
+        user += block_user
+        midas.append(block_midas)
+        ratings += d.ratings
+        lengths += d.lengths
+    offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    system_text = {t: f"let us talk about {t}" for t in set(topic)}
+    width = max(6, len(str(cfg.n_conversations - 1)))
+    return Corpus._from_columns(
+        ids=[f"syn-{i:0{width}d}" for i in range(cfg.n_conversations)],
+        ratings=ratings,
+        offsets=offsets,
+        topic=topic,
+        rg=rg,
+        user=user,
+        system=list(map(system_text.__getitem__, topic)),
+        midas=np.concatenate(midas),
+        sda=np.zeros(len(topic), dtype=np.int32),
+        tagsets=((),) + tuple(tuple(sorted(s)) for s in _MIDAS_SETS),
+        split=None,
+    )
 
 
 def compliment_driven_config(n_conversations: int, seed: int = 0) -> GeneratorConfig:

@@ -15,11 +15,14 @@ system's trained NLU.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .corpus import Conversation, Corpus
+import numpy as np
+
+from .corpus import Conversation, Corpus, _TagSets
 
 WHOLE_UTTERANCE = "whole_utterance"
 WORD_BOUNDARY = "word_boundary"
@@ -51,9 +54,24 @@ class Lexicon:
 def _compile(lex: Lexicon) -> re.Pattern:
     # Word-boundary containment: pattern words appear as a contiguous run.
     # Plain \b misbehaves next to non-word characters ("a.i."), so use
-    # explicit non-word lookarounds and flexible inner whitespace.
+    # explicit non-word lookarounds and flexible inner whitespace.  The
+    # lookbehind is checked by _search, not compiled in: a pattern that
+    # starts with literals lets the regex engine skip ahead to them.
     alts = "|".join(re.escape(p).replace(r"\ ", r"\s+") for p in lex.patterns)
-    return re.compile(rf"(?<!\w)(?:{alts})(?!\w)")
+    return re.compile(rf"(?:{alts})(?!\w)")
+
+
+_WORD = re.compile(r"\w")
+
+
+def _search(rx: re.Pattern, text: str, pos: int = 0) -> re.Match | None:
+    """First match of ``rx`` at or after ``pos`` that no word character precedes."""
+    while (m := rx.search(text, pos)) is not None:
+        start = m.start()
+        if not (start and _WORD.match(text, start - 1)):
+            return m
+        pos = start + 1
+    return None
 
 
 class TaggerConfig:
@@ -69,6 +87,7 @@ class TaggerConfig:
         self.match_mode = match_mode
         self._regexes = {l.label: _compile(l) for l in lexicons}
         self._exact = {l.label: frozenset(l.patterns) for l in lexicons}
+        self._separator = _separator(lexicons)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(l.label for l in self.lexicons)
@@ -103,33 +122,54 @@ def default_config(match_mode: str = WORD_BOUNDARY) -> TaggerConfig:
 
 def tag_utterance(text: str, cfg: TaggerConfig) -> frozenset[str]:
     """Labels whose lexicon matches ``text`` under the config's match mode."""
-    norm = _normalize(text)
-    if not norm:
-        return frozenset()
-    if cfg.match_mode == WHOLE_UTTERANCE:
-        return frozenset(
-            label for label, pats in cfg._exact.items() if norm in pats
-        )
-    return frozenset(
-        label for label, rx in cfg._regexes.items() if rx.search(norm)
+    return frozenset(label for label, at in _hits([text], cfg).items() if len(at))
+
+
+def _separator(lexicons) -> str:
+    """A character that is not whitespace, not a word character and in no
+    pattern, so no match can contain it."""
+    used = set("".join(p for lex in lexicons for p in lex.patterns))
+    return next(
+        c for c in map(chr, range(sys.maxunicode + 1))
+        if c not in used and not re.match(r"[\s\w]", c)
     )
+
+
+def _hits(texts: list[str], cfg: TaggerConfig) -> dict[str, np.ndarray]:
+    """Per label, the positions of the texts its lexicon matches once each
+    text is normalized: the whole text (``WHOLE_UTTERANCE``) or a run of
+    its words (``WORD_BOUNDARY``)."""
+    norms = [_normalize(t) for t in texts]
+    if cfg.match_mode == WHOLE_UTTERANCE:
+        return {
+            label: np.array([i for i, t in enumerate(norms) if t in pats], dtype=np.intp)
+            for label, pats in cfg._exact.items()
+        }
+    # One search over all texts joined by the separator finds, per text,
+    # what searching that text alone finds: no match can span two texts,
+    # and the lookarounds see the separator as a text's start or end.
+    joined = cfg._separator.join(norms)
+    ends = np.cumsum([len(t) + 1 for t in norms], dtype=np.intp)
+    hits = {}
+    for label, rx in cfg._regexes.items():
+        starts = []
+        m = _search(rx, joined)
+        while m is not None:
+            starts.append(m.start())
+            m = _search(rx, joined, m.end())
+        at = np.searchsorted(ends, np.array(starts, dtype=np.intp), side="right")
+        hits[label] = np.unique(at)
+    return hits
 
 
 def tag_conversation(
     conv: Conversation, cfg: TaggerConfig, overwrite: bool = False
 ) -> Conversation:
-    exchanges = list(conv.exchanges)
-    changed = False
-    for i, ex in enumerate(exchanges):
-        tags = tag_utterance(ex.user_text, cfg)
-        if not overwrite:
-            tags = tags | ex.sda_tags
-        if tags != ex.sda_tags:
-            exchanges[i] = replace(ex, sda_tags=tags)
-            changed = True
-    if not changed:
-        return conv
-    return replace(conv, exchanges=tuple(exchanges))
+    """One conversation through :func:`tag_corpus`; ``conv`` itself when no
+    tag changes."""
+    corpus = Corpus(conversations=(conv,))
+    tagged = tag_corpus(corpus, cfg, overwrite=overwrite)
+    return conv if tagged is corpus else next(iter(tagged))
 
 
 def tag_corpus(corpus: Corpus, cfg: TaggerConfig, overwrite: bool = False) -> Corpus:
@@ -137,10 +177,16 @@ def tag_corpus(corpus: Corpus, cfg: TaggerConfig, overwrite: bool = False) -> Co
 
     With ``overwrite=False`` the derived tags are unioned with whatever
     the logs already carried; with ``overwrite=True`` they replace them.
+    Returns ``corpus`` itself when no exchange's tags change, else a
+    corpus that shares every column but ``sda``.
     """
-    return replace(
-        corpus,
-        conversations=tuple(
-            tag_conversation(c, cfg, overwrite=overwrite) for c in corpus
-        ),
-    )
+    tags = _TagSets(corpus.tagsets)
+    codes = np.zeros_like(corpus.sda) if overwrite else corpus.sda.copy()
+    for label, at in _hits(corpus.user, cfg).items():
+        # Each distinct tag set at these exchanges gains the label.
+        before, inverse = np.unique(codes[at], return_inverse=True)
+        after = [tags.code(tags.sets[c] + (label,)) for c in before.tolist()]
+        codes[at] = np.array(after, dtype=codes.dtype)[inverse]
+    if np.array_equal(codes, corpus.sda):
+        return corpus
+    return corpus._replace(sda=codes, tagsets=tuple(tags.sets))

@@ -56,29 +56,30 @@ def score_topics(
     if variant not in VARIANTS:
         raise ValueError(f"unknown scoring variant: {variant!r}")
     sums: dict[str, float] = {}
-    for conv in corpus:
-        if conv.rating is None:
+    offsets = corpus.offsets.tolist()
+    for i, rating in enumerate(corpus.ratings):
+        if rating is None:
             raise ValueError(
-                f"conversation {conv.id!r} is unrated; filter before scoring"
+                f"conversation {corpus.ids[i]!r} is unrated; filter before scoring"
             )
         counts: dict[str, int] = {}
         words: dict[str, list[int]] = {}
-        for ex in conv.exchanges:
-            t = ex.topic
+        a, b = offsets[i], offsets[i + 1]
+        for t, user in zip(corpus.topic[a:b], corpus.user[a:b]):
             if t in exclude_topics:
                 continue
             counts[t] = counts.get(t, 0) + 1
-            if ex.user_text.strip():
-                words.setdefault(t, []).append(word_count(ex.user_text))
+            if user.strip():
+                words.setdefault(t, []).append(word_count(user))
         for t, n_t in counts.items():
             if variant == "F1":
-                score = n_t * conv.rating
+                score = n_t * rating
             elif variant == "F2":
-                score = math.sqrt(n_t) * conv.rating
+                score = math.sqrt(n_t) * rating
             else:
                 w = words.get(t)
                 mean_words = sum(w) / len(w) if w else 0.0
-                score = math.sqrt(n_t) * conv.rating * mean_words
+                score = math.sqrt(n_t) * rating * mean_words
             sums[t] = sums.get(t, 0.0) + score
 
     if len(sums) < 2:

@@ -102,6 +102,42 @@ def test_tag_fields_must_be_lists_of_strings(field, value):
         parse_corpus(lines)
 
 
+_GOOD = {"topic": "movies", "rg": "fact", "user": "hi", "system": "ok"}
+
+
+@pytest.mark.parametrize(
+    "exchange,problem",
+    [
+        ("hello", "exchange record must be an object"),
+        (None, "exchange record must be an object"),
+        ({**_GOOD, "topic": 3}, "exchange field 'topic' must be a string"),
+        ({**_GOOD, "rg": None}, "exchange field 'rg' must be a string"),
+        ({**_GOOD, "user": ["hi"]}, "exchange field 'user' must be a string"),
+        ({**_GOOD, "system": 1.5}, "exchange field 'system' must be a string"),
+        ({**_GOOD, "topic": ""}, "exchange topic must be non-empty"),
+        ({"rg": "fact"}, "exchange topic must be non-empty"),
+        ({**_GOOD, "midas": "user_init"}, "exchange field 'midas' must be a list of strings"),
+        ({**_GOOD, "midas": None}, "exchange field 'midas' must be a list of strings"),
+        ({**_GOOD, "sda": ["sda_compliment", ["x"]]},
+         "exchange field 'sda' must be a list of strings"),
+    ],
+    ids=["string", "null", "topic", "rg", "user", "system", "empty-topic",
+         "missing-topic", "midas-string", "midas-null", "sda-nested-list"],
+)
+def test_exchange_errors_name_the_conversation_and_exchange(exchange, problem):
+    obj = record("c1")
+    obj["exchanges"][1] = exchange
+    lines = [json.dumps(record("c0")), json.dumps(obj)]
+    with pytest.raises(CorpusError) as exc:
+        parse_corpus(lines)
+    assert str(exc.value) == f"line 2: {problem} (conversation 'c1', exchange 1)"
+
+
+def test_record_that_is_not_an_object_is_rejected():
+    with pytest.raises(CorpusError, match="line 1: conversation record must be an object"):
+        parse_corpus(["[1, 2]"])
+
+
 def test_unknown_fields_ignored():
     obj = record()
     obj["asr_confidence"] = 0.93
@@ -286,3 +322,113 @@ def test_record_round_trip_explicit():
     conv = make_conversation("c9", n=4, rating=2, midas=("pos_answer",),
                              sda=("sda_compliment",))
     assert conversation_from_record(conversation_to_record(conv)) == conv
+
+
+# ------------------------------------------------- columnar round trip (records)
+
+_any_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
+_blank = st.sampled_from(["", " ", "\t \n"])
+_tag_lists = st.lists(
+    st.sampled_from(["user_init", "pos_answer", "sda_compliment", "é", "a\"b", "\u00ff"]),
+    max_size=4,
+)
+
+
+@st.composite
+def _exchange_records(draw):
+    ex = {"topic": draw(st.sampled_from(["movies", "intro", "zz top", "café", '"q"']))}
+    for key, values in (
+        ("rg", st.sampled_from(["fact", "", "ünï"])),
+        ("user", st.one_of(_any_text, _blank)),
+        ("system", _any_text),
+        ("midas", _tag_lists),
+        ("sda", _tag_lists),
+    ):
+        if draw(st.booleans()):
+            ex[key] = draw(values)
+    return ex
+
+
+@st.composite
+def _records(draw):
+    ids = draw(st.lists(_any_text, min_size=1, max_size=4, unique=True))
+    records = []
+    for i, suffix in enumerate(ids):
+        rec = {"id": f"c{i}-{suffix}"}
+        if draw(st.booleans()):
+            rec["rating"] = draw(st.one_of(st.none(), st.integers(1, 5)))
+        rec["exchanges"] = draw(st.lists(_exchange_records(), min_size=1, max_size=5))
+        records.append(rec)
+    return records
+
+
+def reference_line(rec: dict) -> str:
+    """What a record must serialize to: the object model's record, with
+    tag lists as sorted, de-duplicated sets and a fixed key order."""
+    return json.dumps(
+        {
+            "id": rec["id"],
+            "rating": rec.get("rating"),
+            "exchanges": [
+                {
+                    "topic": ex["topic"],
+                    "rg": ex.get("rg", ""),
+                    "user": ex.get("user", ""),
+                    "system": ex.get("system", ""),
+                    "midas": sorted(set(ex.get("midas", []))),
+                    "sda": sorted(set(ex.get("sda", []))),
+                }
+                for ex in rec["exchanges"]
+            ],
+        },
+        ensure_ascii=False,
+    ) + "\n"
+
+
+@given(_records(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_write_matches_reference_serializer(records, ascii_input):
+    lines = [json.dumps(rec, ensure_ascii=ascii_input) for rec in records]
+    corpus = parse_corpus(lines)
+    buf = io.StringIO()
+    write_corpus_jsonl(corpus, buf)
+    written = buf.getvalue()
+    assert written == "".join(map(reference_line, records))
+
+    again = parse_corpus(io.StringIO(written))  # splits at "\n" only, as files do
+    assert again == corpus
+    buf = io.StringIO()
+    write_corpus_jsonl(again, buf)
+    assert buf.getvalue() == written
+
+    for conv, rec in zip(corpus, records):
+        assert conv.id == rec["id"]
+        assert conv.rating == rec.get("rating")
+        for ex, raw in zip(conv.exchanges, rec["exchanges"], strict=True):
+            assert ex.midas_tags == frozenset(raw.get("midas", []))
+            assert ex.sda_tags == frozenset(raw.get("sda", []))
+
+
+def test_selection_keeps_columns_aligned():
+    corpus = corpus_of(
+        make_conversation("a", n=2, user="one"),
+        make_conversation("b", n=6, user="two", sda=("sda_abuse",)),
+        make_conversation("c", n=1, user="three"),
+        make_conversation("d", n=7, user="four", midas=("user_init",)),
+    )
+    kept = filter_min_length(corpus, 5)
+    assert kept.ids == ["b", "d"]
+    assert kept.offsets.tolist() == [0, 6, 13]
+    assert kept.user == ["two"] * 6 + ["four"] * 7
+    assert kept.conversations == (corpus.conversations[1], corpus.conversations[3])
+
+
+def test_views_count_exchanges_without_building_them(monkeypatch):
+    corpus = corpus_of(make_conversation("a", n=4), make_conversation("b", n=9))
+
+    def refuse(*args):
+        raise AssertionError("an Exchange was built")
+
+    monkeypatch.setattr(Corpus, "_exchange", refuse)
+    assert [len(c.exchanges) for c in corpus] == [4, 9]
+    assert [c.capped_length for c in corpus] == [4, 9]

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from convperf.experiment import fit_spec
 from convperf.metrics import mse
 from convperf.regressors import (
     ConvergenceError,
+    ModelSpec,
     fit_linear,
     fit_svr,
     model_from_json,
@@ -176,3 +178,13 @@ def test_serialization_round_trip_empty_support():
     back = model_from_json(json.loads(json.dumps(model_to_json(model))))
     assert back.params.sv_x.shape == (0, 0)
     assert np.allclose(back.predict_prepared([[5.0], [9.0]]), [0.0, 0.0])
+
+
+def test_spec_records_the_iteration_budget():
+    X, y = sine_data()
+    explicit = fit_spec(ModelSpec("svr", {"max_iter": 50_000}), X, y)
+    assert explicit.spec.hyperparameters["max_iter"] == 50_000
+    default = fit_spec(ModelSpec("svr"), X, y)
+    assert default.spec.hyperparameters["max_iter"] == max(20_000, 200 * len(y))
+    back = model_from_json(json.loads(json.dumps(model_to_json(explicit))))
+    assert back.spec.hyperparameters["max_iter"] == 50_000

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convperf.corpus import Corpus
+from convperf.corpus import Conversation, Corpus
 from convperf.tagging import (
     Lexicon,
     TaggerConfig,
@@ -15,7 +17,7 @@ from convperf.tagging import (
     tag_utterance,
 )
 
-from conftest import corpus_of, make_conversation
+from conftest import corpus_of, make_conversation, make_exchange
 
 CFG = default_config()
 
@@ -109,6 +111,43 @@ def test_empty_lexicons_union_keeps_tags():
     cfg = TaggerConfig([Lexicon("sda_compliment", ("zzz",))])
     tagged = tag_corpus(corpus_of(conv), cfg)
     assert tagged.conversations[0].exchanges[0].sda_tags == {"sda_abuse"}
+
+
+_PIECES = ["that's so cool", "i don't care", "a.i.", "x", "é", " ", "\t", "\n",
+           "\x00", "\x1c", "THAT'S", "so", "cool", "care", "_", "-", "İ", "ς"]
+
+
+def _reference_labels(text: str, cfg: TaggerConfig) -> set[str]:
+    """Each label whose lexicon matches the normalized text, searched alone
+    with both lookarounds compiled into one regex."""
+    norm = " ".join(text.lower().split())
+    labels = set()
+    for lex in cfg.lexicons:
+        alts = "|".join(re.escape(p).replace(r"\ ", r"\s+") for p in lex.patterns)
+        if re.search(rf"(?<!\w)(?:{alts})(?!\w)", norm):
+            labels.add(lex.label)
+    return labels
+
+
+@given(st.lists(st.lists(st.sampled_from(_PIECES), max_size=8).map("".join),
+                min_size=1, max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_batched_corpus_tagging_matches_tagging_each_text(texts):
+    exchanges = tuple(make_exchange(i, user=t) for i, t in enumerate(texts))
+    corpus = Corpus(conversations=(Conversation(id="c", exchanges=exchanges),))
+    tagged = tag_corpus(corpus, CFG, overwrite=True)
+    for ex, text in zip(tagged.conversations[0].exchanges, texts):
+        assert ex.sda_tags == _reference_labels(text, CFG)
+        assert tag_utterance(text, CFG) == ex.sda_tags
+
+
+def test_phrase_split_across_exchanges_is_not_tagged():
+    texts = ["well that's so", "cool", "i don't", "care", "that's so cool"]
+    exchanges = tuple(make_exchange(i, user=t) for i, t in enumerate(texts))
+    corpus = Corpus(conversations=(Conversation(id="c", exchanges=exchanges),))
+    tagged = tag_corpus(corpus, CFG)
+    flags = [ex.sda_tags for ex in tagged.conversations[0].exchanges]
+    assert flags == [frozenset()] * 4 + [{"sda_compliment"}]
 
 
 # ------------------------------------------------------------------ config
