@@ -21,7 +21,7 @@ from convperf.cli import (
     load_run_config,
     main,
 )
-from convperf.corpus import parse_corpus, split_corpus
+from convperf.corpus import Conversation, Exchange, parse_corpus, split_corpus
 from convperf.experiment import (
     GridCell,
     ablate,
@@ -96,6 +96,20 @@ def test_pipeline_artifacts(pipeline):
     assert model.target.kind == "capped_length"
     assert model.feature_names == FeatureSchema().names("independent")
     assert model.standardizer is not None
+
+
+def test_corpus_stages_build_no_exchange_objects(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("an Exchange or Conversation object was built")
+
+    monkeypatch.setattr(Exchange, "__post_init__", refuse)
+    monkeypatch.setattr(Conversation, "__post_init__", refuse)
+    raw, kept, tagged = (tmp_path / f"{n}.jsonl" for n in ("raw", "kept", "tagged"))
+    assert main(["synth", "--out", str(raw), "--n", "60", "--seed", "1"]) == 0
+    assert main(["ingest", "--in", str(raw), "--out", str(kept)]) == 0
+    assert main(["tag", "--in", str(kept), "--out", str(tagged)]) == 0
+    features = str(tmp_path / "features.csv")
+    assert main(["featurize", "--in", str(tagged), "--out", features]) == 0
 
 
 def test_evaluate_is_byte_deterministic(pipeline):
