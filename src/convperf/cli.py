@@ -466,6 +466,24 @@ def _common_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature-set", dest="feature_set", choices=list(FEATURE_SETS))
     p.add_argument("--target", choices=list(TARGET_BY_FLAG))
     p.add_argument("--prefix-k", dest="prefix_k", type=int)
+    p.add_argument("--match-mode", dest="match_mode",
+                   choices=[WORD_BOUNDARY, WHOLE_UTTERANCE])
+    p.add_argument("--lexicon-dir", dest="lexicon_dir")
+    p.add_argument("--variant", choices=list(VARIANTS))
+    p.add_argument("--synth-preset", dest="synth_preset",
+                   choices=list(SYNTH_PRESETS))
+    p.add_argument("--n", dest="synth_n", type=int,
+                   help="synthetic corpus size")
+    return p
+
+
+def _fit_parser() -> argparse.ArgumentParser:
+    """--family and the hyperparameter flags, for the commands that fit.
+
+    Every other command rejects them as usage errors, so no report hashes
+    a family or hyperparameter that nothing fitted.
+    """
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--family", choices=list(FAMILIES))
 
     # argparse names a converter in its error ("invalid gamma value: 'x'")
@@ -505,19 +523,12 @@ def _common_parser() -> argparse.ArgumentParser:
     hp("--batch-size", type=int)
     hp("--max-epochs", type=int)
     hp("--patience", type=int)
-    p.add_argument("--match-mode", dest="match_mode",
-                   choices=[WORD_BOUNDARY, WHOLE_UTTERANCE])
-    p.add_argument("--lexicon-dir", dest="lexicon_dir")
-    p.add_argument("--variant", choices=list(VARIANTS))
-    p.add_argument("--synth-preset", dest="synth_preset",
-                   choices=list(SYNTH_PRESETS))
-    p.add_argument("--n", dest="synth_n", type=int,
-                   help="synthetic corpus size")
     return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_parser()
+    fitting = [common, _fit_parser()]
     parser = argparse.ArgumentParser(
         prog="convperf",
         description="Conversation performance modeling pipeline",
@@ -555,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_score_topics)
 
-    sp = sub.add_parser("train", parents=[common],
+    sp = sub.add_parser("train", parents=fitting,
                         help="fit one model from a feature CSV")
     sp.add_argument("--features", required=True)
     sp.add_argument("--model-out", dest="model_out", required=True)
@@ -568,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report-out", dest="report_out")
     sp.set_defaults(func=cmd_evaluate)
 
-    sp = sub.add_parser("ablate", parents=[common],
+    sp = sub.add_parser("ablate", parents=fitting,
                         help="refit with features removed and compare")
     sp.add_argument("--features", required=True)
     sp.add_argument("--drop", required=True,

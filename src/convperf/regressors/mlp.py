@@ -2,9 +2,14 @@
 
 Hidden layers are ReLU, the output is a single linear unit.  Everything
 runs in float64 so analytic gradients can be checked against central
-finite differences.  Weights live in one flat list alternating W and b
-per layer, which keeps the forward, backward, and optimizer loops
-index-parallel.
+finite differences.  Weights are a list alternating W and b per layer,
+which keeps the forward and backward loops index-parallel.
+
+During training the weights, their gradients and the two Adam moments
+are each one flat float64 vector, laid out W0, b0, W1, b1, ... with each
+W row-major; the per-layer arrays are reshaped views into it, so
+backprop writes straight into the gradient vector and one Adam step is
+a handful of whole-vector operations.  The fitted layers are copies.
 """
 
 from __future__ import annotations
@@ -51,9 +56,13 @@ def forward(ws: list[np.ndarray], X: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grads(
-    ws: list[np.ndarray], X: np.ndarray, y: np.ndarray
+    ws: list[np.ndarray], X: np.ndarray, y: np.ndarray, out: list[np.ndarray] | None = None
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean squared error over the batch and its gradient per array."""
+    """Mean squared error over the batch and its gradient per array.
+
+    The gradients are written into ``out`` (arrays shaped like ``ws``)
+    when it is given, and into new arrays otherwise.
+    """
     n_layers = len(ws) // 2
     acts = [X]
     pre: list[np.ndarray] = []
@@ -68,14 +77,25 @@ def loss_and_grads(
     n = y.shape[0]
     loss = float(err @ err / n)
 
-    grads: list[np.ndarray | None] = [None] * len(ws)
+    grads = out if out is not None else [np.empty_like(w) for w in ws]
     delta = (2.0 / n) * err[:, None]
     for k in range(n_layers - 1, -1, -1):
-        grads[2 * k] = acts[k].T @ delta
-        grads[2 * k + 1] = delta.sum(axis=0)
+        np.matmul(acts[k].T, delta, out=grads[2 * k])
+        np.sum(delta, axis=0, out=grads[2 * k + 1])
         if k > 0:
             delta = (delta @ ws[2 * k].T) * (pre[k - 1] > 0.0)
-    return loss, grads  # type: ignore[return-value]
+    return loss, grads
+
+
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive slices of ``flat`` reshaped to ``shapes`` (views, not copies)."""
+    out = []
+    start = 0
+    for shape in shapes:
+        stop = start + int(np.prod(shape))
+        out.append(flat[start:stop].reshape(shape))
+        start = stop
+    return out
 
 
 def fit_mlp(
@@ -105,35 +125,52 @@ def fit_mlp(
         raise ValueError("bad training hyperparameters")
 
     rng = np.random.default_rng(seed)
-    ws = init_weights(X.shape[1], tuple(hidden), rng)
+    init = init_weights(X.shape[1], tuple(hidden), rng)
+    shapes = [w.shape for w in init]
+    theta = np.concatenate([w.ravel() for w in init])
+    ws = _views(theta, shapes)
+    grad = np.empty_like(theta)
+    grads = _views(grad, shapes)
     n = y.shape[0]
 
-    # Adam state
-    m = [np.zeros_like(w) for w in ws]
-    v = [np.zeros_like(w) for w in ws]
+    # Adam state, elementwise over the flat buffers
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    num = np.empty_like(theta)
+    den = np.empty_like(theta)
     b1, b2, eps = 0.9, 0.999, 1e-8
     t = 0
 
     best_dev = np.inf
-    best_ws = None
+    best_theta = None
     bad = 0
     for _ in range(max_epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch_size):
             rows = perm[start : start + batch_size]
-            loss, grads = loss_and_grads(ws, X[rows], y[rows])
+            loss, _ = loss_and_grads(ws, X[rows], y[rows], out=grads)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"training loss became {loss}; lower the learning rate "
                     f"(currently {lr:g})"
                 )
             t += 1
-            for k in range(len(ws)):
-                m[k] = b1 * m[k] + (1 - b1) * grads[k]
-                v[k] = b2 * v[k] + (1 - b2) * grads[k] ** 2
-                m_hat = m[k] / (1 - b1**t)
-                v_hat = v[k] / (1 - b2**t)
-                ws[k] = ws[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+            m *= b1
+            np.multiply(grad, 1 - b1, out=num)
+            m += num
+            v *= b2
+            np.multiply(grad, grad, out=num)
+            num *= 1 - b2
+            v += num
+            # theta -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+            np.divide(v, 1 - b2**t, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            np.divide(m, 1 - b1**t, out=num)
+            num *= lr
+            num /= den
+            theta -= num
         if dev is not None:
             dev_pred = forward(ws, np.asarray(dev[0], dtype=float))
             dev_err = dev_pred - np.asarray(dev[1], dtype=float)
@@ -145,14 +182,14 @@ def fit_mlp(
                 )
             if dev_loss < best_dev:
                 best_dev = dev_loss
-                best_ws = [w.copy() for w in ws]
+                best_theta = theta.copy()
                 bad = 0
             else:
                 bad += 1
                 if bad >= patience:
                     break
-    if best_ws is not None:
-        ws = best_ws
+    if best_theta is not None:
+        theta = best_theta
 
     spec = ModelSpec(
         family=MLP,
@@ -165,7 +202,9 @@ def fit_mlp(
         },
         seed=seed,
     )
-    return TrainedModel(spec=spec, params=MlpParams(tuple(ws)))
+    return TrainedModel(
+        spec=spec, params=MlpParams(tuple(w.copy() for w in _views(theta, shapes)))
+    )
 
 
 register_family(

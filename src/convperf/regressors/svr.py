@@ -13,11 +13,22 @@ with the largest lower end against the point with the smallest upper
 end.  The gap between those two ends is the convergence measure.  A
 pair step maximizes the dual exactly along the feasible segment, which
 is piecewise quadratic with breakpoints where either variable crosses
-zero.  Kernel rows are computed lazily and cached.
+zero.
+
+A point's interval is F_p = y_p - sum_q beta_q K_pq plus a pair of
+offsets that depend only on the sign and bound state of beta_p
+(:func:`_offsets`): [-eps, +eps] inside the tube, and -eps or +eps on
+both ends, or one end opened to -inf/+inf at the box bound, for a
+support vector.  The solver keeps the offset arrays and updates them at
+the two points a step moves, so an iteration computes only F, F + a_lo
+and F + a_hi over all points.  Kernel rows are computed lazily into a
+least-recently-used cache bounded by ``KERNEL_CACHE_BYTES``; an evicted
+row is recomputed bit for bit, so the budget changes speed, not the fit.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +36,11 @@ import numpy as np
 from .base import ModelSpec, TrainedModel, check_training_data, register_family
 
 SVR = "svr"
+
+# Byte budget of the kernel-row cache.  Rows beyond it are evicted least
+# recently used first and recomputed on demand; 128 MiB holds every row
+# of a 4,096-point fit.
+KERNEL_CACHE_BYTES = 128 * 2**20
 
 
 class ConvergenceError(RuntimeError):
@@ -63,24 +79,20 @@ def resolve_gamma(X: np.ndarray, gamma) -> float:
     return g
 
 
-def _b_intervals(beta, F, eps, C):
-    """Allowed-b interval [lo, hi] for every point given its beta sign."""
+def _offsets(beta, eps, C):
+    """Per-point offsets (a_lo, a_hi): the allowed-b interval is [F + a_lo, F + a_hi].
+
+    A point inside the tube (beta = 0) gets [-eps, +eps]; beta > 0 pins
+    b to F - eps from above, and from below too unless beta sits at C;
+    beta < 0 pins it to F + eps from below, and from above too unless
+    beta sits at -C.
+    """
     tol = 1e-12 * max(1.0, C)
-    at_up = beta >= C - tol
-    at_lo = beta <= -C + tol
     pos = beta > tol
     neg = beta < -tol
-    lo = np.where(
-        pos,
-        np.where(at_up, -np.inf, F - eps),
-        np.where(neg, F + eps, F - eps),
-    )
-    hi = np.where(
-        pos,
-        F - eps,
-        np.where(neg, np.where(at_lo, np.inf, F + eps), F + eps),
-    )
-    return lo, hi
+    a_lo = np.where(pos, np.where(beta >= C - tol, -np.inf, -eps), np.where(neg, eps, -eps))
+    a_hi = np.where(pos, -eps, np.where(neg, np.where(beta <= -C + tol, np.inf, eps), eps))
+    return a_lo, a_hi
 
 
 def _pair_step(beta_i, beta_j, F_i, F_j, eta, eps, C):
@@ -148,24 +160,40 @@ def fit_svr(
     if max_iter is None:
         max_iter = max(20_000, 200 * n)
 
-    cache: dict[int, np.ndarray] = {}
+    max_rows = max(2, KERNEL_CACHE_BYTES // (8 * n))
+    cache: OrderedDict[int, np.ndarray] = OrderedDict()
+    diff = np.empty_like(X)
+    sq = np.empty(n)
 
     def krow(i: int) -> np.ndarray:
         row = cache.get(i)
-        if row is None:
-            sq = ((X - X[i]) ** 2).sum(axis=1)
-            row = np.exp(-g * sq)
-            cache[i] = row
+        if row is not None:
+            cache.move_to_end(i)
+            return row
+        np.subtract(X, X[i], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sum(diff, axis=1, out=sq)
+        np.multiply(sq, -g, out=sq)
+        row = np.exp(sq)
+        if len(cache) >= max_rows:
+            cache.popitem(last=False)
+        cache[i] = row
         return row
 
     beta = np.zeros(n)
     G = np.zeros(n)  # G_i = sum_j beta_j K_ij
+    a_lo, a_hi = _offsets(beta, epsilon, C)
+    F = np.empty(n)
+    lo = np.empty(n)
+    hi = np.empty(n)
+    step = np.empty(n)
     viol = np.inf
     for _ in range(max_iter):
-        F = y - G
-        lo, hi = _b_intervals(beta, F, epsilon, C)
-        i = int(np.argmax(lo))
-        j = int(np.argmin(hi))
+        np.subtract(y, G, out=F)
+        np.add(F, a_lo, out=lo)
+        np.add(F, a_hi, out=hi)
+        i = int(lo.argmax())
+        j = int(hi.argmin())
         viol = lo[i] - hi[j]
         if viol <= tol:
             break
@@ -178,7 +206,11 @@ def fit_svr(
         delta = t - beta[i]
         beta[i] = t
         beta[j] -= delta
-        G += delta * (row_i - row_j)
+        pair = [i, j]
+        a_lo[pair], a_hi[pair] = _offsets(beta[pair], epsilon, C)
+        np.subtract(row_i, row_j, out=step)
+        step *= delta
+        G += step
     else:
         raise ConvergenceError(
             f"SMO hit the iteration budget ({max_iter}) with KKT gap "
@@ -189,10 +221,10 @@ def fit_svr(
             f"SMO stalled with KKT gap {viol:.3e} > tol {tol:g}"
         )
 
-    F = y - G
-    lo, hi = _b_intervals(beta, F, epsilon, C)
-    b_lo = float(lo.max())
-    b_hi = float(hi.min())
+    # The loop left before stepping, so lo and hi are the final
+    # intervals and i, j their extreme ends.
+    b_lo = float(lo[i])
+    b_hi = float(hi[j])
     if not np.isfinite(b_lo) and not np.isfinite(b_hi):
         b = 0.0
     elif not np.isfinite(b_lo):

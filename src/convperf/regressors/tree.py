@@ -5,6 +5,17 @@ Each node minimizes the summed within-side squared deviation
 consecutive distinct sorted values.  Thresholds are midpoints, rows with
 x <= threshold go left, and ties in score break toward the lowest
 feature index and then the lowest threshold.
+
+The builder sorts each column once per tree, stably, and a split hands
+each child its rows' per-column orders by a stable boolean partition
+(Breiman et al., *Classification and Regression Trees*, 1984).  So at
+every node each column's order is the node's rows sorted by (value, row
+index): exactly what a stable argsort of that node's rows would give.
+The node's row list stays in ascending order, so its sums and means add
+in the same order as ``y[rows]``.  A node scores all its candidate
+features in one pass over a (features, rows) array, and the fitted tree
+is bit-identical to calling :func:`best_split` on ``X[rows]`` at every
+node, which stays as the exhaustive reference.
 """
 
 from __future__ import annotations
@@ -99,7 +110,7 @@ def best_split(
 
 class _Builder:
     def __init__(self, X: np.ndarray, y: np.ndarray, max_depth, min_leaf: int, rng=None, feat_frac=None):
-        self.X = X
+        self.XT = np.ascontiguousarray(X.T)
         self.y = y
         self.max_depth = max_depth
         self.min_leaf = min_leaf
@@ -113,20 +124,55 @@ class _Builder:
         self.n_samples: list[int] = []
         self.impurity: list[float] = []
 
-    def _candidate_features(self) -> np.ndarray | None:
+    def _candidate_features(self) -> np.ndarray:
+        d = self.XT.shape[0]
         if self.feat_frac is None:
-            return None
-        d = self.X.shape[1]
+            return np.arange(d)
         k = int(np.ceil(self.feat_frac * d))
         k = max(1, min(k, d))
         return np.sort(self.rng.choice(d, size=k, replace=False))
 
+    def _split(self, orders, ysub, feats):
+        """best_split's answer for the node, from its presorted orders.
+
+        Scores every candidate feature at once on a (k, m) array; the
+        row-wise argmin takes each feature's lowest tied threshold and
+        the argmin over features its lowest tied index.
+        """
+        m = ysub.shape[0]
+        if m < 2 * self.min_leaf or feats.shape[0] == 0:
+            return None
+        order = orders[feats]
+        xs = self.XT[feats[:, None], order]
+        ys = self.y[order]
+        s1 = np.cumsum(ys, axis=1)[:, :-1]
+        s2 = np.cumsum(ys * ys, axis=1)[:, :-1]
+        total1 = ysub.sum()
+        total2 = (ysub * ysub).sum()
+        counts = np.arange(1, m, dtype=float)
+        left_ss = s2 - s1**2 / counts
+        right_ss = (total2 - s2) - (total1 - s1) ** 2 / (m - counts)
+        scores = np.maximum(left_ss, 0.0) + np.maximum(right_ss, 0.0)
+        valid = xs[:, :-1] < xs[:, 1:]
+        if self.min_leaf > 1:
+            valid[:, : self.min_leaf - 1] = False
+            valid[:, m - self.min_leaf :] = False
+        scores[~valid] = np.inf
+        best_i = scores.argmin(axis=1)
+        f = int(scores[np.arange(feats.shape[0]), best_i].argmin())
+        i = best_i[f]
+        if not valid[f, i]:
+            return None
+        return int(feats[f]), float((xs[f, i] + xs[f, i + 1]) / 2.0)
+
     def build(self) -> TreeParams:
-        # (row_indices, depth, parent_id, is_left); right child pushed
-        # first so ids come out in preorder.
-        stack = [(np.arange(self.y.shape[0]), 0, -1, False)]
+        n = self.y.shape[0]
+        go_left = np.zeros(n, dtype=bool)
+        # (ascending rows, per-column orders, depth, parent_id, is_left);
+        # right child pushed first so ids come out in preorder.
+        stack = [(np.arange(n), np.argsort(self.XT, axis=1, kind="stable"), 0, -1, False)]
         while stack:
-            rows, depth, parent, is_left = stack.pop()
+            rows, orders, depth, parent, is_left = stack.pop()
             node_id = len(self.feature)
             if parent >= 0:
                 if is_left:
@@ -147,16 +193,24 @@ class _Builder:
                 continue
             if ss <= 0.0:
                 continue
-            Xsub = self.X[rows]
-            split = best_split(Xsub, ysub, self.min_leaf, self._candidate_features())
+            split = self._split(orders, ysub, self._candidate_features())
             if split is None:
                 continue
-            j, thr, _ = split
-            mask = Xsub[:, j] <= thr
+            j, thr = split
             self.feature[node_id] = j
             self.threshold[node_id] = thr
-            stack.append((rows[~mask], depth + 1, node_id, False))
-            stack.append((rows[mask], depth + 1, node_id, True))
+            mask = self.XT[j, rows] <= thr
+            go_left[rows] = mask
+            flags = go_left[orders]
+            for side, sel in ((False, ~mask), (True, mask)):
+                child = rows[sel]
+                child_orders = None
+                if child.shape[0] >= 2 * self.min_leaf and (
+                    self.max_depth is None or depth + 1 < self.max_depth
+                ):
+                    # Only a child that may split needs its orders.
+                    child_orders = orders[flags == side].reshape(-1, child.shape[0])
+                stack.append((child, child_orders, depth + 1, node_id, side))
         return TreeParams(
             feature=np.array(self.feature, dtype=np.int64),
             threshold=np.array(self.threshold, dtype=float),

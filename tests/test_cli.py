@@ -714,6 +714,32 @@ def test_flag_of_another_family_is_rejected(pipeline, tmp_path, capsys):
     assert not model_out.exists()
 
 
+def test_evaluate_rejects_family_and_hyperparameter_flags(pipeline, tmp_path, capsys):
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    fit_flags = [
+        (a.option_strings[0], a.nargs == 0)
+        for a in subparsers.choices["train"]._actions
+        if a.dest == "family" or a.dest.startswith(HP_DEST)
+    ]
+    assert len(fit_flags) == 16
+    report = tmp_path / "report.csv"
+    argv = ["evaluate", "--features", str(pipeline.feats), "--model", str(pipeline.model),
+            "--report-out", str(report)]
+    for flag, bare in fit_flags:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, *([] if bare else ["ridge" if flag == "--family" else "3"])])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not report.exists()
+    # Without them the report hashes the default run config, as it always did.
+    assert main(argv) == 0
+    rows = report.read_text().splitlines()
+    header = rows[0].split(",")
+    assert {r.split(",")[header.index("config_hash")] for r in rows[1:]} == {"be11365609c2701c"}
+
+
 def test_train_and_evaluate_reject_an_empty_test_split(pipeline, tmp_path, capsys):
     lines = pipeline.feats.read_text().splitlines()
     feats = tmp_path / "features.csv"

@@ -5,6 +5,12 @@ A change to the generator's draw order, to the tag-set encoding or to the
 JSONL byte format changes one of these digests.  The digests were taken
 from the object-per-exchange implementation the columnar corpus replaced,
 so they also pin that the two write the same bytes.
+
+The model digests pin the saved JSON of a seeded forest, SVR and MLP
+fitted on the dependent matrix.  They were taken from the solvers before
+the forest presorted its columns, SMO kept per-point interval offsets and
+Adam ran on flat buffers, so they also pin that those rewrites fit the
+same models bit for bit.
 """
 
 import hashlib
@@ -13,13 +19,27 @@ import io
 import pytest
 
 from convperf.corpus import write_corpus_jsonl
-from convperf.features import DEPENDENT, FeatureSchema, build_matrix
+from convperf.features import DEPENDENT, FeatureSchema, Standardizer, build_matrix
+from convperf.regressors import (
+    CAPPED_LENGTH,
+    TargetKind,
+    fit_forest,
+    fit_mlp,
+    fit_svr,
+    make_targets,
+    save_model,
+)
 from convperf.synth import GeneratorConfig, generate
 from convperf.tagging import default_config, tag_corpus
 
 RAW_SHA256 = "36814c2c61b7d4bc71e63f0b2e22d6b12e9e4f3104611cc64101bb1aceb89f24"
 TAGGED_SHA256 = "5a3d7a11b34043be267d03cba3647d077a048c223bd61109965047ff40a2a3c7"
 MATRIX_SHA256 = "20fe2af8ac98845ad5175856cfd14c23c0e702cba27ab32348a639a37cfd21a3"
+MODEL_SHA256 = {
+    "forest": "c435b899eee6ef1a841d18197fbe3e38cbf529c4e4c737e427ffec31d7f78ccf",
+    "mlp": "f3ee864ce9504597a8c8676053819fc0f9d14886a061419b3f57982d7680b280",
+    "svr": "a635061bba18acaeee05e490ed8249b90c21c83e6c762add9f424535f5b86a65",
+}
 
 
 def _jsonl_sha256(corpus) -> str:
@@ -31,6 +51,15 @@ def _jsonl_sha256(corpus) -> str:
 @pytest.fixture(scope="module")
 def raw():
     return generate(GeneratorConfig(n_conversations=300, seed=0))
+
+
+@pytest.fixture(scope="module")
+def dependent(raw):
+    tagged = tag_corpus(raw, default_config())
+    schema = FeatureSchema()
+    _, X = build_matrix(tagged, schema, DEPENDENT)
+    X = Standardizer.fit(X, schema.names(DEPENDENT)).transform(X)
+    return X, make_targets(tagged, TargetKind(CAPPED_LENGTH))
 
 
 def test_generated_corpus_bytes(raw):
@@ -45,3 +74,21 @@ def test_dependent_matrix_bytes(raw):
     _, X = build_matrix(tag_corpus(raw, default_config()), FeatureSchema(), DEPENDENT)
     assert X.shape == (300, 35)
     assert hashlib.sha256(X.tobytes()).hexdigest() == MATRIX_SHA256
+
+
+def _fit(family, X, y):
+    if family == "forest":
+        return fit_forest(X, y, n_trees=5, max_depth=8, min_leaf=2, seed=0)
+    if family == "svr":
+        return fit_svr(X, y, C=3.0, epsilon=0.2)
+    return fit_mlp(
+        X[:250], y[:250], hidden=(16, 8), max_epochs=15, patience=3, seed=0,
+        dev=(X[250:], y[250:]),
+    )
+
+
+@pytest.mark.parametrize("family", sorted(MODEL_SHA256))
+def test_model_json_bytes(dependent, family, tmp_path):
+    path = tmp_path / f"{family}.json"
+    save_model(_fit(family, *dependent), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_SHA256[family]

@@ -13,6 +13,7 @@ from convperf.regressors import (
     model_from_json,
     model_to_json,
     resolve_gamma,
+    svr,
 )
 
 
@@ -188,3 +189,18 @@ def test_spec_records_the_iteration_budget():
     assert default.spec.hyperparameters["max_iter"] == max(20_000, 200 * len(y))
     back = model_from_json(json.loads(json.dumps(model_to_json(explicit))))
     assert back.spec.hyperparameters["max_iter"] == 50_000
+
+
+def test_kernel_cache_budget_of_two_rows_gives_the_same_fit(monkeypatch):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(120, 3))
+    y = np.sin(X[:, 0]) + 0.3 * rng.normal(size=120)
+    unbounded = fit_svr(X, y, C=3.0, epsilon=0.1)
+    monkeypatch.setattr(svr, "KERNEL_CACHE_BYTES", 2 * 8 * X.shape[0])
+    bounded = fit_svr(X, y, C=3.0, epsilon=0.1)
+    # Far more support vectors than cached rows, so rows were evicted
+    # and recomputed.
+    assert unbounded.params.sv_beta.shape[0] > 50
+    assert np.array_equal(bounded.params.sv_beta, unbounded.params.sv_beta)
+    assert np.array_equal(bounded.params.sv_x, unbounded.params.sv_x)
+    assert bounded.params.intercept == unbounded.params.intercept

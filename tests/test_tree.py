@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convperf.regressors import fit_tree, model_from_json, model_to_json
-from convperf.regressors.tree import best_split
+from convperf.regressors.tree import best_split, grow_tree
 
 
 def _ss(y):
@@ -276,3 +277,79 @@ def test_serialization_round_trip():
     assert back.spec.hyperparameters == {"max_depth": 4, "min_leaf": 2}
     grid = rng.normal(size=(20, 3))
     assert np.array_equal(back.predict_prepared(grid), model.predict_prepared(grid))
+
+
+def reference_grow(X, y, max_depth, min_leaf, rng, feat_frac):
+    """grow_tree restated as best_split on X[rows] at every node.
+
+    Nodes come out in preorder and the feature subsample is drawn, in
+    that order, at every node that is neither at max_depth nor pure.
+    """
+    d = X.shape[1]
+    cols = {k: [] for k in ("feature", "threshold", "left", "right", "value", "n_samples", "impurity")}
+
+    def grow(rows, depth):
+        node = len(cols["feature"])
+        ys = y[rows]
+        for k, v in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1),
+                     ("value", float(ys.mean())), ("n_samples", rows.shape[0]),
+                     ("impurity", _ss(ys))):
+            cols[k].append(v)
+        if (max_depth is not None and depth >= max_depth) or cols["impurity"][node] <= 0.0:
+            return
+        feats = None
+        if feat_frac is not None:
+            k = max(1, min(int(np.ceil(feat_frac * d)), d))
+            feats = np.sort(rng.choice(d, size=k, replace=False))
+        split = best_split(X[rows], ys, min_leaf, feats)
+        if split is None:
+            return
+        j, thr, _ = split
+        mask = X[rows, j] <= thr
+        cols["feature"][node], cols["threshold"][node] = j, thr
+        cols["left"][node] = len(cols["feature"])
+        grow(rows[mask], depth + 1)
+        cols["right"][node] = len(cols["feature"])
+        grow(rows[~mask], depth + 1)
+
+    grow(np.arange(y.shape[0]), 0)
+    return cols
+
+
+@st.composite
+def tree_problems(draw):
+    """Small matrices with many tied values, some constant columns and
+    (optionally) bootstrap-duplicated rows.  Targets are decimal fractions
+    of mixed magnitude, so a different summation order shows up in the
+    low bits."""
+    n = draw(st.integers(2, 120))
+    d = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    levels = draw(st.integers(1, 6))
+    X = rng.integers(0, levels, size=(n, d)) * 0.3
+    X[:, rng.random(d) < 0.25] = 1.5
+    if draw(st.booleans()):
+        # A mirrored copy ties column 0's scores in exact arithmetic, so
+        # float rounding (the summation order) picks the winner.
+        X = np.column_stack([X, 2.0 - X[:, 0]])
+    y = rng.integers(-20, 21, size=n) / 10.0 * 10.0 ** rng.integers(-2, 3, size=n)
+    if draw(st.booleans()):
+        rows = rng.integers(0, n, size=n)
+        X, y = X[rows], y[rows]
+    max_depth = draw(st.one_of(st.none(), st.integers(0, 6)))
+    min_leaf = draw(st.integers(1, 4))
+    feat_frac = draw(st.one_of(st.none(), st.floats(0.2, 1.0)))
+    return X, y, max_depth, min_leaf, feat_frac, seed
+
+
+@given(tree_problems())
+@settings(max_examples=150, deadline=None)
+def test_grow_tree_matches_per_node_best_split(problem):
+    X, y, max_depth, min_leaf, feat_frac, seed = problem
+    rng = None if feat_frac is None else np.random.default_rng(seed)
+    p = grow_tree(X, y, max_depth=max_depth, min_leaf=min_leaf, rng=rng, feat_frac=feat_frac)
+    rng = None if feat_frac is None else np.random.default_rng(seed)
+    ref = reference_grow(X, y, max_depth, min_leaf, rng, feat_frac)
+    for name, values in ref.items():
+        assert np.array_equal(getattr(p, name), np.array(values)), name
