@@ -51,7 +51,7 @@ def _require_full_rank(R: np.ndarray) -> None:
     if diag.size == 0 or diag.min() <= diag.max() * 1e-12 or diag.max() == 0.0:
         raise SingularSystemError(
             "singular least-squares system (collinear or constant features); "
-            "use ridge with a small regularization instead"
+            "use ridge with a positive lambda (--lambda) instead"
         )
 
 

@@ -21,9 +21,19 @@ offsets that depend only on the sign and bound state of beta_p
 both ends, or one end opened to -inf/+inf at the box bound, for a
 support vector.  The solver keeps the offset arrays and updates them at
 the two points a step moves, so an iteration computes only F, F + a_lo
-and F + a_hi over all points.  Kernel rows are computed lazily into a
-least-recently-used cache bounded by ``KERNEL_CACHE_BYTES``; an evicted
-row is recomputed bit for bit, so the budget changes speed, not the fit.
+and F + a_hi over all points.
+
+Training and :meth:`SvrParams.predict` share one kernel expression,
+:func:`_rbf`: exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)) from the
+inner products a.b and the squared norms.  The fit centres X once
+(distances do not change, and the expansion's rounding, about
+machine-eps * gamma * |x|^2, stays small for any column offset) and
+keeps each row's squared norm, so a kernel row is one BLAS
+matrix-vector product plus O(n) elementwise work.  A row's own entry
+gets exactly zero distance, so K_ii = 1.  Rows are computed lazily into
+a least-recently-used cache bounded by ``KERNEL_CACHE_BYTES``; an
+evicted row is recomputed bit for bit, so the budget changes speed, not
+the fit.
 """
 
 from __future__ import annotations
@@ -58,12 +68,49 @@ class SvrParams:
         X = np.asarray(X, dtype=float)
         if self.sv_beta.shape[0] == 0:
             return np.full(X.shape[0], self.intercept)
-        sq = (
-            (X * X).sum(axis=1)[:, None]
-            + (self.sv_x * self.sv_x).sum(axis=1)[None, :]
-            - 2.0 * X @ self.sv_x.T
+        K = _rbf(
+            X @ self.sv_x.T,
+            (X * X).sum(axis=1)[:, None],
+            (self.sv_x * self.sv_x).sum(axis=1)[None, :],
+            self.gamma,
         )
-        return np.exp(-self.gamma * np.maximum(sq, 0.0)) @ self.sv_beta + self.intercept
+        return K @ self.sv_beta + self.intercept
+
+
+def _rbf(cross, a_sq, b_sq, gamma):
+    """exp(-gamma * max(a_sq + b_sq - 2 * cross, 0)), computed in place in ``cross``.
+
+    ``cross`` holds inner products a.b, and ``a_sq`` and ``b_sq`` the
+    squared norms broadcast against it.
+    """
+    cross *= -2.0
+    cross += a_sq + b_sq
+    np.maximum(cross, 0.0, out=cross)
+    cross *= -gamma
+    return np.exp(cross, out=cross)
+
+
+def _kernel_rows(X, gamma):
+    """``row(i)``: row i of the training kernel matrix, from a bounded LRU cache."""
+    X = X - X.mean(axis=0)  # same distances; rounding no longer grows with offsets
+    sq = (X * X).sum(axis=1)
+    max_rows = max(2, KERNEL_CACHE_BYTES // (8 * X.shape[0]))
+    cache: OrderedDict[int, np.ndarray] = OrderedDict()
+
+    def row(i: int) -> np.ndarray:
+        r = cache.get(i)
+        if r is not None:
+            cache.move_to_end(i)
+            return r
+        r = X @ X[i]
+        r[i] = sq[i]  # then the distance to itself is exactly 0 and K_ii = 1
+        r = _rbf(r, sq, sq[i], gamma)
+        if len(cache) >= max_rows:
+            cache.popitem(last=False)
+        cache[i] = r
+        return r
+
+    return row
 
 
 def resolve_gamma(X: np.ndarray, gamma) -> float:
@@ -79,8 +126,8 @@ def resolve_gamma(X: np.ndarray, gamma) -> float:
     return g
 
 
-def _offsets(beta, eps, C):
-    """Per-point offsets (a_lo, a_hi): the allowed-b interval is [F + a_lo, F + a_hi].
+def _offsets(beta: float, eps: float, C: float) -> tuple[float, float]:
+    """A point's offsets (a_lo, a_hi): its allowed-b interval is [F + a_lo, F + a_hi].
 
     A point inside the tube (beta = 0) gets [-eps, +eps]; beta > 0 pins
     b to F - eps from above, and from below too unless beta sits at C;
@@ -88,11 +135,11 @@ def _offsets(beta, eps, C):
     beta sits at -C.
     """
     tol = 1e-12 * max(1.0, C)
-    pos = beta > tol
-    neg = beta < -tol
-    a_lo = np.where(pos, np.where(beta >= C - tol, -np.inf, -eps), np.where(neg, eps, -eps))
-    a_hi = np.where(pos, -eps, np.where(neg, np.where(beta <= -C + tol, np.inf, eps), eps))
-    return a_lo, a_hi
+    if beta > tol:
+        return (-np.inf if beta >= C - tol else -eps), -eps
+    if beta < -tol:
+        return eps, (np.inf if beta <= -C + tol else eps)
+    return -eps, eps
 
 
 def _pair_step(beta_i, beta_j, F_i, F_j, eta, eps, C):
@@ -160,29 +207,12 @@ def fit_svr(
     if max_iter is None:
         max_iter = max(20_000, 200 * n)
 
-    max_rows = max(2, KERNEL_CACHE_BYTES // (8 * n))
-    cache: OrderedDict[int, np.ndarray] = OrderedDict()
-    diff = np.empty_like(X)
-    sq = np.empty(n)
-
-    def krow(i: int) -> np.ndarray:
-        row = cache.get(i)
-        if row is not None:
-            cache.move_to_end(i)
-            return row
-        np.subtract(X, X[i], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.sum(diff, axis=1, out=sq)
-        np.multiply(sq, -g, out=sq)
-        row = np.exp(sq)
-        if len(cache) >= max_rows:
-            cache.popitem(last=False)
-        cache[i] = row
-        return row
-
+    krow = _kernel_rows(X, g)
     beta = np.zeros(n)
     G = np.zeros(n)  # G_i = sum_j beta_j K_ij
-    a_lo, a_hi = _offsets(beta, epsilon, C)
+    lo0, hi0 = _offsets(0.0, epsilon, C)
+    a_lo = np.full(n, lo0)
+    a_hi = np.full(n, hi0)
     F = np.empty(n)
     lo = np.empty(n)
     hi = np.empty(n)
@@ -206,8 +236,8 @@ def fit_svr(
         delta = t - beta[i]
         beta[i] = t
         beta[j] -= delta
-        pair = [i, j]
-        a_lo[pair], a_hi[pair] = _offsets(beta[pair], epsilon, C)
+        a_lo[i], a_hi[i] = _offsets(t, epsilon, C)
+        a_lo[j], a_hi[j] = _offsets(float(beta[j]), epsilon, C)
         np.subtract(row_i, row_j, out=step)
         step *= delta
         G += step

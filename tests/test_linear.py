@@ -80,6 +80,8 @@ def test_ridge_without_regularization_reports_a_singular_system():
         fit_linear(X, y, family=RIDGE, lam=0.0)
     with pytest.raises(SingularSystemError, match="ridge"):
         fit_linear(X[:, 1:], y, family=RIDGE, lam=0.0)
+    with pytest.raises(SingularSystemError, match="positive lambda \\(--lambda\\)"):
+        fit_linear(X, y, family=RIDGE, lam=0.0)
     assert np.isfinite(fit_linear(X, y, family=RIDGE, lam=1.0).params.coef).all()
 
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convperf.experiment import fit_spec
 from convperf.metrics import mse
@@ -204,3 +205,61 @@ def test_kernel_cache_budget_of_two_rows_gives_the_same_fit(monkeypatch):
     assert np.array_equal(bounded.params.sv_beta, unbounded.params.sv_beta)
     assert np.array_equal(bounded.params.sv_x, unbounded.params.sv_x)
     assert bounded.params.intercept == unbounded.params.intercept
+
+
+def test_kkt_conditions_with_duplicated_rows(monkeypatch):
+    # Each point three times with different targets, so the solver pairs
+    # copies, whose eta = K_ii + K_jj - 2 K_ij is 0 or a rounding error
+    # away from it: the pair step must cope with a flat segment.  The
+    # copies differ by 1e-9 in one extra column, far below what the
+    # kernel resolves (K between copies rounds to 1, as for exact
+    # copies), so that recover_betas can tell them apart.
+    rng = np.random.default_rng(8)
+    X = np.repeat(rng.normal(size=(25, 3)), 3, axis=0)
+    X = np.column_stack([X, np.tile([0.0, 1e-9, 2e-9], 25)])
+    y = np.sin(X[:, 0]) + 0.5 * rng.normal(size=X.shape[0])
+    C, eps, tol = 2.0, 0.1, 1e-3
+    etas = []
+    step = svr._pair_step
+
+    def recording(beta_i, beta_j, F_i, F_j, eta, *rest):
+        etas.append(eta)
+        return step(beta_i, beta_j, F_i, F_j, eta, *rest)
+
+    monkeypatch.setattr(svr, "_pair_step", recording)
+    model = fit_svr(X, y, C=C, epsilon=eps, tol=tol)
+    assert min(etas) < 1e-12
+    gap, lo_max, hi_min = kkt_gap(X, y, model, C, eps)
+    assert gap <= tol + 1e-6
+    assert lo_max - tol - 1e-6 <= model.params.intercept <= hi_min + tol + 1e-6
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Small matrices with mixed column scales, a shared offset, constant
+    columns, duplicated rows and one row scaled to a large norm."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 3, size=d)
+    X += rng.normal(size=d) * draw(st.sampled_from([0.0, 1.0, 1e3]))
+    X[:, rng.random(d) < 0.3] = rng.normal() * 100.0
+    if draw(st.booleans()):
+        X[rng.integers(n)] *= 10.0 ** draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        X = X[rng.integers(0, n, size=n)]
+    return X
+
+
+@given(kernel_matrices())
+@settings(max_examples=150, deadline=None)
+def test_kernel_row_matches_the_direct_distance(X):
+    # gamma="scale" (the fit's default) bounds gamma * |x - mean|^2 by
+    # about n, which bounds the expansion's rounding.
+    g = resolve_gamma(X, "scale")
+    row = svr._kernel_rows(X, g)
+    for i in range(X.shape[0]):
+        direct = np.exp(-g * ((X - X[i]) ** 2).sum(axis=1))
+        got = row(i)
+        assert got[i] == 1.0
+        assert np.abs(got - direct).max() <= 1e-12
