@@ -331,13 +331,17 @@ class Corpus:
             split=None if self.split is None else self.split[rows],
         )
 
-    def subset(self, split: str) -> Corpus:
-        """Conversations assigned to one split, in corpus order."""
+    def split_rows(self, split: str) -> np.ndarray:
+        """Positions of the conversations assigned to one split, ascending."""
         if self.split is None:
             raise CorpusError("corpus has no split assignment")
         if split not in SPLIT_NAMES:
             raise CorpusError(f"unknown split name: {split!r}")
-        return self._select(np.flatnonzero(self.split == SPLIT_NAMES.index(split)))
+        return np.flatnonzero(self.split == SPLIT_NAMES.index(split))
+
+    def subset(self, split: str) -> Corpus:
+        """Conversations assigned to one split, in corpus order."""
+        return self._select(self.split_rows(split))
 
 
 _STRING_FIELDS = ("topic", "rg", "user", "system")

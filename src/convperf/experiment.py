@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import inspect
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -257,22 +258,31 @@ def evaluate_model(
     )
 
 
-def _split_tables(corpus: Corpus, schema) -> dict:
-    """Per split: its FeatureTable, ratings and capped lengths."""
-    tables = {}
+def _split_parts(corpus: Corpus) -> dict:
+    """Per split: its row positions, ids, ratings and capped lengths."""
+    lengths = corpus.capped_lengths()
+    parts = {}
     for split in SPLIT_NAMES:
-        part = corpus.subset(split)
-        tables[split] = (
-            FeatureTable(part, schema), part.ratings, part.capped_lengths()
+        rows = corpus.split_rows(split)
+        at = rows.tolist()
+        parts[split] = (
+            rows,
+            list(map(corpus.ids.__getitem__, at)),
+            list(map(corpus.ratings.__getitem__, at)),
+            list(map(lengths.__getitem__, at)),
         )
-    return tables
+    return parts
 
 
-def _fit_cell(cell: GridCell, tables, schema, seed: int, drop=()):
-    splits = {}
-    for split, (table, ratings, lengths) in tables.items():
-        ids, X = table.matrix(cell.feature_set, cell.prefix_k)
-        splits[split] = SplitRows(ids, X, ratings, lengths)
+def _take(parts, X: np.ndarray) -> dict[str, SplitRows]:
+    """Each split's rows of the whole-corpus matrix ``X``."""
+    return {
+        split: SplitRows(ids, X[rows], ratings, lengths)
+        for split, (rows, ids, ratings, lengths) in parts.items()
+    }
+
+
+def _fit_cell(cell: GridCell, splits, schema, seed: int, drop=()):
     return fit_and_report(
         cell.spec,
         schema.names(cell.feature_set),
@@ -294,15 +304,28 @@ def run_grid(
 ) -> list[CellResult]:
     """Train and evaluate every grid cell; results follow grid order.
 
-    Each split is encoded into a :class:`FeatureTable` once per call,
-    and every cell takes its matrices from those tables.
+    The split corpus is encoded into one :class:`FeatureTable` per
+    call.  Each distinct (feature set, prefix window) matrix is built
+    once, at its first cell, and freed after its last, so one matrix is
+    held at a time when each window's cells are adjacent.  Every cell
+    takes its train/dev/test rows from its window's matrix by index.
     """
     schema = schema if schema is not None else FeatureSchema()
-    tables = _split_tables(corpus, schema)
+    parts = _split_parts(corpus)
+    table = FeatureTable(corpus, schema)
+    uses = Counter((cell.feature_set, cell.prefix_k) for cell in cells)
+    held = {}
     results = []
     for i, cell in enumerate(cells):
+        window = (cell.feature_set, cell.prefix_k)
         try:
-            model, report = _fit_cell(cell, tables, schema, seed)
+            if window not in held:
+                held[window] = table.matrix(*window)[1]
+            splits = _take(parts, held[window])
+            uses[window] -= 1
+            if not uses[window]:
+                del held[window]
+            model, report = _fit_cell(cell, splits, schema, seed)
         except Exception as e:
             raise RuntimeError(
                 f"grid cell {i} ({cell.label}, {cell.feature_set}, "
@@ -331,7 +354,10 @@ def ablate(
     """Refit the cell with the named features removed from its schema."""
     schema = schema if schema is not None else FeatureSchema()
     dropped = tuple(feature_names)
-    _, report = _fit_cell(cell, _split_tables(corpus, schema), schema, seed, dropped)
+    parts = _split_parts(corpus)
+    _, X = FeatureTable(corpus, schema).matrix(cell.feature_set, cell.prefix_k)
+    splits = _take(parts, X)
+    _, report = _fit_cell(cell, splits, schema, seed, dropped)
     return AblationResult(ablated=dropped, report=report)
 
 

@@ -16,11 +16,15 @@ into feature values.  It encodes the conversations once into a columnar
 :class:`FeatureTable` and asks it for one matrix: counts come from
 ``np.bincount`` over the integer codes in each window and are divided by
 the window length, the medians come from sorted per-row segments, and
-column positions come from :meth:`FeatureSchema.names`.  Callers that
-need several matrices over the same conversations, such as
-:func:`convperf.experiment.run_grid`, keep the table and call
-:meth:`FeatureTable.matrix` for each.  Standardizers are fitted on
-training vectors only and applied unchanged to dev/test.
+column positions come from :meth:`FeatureSchema.names`.  User word
+counts come from :func:`word_counts`, which counts a block of texts at a
+time; :func:`word_count` is its one-text definition.  Callers that need
+several matrices over the same conversations keep the table and call
+:meth:`FeatureTable.matrix` for each: :func:`convperf.experiment.run_grid`
+encodes the whole split corpus into one table, builds each distinct
+window's matrix once and selects every split's rows from it.
+Standardizers are fitted on training vectors only and applied unchanged
+to dev/test.
 """
 
 from __future__ import annotations
@@ -101,6 +105,47 @@ def _catchall(kind: str, value: str) -> str:
 def word_count(text: str) -> int:
     """Whitespace-delimited token count after trimming."""
     return len(text.split())
+
+
+# Texts per block in word_counts; it bounds the joined text and its views.
+_WORD_BLOCK = 4096
+
+# The non-ASCII characters for which str.isspace() is true.
+_UNICODE_SPACES = (
+    "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+    "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+_TO_SPACE = str.maketrans(dict.fromkeys(_UNICODE_SPACES, " "))
+
+
+def word_counts(texts) -> np.ndarray:
+    """:func:`word_count` of each of a list of texts, a block at a time.
+
+    A block of texts is joined with spaces, so no word spans two texts,
+    and viewed one code point per element: bytes when it is ASCII,
+    otherwise UTF-32 after its non-ASCII whitespace becomes a space.  A
+    word starts at each non-space code point that follows a space or
+    opens the block; each text counts the starts within its bounds.
+    """
+    counts = np.zeros(len(texts), np.intp)
+    for lo in range(0, len(texts), _WORD_BLOCK):
+        block = texts[lo : lo + _WORD_BLOCK]
+        joined = " ".join(block)
+        if joined.isascii():
+            points = np.frombuffer(joined.encode("ascii"), np.uint8)
+        else:
+            wide = joined.translate(_TO_SPACE).encode("utf-32-le", "surrogatepass")
+            points = np.frombuffer(wide, np.uint32)
+        # str.split()'s ASCII whitespace, \t to \r and \x1c to the space;
+        # unsigned subtraction wraps the code points below each range.
+        space = (points - 9 <= 4) | (points - 28 <= 4)
+        start = ~space
+        start[1:] &= space[:-1]
+        # Text i and the separator after it end just before ends[i].
+        ends = np.cumsum(np.fromiter(map(len, block), np.intp, len(block)) + 1)
+        at = np.searchsorted(np.flatnonzero(start), ends)
+        counts[lo : lo + len(block)] = np.diff(at, prepend=0)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -186,8 +231,8 @@ class FeatureTable:
     them take the ``other`` code), and, per SDA and MIDAS label of the
     schema, the positions of the exchanges carrying it.  :meth:`matrix`
     turns them into any feature set and prefix window with
-    ``np.bincount``, so one table serves every grid cell over the same
-    conversations.
+    ``np.bincount``, so one table over a split corpus serves every grid
+    cell and every split.
     """
 
     def __init__(self, conversations, schema: FeatureSchema):
@@ -195,7 +240,7 @@ class FeatureTable:
         self.schema = schema
         self.ids = corpus.ids
         self.offsets = corpus.offsets
-        words = np.fromiter(map(word_count, corpus.user), np.intp, len(corpus.user))
+        words = word_counts(corpus.user)
         self.words = words.astype(np.min_scalar_type(words.max(initial=0)))
         self.unknown = set()
         self.topic = self._schema_codes(corpus.topic, schema.topics, "topic")

@@ -71,15 +71,13 @@ def targets_from_values(target: TargetKind, ratings, capped_lengths, ids=None) -
     the error message.
     """
     if target.kind == RATING:
-        out = []
-        for i, r in enumerate(ratings):
-            if r is None:
-                who = repr(ids[i]) if ids is not None else f"row {i}"
-                raise ValueError(
-                    f"conversation {who} is unrated; cannot build rating targets"
-                )
-            out.append(float(r))
-        return np.array(out, dtype=float)
+        if None in ratings:
+            i = list(ratings).index(None)
+            who = repr(ids[i]) if ids is not None else f"row {i}"
+            raise ValueError(
+                f"conversation {who} is unrated; cannot build rating targets"
+            )
+        return np.array(ratings, dtype=float)
     lengths = np.asarray(capped_lengths, dtype=float)
     if target.kind == CAPPED_LENGTH:
         return lengths

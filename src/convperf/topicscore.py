@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .features import word_count
+from .features import word_counts
 
 VARIANTS = ("F1", "F2", "F3")
 
@@ -57,6 +57,7 @@ def score_topics(
         raise ValueError(f"unknown scoring variant: {variant!r}")
     sums: dict[str, float] = {}
     offsets = corpus.offsets.tolist()
+    user_words = word_counts(corpus.user).tolist()
     for i, rating in enumerate(corpus.ratings):
         if rating is None:
             raise ValueError(
@@ -65,12 +66,12 @@ def score_topics(
         counts: dict[str, int] = {}
         words: dict[str, list[int]] = {}
         a, b = offsets[i], offsets[i + 1]
-        for t, user in zip(corpus.topic[a:b], corpus.user[a:b]):
+        for t, count in zip(corpus.topic[a:b], user_words[a:b]):
             if t in exclude_topics:
                 continue
             counts[t] = counts.get(t, 0) + 1
-            if user.strip():
-                words.setdefault(t, []).append(word_count(user))
+            if count > 0:
+                words.setdefault(t, []).append(count)
         for t, n_t in counts.items():
             if variant == "F1":
                 score = n_t * rating

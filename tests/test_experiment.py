@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from convperf.experiment import (
     write_correlations_csv,
     write_reports_csv,
 )
-from convperf.features import FeatureSchema, build_matrix
+from convperf.features import FeatureSchema, FeatureTable, build_matrix
 from convperf.regressors import (
     CAPPED_LENGTH,
     MEDIAN_SPLIT,
@@ -57,6 +58,34 @@ def ridge_cell(target=None, **kw):
         target=target if target is not None else TargetKind(RATING),
         **kw,
     )
+
+
+def test_run_grid_encodes_once_and_builds_each_window_once(corpus400, monkeypatch):
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name, key in (
+        (FeatureTable, "__init__", "table"),
+        (FeatureTable, "matrix", "matrix"),
+        (cz.Corpus, "subset", "subset"),
+    ):
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+    windows = [("independent", None), ("dependent", 10), ("independent", 3)]
+    # Cells of one window are not adjacent: every window is still built once.
+    spec = ModelSpec(family="ridge", hyperparameters={"lambda": 1.0})
+    cells = [
+        GridCell(spec, feature_set, TargetKind(kind), k)
+        for kind in (RATING, CAPPED_LENGTH)
+        for feature_set, k in windows
+    ]
+    run_grid(cells, corpus400, seed=0)
+    assert (calls["table"], calls["matrix"], calls["subset"]) == (1, len(windows), 0)
 
 
 def test_run_grid_order_fields_and_binding(corpus400):

@@ -5,13 +5,15 @@ definition, with a separate pass over the window per feature.  Any
 faster extraction path has to keep producing exactly these bytes.
 """
 
+from dataclasses import replace
 from statistics import median
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convperf.corpus import Conversation, Exchange
+from convperf.corpus import SPLIT_NAMES, Conversation, Corpus, Exchange
+from convperf.experiment import _split_parts, _take
 from convperf.features import (
     DEPENDENT,
     INDEPENDENT,
@@ -108,16 +110,29 @@ _WINDOWS = [
 @given(
     convs=st.lists(conversations(), min_size=1, max_size=4),
     order=st.permutations(_WINDOWS),
+    splits=st.lists(st.sampled_from(SPLIT_NAMES), min_size=4, max_size=4),
 )
 @settings(max_examples=40, deadline=None)
-def test_one_table_serves_every_window_in_any_order(convs, order):
+def test_one_table_serves_every_window_in_any_order(convs, order, splits):
     table = FeatureTable(convs, SCHEMA)
+    # One more input: the rows of one table over a split corpus, selected
+    # per split as run_grid selects them (a corpus needs unique ids).
+    named = [replace(c, id=f"s{i}") for i, c in enumerate(convs)]
+    corpus = Corpus(named, {c.id: s for c, s in zip(named, splits)})
+    parts = _split_parts(corpus)
+    split_table = FeatureTable(corpus, SCHEMA)
     for feature_set, prefix_k in order:
-        ids, X = table.matrix(feature_set, prefix_k)
         expected = np.array(
             [oracle_row(c, SCHEMA, feature_set, prefix_k) for c in convs]
         )
-        assert ids == [c.id for c in convs]
-        assert X.shape == expected.shape
-        assert X.dtype == expected.dtype
-        assert X.tobytes() == expected.tobytes()
+        ids = [c.id for c in convs]
+        cases = [(ids, table.matrix(feature_set, prefix_k), expected)]
+        _, whole = split_table.matrix(feature_set, prefix_k)
+        for split, rows in _take(parts, whole).items():
+            picked = [i for i, s in enumerate(splits[: len(convs)]) if s == split]
+            cases.append(([f"s{i}" for i in picked], rows[:2], expected[picked]))
+        for want_ids, (ids, X), want in cases:
+            assert ids == want_ids
+            assert X.shape == want.shape
+            assert X.dtype == want.dtype
+            assert X.tobytes() == want.tobytes()

@@ -1,6 +1,7 @@
 import io
 import logging
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +19,10 @@ from convperf.features import (
     build_matrix,
     read_feature_csv,
     word_count,
+    word_counts,
     write_feature_csv,
 )
+from convperf.features import _UNICODE_SPACES, _WORD_BLOCK
 
 from conftest import feature_values, make_exchange
 
@@ -157,6 +160,39 @@ def test_word_count():
     assert word_count("i don't care") == 3
     assert word_count("") == 0
     assert word_count("  captain  marvel ") == 2
+
+
+_WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+# Every whitespace character, NUL, a lone surrogate, a non-BMP character
+# and letters; the ASCII alphabet adds the neighbours of str.split()'s
+# ASCII whitespace ranges.
+_ANY = _WHITESPACE + ["\x00", "\ud800", "\U0001f600", "a", "Z", "\xe9"]
+_ASCII = [c for c in _WHITESPACE if c.isascii()] + [
+    "\x00", "\x08", "\x0e", "\x1b", "!", "a"
+]
+_texts = st.one_of(
+    st.lists(st.sampled_from(_ANY), max_size=12).map("".join),
+    st.lists(st.sampled_from(_ASCII), max_size=12).map("".join),
+)
+
+
+@given(
+    texts=st.lists(_texts, max_size=24),
+    repeat=st.sampled_from([1, 2, _WORD_BLOCK // 5 + 1]),
+)
+@settings(max_examples=150, deadline=None)
+def test_word_counts_match_word_count(texts, repeat):
+    # Repeating a list of 5 or more texts makes it longer than one block.
+    texts = texts * repeat
+    counts = word_counts(texts)
+    assert counts.shape == (len(texts),)
+    assert counts.tolist() == [word_count(t) for t in texts]
+
+
+def test_unicode_spaces_are_the_non_ascii_whitespace():
+    assert set(map(ord, _UNICODE_SPACES)) == {
+        c for c in range(128, sys.maxunicode + 1) if chr(c).isspace()
+    }
 
 
 def test_union_is_alias_of_dependent():

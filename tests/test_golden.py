@@ -13,6 +13,14 @@ flat buffers, so they also pin that those rewrites fit the same models
 bit for bit.  The SVR digest was re-taken when SMO's kernel rows moved
 to the squared-norm expansion, which changes the fitted weights at the
 rounding level.
+
+The grid digest pins the report CSV of the benchmark's 12 ridge cells
+({independent, dependent} x {full, prefix 10, prefix 15} x {rating,
+length}) run over the tagged corpus split with seed 0.  It was taken
+while ``run_grid`` still encoded one feature table per split and rebuilt
+every split matrix for every cell, so it also pins that encoding the
+split corpus once and sharing one matrix per window reports the same
+bytes.
 """
 
 import hashlib
@@ -20,10 +28,13 @@ import io
 
 import pytest
 
-from convperf.corpus import write_corpus_jsonl
+from convperf.corpus import split_corpus, write_corpus_jsonl
+from convperf.experiment import GridCell, run_experiment, write_reports_csv
 from convperf.features import DEPENDENT, FeatureSchema, Standardizer, build_matrix
 from convperf.regressors import (
     CAPPED_LENGTH,
+    RATING,
+    ModelSpec,
     TargetKind,
     fit_forest,
     fit_mlp,
@@ -37,6 +48,7 @@ from convperf.tagging import default_config, tag_corpus
 RAW_SHA256 = "36814c2c61b7d4bc71e63f0b2e22d6b12e9e4f3104611cc64101bb1aceb89f24"
 TAGGED_SHA256 = "5a3d7a11b34043be267d03cba3647d077a048c223bd61109965047ff40a2a3c7"
 MATRIX_SHA256 = "20fe2af8ac98845ad5175856cfd14c23c0e702cba27ab32348a639a37cfd21a3"
+REPORTS_SHA256 = "0bd89f6febb18cd6d04d91c3f55e6ca8ff7c542acd351556350e05ceb37059fb"
 MODEL_SHA256 = {
     "forest": "c435b899eee6ef1a841d18197fbe3e38cbf529c4e4c737e427ffec31d7f78ccf",
     "mlp": "f3ee864ce9504597a8c8676053819fc0f9d14886a061419b3f57982d7680b280",
@@ -94,3 +106,16 @@ def test_model_json_bytes(dependent, family, tmp_path):
     path = tmp_path / f"{family}.json"
     save_model(_fit(family, *dependent), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_SHA256[family]
+
+
+def test_grid_reports_bytes(raw):
+    corpus = split_corpus(tag_corpus(raw, default_config()), seed=0)
+    cells = [
+        GridCell(ModelSpec("ridge", {"lambda": 1.0}), fs, TargetKind(kind), k)
+        for fs in ("independent", "dependent")
+        for k in (None, 10, 15)
+        for kind in (RATING, CAPPED_LENGTH)
+    ]
+    buf = io.StringIO()
+    write_reports_csv(buf, run_experiment(cells, corpus, seed=0))
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == REPORTS_SHA256

@@ -58,6 +58,14 @@ def test_rating_target_requires_ratings():
         targets_from_values(TargetKind(kind=RATING), [None], [5])
 
 
+def test_unrated_conversation_message():
+    with pytest.raises(ValueError) as err:
+        targets_from_values(
+            TargetKind(kind=RATING), [3, 4, None, None], [5] * 4, ids="abcd"
+        )
+    assert str(err.value) == "conversation 'c' is unrated; cannot build rating targets"
+
+
 def test_target_kind_validation():
     with pytest.raises(ValueError, match="unknown target"):
         TargetKind(kind="bogus")
