@@ -9,24 +9,31 @@ reports from it.  ``train``, ``evaluate`` and ``ablate`` fit and score
 through :func:`convperf.experiment.fit_and_report` and
 :func:`convperf.experiment.evaluate_model`, the path grid runs use.
 
-A JSON config file holds the canonical run parameters; flags override
-it; the CONVPERF_CONFIG environment variable names a default config
-path.  The effective config is hashed into every report for provenance.
-Hyperparameter flags convert their values in argparse and land in
-``RunConfig.hyperparameters`` under their own names (``--lambda`` as
-``lambda``, ``--no-bootstrap`` as ``bootstrap``);
-:func:`convperf.experiment.fit_spec` passes them to the family's fit
-function and rejects a key it does not take.
+Each run option is declared once in :data:`OPTIONS`: its flag, the
+:class:`RunConfig` field it sets, and how its value is checked.
+:data:`COMMAND_OPTIONS` names the options each command reads; it builds
+each subparser (any other run option is a usage error) and picks the
+fields :func:`load_run_config` takes and :func:`config_hash` covers.  A
+JSON config file (``--config``, or the path in CONVPERF_CONFIG) sets
+values that flags override, through the same checks.  Keys only other
+commands read are ignored; keys no command reads are rejected.
+Hyperparameter flags land in ``RunConfig.hyperparameters`` under their
+own names (``--lambda`` as ``lambda``, ``--no-bootstrap`` as
+``bootstrap``); :func:`convperf.experiment.fit_spec` passes them to the
+family's fit function and rejects a key it does not take.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 from .corpus import (
     SPLIT_NAMES,
@@ -99,9 +106,9 @@ SYNTH_PRESETS = {
 }
 
 
-# Dest prefix of the hyperparameter flags: "--max-depth" parses to
-# "hp.max_depth", which load_run_config stores as hyperparameters["max_depth"].
-HP_DEST = "hp."
+# Dest prefix of the hyperparameter options: "--max-depth" parses to
+# "hyperparameters.max_depth", stored as hyperparameters["max_depth"].
+HP_DEST = "hyperparameters."
 
 
 class CliError(Exception):
@@ -128,87 +135,188 @@ class RunConfig:
     synth_n: int = 1000
 
 
-def config_hash(cfg: RunConfig) -> str:
-    blob = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
+# ------------------------------------------------------------ run options
+
+# A check takes a flag's parsed value or a config file's JSON value and
+# returns the field value, or raises ValueError.  A bool is not an int.
+
+
+def _check(what: str, ok: Callable, convert: Callable | None = None) -> Callable:
+    def check(value):
+        if not ok(value):
+            raise ValueError(f"expects {what}, got {value!r}")
+        return convert(value) if convert else value
+    return check
+
+
+def _seq(item_ok: Callable, n: int | None = None) -> Callable:
+    return lambda v: (isinstance(v, (list, tuple)) and (n is None or len(v) == n)
+                      and all(map(item_ok, v)))
+
+
+integer = _check("an integer", lambda v: type(v) is int)
+non_negative = _check("an integer >= 0", lambda v: type(v) is int and v >= 0)
+number = _check("a number", lambda v: type(v) in (int, float))
+boolean = _check("true or false", lambda v: type(v) is bool)
+optional_text = _check("a string", lambda v: v is None or isinstance(v, str))
+prefix_window = _check("an integer >= 1", lambda v: v is None or type(v) is int and v > 0)
+# max_depth: None or a negative integer means unbounded.
+tree_depth = _check("an integer", lambda v: v is None or type(v) is int,
+                    lambda v: None if v is None or v < 0 else v)
+scale_or_number = _check('"scale" or a number',
+                         lambda v: v == "scale" or type(v) in (int, float))
+int_list = _check("a list of integers", _seq(lambda v: type(v) is int), list)
+topic_names = _check("a list of topic names", _seq(lambda t: isinstance(t, str)), tuple)
+three_ratios = _check("three ratios", _seq(lambda v: type(v) in (int, float), 3),
+                      lambda v: tuple(map(float, v)))
+
+
+# Flag text readers; argparse names them in a usage error.
+def ratios(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(","))
+
+
+def gamma(text: str) -> str | float:
+    return "scale" if text == "scale" else float(text)
+
+
+def hidden_sizes(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}")
+
+
+class Option(NamedTuple):
+    """A run option: its flag (None if only a config file sets it), its
+    dest (a RunConfig field, or HP_DEST + a hyperparameter key), the reader
+    of its flag text (None: a bare flag that stores False), and the choices
+    or the check that a value from the flag or the file must pass."""
+
+    flag: str | None
+    dest: str
+    check: Callable | None = None
+    parse: Callable | None = str
+    choices: tuple = ()
+    help: str | None = None
+
+    def convert(self, value):
+        """``value`` as the field takes it; a refusal names key and flag."""
+        try:
+            if self.choices and value not in self.choices:
+                what = self.help or self.dest.replace("_", " ")
+                raise ValueError(f"unknown {what} {value!r} "
+                                 f"(choose from {', '.join(self.choices)})")
+            return self.check(value) if self.check else value
+        except ValueError as e:
+            name = f"{self.dest} ({self.flag})" if self.flag else self.dest
+            raise CliError(f"{name}: {e}") from None
+
+
+OPTIONS = {
+    opt.dest: opt
+    for opt in (
+        Option("--seed", "seed", non_negative, int),
+        Option("--synth-preset", "synth_preset", choices=tuple(SYNTH_PRESETS)),
+        Option("--n", "synth_n", integer, int, help="synthetic corpus size"),
+        Option("--min-length", "min_length", integer, int),
+        Option("--match-mode", "match_mode", choices=(WORD_BOUNDARY, WHOLE_UTTERANCE)),
+        Option("--lexicon-dir", "lexicon_dir", optional_text),
+        Option("--split", "split", three_ratios, ratios,
+               help="train,dev,test ratios (e.g. 0.8,0.1,0.1)"),
+        Option("--feature-set", "feature_set", choices=FEATURE_SETS),
+        Option("--prefix-k", "prefix_k", prefix_window, int),
+        Option("--variant", "variant", choices=VARIANTS),
+        Option(None, "exclude_topics", topic_names),
+        Option("--target", "target", choices=tuple(TARGET_BY_FLAG)),
+        Option("--family", "family", choices=FAMILIES, help="model family"),
+        Option("--lambda", HP_DEST + "lambda", number, float, help="ridge/lasso weight"),
+        Option("--max-depth", HP_DEST + "max_depth", tree_depth, int,
+               help="tree/forest depth cap; negative means unbounded"),
+        Option("--min-leaf", HP_DEST + "min_leaf", integer, int),
+        Option("--n-trees", HP_DEST + "n_trees", integer, int),
+        Option("--feat-frac", HP_DEST + "feat_frac", number, float),
+        Option("--no-bootstrap", HP_DEST + "bootstrap", boolean, None),
+        Option("--C", HP_DEST + "C", number, float, help="SVR regularization"),
+        Option("--epsilon", HP_DEST + "epsilon", number, float),
+        Option("--gamma", HP_DEST + "gamma", scale_or_number, gamma,
+               help='"scale" or a positive number'),
+        Option("--max-iter", HP_DEST + "max_iter", integer, int),
+        Option("--hidden", HP_DEST + "hidden", int_list, hidden_sizes,
+               help="MLP hidden sizes, e.g. 100,50"),
+        Option("--lr", HP_DEST + "lr", number, float),
+        Option("--batch-size", HP_DEST + "batch_size", integer, int),
+        Option("--max-epochs", HP_DEST + "max_epochs", integer, int),
+        Option("--patience", HP_DEST + "patience", integer, int),
+    )
+}
+
+# The run options each command reads.  A command that reads none takes no
+# --config either.
+_FIT = ("seed", "target", "family", *(d for d in OPTIONS if d.startswith(HP_DEST)))
+COMMAND_OPTIONS = {
+    "synth": ("seed", "synth_preset", "synth_n"),
+    "ingest": ("min_length",),
+    "tag": ("match_mode", "lexicon_dir"),
+    "featurize": ("seed", "split", "feature_set", "prefix_k"),
+    "score-topics": ("variant", "exclude_topics"),
+    "train": _FIT,
+    "evaluate": (),
+    "ablate": _FIT,
+    "correlate": (),
+    "export-tree": (),
+    "plot": ("variant", "exclude_topics"),
+}
+
+
+def read_fields(command: str) -> set[str]:
+    """The RunConfig fields ``command`` reads."""
+    return {dest.split(".")[0] for dest in COMMAND_OPTIONS[command]}
+
+
+def config_hash(cfg: RunConfig, command: str) -> str:
+    """Provenance hash over the fields ``command`` reads, and no others."""
+    read = {k: v for k, v in asdict(cfg).items() if k in read_fields(command)}
+    blob = json.dumps(read, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _validate_config(cfg: RunConfig) -> RunConfig:
-    if cfg.feature_set not in FEATURE_SETS:
-        raise CliError(f"unknown feature set: {cfg.feature_set!r}")
-    if cfg.target not in TARGET_BY_FLAG:
-        raise CliError(
-            f"unknown target: {cfg.target!r} "
-            f"(choose from {', '.join(TARGET_BY_FLAG)})"
-        )
-    if cfg.family not in FAMILIES:
-        raise CliError(f"unknown model family: {cfg.family!r}")
-    if cfg.variant not in VARIANTS:
-        raise CliError(f"unknown topic-score variant: {cfg.variant!r}")
-    if cfg.prefix_k is not None and cfg.prefix_k < 1:
-        raise CliError(f"--prefix-k must be >= 1, got {cfg.prefix_k}")
-    if cfg.match_mode not in (WHOLE_UTTERANCE, WORD_BOUNDARY):
-        raise CliError(f"unknown match mode: {cfg.match_mode!r}")
-    if cfg.synth_preset not in SYNTH_PRESETS:
-        raise CliError(f"unknown synth preset: {cfg.synth_preset!r}")
-    if len(cfg.split) != 3:
-        raise CliError("split must have three ratios")
-    return cfg
+def _config_file(args: argparse.Namespace) -> dict:
+    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
+    if not path:
+        return {}
+    if not os.path.isfile(path):
+        raise CliError(f"missing config file: {path}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise CliError(f"config file {path} is not valid JSON: {e}")
+    if not isinstance(data, dict):
+        raise CliError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise CliError(f"unknown config keys in {path}: {', '.join(unknown)}")
+    return data
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
-    data: dict = {}
-    if path:
-        if not os.path.isfile(path):
-            raise CliError(f"missing config file: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise CliError(f"config file {path} is not valid JSON: {e}")
-        if not isinstance(data, dict):
-            raise CliError(f"config file {path} must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise CliError(f"unknown config keys in {path}: {', '.join(unknown)}")
-
-    simple = (
-        "seed",
-        "min_length",
-        "feature_set",
-        "prefix_k",
-        "target",
-        "family",
-        "match_mode",
-        "lexicon_dir",
-        "variant",
-        "synth_preset",
-        "synth_n",
-    )
-    for key in simple:
-        v = getattr(args, key, None)
-        if v is not None:
-            data[key] = v
-    if getattr(args, "split", None) is not None:
-        data["split"] = args.split
-
-    hp = dict(data.get("hyperparameters") or {})
-    for dest, v in vars(args).items():
-        if dest.startswith(HP_DEST):
-            hp[dest[len(HP_DEST):]] = v
-    data["hyperparameters"] = hp
-
-    if "split" in data:
-        data["split"] = tuple(float(x) for x in data["split"])
-    if "exclude_topics" in data:
-        data["exclude_topics"] = tuple(data["exclude_topics"])
-    try:
-        cfg = RunConfig(**data)
-    except TypeError as e:
-        raise CliError(f"bad config: {e}")
-    return _validate_config(cfg)
+    """The RunConfig of ``args.command``: defaults < config file < flags,
+    for the options the command reads, each through :meth:`Option.convert`."""
+    dests = COMMAND_OPTIONS[args.command]
+    read = read_fields(args.command)
+    data = {k: v for k, v in _config_file(args).items() if k in read} if dests else {}
+    hp = data.pop("hyperparameters", {})
+    if not isinstance(hp, dict):
+        raise CliError(f"hyperparameters: expects a JSON object, got {hp!r}")
+    # Keyed by dest, flags over the file.  A hyperparameter key that no
+    # flag names goes unchecked to fit_spec, which rejects it by family.
+    data.update((HP_DEST + k, v) for k, v in hp.items())
+    data.update((d, getattr(args, d)) for d in dests if hasattr(args, d))
+    data.update((d, OPTIONS[d].convert(data[d])) for d in dests if d in data)
+    hp = {d[len(HP_DEST):]: data.pop(d) for d in list(data) if d.startswith(HP_DEST)}
+    return RunConfig(**data, hyperparameters=hp)
 
 
 def _require_file(path: str, what: str) -> str:
@@ -221,10 +329,6 @@ def _read_corpus(path: str):
     _require_file(path, "corpus file")
     with open(path, encoding="utf-8") as fh:
         return parse_corpus(fh)
-
-
-def _target_kind(cfg: RunConfig) -> str:
-    return TARGET_BY_FLAG[cfg.target]
 
 
 # ---------------------------------------------------------------- commands
@@ -292,13 +396,12 @@ def cmd_score_topics(cfg: RunConfig, args) -> int:
     corpus = _read_corpus(args.input)
     report = score_topics(corpus, cfg.variant, exclude_topics=cfg.exclude_topics)
     if args.out:
-        import csv as _csv
-
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            w = _csv.writer(fh, lineterminator="\n")
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(["topic", "raw_sum", "z_score", "config_hash"])
+            digest = config_hash(cfg, args.command)
             for t, raw, z in zip(report.topics, report.raw_sums, report.z_scores):
-                w.writerow([t, repr(raw), repr(z), config_hash(cfg)])
+                w.writerow([t, repr(raw), repr(z), digest])
     width = max(len(t) for t in report.topics)
     print(f"topic scores ({report.variant})")
     for t, z in report.ranked():
@@ -343,19 +446,15 @@ def _load_feature_splits(path: str):
 
 
 def _fit(cfg: RunConfig, names, splits, label, feature_set, prefix_k, drop=()):
-    spec = ModelSpec(
-        family=cfg.family, hyperparameters=cfg.hyperparameters, seed=cfg.seed
-    )
-    return fit_and_report(
-        spec, names, splits, _target_kind(cfg), label, feature_set, prefix_k,
-        drop, cfg.seed,
-    )
+    spec = ModelSpec(cfg.family, cfg.hyperparameters, seed=cfg.seed)
+    return fit_and_report(spec, names, splits, TARGET_BY_FLAG[cfg.target], label,
+                          feature_set, prefix_k, drop, cfg.seed)
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
     names, splits = _load_feature_splits(args.features)
-    # The test report is not written, so its labels need no sidecar.
-    model, _ = _fit(cfg, names, splits, cfg.family, cfg.feature_set, cfg.prefix_k)
+    # The test report is not written, so it needs no feature-set labels.
+    model, _ = _fit(cfg, names, splits, cfg.family, None, None)
     save_model(model, args.model_out)
     print(
         f"trained {cfg.family} on {len(splits['train'].ids)} rows "
@@ -379,7 +478,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     )
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8", newline="") as fh:
-            write_reports_csv(fh, [report], config_hash(cfg))
+            write_reports_csv(fh, [report], config_hash(cfg, args.command))
     print(format_report_table([report]), end="")
     return 0
 
@@ -397,7 +496,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     ]
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8", newline="") as fh:
-            write_reports_csv(fh, reports, config_hash(cfg))
+            write_reports_csv(fh, reports, config_hash(cfg, args.command))
     print(f"ablated: {', '.join(drop) or '(nothing)'}")
     print(format_report_table(reports), end="")
     return 0
@@ -408,7 +507,7 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
     report = correlate_metrics(corpus)
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8", newline="") as fh:
-            write_correlations_csv(fh, report, config_hash(cfg))
+            write_correlations_csv(fh, report, config_hash(cfg, args.command))
     print(format_correlations(report), end="")
     return 0
 
@@ -431,21 +530,13 @@ def cmd_export_tree(cfg: RunConfig, args) -> int:
 def cmd_plot(cfg: RunConfig, args) -> int:
     corpus = _read_corpus(args.input)
     os.makedirs(args.out_dir, exist_ok=True)
-    labels, values = length_histogram(corpus)
-    write_chart(
-        os.path.join(args.out_dir, "length_hist"), labels, values,
-        "Conversation length",
-    )
-    labels, values = rating_histogram(corpus)
-    write_chart(
-        os.path.join(args.out_dir, "rating_hist"), labels, values, "Ratings"
-    )
     report = score_topics(corpus, cfg.variant, exclude_topics=cfg.exclude_topics)
-    labels, values = topic_z_bars(report)
-    write_chart(
-        os.path.join(args.out_dir, "topic_z"), labels, values,
-        f"Topic z-scores ({cfg.variant})",
-    )
+    for stem, (labels, values), title in (
+        ("length_hist", length_histogram(corpus), "Conversation length"),
+        ("rating_hist", rating_histogram(corpus), "Ratings"),
+        ("topic_z", topic_z_bars(report), f"Topic z-scores ({cfg.variant})"),
+    ):
+        write_chart(os.path.join(args.out_dir, stem), labels, values, title)
     print(f"wrote length_hist, rating_hist, topic_z to {args.out_dir}")
     return 0
 
@@ -453,160 +544,70 @@ def cmd_plot(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _common_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--config", help="JSON run-config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-length", dest="min_length", type=int)
-    p.add_argument(
-        "--split",
-        type=lambda s: tuple(float(x) for x in s.split(",")),
-        help="train,dev,test ratios (e.g. 0.8,0.1,0.1)",
-    )
-    p.add_argument("--feature-set", dest="feature_set", choices=list(FEATURE_SETS))
-    p.add_argument("--target", choices=list(TARGET_BY_FLAG))
-    p.add_argument("--prefix-k", dest="prefix_k", type=int)
-    p.add_argument("--match-mode", dest="match_mode",
-                   choices=[WORD_BOUNDARY, WHOLE_UTTERANCE])
-    p.add_argument("--lexicon-dir", dest="lexicon_dir")
-    p.add_argument("--variant", choices=list(VARIANTS))
-    p.add_argument("--synth-preset", dest="synth_preset",
-                   choices=list(SYNTH_PRESETS))
-    p.add_argument("--n", dest="synth_n", type=int,
-                   help="synthetic corpus size")
-    return p
-
-
-def _fit_parser() -> argparse.ArgumentParser:
-    """--family and the hyperparameter flags, for the commands that fit.
-
-    Every other command rejects them as usage errors, so no report hashes
-    a family or hyperparameter that nothing fitted.
-    """
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--family", choices=list(FAMILIES))
-
-    # argparse names a converter in its error ("invalid gamma value: 'x'")
-    def max_depth(text: str) -> int | None:
-        depth = int(text)
-        return None if depth < 0 else depth
-
-    def gamma(text: str) -> str | float:
-        return "scale" if text == "scale" else float(text)
-
-    def hidden_sizes(text: str) -> list[int]:
-        try:
-            return [int(tok) for tok in text.split(",") if tok.strip()]
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expects comma-separated integers, got {text!r}"
-            )
-
-    def hp(flag, key=None, **kwargs):
-        key = key or flag[2:].replace("-", "_")
-        p.add_argument(flag, dest=HP_DEST + key, metavar=key.upper(),
-                       default=argparse.SUPPRESS, **kwargs)
-
-    hp("--lambda", type=float, help="ridge/lasso weight")
-    hp("--max-depth", type=max_depth,
-       help="tree/forest depth cap; negative means unbounded")
-    hp("--min-leaf", type=int)
-    hp("--n-trees", type=int)
-    hp("--feat-frac", type=float)
-    hp("--no-bootstrap", "bootstrap", action="store_const", const=False)
-    hp("--C", type=float, help="SVR regularization")
-    hp("--epsilon", type=float)
-    hp("--gamma", type=gamma, help='"scale" or a positive number')
-    hp("--max-iter", type=int)
-    hp("--hidden", type=hidden_sizes, help="MLP hidden sizes, e.g. 100,50")
-    hp("--lr", type=float)
-    hp("--batch-size", type=int)
-    hp("--max-epochs", type=int)
-    hp("--patience", type=int)
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
-    fitting = [common, _fit_parser()]
     parser = argparse.ArgumentParser(
         prog="convperf",
         description="Conversation performance modeling pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("synth", parents=[common],
-                        help="generate a synthetic corpus")
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_synth)
+    def command(name, func, help):
+        """A subparser taking the run options COMMAND_OPTIONS gives it."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        if COMMAND_OPTIONS[name]:
+            sp.add_argument("--config", help="JSON run-config file")
+        for opt in (OPTIONS[d] for d in COMMAND_OPTIONS[name] if OPTIONS[d].flag):
+            key = opt.dest.removeprefix(HP_DEST)
+            kwargs = {"type": opt.parse, "choices": opt.choices or None,
+                      "metavar": None if opt.choices else key.upper()}
+            if opt.parse is None:
+                kwargs = {"action": "store_const", "const": False}
+            sp.add_argument(opt.flag, dest=opt.dest, default=argparse.SUPPRESS,
+                            help=opt.help, **kwargs)
+        return sp
 
-    sp = sub.add_parser("ingest", parents=[common],
-                        help="validate, length-filter, and canonicalize a corpus")
+    sp = command("synth", cmd_synth, "generate a synthetic corpus")
+    sp.add_argument("--out", required=True)
+    sp = command("ingest", cmd_ingest,
+                 "validate, length-filter, and canonicalize a corpus")
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_ingest)
-
-    sp = sub.add_parser("tag", parents=[common],
-                        help="lexicon-tag user utterances")
+    sp = command("tag", cmd_tag, "lexicon-tag user utterances")
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--overwrite", action="store_true",
                     help="replace existing tags instead of unioning")
-    sp.set_defaults(func=cmd_tag)
-
-    sp = sub.add_parser("featurize", parents=[common],
-                        help="split the corpus and extract features to CSV")
+    sp = command("featurize", cmd_featurize,
+                 "split the corpus and extract features to CSV")
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_featurize)
-
-    sp = sub.add_parser("score-topics", parents=[common],
-                        help="topic z-scores over a rated corpus")
+    sp = command("score-topics", cmd_score_topics, "topic z-scores over a rated corpus")
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_score_topics)
-
-    sp = sub.add_parser("train", parents=fitting,
-                        help="fit one model from a feature CSV")
+    sp = command("train", cmd_train, "fit one model from a feature CSV")
     sp.add_argument("--features", required=True)
     sp.add_argument("--model-out", dest="model_out", required=True)
-    sp.set_defaults(func=cmd_train)
-
-    sp = sub.add_parser("evaluate", parents=[common],
-                        help="test-split metrics for a trained model")
+    sp = command("evaluate", cmd_evaluate, "test-split metrics for a trained model")
     sp.add_argument("--features", required=True)
     sp.add_argument("--model", required=True)
     sp.add_argument("--report-out", dest="report_out")
-    sp.set_defaults(func=cmd_evaluate)
-
-    sp = sub.add_parser("ablate", parents=fitting,
-                        help="refit with features removed and compare")
+    sp = command("ablate", cmd_ablate, "refit with features removed and compare")
     sp.add_argument("--features", required=True)
     sp.add_argument("--drop", required=True,
                     help="comma-separated feature names to remove")
     sp.add_argument("--report-out", dest="report_out")
-    sp.set_defaults(func=cmd_ablate)
-
-    sp = sub.add_parser("correlate", parents=[common],
-                        help="pairwise metric correlations")
+    sp = command("correlate", cmd_correlate, "pairwise metric correlations")
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--report-out", dest="report_out")
-    sp.set_defaults(func=cmd_correlate)
-
-    sp = sub.add_parser("export-tree", parents=[common],
-                        help="render a tree model as DOT graph text")
+    sp = command("export-tree", cmd_export_tree, "render a tree model as DOT graph text")
     sp.add_argument("--model", required=True)
     sp.add_argument("--depth-limit", dest="depth_limit", type=int)
     sp.add_argument("--tree-index", dest="tree_index", type=int)
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_export_tree)
-
-    sp = sub.add_parser("plot", parents=[common],
-                        help="emit SVG/CSV summary charts")
+    sp = command("plot", cmd_plot, "emit SVG/CSV summary charts")
     sp.add_argument("--in", dest="input", required=True)
     sp.add_argument("--out-dir", dest="out_dir", required=True)
-    sp.set_defaults(func=cmd_plot)
-
     return parser
 
 
@@ -616,10 +617,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args)
         return args.func(cfg, args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (CorpusError, ValueError, RuntimeError, OSError) as e:
+    except (CliError, CorpusError, ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

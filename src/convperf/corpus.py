@@ -561,8 +561,8 @@ def split_corpus(
     to train.  The assignment depends only on the id order and the seed,
     never on conversation content.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
+    if not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"split ratios must lie in [0, 1] and sum to 1, got {ratios}")
     n = len(corpus)
     if n < 3:
         raise CorpusError(f"need at least 3 conversations to split, got {n}")

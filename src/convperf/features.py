@@ -8,11 +8,11 @@ feature sets are supported:
 * ``independent``: utterance-level features computable for any dialogue
   system (median user words, SDA frequencies, MIDAS frequencies).
 * ``dependent``: the independent set plus system-specific topic and
-  response-generator frequencies and the per-topic dwell median.
+  response-generator frequencies and the per-topic dwell median.  It is
+  the union of both kinds, so there is no separate union set.
 
-``union`` is accepted as an alias of ``dependent`` (dependent is already
-the superset).  :func:`build_matrix` is the public way to turn exchanges
-into feature values.  It encodes the conversations once into a columnar
+:func:`build_matrix` is the public way to turn exchanges into feature
+values.  It encodes the conversations once into a columnar
 :class:`FeatureTable` and asks it for one matrix: counts come from
 ``np.bincount`` over the integer codes in each window and are divided by
 the window length, the medians come from sorted per-row segments, and
@@ -42,8 +42,7 @@ logger = logging.getLogger(__name__)
 
 INDEPENDENT = "independent"
 DEPENDENT = "dependent"
-UNION = "union"
-FEATURE_SETS = (INDEPENDENT, DEPENDENT, UNION)
+FEATURE_SETS = (INDEPENDENT, DEPENDENT)
 
 DEFAULT_TOPICS = (
     "movies",
@@ -186,7 +185,7 @@ class FeatureSchema:
     def names(self, feature_set: str) -> tuple[str, ...]:
         if feature_set == INDEPENDENT:
             return self.independent_names()
-        if feature_set in (DEPENDENT, UNION):
+        if feature_set == DEPENDENT:
             return self.dependent_names()
         raise ValueError(f"unknown feature set: {feature_set!r}")
 

@@ -407,21 +407,21 @@ def test_criterion_3_feature_invariants(capsys):
     failures = []
 
     conv = mixed_conversation()
-    base = feature_values(conv, SCHEMA, "union")
+    base = feature_values(conv, SCHEMA, "dependent")
     for times in (2, 3):
         seq = conv.exchanges * times
         big = replace(
             conv,
             exchanges=tuple(replace(ex, index=i) for i, ex in enumerate(seq)),
         )
-        if feature_values(big, SCHEMA, "union") != base:
+        if feature_values(big, SCHEMA, "dependent") != base:
             failures.append("features changed under exchange duplication")
             break
 
     raw = synth.generate(synth.GeneratorConfig(n_conversations=2000, seed=11))
     corpus = prepared(raw, 11)
-    _, X = build_matrix(corpus.subset("train"), SCHEMA, "union")
-    std = Standardizer.fit(X, SCHEMA.names("union"))
+    _, X = build_matrix(corpus.subset("train"), SCHEMA, "dependent")
+    std = Standardizer.fit(X, SCHEMA.names("dependent"))
     Z = std.transform(X)
     live = std.std > 0.0
     if np.max(np.abs(Z[:, live].mean(axis=0))) > 1e-9:
@@ -439,7 +439,7 @@ def test_criterion_3_feature_invariants(capsys):
         ),
         rating=4,
     )
-    vec = feature_values(conv, SCHEMA, "union")
+    vec = feature_values(conv, SCHEMA, "dependent")
     if vec["topic_freq_comics"] != 13 / 41 or vec["topic_freq_movies"] != 5 / 41:
         failures.append("worked topic frequencies 13/41 and 5/41 do not hold")
 

@@ -12,14 +12,20 @@ import numpy as np
 import pytest
 
 from convperf.cli import (
+    COMMAND_OPTIONS,
     CONFIG_ENV,
     HP_DEST,
+    OPTIONS,
     CliError,
     RunConfig,
     build_parser,
     config_hash,
+    gamma,
+    hidden_sizes,
     load_run_config,
     main,
+    ratios,
+    read_fields,
 )
 from convperf.corpus import Conversation, Exchange, parse_corpus, split_corpus
 from convperf.experiment import (
@@ -269,14 +275,14 @@ def test_missing_corpus_file(tmp_path, capsys):
 
 
 def test_evaluate_schema_mismatch(pipeline, capsys):
-    union_feats = pipeline.root / "features_union.csv"
+    dependent_feats = pipeline.root / "features_dependent.csv"
     assert (
         main(
             [
                 "featurize",
                 "--in", str(pipeline.tagged),
-                "--out", str(union_feats),
-                "--feature-set", "union",
+                "--out", str(dependent_feats),
+                "--feature-set", "dependent",
                 "--seed", "0",
             ]
         )
@@ -286,7 +292,7 @@ def test_evaluate_schema_mismatch(pipeline, capsys):
         main(
             [
                 "evaluate",
-                "--features", str(union_feats),
+                "--features", str(dependent_feats),
                 "--model", str(pipeline.model),
             ]
         )
@@ -302,7 +308,7 @@ def featurize_k10(pipeline, out, feature_set):
 
 
 def test_report_provenance_comes_from_featurize(pipeline, tmp_path):
-    feats = featurize_k10(pipeline, tmp_path / "features.csv", "union")
+    feats = featurize_k10(pipeline, tmp_path / "features.csv", "dependent")
     model = tmp_path / "ridge.json"
     rep = tmp_path / "report.csv"
     assert main(["train", "--features", str(feats), "--model-out", str(model),
@@ -310,7 +316,7 @@ def test_report_provenance_comes_from_featurize(pipeline, tmp_path):
     assert main(["evaluate", "--features", str(feats), "--model", str(model),
                  "--report-out", str(rep)]) == 0
     row = rep.read_text().splitlines()[1].split(",")
-    assert row[:4] == ["ridge", "capped_length", "union", "10"]
+    assert row[:4] == ["ridge", "capped_length", "dependent", "10"]
 
 
 def test_evaluate_needs_the_featurize_sidecar(pipeline, tmp_path, capsys):
@@ -586,43 +592,50 @@ def write_config(tmp_path, data, name="cfg.json"):
 
 
 def test_defaults_without_config():
-    assert load_run_config(Namespace()) == RunConfig()
+    assert load_run_config(Namespace(command="train")) == RunConfig()
 
 
 def test_flags_override_config_file(tmp_path):
     path = write_config(tmp_path, {"seed": 1, "family": "lasso"})
-    cfg = load_run_config(Namespace(config=path, seed=2))
+    cfg = load_run_config(Namespace(command="train", config=path, seed=2))
     assert cfg.seed == 2
     assert cfg.family == "lasso"
-    assert load_run_config(Namespace(config=path)).seed == 1
+    assert load_run_config(Namespace(command="train", config=path)).seed == 1
 
 
 def test_env_names_default_config(tmp_path, monkeypatch):
     env_path = write_config(tmp_path, {"seed": 9}, "env.json")
     monkeypatch.setenv(CONFIG_ENV, env_path)
-    assert load_run_config(Namespace()).seed == 9
+    assert load_run_config(Namespace(command="synth")).seed == 9
 
     flag_path = write_config(tmp_path, {"seed": 4}, "flag.json")
-    assert load_run_config(Namespace(config=flag_path)).seed == 4
+    assert load_run_config(Namespace(command="synth", config=flag_path)).seed == 4
 
 
 def test_unknown_config_key(tmp_path):
     path = write_config(tmp_path, {"seeed": 3})
     with pytest.raises(CliError, match="unknown config keys"):
-        load_run_config(Namespace(config=path))
+        load_run_config(Namespace(command="synth", config=path))
 
 
 def test_config_file_problems(tmp_path):
     with pytest.raises(CliError, match="missing config file"):
-        load_run_config(Namespace(config=str(tmp_path / "gone.json")))
+        load_run_config(Namespace(command="synth", config=str(tmp_path / "gone.json")))
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(CliError, match="not valid JSON"):
-        load_run_config(Namespace(config=str(bad)))
+        load_run_config(Namespace(command="synth", config=str(bad)))
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     with pytest.raises(CliError, match="JSON object"):
-        load_run_config(Namespace(config=str(arr)))
+        load_run_config(Namespace(command="synth", config=str(arr)))
+
+
+def subcommands():
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return subparsers.choices
 
 
 def parse_train(*flags):
@@ -668,12 +681,9 @@ def test_config_hyperparameters_merge_with_flags(tmp_path):
 
 
 def test_every_hyperparameter_flag_reaches_a_fit_function():
-    (subparsers,) = [
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ]
     flags = [
         (a.option_strings[0], a.nargs == 0)
-        for a in subparsers.choices["train"]._actions
+        for a in subcommands()["train"]._actions
         if a.dest.startswith(HP_DEST)
     ]
     assert len(flags) == 15
@@ -715,12 +725,9 @@ def test_flag_of_another_family_is_rejected(pipeline, tmp_path, capsys):
 
 
 def test_evaluate_rejects_family_and_hyperparameter_flags(pipeline, tmp_path, capsys):
-    (subparsers,) = [
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ]
     fit_flags = [
         (a.option_strings[0], a.nargs == 0)
-        for a in subparsers.choices["train"]._actions
+        for a in subcommands()["train"]._actions
         if a.dest == "family" or a.dest.startswith(HP_DEST)
     ]
     assert len(fit_flags) == 16
@@ -733,11 +740,11 @@ def test_evaluate_rejects_family_and_hyperparameter_flags(pipeline, tmp_path, ca
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not report.exists()
-    # Without them the report hashes the default run config, as it always did.
+    # Without them the report hashes the fields evaluate reads: none.
     assert main(argv) == 0
     rows = report.read_text().splitlines()
     header = rows[0].split(",")
-    assert {r.split(",")[header.index("config_hash")] for r in rows[1:]} == {"be11365609c2701c"}
+    assert {r.split(",")[header.index("config_hash")] for r in rows[1:]} == {"44136fa355b3678a"}
 
 
 def test_train_and_evaluate_reject_an_empty_test_split(pipeline, tmp_path, capsys):
@@ -757,6 +764,12 @@ def test_train_and_evaluate_reject_an_empty_test_split(pipeline, tmp_path, capsy
     assert "test split is empty" in capsys.readouterr().err
 
 
+def required_argv(command):
+    """Placeholder values for the arguments ``command`` requires."""
+    actions = subcommands()[command]._actions
+    return [tok for a in actions if a.required for tok in (a.option_strings[0], "x")]
+
+
 @pytest.mark.parametrize(
     "ns,msg",
     [
@@ -768,25 +781,131 @@ def test_train_and_evaluate_reject_an_empty_test_split(pipeline, tmp_path, capsy
         (Namespace(variant="F9"), "variant"),
         (Namespace(match_mode="fuzzy"), "match mode"),
         (Namespace(synth_preset="zzz"), "synth preset"),
+        (Namespace(prefix_k="10"), "prefix_k (--prefix-k): expects an integer >= 1, got '10'"),
+        (Namespace(seed="3"), "seed (--seed): expects an integer >= 0, got '3'"),
+        (Namespace(seed=True), "seed (--seed): expects an integer >= 0, got True"),
+        (Namespace(seed=-1), "seed (--seed): expects an integer >= 0, got -1"),
+        (Namespace(hyperparameters={"max_depth": "4"}),
+         "hyperparameters.max_depth (--max-depth): expects an integer, got '4'"),
+        (Namespace(hyperparameters={"n_trees": False}),
+         "hyperparameters.n_trees (--n-trees): expects an integer, got False"),
+        (Namespace(min_length=2.5), "min_length (--min-length): expects an integer, got 2.5"),
+        (Namespace(exclude_topics="intro"),
+         "exclude_topics: expects a list of topic names, got 'intro'"),
+        (Namespace(hyperparameters=[]), "hyperparameters: expects a JSON object, got []"),
     ],
 )
-def test_config_validation(ns, msg):
-    with pytest.raises(CliError, match=msg):
-        load_run_config(ns)
+def test_config_validation(tmp_path, capsys, ns, msg):
+    """A config file holding ``ns`` fails, naming the key, in a command that reads it."""
+    ((key, value),) = vars(ns).items()
+    command = next(c for c in COMMAND_OPTIONS if key in read_fields(c))
+    path = write_config(tmp_path, {key: value})
+    assert main([command, *required_argv(command), "--config", path]) == 1
+    assert msg in capsys.readouterr().err
 
 
-def test_split_must_have_three_ratios(tmp_path):
-    path = write_config(tmp_path, {"split": [0.5, 0.5]})
-    with pytest.raises(CliError, match="three ratios"):
-        load_run_config(Namespace(config=path))
+def test_split_must_have_three_ratios(capsys):
+    # The flag's value passes the check a config-file value does.
+    assert main(["featurize", *required_argv("featurize"), "--split", "0.5,0.5"]) == 1
+    assert "split (--split): expects three ratios, got (0.5, 0.5)" in capsys.readouterr().err
+
+
+def test_split_flag_rejects_garbage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["featurize", *required_argv("featurize"),
+                                   "--split", "a,b"])
+    assert exc.value.code == 2
+    assert "--split: invalid ratios value: 'a,b'" in capsys.readouterr().err
 
 
 def test_config_hash_stability():
-    a = config_hash(RunConfig())
-    assert a == config_hash(RunConfig())
-    assert a != config_hash(RunConfig(seed=1))
+    a = config_hash(RunConfig(), "train")
+    assert a == config_hash(RunConfig(), "train")
+    assert a != config_hash(RunConfig(seed=1), "train")
+    # train reads neither the feature set nor the topic-score variant
+    assert a == config_hash(RunConfig(feature_set="dependent", variant="F2"), "train")
     assert len(a) == 16
     int(a, 16)
+
+
+_FIT_FLAGS = {
+    "--seed", "--target", "--family", "--lambda", "--max-depth", "--min-leaf",
+    "--n-trees", "--feat-frac", "--no-bootstrap", "--C", "--epsilon", "--gamma",
+    "--max-iter", "--hidden", "--lr", "--batch-size", "--max-epochs", "--patience",
+}
+ACCEPTED_FLAGS = {
+    "synth": {"--seed", "--synth-preset", "--n"},
+    "ingest": {"--min-length"},
+    "tag": {"--match-mode", "--lexicon-dir"},
+    "featurize": {"--seed", "--split", "--feature-set", "--prefix-k"},
+    "score-topics": {"--variant"},
+    "train": _FIT_FLAGS,
+    "evaluate": set(),
+    "ablate": _FIT_FLAGS,
+    "correlate": set(),
+    "export-tree": set(),
+    "plot": {"--variant"},
+}
+# Flag text for each reader, never an option's default.
+_SAMPLE_TEXT = {int: "3", float: "0.5", str: "lexicons", ratios: "0.6,0.2,0.2",
+                gamma: "0.25", hidden_sizes: "4,2"}
+
+
+def sample_flag(opt):
+    """argv setting ``opt`` to a value other than its default."""
+    if opt.parse is None:
+        return [opt.flag]
+    default = getattr(RunConfig(), opt.dest, None)
+    return [opt.flag, next((c for c in opt.choices if c != default), None)
+            or _SAMPLE_TEXT[opt.parse]]
+
+
+def test_each_command_takes_and_hashes_only_the_run_options_it_reads(tmp_path, capsys):
+    parser = build_parser()
+    accepted = {command: set() for command in subcommands()}
+    file_values = {"exclude_topics": []}  # a config-file value per option
+    for command in subcommands():
+        base = [command, *required_argv(command)]
+        default = config_hash(load_run_config(parser.parse_args(base)), command)
+        for opt in (o for o in OPTIONS.values() if o.flag):
+            argv = base + sample_flag(opt)
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                err = capsys.readouterr().err  # "--n" abbreviates train's "--n-trees"
+                assert (f"unrecognized arguments: {opt.flag}" in err
+                        or f"ambiguous option: {opt.flag} could match" in err), err
+                continue
+            accepted[command].add(opt.flag)
+            assert config_hash(load_run_config(args), command) != default, argv
+            file_values[opt.dest] = getattr(args, opt.dest)
+        try:
+            parser.parse_args(base + ["--config", "run.json"])
+            has_config = True
+        except SystemExit as exc:
+            assert exc.code == 2
+            has_config = False
+        assert has_config == bool(accepted[command]), command
+    assert accepted == ACCEPTED_FLAGS
+    # 12 options on 11 commands and 16 more on train and ablate were 164.
+    assert sum(len(f) + bool(f) for f in accepted.values()) == 56
+
+    # The same values from a config file are read and hashed by the commands
+    # that take the flag, and ignored by the others.
+    reading = {**ACCEPTED_FLAGS, "score-topics": {"--variant", "exclude_topics"},
+               "plot": {"--variant", "exclude_topics"}}
+    for dest, value in file_values.items():
+        opt, key = OPTIONS[dest], dest.removeprefix(HP_DEST)
+        data = {"hyperparameters": {key: value}} if key != dest else {key: value}
+        path = write_config(tmp_path, data)
+        for command in subcommands():
+            cfg = load_run_config(Namespace(command=command, config=path))
+            moved = config_hash(cfg, command) != config_hash(RunConfig(), command)
+            assert moved == ((opt.flag or dest) in reading[command]), (command, data)
+    # Nor does a command check the values of keys it ignores.
+    others = write_config(tmp_path, {"split": "bad", "hyperparameters": 3})
+    assert load_run_config(Namespace(command="synth", config=others)) == RunConfig()
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -264,8 +264,9 @@ def test_split_errors():
     with pytest.raises(CorpusError, match="at least 3"):
         split_corpus(corpus)
     big = corpus_of(*(make_conversation(f"c{i}") for i in range(5)))
-    with pytest.raises(ValueError, match="sum to 1"):
-        split_corpus(big, ratios=(0.5, 0.2, 0.2))
+    for ratios in ((0.5, 0.2, 0.2), (-0.2, 0.6, 0.6), (float("nan"), 0.5, 0.5)):
+        with pytest.raises(ValueError, match="sum to 1"):
+            split_corpus(big, ratios=ratios)
 
 
 def test_subset_requires_assignment():

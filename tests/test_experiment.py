@@ -358,7 +358,7 @@ def grid_of_windows():
     ] + [
         GridCell(
             ModelSpec("tree", {"max_depth": 3}),
-            "union",
+            "dependent",
             TargetKind(CAPPED_LENGTH),
             50,
             name="cart",

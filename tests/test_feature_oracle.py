@@ -17,7 +17,6 @@ from convperf.experiment import _split_parts, _take
 from convperf.features import (
     DEPENDENT,
     INDEPENDENT,
-    UNION,
     FeatureSchema,
     FeatureTable,
     build_matrix,
@@ -85,7 +84,7 @@ def conversations(draw):
 
 
 @pytest.mark.parametrize("prefix_k", [None, 1, 3, 10])
-@pytest.mark.parametrize("feature_set", [INDEPENDENT, DEPENDENT, UNION])
+@pytest.mark.parametrize("feature_set", [INDEPENDENT, DEPENDENT])
 @given(convs=st.lists(conversations(), min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
 def test_build_matrix_matches_oracle(feature_set, prefix_k, convs):
@@ -102,7 +101,7 @@ def test_build_matrix_matches_oracle(feature_set, prefix_k, convs):
 # 15 is longer than any generated conversation, so its window clamps.
 _WINDOWS = [
     (feature_set, prefix_k)
-    for feature_set in (INDEPENDENT, DEPENDENT, UNION)
+    for feature_set in (INDEPENDENT, DEPENDENT)
     for prefix_k in (None, 1, 3, 10, 15)
 ]
 

@@ -15,7 +15,6 @@ from convperf.features import (
     FeatureTable,
     INDEPENDENT,
     Standardizer,
-    UNION,
     build_matrix,
     read_feature_csv,
     word_count,
@@ -77,7 +76,7 @@ def test_unknown_topic_and_rg_warn_once_and_count_as_other(caplog):
         assert caplog.records == []
         _, X = table.matrix(DEPENDENT)
         _, head = table.matrix(DEPENDENT, prefix_k=2)
-        build_matrix([conv], SCHEMA, UNION)
+        build_matrix([conv], SCHEMA, DEPENDENT)
     assert sorted(r.getMessage() for r in caplog.records) == [
         "unknown response generator 'oracle_rg' mapped to 'other'",
         "unknown topic 'tachyon_lore' mapped to 'other'",
@@ -195,10 +194,10 @@ def test_unicode_spaces_are_the_non_ascii_whitespace():
     }
 
 
-def test_union_is_alias_of_dependent():
-    assert SCHEMA.names(UNION) == SCHEMA.names(DEPENDENT)
-    with pytest.raises(ValueError, match="feature set"):
-        SCHEMA.names("bespoke")
+def test_union_is_not_a_feature_set():
+    for name in ("union", "bespoke"):
+        with pytest.raises(ValueError, match="unknown feature set"):
+            SCHEMA.names(name)
 
 
 def test_schema_needs_catchalls():
