@@ -548,12 +548,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convperf",
         description="Conversation performance modeling pipeline",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help):
         """A subparser taking the run options COMMAND_OPTIONS gives it."""
-        sp = sub.add_parser(name, help=help)
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.set_defaults(func=func)
         if COMMAND_OPTIONS[name]:
             sp.add_argument("--config", help="JSON run-config file")

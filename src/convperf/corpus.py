@@ -23,9 +23,11 @@ integer codes into ``tagsets``, the corpus's table of distinct tag sets
 (each a sorted, de-duplicated tuple; code 0 is the empty set).
 :func:`parse_corpus` and :func:`convperf.synth.generate` fill the
 columns directly; filtering, splitting and :meth:`Corpus.subset` are
-index selections.  :class:`Exchange` and :class:`Conversation` objects
-are one way in, ``Corpus(conversations=...)``, and one way out: iterating
-a corpus yields read-only :class:`Conversation` views whose
+index selections.  Records in the JSONL schema, decoded, are the only
+way in from outside: :meth:`Corpus.from_records` validates them, and
+:func:`parse_corpus` is line decoding plus that constructor.
+:class:`Exchange` and :class:`Conversation` are read-only output:
+iterating a corpus yields :class:`Conversation` views whose
 ``exchanges`` build each :class:`Exchange` only when it is accessed.
 """
 
@@ -56,50 +58,23 @@ class CorpusError(ValueError):
 
 @dataclass(frozen=True)
 class Exchange:
-    """One user/system utterance pair."""
+    """Read-only view of one user/system utterance pair in a corpus."""
 
-    index: int
     topic: str
     response_generator: str
     user_text: str
     system_text: str
-    midas_tags: frozenset[str] = frozenset()
-    sda_tags: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if not self.topic:
-            raise CorpusError("exchange topic must be non-empty")
+    midas_tags: frozenset[str]
+    sda_tags: frozenset[str]
 
 
 @dataclass(frozen=True)
 class Conversation:
+    """Read-only view of one conversation in a corpus."""
+
     id: str
     exchanges: Sequence[Exchange]
-    rating: int | None = None
-
-    def __post_init__(self):
-        if not self.exchanges:
-            raise CorpusError(f"conversation {self.id!r} has no exchanges")
-        # A corpus view's exchanges were checked when its columns were built.
-        if not isinstance(self.exchanges, _Exchanges):
-            for i, ex in enumerate(self.exchanges):
-                if ex.index != i:
-                    raise CorpusError(
-                        f"conversation {self.id!r}: exchange index {ex.index} at "
-                        f"position {i} (indices must be contiguous from 0)"
-                    )
-        if self.rating is not None and self.rating not in (1, 2, 3, 4, 5):
-            raise CorpusError(
-                f"conversation {self.id!r}: rating out of range: {self.rating}"
-            )
-
-    @property
-    def raw_length(self) -> int:
-        return len(self.exchanges)
-
-    @property
-    def capped_length(self) -> int:
-        return min(self.raw_length, LENGTH_CAP)
+    rating: int | None
 
 
 class _Exchanges(Sequence):
@@ -115,29 +90,11 @@ class _Exchanges(Sequence):
     def __len__(self) -> int:
         return self._stop - self._start
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
+    def __getitem__(self, i: int) -> Exchange:
         n = self._stop - self._start
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
+        if not -n <= i < n:
             raise IndexError("exchange index out of range")
-        return self._corpus._exchange(self._start, i)
-
-    def __iter__(self):
-        return (self._corpus._exchange(self._start, i) for i in range(len(self)))
-
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _Exchanges)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+        return self._corpus._exchange(self._start + i % n)
 
 
 class _TagSets:
@@ -183,27 +140,6 @@ class _Columns:
         )
 
 
-def encode(conversations) -> Corpus:
-    """Columnar corpus of :class:`Conversation` objects, in order.
-
-    Ids are not checked for uniqueness here (feature extraction takes any
-    sequence of conversations); ``Corpus(conversations=...)`` checks them.
-    """
-    b = _Columns()
-    for conv in conversations:
-        b.ids.append(conv.id)
-        b.ratings.append(conv.rating)
-        for ex in conv.exchanges:
-            b.topic.append(ex.topic)
-            b.rg.append(ex.response_generator)
-            b.user.append(ex.user_text)
-            b.system.append(ex.system_text)
-            b.midas.append(b.tags.code(ex.midas_tags))
-            b.sda.append(b.tags.code(ex.sda_tags))
-        b.ends.append(len(b.topic))
-    return b.corpus()
-
-
 class Corpus:
     """Columnar conversations, optionally assigned to train/dev/test.
 
@@ -215,27 +151,50 @@ class Corpus:
     conversation's index into :data:`SPLIT_NAMES` (None when the corpus
     is not split).
 
-    ``Corpus(conversations, split_assignment)`` encodes objects and
-    rejects duplicate ids and a split assignment that does not cover
-    exactly the ids with known split names.
+    :meth:`from_records` builds a corpus from outside the program.
     """
 
-    def __init__(self, conversations=(), split_assignment: dict[str, str] | None = None):
-        self.__dict__.update(encode(conversations).__dict__)
-        if len(set(self.ids)) != len(self.ids):
-            seen = set()
-            dup = next(i for i in self.ids if i in seen or seen.add(i))
-            raise CorpusError(f"duplicate conversation id: {dup!r}")
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Corpus with Corpus.from_records(records)")
+
+    @classmethod
+    def from_records(
+        cls, records, split_assignment: dict[str, str] | None = None
+    ) -> Corpus:
+        """Validate decoded JSONL records and build their corpus, in order.
+
+        Raises :class:`CorpusError` naming the field of the first bad
+        record, on a duplicate id, and on a split assignment that does
+        not cover exactly the ids with known split names.
+        """
+        b = _Columns()
+        raw_codes = {(): 0}  # code 0 is the empty tag set
+        seen: set[str] = set()
+        for obj in records:
+            cid = _add_record(b, raw_codes, obj)
+            if cid in seen:
+                raise CorpusError(f"duplicate conversation id {cid!r}")
+            seen.add(cid)
+        corpus = b.corpus()
         if split_assignment is not None:
-            if set(split_assignment) != set(self.ids):
+            if split_assignment.keys() != seen:
                 raise CorpusError("split assignment does not cover the id set")
             bad = set(split_assignment.values()) - set(SPLIT_NAMES)
             if bad:
                 raise CorpusError(f"unknown split names: {sorted(bad)}")
             code = {s: k for k, s in enumerate(SPLIT_NAMES)}
-            self.split = np.array(
-                [code[split_assignment[i]] for i in self.ids], dtype=np.int8
+            corpus.split = np.array(
+                [code[split_assignment[i]] for i in corpus.ids], dtype=np.int8
             )
+        # Blank user turns past each conversation's first exchange.
+        user = corpus.user
+        empty_user = sum(1 for u in user if not u.strip()) - sum(
+            1 for i in corpus.offsets[:-1].tolist() if not user[i].strip()
+        )
+        if empty_user:
+            # Real ASR logs contain blank user turns; tolerated outside exchange 0.
+            logger.warning("parsed %d empty user utterances past exchange 0", empty_user)
+        return corpus
 
     @classmethod
     def _from_columns(
@@ -267,20 +226,23 @@ class Corpus:
     def __eq__(self, other):
         if not isinstance(other, Corpus):
             return NotImplemented
-        return (
-            self.conversations == other.conversations
-            and self.split_assignment == other.split_assignment
-        )
+        return self._key() == other._key()
 
     __hash__ = None
 
+    def _key(self) -> tuple:
+        """Every column as lists, tag-set codes resolved to their sets
+        (codes depend on the order the sets were first seen)."""
+        sets = self.tagsets
+        return (
+            self.ids, self.ratings, self.offsets.tolist(),
+            self.topic, self.rg, self.user, self.system,
+            [sets[c] for c in self.midas.tolist()], [sets[c] for c in self.sda.tolist()],
+            None if self.split is None else self.split.tolist(),
+        )
+
     def __repr__(self) -> str:
         return f"<Corpus: {len(self)} conversations, {len(self.topic)} exchanges>"
-
-    @property
-    def conversations(self) -> tuple[Conversation, ...]:
-        """Every conversation as a read-only view, in corpus order."""
-        return tuple(self)
 
     @property
     def split_assignment(self) -> dict[str, str] | None:
@@ -300,10 +262,9 @@ class Corpus:
         start, stop = int(self.offsets[i]), int(self.offsets[i + 1])
         return Conversation(self.ids[i], _Exchanges(self, start, stop), self.ratings[i])
 
-    def _exchange(self, start: int, i: int) -> Exchange:
-        e = start + i
+    def _exchange(self, e: int) -> Exchange:
         return Exchange(
-            i, self.topic[e], self.rg[e], self.user[e], self.system[e],
+            self.topic[e], self.rg[e], self.user[e], self.system[e],
             frozenset(self.tagsets[self.midas[e]]), frozenset(self.tagsets[self.sda[e]]),
         )
 
@@ -434,69 +395,32 @@ def _new_tag_code(b: _Columns, raw_codes: dict, tags, key: str, cid: str, j: int
     )
 
 
-def conversation_from_record(obj: dict) -> Conversation:
-    """Build a Conversation (a one-conversation corpus view) from one
-    decoded JSONL record."""
-    b = _Columns()
-    _add_record(b, {(): 0}, obj)
-    (conv,) = b.corpus()
-    return conv
-
-
 def parse_corpus(stream) -> Corpus:
     """Parse line-delimited conversation records.
 
     ``stream`` is any iterable of lines (an open file works).  Input order
-    is preserved; blank lines are skipped.  Raises :class:`CorpusError`
-    carrying the 1-based line number on the first malformed line, and on
-    duplicate ids; a malformed exchange is also named by its
-    conversation id and position.
+    is preserved; blank lines are skipped.  Each line is decoded and the
+    records go through :meth:`Corpus.from_records`, whose
+    :class:`CorpusError` is prefixed with the 1-based number of the line
+    it names.
     """
-    b = _Columns()
-    raw_codes = {(): 0}  # code 0 is the empty tag set
-    seen: set[str] = set()
-    for lineno, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise CorpusError(f"line {lineno}: invalid JSON: {e.msg}") from e
-        try:
-            cid = _add_record(b, raw_codes, obj)
-        except CorpusError as e:
-            raise CorpusError(f"line {lineno}: {e}") from e
-        if cid in seen:
-            raise CorpusError(f"line {lineno}: duplicate conversation id {cid!r}")
-        seen.add(cid)
-    corpus = b.corpus()
-    # Blank user turns past each conversation's first exchange.
-    user = corpus.user
-    empty_user = sum(1 for u in user if not u.strip()) - sum(
-        1 for i in corpus.offsets[:-1].tolist() if not user[i].strip()
-    )
-    if empty_user:
-        # Real ASR logs contain blank user turns; tolerated outside exchange 0.
-        logger.warning("parsed %d empty user utterances past exchange 0", empty_user)
-    return corpus
+    lineno = 0
 
+    def records():
+        nonlocal lineno
+        for lineno, line in enumerate(stream, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise CorpusError(f"invalid JSON: {e.msg}") from e
+            yield obj
 
-def conversation_to_record(conv: Conversation) -> dict:
-    return {
-        "id": conv.id,
-        "rating": conv.rating,
-        "exchanges": [
-            {
-                "topic": ex.topic,
-                "rg": ex.response_generator,
-                "user": ex.user_text,
-                "system": ex.system_text,
-                "midas": sorted(ex.midas_tags),
-                "sda": sorted(ex.sda_tags),
-            }
-            for ex in conv.exchanges
-        ],
-    }
+    try:
+        return Corpus.from_records(records())
+    except CorpusError as e:
+        raise CorpusError(f"line {lineno}: {e}") from e
 
 
 _EXCHANGE_JSON = (
@@ -507,8 +431,9 @@ _EXCHANGE_JSON = (
 def write_corpus_jsonl(corpus: Corpus, fh) -> None:
     """Serialize a corpus to the JSONL schema (lossless round-trip).
 
-    The bytes are those of ``json.dumps(conversation_to_record(conv),
-    ensure_ascii=False)`` per line, assembled from the columns.
+    Each line holds the record's keys in schema order, tag lists sorted
+    and de-duplicated, as ``json.dumps(record, ensure_ascii=False)``
+    writes it; the lines are assembled from the columns.
     """
     enc = encode_basestring
     tag_json = [json.dumps(list(t), ensure_ascii=False) for t in corpus.tagsets]

@@ -11,8 +11,8 @@ feature sets are supported:
   response-generator frequencies and the per-topic dwell median.  It is
   the union of both kinds, so there is no separate union set.
 
-:func:`build_matrix` is the public way to turn exchanges into feature
-values.  It encodes the conversations once into a columnar
+:func:`build_matrix` is the public way to turn a corpus into feature
+values.  It encodes the corpus once into a columnar
 :class:`FeatureTable` and asks it for one matrix: counts come from
 ``np.bincount`` over the integer codes in each window and are divided by
 the window length, the medians come from sorted per-row segments, and
@@ -36,7 +36,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .corpus import Corpus, encode
+from .corpus import Corpus
 
 logger = logging.getLogger(__name__)
 
@@ -220,10 +220,9 @@ def _segment_medians(segment: np.ndarray, values: np.ndarray, n: int) -> np.ndar
 
 
 class FeatureTable:
-    """Columnar encoding of a sequence of conversations for one schema.
+    """Columnar encoding of a corpus for one schema.
 
-    Built once from a :class:`~convperf.corpus.Corpus` (other sequences
-    of conversations are encoded into one first), it holds flat
+    Built once from a :class:`~convperf.corpus.Corpus`, it holds flat
     per-exchange arrays: the corpus's CSR (compressed sparse row)
     conversation offsets, user word counts, topic and
     response-generator codes into the schema inventories (values outside
@@ -234,8 +233,7 @@ class FeatureTable:
     cell and every split.
     """
 
-    def __init__(self, conversations, schema: FeatureSchema):
-        corpus = conversations if isinstance(conversations, Corpus) else encode(conversations)
+    def __init__(self, corpus: Corpus, schema: FeatureSchema):
         self.schema = schema
         self.ids = corpus.ids
         self.offsets = corpus.offsets
@@ -316,12 +314,12 @@ class FeatureTable:
 
 
 def build_matrix(
-    conversations,
+    corpus: Corpus,
     schema: FeatureSchema,
     feature_set: str = DEPENDENT,
     prefix_k: int | None = None,
 ) -> tuple[list[str], np.ndarray]:
-    """Feature matrix for a sequence of conversations (ids, rows).
+    """Feature matrix of a corpus's conversations (ids, rows).
 
     Columns follow ``schema.names(feature_set)``.  Each row covers the
     conversation's first ``prefix_k`` exchanges; with ``prefix_k=None``
@@ -329,7 +327,7 @@ def build_matrix(
     conversation clamps to its length.  Unknown topics and response
     generators count toward the ``other`` catch-all.
     """
-    return FeatureTable(conversations, schema).matrix(feature_set, prefix_k)
+    return FeatureTable(corpus, schema).matrix(feature_set, prefix_k)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ the baseline sits at value zero.
 from __future__ import annotations
 
 import csv
+from collections import Counter
+
+import numpy as np
 
 from .corpus import Corpus
 from .topicscore import TopicScoreReport
@@ -18,10 +21,8 @@ _MAX_BINS = 20  # lengths past _BIN_WIDTH * _MAX_BINS collapse into the last bin
 
 def length_histogram(corpus: Corpus) -> tuple[list[str], list[float]]:
     """Raw-length counts in width-5 bins with a trailing overflow bin."""
-    counts = [0] * _MAX_BINS
-    for conv in corpus:
-        b = min((conv.raw_length - 1) // _BIN_WIDTH, _MAX_BINS - 1)
-        counts[b] += 1
+    bins = np.minimum((corpus.lengths() - 1) // _BIN_WIDTH, _MAX_BINS - 1)
+    counts = np.bincount(bins, minlength=_MAX_BINS).tolist()
     labels = []
     for i in range(_MAX_BINS):
         lo = i * _BIN_WIDTH + 1
@@ -32,10 +33,7 @@ def length_histogram(corpus: Corpus) -> tuple[list[str], list[float]]:
 
 def rating_histogram(corpus: Corpus) -> tuple[list[str], list[float]]:
     """Counts of ratings 1..5; unrated conversations are skipped."""
-    counts = {r: 0 for r in range(1, 6)}
-    for conv in corpus:
-        if conv.rating is not None:
-            counts[conv.rating] += 1
+    counts = Counter(corpus.ratings)
     return [str(r) for r in range(1, 6)], [float(counts[r]) for r in range(1, 6)]
 
 

@@ -88,14 +88,11 @@ def targets_from_values(target: TargetKind, ratings, capped_lengths, ids=None) -
     return bins.astype(float)
 
 
-def make_targets(conversations, target: TargetKind) -> np.ndarray:
-    """Target vector for a sequence of conversations.
+def make_targets(corpus, target: TargetKind) -> np.ndarray:
+    """Target vector for a corpus's conversations.
 
     Rating targets require every conversation to be rated.
     """
     return targets_from_values(
-        target,
-        [c.rating for c in conversations],
-        [c.capped_length for c in conversations],
-        ids=[c.id for c in conversations],
+        target, corpus.ratings, corpus.capped_lengths(), ids=corpus.ids
     )

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Conversation, Corpus, _TagSets
+from .corpus import Corpus, _TagSets
 
 WHOLE_UTTERANCE = "whole_utterance"
 WORD_BOUNDARY = "word_boundary"
@@ -160,16 +160,6 @@ def _hits(texts: list[str], cfg: TaggerConfig) -> dict[str, np.ndarray]:
         at = np.searchsorted(ends, np.array(starts, dtype=np.intp), side="right")
         hits[label] = np.unique(at)
     return hits
-
-
-def tag_conversation(
-    conv: Conversation, cfg: TaggerConfig, overwrite: bool = False
-) -> Conversation:
-    """One conversation through :func:`tag_corpus`; ``conv`` itself when no
-    tag changes."""
-    corpus = Corpus(conversations=(conv,))
-    tagged = tag_corpus(corpus, cfg, overwrite=overwrite)
-    return conv if tagged is corpus else next(iter(tagged))
 
 
 def tag_corpus(corpus: Corpus, cfg: TaggerConfig, overwrite: bool = False) -> Corpus:

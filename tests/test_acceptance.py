@@ -7,7 +7,6 @@ Failures also surface through ordinary assertions with details.
 
 import math
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +16,6 @@ import scipy.integrate
 from convperf import synth, tagging
 from convperf.cli import main
 from convperf.corpus import (
-    Conversation,
     filter_min_length,
     parse_corpus,
     split_corpus,
@@ -41,7 +39,7 @@ from convperf.regressors import (
 )
 from convperf.regressors.mlp import init_weights, loss_and_grads
 
-from conftest import feature_values, make_exchange
+from conftest import feature_values, record
 
 SCHEMA = FeatureSchema()
 FOREST_HP = {"n_trees": 10, "max_depth": 14, "min_leaf": 8}
@@ -69,8 +67,8 @@ def default_runs():
     per_seed = []
     for seed in range(5):
         raw = synth.generate(synth.GeneratorConfig(n_conversations=30_000, seed=seed))
-        ratings = np.array([c.rating for c in raw], dtype=float)
-        capped = np.array([c.capped_length for c in raw], dtype=float)
+        ratings = np.array(raw.ratings, dtype=float)
+        capped = np.array(raw.capped_lengths(), dtype=float)
         r, _ = pearson(ratings, capped)
         corpus = prepared(raw, seed)
         cells = [
@@ -125,7 +123,7 @@ def compliment_runs():
         train = corpus.subset("train")
         _, X = build_matrix(train, SCHEMA, "independent")
         std = Standardizer.fit(X, names)
-        y = np.array([c.capped_length for c in train], dtype=float)
+        y = np.array(train.capped_lengths(), dtype=float)
         model = fit_tree(std.transform(X), y, max_depth=5, min_leaf=8)
         roots.append(names[model.params.feature[0]])
     return SimpleNamespace(roots=roots, elapsed=time.perf_counter() - t0)
@@ -390,17 +388,12 @@ def mixed_conversation():
         ("food", (), ()),
         ("movies", ("neg_answer",), ()),
     ]
-    exchanges = tuple(
-        make_exchange(
-            i,
-            topic=t,
-            user="some words " + "x " * (i % 4),
-            midas=midas,
-            sda=sda,
-        )
+    exchanges = [
+        {"topic": t, "user": "some words " + "x " * (i % 4),
+         "midas": list(midas), "sda": list(sda)}
         for i, (t, midas, sda) in enumerate(plan)
-    )
-    return Conversation(id="dup", exchanges=exchanges, rating=4)
+    ]
+    return record("dup", rating=4, exchanges=exchanges)
 
 
 def test_criterion_3_feature_invariants(capsys):
@@ -409,11 +402,7 @@ def test_criterion_3_feature_invariants(capsys):
     conv = mixed_conversation()
     base = feature_values(conv, SCHEMA, "dependent")
     for times in (2, 3):
-        seq = conv.exchanges * times
-        big = replace(
-            conv,
-            exchanges=tuple(replace(ex, index=i) for i, ex in enumerate(seq)),
-        )
+        big = {**conv, "exchanges": conv["exchanges"] * times}
         if feature_values(big, SCHEMA, "dependent") != base:
             failures.append("features changed under exchange duplication")
             break
@@ -432,13 +421,7 @@ def test_criterion_3_feature_invariants(capsys):
         failures.append("constant columns should standardize to zero")
 
     plan = ["comics"] * 13 + ["movies"] * 5 + ["music"] * 23
-    conv = Conversation(
-        id="worked",
-        exchanges=tuple(
-            make_exchange(i, topic=t) for i, t in enumerate(plan)
-        ),
-        rating=4,
-    )
+    conv = record("worked", rating=4, exchanges=[{"topic": t} for t in plan])
     vec = feature_values(conv, SCHEMA, "dependent")
     if vec["topic_freq_comics"] != 13 / 41 or vec["topic_freq_movies"] != 5 / 41:
         failures.append("worked topic frequencies 13/41 and 5/41 do not hold")
@@ -539,7 +522,7 @@ def test_criterion_6_determinism(capsys, tmp_path):
         write_corpus_jsonl(corpus, fh)
     with open(p1, encoding="utf-8") as fh:
         back = parse_corpus(fh)
-    if back.conversations != corpus.conversations:
+    if back != corpus:
         failures.append("corpus changed across a jsonl round trip")
     with open(p2, "w", encoding="utf-8") as fh:
         write_corpus_jsonl(back, fh)

@@ -27,7 +27,7 @@ from convperf.cli import (
     ratios,
     read_fields,
 )
-from convperf.corpus import Conversation, Exchange, parse_corpus, split_corpus
+from convperf.corpus import Corpus, parse_corpus, split_corpus
 from convperf.experiment import (
     GridCell,
     ablate,
@@ -105,11 +105,11 @@ def test_pipeline_artifacts(pipeline):
 
 
 def test_corpus_stages_build_no_exchange_objects(tmp_path, monkeypatch):
-    def refuse(self):
-        raise AssertionError("an Exchange or Conversation object was built")
+    def refuse(*args):
+        raise AssertionError("a Conversation or Exchange view was built")
 
-    monkeypatch.setattr(Exchange, "__post_init__", refuse)
-    monkeypatch.setattr(Conversation, "__post_init__", refuse)
+    monkeypatch.setattr(Corpus, "_conversation", refuse)
+    monkeypatch.setattr(Corpus, "_exchange", refuse)
     raw, kept, tagged = (tmp_path / f"{n}.jsonl" for n in ("raw", "kept", "tagged"))
     assert main(["synth", "--out", str(raw), "--n", "60", "--seed", "1"]) == 0
     assert main(["ingest", "--in", str(raw), "--out", str(kept)]) == 0
@@ -873,9 +873,8 @@ def test_each_command_takes_and_hashes_only_the_run_options_it_reads(tmp_path, c
                 args = parser.parse_args(argv)
             except SystemExit as exc:
                 assert exc.code == 2, argv
-                err = capsys.readouterr().err  # "--n" abbreviates train's "--n-trees"
-                assert (f"unrecognized arguments: {opt.flag}" in err
-                        or f"ambiguous option: {opt.flag} could match" in err), err
+                err = capsys.readouterr().err  # "--n" is not train's "--n-trees"
+                assert f"unrecognized arguments: {opt.flag}" in err, err
                 continue
             accepted[command].add(opt.flag)
             assert config_hash(load_run_config(args), command) != default, argv
@@ -887,6 +886,24 @@ def test_each_command_takes_and_hashes_only_the_run_options_it_reads(tmp_path, c
             assert exc.code == 2
             has_config = False
         assert has_config == bool(accepted[command]), command
+        # No flag of the command may be abbreviated.
+        actions = subcommands()[command]._actions
+        flags = {f for a in actions for f in a.option_strings}
+        for action in actions:
+            opt = next((o for o in OPTIONS.values() if o.flag in action.option_strings), None)
+            value = sample_flag(opt)[1:] if opt else [] if action.nargs == 0 else ["3"]
+            for flag in (f for f in action.option_strings if f.startswith("--")):
+                if not isinstance(action, argparse._HelpAction):
+                    parser.parse_args(base + [flag, *value])
+                for prefix in (flag[:end] for end in range(3, len(flag))):
+                    if prefix not in flags:
+                        with pytest.raises(SystemExit) as exc:
+                            parser.parse_args(base + [prefix, *value])
+                        assert exc.value.code == 2, (command, prefix)
+                        capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["--hel"])
+    assert exc.value.code == 2
     assert accepted == ACCEPTED_FLAGS
     # 12 options on 11 commands and 16 more on train and ablate were 164.
     assert sum(len(f) + bool(f) for f in accepted.values()) == 56

@@ -1,82 +1,71 @@
+import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from convperf.corpus import (
-    Conversation,
     Corpus,
     CorpusError,
-    Exchange,
     LENGTH_CAP,
-    conversation_from_record,
-    conversation_to_record,
     filter_min_length,
     parse_corpus,
     split_corpus,
     write_corpus_jsonl,
 )
 
-from conftest import corpus_of, make_conversation
+from conftest import record
 
 
-def record(cid="c1", rating=5, n=3):
-    return {
-        "id": cid,
-        "rating": rating,
-        "exchanges": [
-            {"topic": "movies", "rg": "fact", "user": f"line {i}", "system": "ok"}
-            for i in range(n)
-        ],
-    }
+def from_records(*records, split=None):
+    return Corpus.from_records(records, split_assignment=split)
 
 
 def test_parse_single_line():
-    line = json.dumps(record())
-    corpus = parse_corpus([line])
+    rec = record("c1", rating=5, exchanges=[{"user": f"line {i}"} for i in range(3)])
+    corpus = parse_corpus([json.dumps(rec)])
     assert len(corpus) == 1
-    conv = corpus.conversations[0]
-    assert conv.id == "c1"
-    assert conv.rating == 5
-    assert conv.raw_length == 3
-    assert conv.exchanges[1].user_text == "line 1"
-    assert conv.exchanges[1].midas_tags == frozenset()
+    assert corpus.ids == ["c1"]
+    assert corpus.ratings == [5]
+    assert corpus.lengths().tolist() == [3]
+    assert corpus.user[1] == "line 1"
+    assert corpus.tagsets[corpus.midas[1]] == ()
 
 
 def test_parse_preserves_order_and_skips_blank_lines():
     lines = [json.dumps(record(f"c{i}")) for i in range(4)]
     lines.insert(2, "   ")
     corpus = parse_corpus(lines)
-    assert [c.id for c in corpus] == ["c0", "c1", "c2", "c3"]
+    assert corpus.ids == ["c0", "c1", "c2", "c3"]
 
 
 def test_rating_out_of_range():
     with pytest.raises(CorpusError, match="rating out of range"):
-        conversation_from_record(record(rating=7))
+        from_records(record("c1", rating=7))
 
 
 def test_rating_must_be_integer():
     with pytest.raises(CorpusError, match="integer"):
-        conversation_from_record(record(rating=4.5))
+        from_records(record("c1", rating=4.5))
     with pytest.raises(CorpusError, match="integer"):
-        conversation_from_record(record(rating=True))
+        from_records(record("c1", rating=True))
 
 
 def test_unrated_allowed():
-    conv = conversation_from_record(record(rating=None))
-    assert conv.rating is None
+    assert from_records(record("c1", rating=None)).ratings == [None]
 
 
 def test_missing_id_and_empty_exchanges():
-    bad = record()
+    bad = record("c1")
     del bad["id"]
     with pytest.raises(CorpusError, match="id"):
-        conversation_from_record(bad)
-    bad = record()
+        from_records(bad)
+    bad = record("c1")
     bad["exchanges"] = []
     with pytest.raises(CorpusError, match="exchanges"):
-        conversation_from_record(bad)
+        from_records(bad)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -139,72 +128,78 @@ def test_record_that_is_not_an_object_is_rejected():
 
 
 def test_unknown_fields_ignored():
-    obj = record()
+    obj = record("c1", n=3)
     obj["asr_confidence"] = 0.93
     obj["exchanges"][0]["latency_ms"] = 20
-    conv = conversation_from_record(obj)
-    assert conv.raw_length == 3
+    corpus = from_records(obj)
+    assert corpus.lengths().tolist() == [3]
+    assert corpus == from_records(record("c1", n=3))
 
 
 def test_capped_length():
-    conv = make_conversation("long", n=200)
-    assert conv.raw_length == 200
-    assert conv.capped_length == LENGTH_CAP == 75
-    short = make_conversation("short", n=9)
-    assert short.capped_length == 9
-
-
-def test_exchange_indices_must_be_contiguous():
-    ex0 = Exchange(index=0, topic="movies", response_generator="fact",
-                   user_text="", system_text="")
-    ex2 = Exchange(index=2, topic="movies", response_generator="fact",
-                   user_text="", system_text="")
-    with pytest.raises(CorpusError, match="contiguous"):
-        Conversation(id="x", exchanges=(ex0, ex2))
+    corpus = from_records(record("long", n=200), record("short", n=9))
+    assert corpus.lengths().tolist() == [200, 9]
+    assert corpus.capped_lengths() == [LENGTH_CAP, 9]
+    assert LENGTH_CAP == 75
 
 
 def test_empty_topic_rejected():
-    with pytest.raises(CorpusError, match="topic"):
-        Exchange(index=0, topic="", response_generator="fact",
-                 user_text="hi", system_text="ok")
+    with pytest.raises(CorpusError, match="topic must be non-empty"):
+        from_records(record("x", topic=""))
 
 
 def test_duplicate_ids_rejected_by_corpus():
     with pytest.raises(CorpusError, match="duplicate"):
-        corpus_of(make_conversation("a"), make_conversation("a"))
+        from_records(record("a"), record("a"))
+
+
+def test_records_are_the_only_way_in():
+    for args, kwargs in (((), {}), (([],), {}), ((), {"conversations": ()})):
+        with pytest.raises(TypeError, match="Corpus.from_records"):
+            Corpus(*args, **kwargs)
+
+
+def test_split_assignment_must_cover_known_splits():
+    recs = (record("a"), record("b"))
+    assert from_records(*recs, split={"a": "train", "b": "test"}).split.tolist() == [0, 2]
+    with pytest.raises(CorpusError, match="does not cover"):
+        from_records(*recs, split={"a": "train"})
+    with pytest.raises(CorpusError, match="unknown split names"):
+        from_records(*recs, split={"a": "train", "b": "validation"})
 
 
 # ------------------------------------------------------------------ filtering
 
 
 def test_filter_min_length_keeps_boundary():
-    corpus = corpus_of(
-        make_conversation("a", n=1),
-        make_conversation("b", n=3),
-        make_conversation("c", n=5),
-        make_conversation("d", n=41),
+    corpus = from_records(
+        record("a", n=1),
+        record("b", n=3),
+        record("c", n=5),
+        record("d", n=41),
     )
     kept = filter_min_length(corpus, 5)
-    assert [c.raw_length for c in kept] == [5, 41]
+    assert kept.ids == ["c", "d"]
+    assert kept.lengths().tolist() == [5, 41]
 
 
 def test_filter_empty_and_identity():
-    assert len(filter_min_length(Corpus(conversations=()), 5)) == 0
-    corpus = corpus_of(*(make_conversation(f"c{i}", n=5) for i in range(3)))
-    assert filter_min_length(corpus, 5).conversations == corpus.conversations
+    assert len(filter_min_length(from_records(), 5)) == 0
+    corpus = from_records(*(record(f"c{i}", n=5) for i in range(3)))
+    assert filter_min_length(corpus, 5) == corpus
 
 
 def test_filter_idempotent():
-    corpus = corpus_of(*(make_conversation(f"c{i}", n=i + 1) for i in range(10)))
+    corpus = from_records(*(record(f"c{i}", n=i + 1) for i in range(10)))
     once = filter_min_length(corpus, 5)
     twice = filter_min_length(once, 5)
-    assert once.conversations == twice.conversations
+    assert once == twice
 
 
 def test_filter_restricts_split_assignment():
-    corpus = corpus_of(
-        make_conversation("a", n=2),
-        make_conversation("b", n=8),
+    corpus = from_records(
+        record("a", n=2),
+        record("b", n=8),
         split={"a": "train", "b": "test"},
     )
     kept = filter_min_length(corpus, 5)
@@ -213,14 +208,14 @@ def test_filter_restricts_split_assignment():
 
 def test_filter_bad_min_len():
     with pytest.raises(ValueError, match=">= 1"):
-        filter_min_length(corpus_of(make_conversation("a")), 0)
+        filter_min_length(from_records(record("a")), 0)
 
 
 # ------------------------------------------------------------------ splitting
 
 
 def test_split_sizes_floor_rule():
-    corpus = corpus_of(*(make_conversation(f"c{i}") for i in range(10)))
+    corpus = from_records(*(record(f"c{i}") for i in range(10)))
     out = split_corpus(corpus, seed=7)
     sizes = {s: len(out.subset(s)) for s in ("train", "dev", "test")}
     assert sizes == {"train": 8, "dev": 1, "test": 1}
@@ -229,9 +224,7 @@ def test_split_sizes_floor_rule():
 def test_split_large_floor_rule():
     # 32,235 ids: dev and test each get floor(n/10), remainder to train.
     n = 32_235
-    corpus = Corpus(conversations=tuple(
-        make_conversation(f"c{i}", n=1) for i in range(n)
-    ))
+    corpus = from_records(*(record(f"c{i}", n=1) for i in range(n)))
     out = split_corpus(corpus, seed=0)
     counts = {"train": 0, "dev": 0, "test": 0}
     for s in out.split_assignment.values():
@@ -240,7 +233,7 @@ def test_split_large_floor_rule():
 
 
 def test_split_deterministic_and_seed_sensitive():
-    corpus = corpus_of(*(make_conversation(f"c{i}") for i in range(50)))
+    corpus = from_records(*(record(f"c{i}") for i in range(50)))
     a = split_corpus(corpus, seed=3).split_assignment
     b = split_corpus(corpus, seed=3).split_assignment
     c = split_corpus(corpus, seed=4).split_assignment
@@ -249,7 +242,7 @@ def test_split_deterministic_and_seed_sensitive():
 
 
 def test_split_partitions_ids():
-    corpus = corpus_of(*(make_conversation(f"c{i}") for i in range(23)))
+    corpus = from_records(*(record(f"c{i}") for i in range(23)))
     out = split_corpus(corpus, seed=1)
     ids = {c.id for c in corpus}
     assigned = set(out.split_assignment)
@@ -260,69 +253,23 @@ def test_split_partitions_ids():
 
 
 def test_split_errors():
-    corpus = corpus_of(make_conversation("a"), make_conversation("b"))
+    corpus = from_records(record("a"), record("b"))
     with pytest.raises(CorpusError, match="at least 3"):
         split_corpus(corpus)
-    big = corpus_of(*(make_conversation(f"c{i}") for i in range(5)))
+    big = from_records(*(record(f"c{i}") for i in range(5)))
     for ratios in ((0.5, 0.2, 0.2), (-0.2, 0.6, 0.6), (float("nan"), 0.5, 0.5)):
         with pytest.raises(ValueError, match="sum to 1"):
             split_corpus(big, ratios=ratios)
 
 
 def test_subset_requires_assignment():
-    corpus = corpus_of(make_conversation("a"))
+    corpus = from_records(record("a"))
     with pytest.raises(CorpusError, match="no split assignment"):
         corpus.subset("train")
     with pytest.raises(CorpusError, match="unknown split"):
         split_corpus(
-            corpus_of(*(make_conversation(f"c{i}") for i in range(5)))
+            from_records(*(record(f"c{i}") for i in range(5)))
         ).subset("validation")
-
-
-# ---------------------------------------------------------------- round trip
-
-_text = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=30
-)
-_tags = st.sets(st.sampled_from(["sda_compliment", "pos_answer", "x"]), max_size=2)
-
-
-@st.composite
-def conversations(draw, index):
-    n = draw(st.integers(min_value=1, max_value=6))
-    exchanges = tuple(
-        Exchange(
-            index=i,
-            topic=draw(st.sampled_from(["movies", "intro", "zz top"])),
-            response_generator=draw(st.sampled_from(["fact", "opinion", ""])),
-            user_text=draw(_text),
-            system_text=draw(_text),
-            midas_tags=frozenset(draw(_tags)),
-            sda_tags=frozenset(draw(_tags)),
-        )
-        for i in range(n)
-    )
-    rating = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=5)))
-    return Conversation(id=f"conv-{index}", exchanges=exchanges, rating=rating)
-
-
-@given(st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.tuples(*(conversations(index=i) for i in range(n)))
-))
-@settings(max_examples=40, deadline=None)
-def test_jsonl_round_trip(convs):
-    corpus = Corpus(conversations=convs)
-    buf = io.StringIO()
-    write_corpus_jsonl(corpus, buf)
-    buf.seek(0)
-    back = parse_corpus(buf)
-    assert back.conversations == corpus.conversations
-
-
-def test_record_round_trip_explicit():
-    conv = make_conversation("c9", n=4, rating=2, midas=("pos_answer",),
-                             sda=("sda_compliment",))
-    assert conversation_from_record(conversation_to_record(conv)) == conv
 
 
 # ------------------------------------------------- columnar round trip (records)
@@ -410,26 +357,134 @@ def test_write_matches_reference_serializer(records, ascii_input):
             assert ex.sda_tags == frozenset(raw.get("sda", []))
 
 
+@given(_records())
+@settings(max_examples=40, deadline=None)
+def test_jsonl_round_trip(records):
+    corpus = Corpus.from_records(records)
+    buf = io.StringIO()
+    write_corpus_jsonl(corpus, buf)
+    buf.seek(0)
+    assert parse_corpus(buf) == corpus
+
+
+def test_record_round_trip_explicit():
+    rec = record("c9", n=4, rating=2, midas=["pos_answer"], sda=["sda_compliment"])
+    buf = io.StringIO()
+    write_corpus_jsonl(from_records(rec), buf)
+    assert json.loads(buf.getvalue()) == rec
+
+
+def test_corpus_equality_ignores_tag_set_codes():
+    a = from_records(record("a", sda=["x"]), record("b", sda=["y"]))
+    b = from_records(record("b", sda=["y"]), record("a", sda=["x"]))
+    swapped = b._select(np.array([1, 0]))
+    assert a.sda.tolist() != swapped.sda.tolist()
+    assert a == swapped
+    assert a != b
+    assert a != split_corpus(from_records(*(record(f"c{i}") for i in range(3))))
+
+
+def test_views_are_read_only_records():
+    rec = record("c1", rating=4, exchanges=[
+        {"topic": "music", "rg": "opinion", "user": "hi", "system": "yo",
+         "midas": ["pos_answer", "user_init"], "sda": ["sda_compliment"]},
+        {},
+    ])
+    (conv,) = from_records(rec)
+    assert (conv.id, conv.rating, len(conv.exchanges)) == ("c1", 4, 2)
+    assert [
+        {"topic": ex.topic, "rg": ex.response_generator, "user": ex.user_text,
+         "system": ex.system_text, "midas": sorted(ex.midas_tags),
+         "sda": sorted(ex.sda_tags)}
+        for ex in conv.exchanges
+    ] == rec["exchanges"]
+    assert conv.exchanges[-1] == conv.exchanges[1]
+    with pytest.raises(IndexError):
+        conv.exchanges[2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        conv.exchanges[0].topic = "x"
+
+
+# ------------------------------------------------------------ one boundary
+
+# (where, key, bad value, what the message must say).  ``where`` is
+# "record", "exchange" (one exchange's field) or "whole" (the record or
+# exchange itself replaced).
+_BAD_FIELDS = [
+    ("record", "rating", True, "rating must be an integer"),
+    ("record", "rating", 1.5, "rating must be an integer"),
+    ("record", "rating", "3", "rating must be an integer"),
+    ("record", "rating", 6, "rating out of range: 6"),
+    ("record", "rating", 0, "rating out of range: 0"),
+    ("record", "id", "", "missing or invalid conversation id"),
+    ("record", "id", 42, "missing or invalid conversation id"),
+    ("record", "exchanges", [], "has no exchanges"),
+    ("record", "exchanges", {"topic": "movies"}, "exchanges must be a list"),
+    ("exchange", "user", 42, "exchange field 'user' must be a string"),
+    ("exchange", "system", None, "exchange field 'system' must be a string"),
+    ("exchange", "topic", "", "exchange topic must be non-empty"),
+    ("exchange", "topic", 3, "exchange field 'topic' must be a string"),
+    ("exchange", "midas", [3], "exchange field 'midas' must be a list of strings"),
+    ("exchange", "midas", "x", "exchange field 'midas' must be a list of strings"),
+    ("exchange", "sda", ["ok", None], "exchange field 'sda' must be a list of strings"),
+    ("whole", "exchange", "hello", "exchange record must be an object"),
+    ("whole", "exchange", ["topic"], "exchange record must be an object"),
+    ("whole", "record", ["c1"], "conversation record must be an object"),
+    ("whole", "record", "duplicate", "duplicate conversation id"),
+]
+
+
+@given(_records(), st.sampled_from(_BAD_FIELDS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_boundary_refuses_each_bad_field_alike(records, bad, data):
+    where, key, value, problem = bad
+    at = data.draw(st.integers(0, len(records) - 1), label="bad record")
+    rec = json.loads(json.dumps(records[at]))
+    if where == "record":
+        rec[key] = value
+    elif where == "exchange" or key == "exchange":
+        j = data.draw(st.integers(0, len(rec["exchanges"]) - 1), label="bad exchange")
+        if where == "exchange":
+            rec["exchanges"][j][key] = value
+        else:
+            rec["exchanges"][j] = value
+    elif value == "duplicate":
+        at = len(records)
+        rec = {**records[0], "exchanges": [{"topic": "movies"}]}
+    else:
+        rec = value
+    records = records[:at] + [rec] + records[at + 1 :]
+
+    with pytest.raises(CorpusError) as direct:
+        Corpus.from_records(records)
+    with pytest.raises(CorpusError) as parsed:
+        parse_corpus([json.dumps(r) for r in records])
+    assert problem in str(direct.value)
+    assert str(parsed.value) == f"line {at + 1}: {direct.value}"
+
+
 def test_selection_keeps_columns_aligned():
-    corpus = corpus_of(
-        make_conversation("a", n=2, user="one"),
-        make_conversation("b", n=6, user="two", sda=("sda_abuse",)),
-        make_conversation("c", n=1, user="three"),
-        make_conversation("d", n=7, user="four", midas=("user_init",)),
+    corpus = from_records(
+        record("a", n=2, user="one"),
+        record("b", n=6, user="two", sda=["sda_abuse"]),
+        record("c", n=1, user="three"),
+        record("d", n=7, user="four", midas=["user_init"]),
     )
     kept = filter_min_length(corpus, 5)
     assert kept.ids == ["b", "d"]
     assert kept.offsets.tolist() == [0, 6, 13]
     assert kept.user == ["two"] * 6 + ["four"] * 7
-    assert kept.conversations == (corpus.conversations[1], corpus.conversations[3])
+    assert kept == from_records(
+        record("b", n=6, user="two", sda=["sda_abuse"]),
+        record("d", n=7, user="four", midas=["user_init"]),
+    )
 
 
 def test_views_count_exchanges_without_building_them(monkeypatch):
-    corpus = corpus_of(make_conversation("a", n=4), make_conversation("b", n=9))
+    corpus = from_records(record("a", n=4), record("b", n=9))
 
     def refuse(*args):
         raise AssertionError("an Exchange was built")
 
     monkeypatch.setattr(Corpus, "_exchange", refuse)
     assert [len(c.exchanges) for c in corpus] == [4, 9]
-    assert [c.capped_length for c in corpus] == [4, 9]

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 from collections import Counter
 
@@ -39,7 +40,7 @@ from convperf.regressors import (
     fit_target,
     fit_tree,
 )
-from conftest import corpus_of, make_conversation
+from conftest import record
 
 
 @pytest.fixture(scope="module")
@@ -124,12 +125,11 @@ def test_identical_runs_give_identical_reports(corpus400):
 
 def test_conversation_order_does_not_change_metrics(corpus400):
     rng = np.random.default_rng(8)
-    shuffled = list(corpus400.conversations)
+    buf = io.StringIO()
+    cz.write_corpus_jsonl(corpus400, buf)
+    shuffled = [json.loads(line) for line in buf.getvalue().splitlines()]
     rng.shuffle(shuffled)
-    permuted = cz.Corpus(
-        conversations=tuple(shuffled),
-        split_assignment=dict(corpus400.split_assignment),
-    )
+    permuted = cz.Corpus.from_records(shuffled, corpus400.split_assignment)
     (a,) = run_experiment([ridge_cell()], corpus400, seed=0)
     (b,) = run_experiment([ridge_cell()], permuted, seed=0)
     assert abs(a.mse - b.mse) < 1e-9
@@ -138,7 +138,7 @@ def test_conversation_order_does_not_change_metrics(corpus400):
 
 
 def test_median_split_target_stays_frozen(corpus400):
-    train_lengths = [c.capped_length for c in corpus400.subset("train")]
+    train_lengths = corpus400.subset("train").capped_lengths()
     target = fit_target(MEDIAN_SPLIT, train_lengths)
     assert target.median == float(np.median(train_lengths))
     (result,) = run_grid([ridge_cell(target=target)], corpus400, seed=0)
@@ -293,10 +293,8 @@ def test_fit_and_report_rejects_an_empty_test_split():
 
 def test_run_grid_wraps_failures_with_context():
     # 8 train rows against 11 features makes plain least squares refuse
-    convs = [
-        make_conversation(f"c{i}", n=5 + i, rating=1 + i % 5) for i in range(10)
-    ]
-    corp = cz.split_corpus(corpus_of(*convs))
+    convs = [record(f"c{i}", n=5 + i, rating=1 + i % 5) for i in range(10)]
+    corp = cz.split_corpus(cz.Corpus.from_records(convs))
     cell = GridCell(
         spec=ModelSpec("ols"),
         feature_set="independent",
@@ -334,7 +332,7 @@ def per_cell_reference(cell, corpus, seed=0, drop=()):
         convs = corpus.subset(split)
         ids, X = build_matrix(convs, schema, cell.feature_set, cell.prefix_k)
         splits[split] = SplitRows(
-            ids, X, [c.rating for c in convs], [c.capped_length for c in convs]
+            ids, X, convs.ratings, convs.capped_lengths()
         )
     return fit_and_report(
         cell.spec,
@@ -388,12 +386,12 @@ def test_ablate_matches_per_cell_build_matrix(corpus400, index):
 
 
 def hand_metric_corpus():
-    return corpus_of(
-        make_conversation("a", n=10, rating=5, sda=("sda_compliment",)),
-        make_conversation("b", n=20, rating=4),
-        make_conversation("c", n=30, rating=2, sda=("sda_complaint",)),
-        make_conversation("d", n=80, rating=1, sda=("sda_complaint",)),
-    )
+    return cz.Corpus.from_records([
+        record("a", n=10, rating=5, sda=["sda_compliment"]),
+        record("b", n=20, rating=4),
+        record("c", n=30, rating=2, sda=["sda_complaint"]),
+        record("d", n=80, rating=1, sda=["sda_complaint"]),
+    ])
 
 
 def test_correlate_metrics_hand_values():
@@ -430,10 +428,10 @@ def test_correlate_metrics_symmetric_lookup():
 
 
 def test_correlate_metrics_requires_ratings():
-    corp = corpus_of(
-        make_conversation("a", n=6, rating=None),
-        make_conversation("b", n=7, rating=3),
-    )
+    corp = cz.Corpus.from_records([
+        record("a", n=6, rating=None),
+        record("b", n=7, rating=3),
+    ])
     with pytest.raises(ValueError, match="'a'"):
         correlate_metrics(corp)
 

@@ -1,18 +1,18 @@
 """build_matrix and FeatureTable against a plain per-exchange oracle, bit for bit.
 
 The oracle computes each feature on its own, straight from its
-definition, with a separate pass over the window per feature.  Any
-faster extraction path has to keep producing exactly these bytes.
+definition, with a separate pass over the window per feature, reading
+the same JSONL-schema records the corpus is built from.  Any faster
+extraction path has to keep producing exactly these bytes.
 """
 
-from dataclasses import replace
 from statistics import median
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convperf.corpus import SPLIT_NAMES, Conversation, Corpus, Exchange
+from convperf.corpus import SPLIT_NAMES, Corpus
 from convperf.experiment import _split_parts, _take
 from convperf.features import (
     DEPENDENT,
@@ -22,28 +22,27 @@ from convperf.features import (
     build_matrix,
 )
 
+from conftest import record
+
 SCHEMA = FeatureSchema()
 
 
-def oracle_row(conv, schema, feature_set, prefix_k):
-    end = len(conv.exchanges)
-    if prefix_k is not None:
-        end = min(prefix_k, end)
-    window = conv.exchanges[:end]
+def oracle_row(rec, schema, feature_set, prefix_k):
+    window = rec["exchanges"][:prefix_k]
     n = len(window)
-    words = [len(ex.user_text.split()) for ex in window if ex.user_text.strip()]
+    words = [len(ex["user"].split()) for ex in window if ex["user"].strip()]
     values = {"length_median": float(median(words)) if words else 0.0}
     for label in schema.sda_labels:
-        values[f"freq_{label}"] = sum(label in ex.sda_tags for ex in window) / n
+        values[f"freq_{label}"] = sum(label in ex["sda"] for ex in window) / n
     for label in schema.midas_labels:
-        values[f"freq_midas_{label}"] = sum(label in ex.midas_tags for ex in window) / n
+        values[f"freq_midas_{label}"] = sum(label in ex["midas"] for ex in window) / n
     if feature_set != INDEPENDENT:
         topics = [
-            ex.topic if ex.topic in schema.topics else "other" for ex in window
+            ex["topic"] if ex["topic"] in schema.topics else "other" for ex in window
         ]
         rgs = [
-            g if g in schema.response_generators else "other"
-            for g in (ex.response_generator for ex in window)
+            ex["rg"] if ex["rg"] in schema.response_generators else "other"
+            for ex in window
         ]
         for t in schema.topics:
             values[f"topic_freq_{t}"] = topics.count(t) / n
@@ -59,40 +58,33 @@ _rgs = st.sampled_from(SCHEMA.response_generators + ("??", "smalltalk"))
 _users = st.sampled_from(
     ["", "   ", "yes", "quartz lantern", "one two three four", "tab\tsplit  words"]
 )
-_sda = st.frozensets(st.sampled_from(SCHEMA.sda_labels + ("sda_flirt",)), max_size=3)
-_midas = st.frozensets(
-    st.sampled_from(SCHEMA.midas_labels + ("open_question",)), max_size=3
+_sda = st.lists(st.sampled_from(SCHEMA.sda_labels + ("sda_flirt",)), max_size=3)
+_midas = st.lists(st.sampled_from(SCHEMA.midas_labels + ("open_question",)), max_size=3)
+_exchange = st.fixed_dictionaries(
+    {"topic": _topics, "rg": _rgs, "user": _users, "midas": _midas, "sda": _sda}
 )
 
 
 @st.composite
 def conversations(draw):
-    n = draw(st.integers(min_value=1, max_value=14))
-    exchanges = tuple(
-        Exchange(
-            index=i,
-            topic=draw(_topics),
-            response_generator=draw(_rgs),
-            user_text=draw(_users),
-            system_text="ok",
-            midas_tags=draw(_midas),
-            sda_tags=draw(_sda),
-        )
-        for i in range(n)
-    )
-    return Conversation(id=f"c{draw(st.integers(0, 999))}", exchanges=exchanges)
+    """Lists of 1 to 4 records with distinct ids."""
+    ids = draw(st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True))
+    return [
+        record(f"c{i}", exchanges=draw(st.lists(_exchange, min_size=1, max_size=14)))
+        for i in ids
+    ]
 
 
 @pytest.mark.parametrize("prefix_k", [None, 1, 3, 10])
 @pytest.mark.parametrize("feature_set", [INDEPENDENT, DEPENDENT])
-@given(convs=st.lists(conversations(), min_size=1, max_size=4))
+@given(convs=conversations())
 @settings(max_examples=40, deadline=None)
 def test_build_matrix_matches_oracle(feature_set, prefix_k, convs):
-    ids, X = build_matrix(convs, SCHEMA, feature_set, prefix_k)
+    ids, X = build_matrix(Corpus.from_records(convs), SCHEMA, feature_set, prefix_k)
     expected = np.array(
         [oracle_row(c, SCHEMA, feature_set, prefix_k) for c in convs]
     )
-    assert ids == [c.id for c in convs]
+    assert ids == [c["id"] for c in convs]
     assert X.shape == expected.shape
     assert X.dtype == expected.dtype
     assert X.tobytes() == expected.tobytes()
@@ -107,24 +99,24 @@ _WINDOWS = [
 
 
 @given(
-    convs=st.lists(conversations(), min_size=1, max_size=4),
+    convs=conversations(),
     order=st.permutations(_WINDOWS),
     splits=st.lists(st.sampled_from(SPLIT_NAMES), min_size=4, max_size=4),
 )
 @settings(max_examples=40, deadline=None)
 def test_one_table_serves_every_window_in_any_order(convs, order, splits):
-    table = FeatureTable(convs, SCHEMA)
+    table = FeatureTable(Corpus.from_records(convs), SCHEMA)
     # One more input: the rows of one table over a split corpus, selected
-    # per split as run_grid selects them (a corpus needs unique ids).
-    named = [replace(c, id=f"s{i}") for i, c in enumerate(convs)]
-    corpus = Corpus(named, {c.id: s for c, s in zip(named, splits)})
+    # per split as run_grid selects them.
+    named = [{**c, "id": f"s{i}"} for i, c in enumerate(convs)]
+    corpus = Corpus.from_records(named, {c["id"]: s for c, s in zip(named, splits)})
     parts = _split_parts(corpus)
     split_table = FeatureTable(corpus, SCHEMA)
     for feature_set, prefix_k in order:
         expected = np.array(
             [oracle_row(c, SCHEMA, feature_set, prefix_k) for c in convs]
         )
-        ids = [c.id for c in convs]
+        ids = [c["id"] for c in convs]
         cases = [(ids, table.matrix(feature_set, prefix_k), expected)]
         _, whole = split_table.matrix(feature_set, prefix_k)
         for split, rows in _take(parts, whole).items():

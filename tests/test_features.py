@@ -2,13 +2,12 @@ import io
 import logging
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convperf.corpus import Conversation, Exchange
+from convperf.corpus import Corpus
 from convperf.features import (
     DEPENDENT,
     FeatureSchema,
@@ -23,23 +22,21 @@ from convperf.features import (
 )
 from convperf.features import _UNICODE_SPACES, _WORD_BLOCK
 
-from conftest import feature_values, make_exchange
+from conftest import feature_values, record
 
 SCHEMA = FeatureSchema()
 
 
-def conv_with_topics(topic_plan, user="quartz lantern pebble"):
-    exchanges = tuple(
-        make_exchange(i, topic=t, user=user) for i, t in enumerate(topic_plan)
-    )
-    return Conversation(id="t", exchanges=exchanges, rating=4)
+def conv_with_topics(topic_plan, user="quartz lantern pebble", cid="t", rating=4):
+    exchanges = [{"topic": t} for t in topic_plan]
+    return record(cid, rating=rating, exchanges=exchanges, user=user)
 
 
 def test_worked_topic_frequencies():
     plan = ["comics"] * 13 + ["movies"] * 5 + ["music"] * 23
     conv = conv_with_topics(plan)
     vec = feature_values(conv, SCHEMA, DEPENDENT)
-    assert conv.raw_length == 41
+    assert len(conv["exchanges"]) == 41
     assert vec["topic_freq_comics"] == 13 / 41
     assert vec["topic_freq_movies"] == 5 / 41
     assert vec["topic_freq_sports"] == 0.0
@@ -65,18 +62,17 @@ def test_unknown_topic_maps_to_other():
 
 def test_unknown_topic_and_rg_warn_once_and_count_as_other(caplog):
     plan = [("movies", "fact"), ("tachyon_lore", "fact"), ("tachyon_lore", "oracle_rg")]
-    exchanges = tuple(
-        make_exchange(i, topic=t, rg=g) for i, (t, g) in enumerate(plan)
+    corpus = Corpus.from_records(
+        [record("u", rating=4, exchanges=[{"topic": t, "rg": g} for t, g in plan])]
     )
-    conv = Conversation(id="u", exchanges=exchanges, rating=4)
-    table = FeatureTable([conv], SCHEMA)
+    table = FeatureTable(corpus, SCHEMA)
     names = SCHEMA.names(DEPENDENT)
     with caplog.at_level(logging.WARNING, logger="convperf.features"):
         table.matrix(INDEPENDENT)  # topics and rgs are not features there
         assert caplog.records == []
         _, X = table.matrix(DEPENDENT)
         _, head = table.matrix(DEPENDENT, prefix_k=2)
-        build_matrix([conv], SCHEMA, DEPENDENT)
+        build_matrix(corpus, SCHEMA, DEPENDENT)
     assert sorted(r.getMessage() for r in caplog.records) == [
         "unknown response generator 'oracle_rg' mapped to 'other'",
         "unknown topic 'tachyon_lore' mapped to 'other'",
@@ -89,16 +85,16 @@ def test_unknown_topic_and_rg_warn_once_and_count_as_other(caplog):
 
 @pytest.mark.parametrize("prefix_k", [0, -1])
 def test_prefix_k_below_one_is_rejected(prefix_k):
-    conv = conv_with_topics(["movies"] * 3)
+    corpus = Corpus.from_records([conv_with_topics(["movies"] * 3)])
     with pytest.raises(ValueError, match="prefix_k must be >= 1"):
-        build_matrix([conv], SCHEMA, INDEPENDENT, prefix_k)
+        build_matrix(corpus, SCHEMA, INDEPENDENT, prefix_k)
     with pytest.raises(ValueError, match="prefix_k must be >= 1"):
-        FeatureTable([conv], SCHEMA).matrix(DEPENDENT, prefix_k)
+        FeatureTable(corpus, SCHEMA).matrix(DEPENDENT, prefix_k)
 
 
 @pytest.mark.parametrize("feature_set", [INDEPENDENT, DEPENDENT])
 def test_build_matrix_of_no_conversations(feature_set):
-    ids, X = build_matrix([], SCHEMA, feature_set)
+    ids, X = build_matrix(Corpus.from_records([]), SCHEMA, feature_set)
     assert ids == []
     assert X.shape == (0, len(SCHEMA.names(feature_set)))
 
@@ -112,29 +108,22 @@ def test_single_word_utterances():
 
 
 def test_length_median_skips_empty_user_turns():
-    exchanges = (
-        make_exchange(0, user=""),
-        make_exchange(1, user="one two three"),
-        make_exchange(2, user="one"),
-    )
-    conv = Conversation(id="e", exchanges=exchanges)
+    users = ["", "one two three", "one"]
+    conv = record("e", exchanges=[{"user": u} for u in users])
     vec = feature_values(conv, SCHEMA, INDEPENDENT)
     assert vec["length_median"] == 2.0
 
-    all_empty = Conversation(
-        id="e2", exchanges=(make_exchange(0, user="  "),)
-    )
+    all_empty = record("e2", n=1, user="  ")
     assert feature_values(all_empty, SCHEMA, INDEPENDENT)["length_median"] == 0.0
 
 
 def test_tag_frequencies():
-    exchanges = (
-        make_exchange(0, sda=("sda_compliment",), midas=("pos_answer",)),
-        make_exchange(1, sda=("sda_compliment", "sda_complaint")),
-        make_exchange(2),
-        make_exchange(3),
-    )
-    conv = Conversation(id="f", exchanges=exchanges)
+    conv = record("f", exchanges=[
+        {"sda": ["sda_compliment"], "midas": ["pos_answer"]},
+        {"sda": ["sda_compliment", "sda_complaint"]},
+        {},
+        {},
+    ])
     vec = feature_values(conv, SCHEMA, INDEPENDENT)
     assert vec["freq_sda_compliment"] == 0.5
     assert vec["freq_sda_complaint"] == 0.25
@@ -207,38 +196,22 @@ def test_schema_needs_catchalls():
 
 # ------------------------------------------------------- duplication invariance
 
-_topics = st.sampled_from(["movies", "comics", "intro", "mystery_meat"])
-_sda = st.sets(st.sampled_from(["sda_compliment", "sda_complaint"]), max_size=2)
-_midas = st.sets(st.sampled_from(["pos_answer", "user_init"]), max_size=2)
-_user = st.sampled_from(["", "yes", "quartz lantern", "one two three four"])
+_exchange = st.fixed_dictionaries({
+    "topic": st.sampled_from(["movies", "comics", "intro", "mystery_meat"]),
+    "rg": st.sampled_from(["fact", "menu", "??"]),
+    "user": st.sampled_from(["", "yes", "quartz lantern", "one two three four"]),
+    "midas": st.lists(st.sampled_from(["pos_answer", "user_init"]), max_size=2),
+    "sda": st.lists(st.sampled_from(["sda_compliment", "sda_complaint"]), max_size=2),
+})
 
 
 @st.composite
 def random_conversation(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    exchanges = tuple(
-        Exchange(
-            index=i,
-            topic=draw(_topics),
-            response_generator=draw(st.sampled_from(["fact", "menu", "??"])),
-            user_text=draw(_user),
-            system_text="ok",
-            midas_tags=frozenset(draw(_midas)),
-            sda_tags=frozenset(draw(_sda)),
-        )
-        for i in range(n)
-    )
-    return Conversation(id="h", exchanges=exchanges)
+    return record("h", exchanges=draw(st.lists(_exchange, min_size=1, max_size=8)))
 
 
 def duplicate_exchanges(conv, times=2):
-    doubled = []
-    for ex in conv.exchanges:
-        doubled.extend([ex] * times)
-    reindexed = tuple(
-        replace(ex, index=i) for i, ex in enumerate(doubled)
-    )
-    return replace(conv, exchanges=reindexed)
+    return {**conv, "exchanges": [ex for ex in conv["exchanges"] for _ in range(times)]}
 
 
 @given(random_conversation(), st.integers(min_value=2, max_value=4))
@@ -315,9 +288,11 @@ def test_fit_standardizer_errors():
 
 
 def test_feature_csv_round_trip():
-    convs = [conv_with_topics(["movies", "comics"]), conv_with_topics(["music"])]
-    convs[1] = replace(convs[1], id="t2", rating=None)
-    ids, X = build_matrix(convs, SCHEMA, INDEPENDENT)
+    corpus = Corpus.from_records([
+        conv_with_topics(["movies", "comics"]),
+        conv_with_topics(["music"], cid="t2", rating=None),
+    ])
+    ids, X = build_matrix(corpus, SCHEMA, INDEPENDENT)
     names = SCHEMA.names(INDEPENDENT)
     buf = io.StringIO()
     write_feature_csv(
@@ -339,9 +314,10 @@ def test_read_feature_csv_rejects_other_files():
 
 
 def test_build_matrix_shape_and_order():
-    convs = [conv_with_topics(["movies"] * 3), conv_with_topics(["comics"] * 2)]
-    convs[1] = replace(convs[1], id="t2")
-    ids, X = build_matrix(convs, SCHEMA, DEPENDENT)
+    corpus = Corpus.from_records([
+        conv_with_topics(["movies"] * 3), conv_with_topics(["comics"] * 2, cid="t2")
+    ])
+    ids, X = build_matrix(corpus, SCHEMA, DEPENDENT)
     assert ids == ["t", "t2"]
     assert X.shape == (2, len(SCHEMA.names(DEPENDENT)))
     j = SCHEMA.names(DEPENDENT).index("topic_freq_comics")

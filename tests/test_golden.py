@@ -21,6 +21,11 @@ while ``run_grid`` still encoded one feature table per split and rebuilt
 every split matrix for every cell, so it also pins that encoding the
 split corpus once and sharing one matrix per window reports the same
 bytes.
+
+The plot digests pin the length and rating histograms that ``convperf
+plot`` writes for the raw corpus, CSV and SVG.  They were taken while
+the histograms still counted over per-conversation views, so they also
+pin that counting over the corpus columns writes the same bytes.
 """
 
 import hashlib
@@ -28,6 +33,7 @@ import io
 
 import pytest
 
+from convperf.cli import main
 from convperf.corpus import split_corpus, write_corpus_jsonl
 from convperf.experiment import GridCell, run_experiment, write_reports_csv
 from convperf.features import DEPENDENT, FeatureSchema, Standardizer, build_matrix
@@ -53,6 +59,12 @@ MODEL_SHA256 = {
     "forest": "c435b899eee6ef1a841d18197fbe3e38cbf529c4e4c737e427ffec31d7f78ccf",
     "mlp": "f3ee864ce9504597a8c8676053819fc0f9d14886a061419b3f57982d7680b280",
     "svr": "52a93723c5e3ec50691aa2e5607cec558ff1cd4de14490d80fce50290b7a2b70",
+}
+PLOT_SHA256 = {
+    "length_hist.csv": "82a6424d8322836d0dbbb4bb05241d0635f3b1178e783ffbd9af4fb3898a15fc",
+    "length_hist.svg": "0168fa00297466608c9afbbb187b11bd5fecb220d0fe3e4ee57afa4401160b7d",
+    "rating_hist.csv": "ef1c88db3c93c431a04cb41441df7a8ba006fdddd7a4805c8437e11c91c9bcc2",
+    "rating_hist.svg": "a07d5b9a978e59a32146e17f44de956f6fa01e1213581e4804ed9bbe06fc3998",
 }
 
 
@@ -119,3 +131,15 @@ def test_grid_reports_bytes(raw):
     buf = io.StringIO()
     write_reports_csv(buf, run_experiment(cells, corpus, seed=0))
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == REPORTS_SHA256
+
+
+def test_plot_histogram_bytes(raw, tmp_path):
+    corpus = tmp_path / "raw.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fh:
+        write_corpus_jsonl(raw, fh)
+    out = tmp_path / "plots"
+    assert main(["plot", "--in", str(corpus), "--out-dir", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PLOT_SHA256
+    }
+    assert digests == PLOT_SHA256

@@ -30,10 +30,10 @@ def prepared(cfg):
     return cz.split_corpus(corp, seed=cfg.seed)
 
 
-def matrix(convs, feature_set="independent"):
+def matrix(corpus, feature_set="independent"):
     schema = ft.FeatureSchema()
     names = schema.names(feature_set)
-    _, X = ft.build_matrix(convs, schema, feature_set, None)
+    _, X = ft.build_matrix(corpus, schema, feature_set, None)
     return names, X
 
 
@@ -67,7 +67,7 @@ def test_generated_shapes_and_ranges():
     corp = generate(GeneratorConfig(n_conversations=400, seed=7))
     assert len(corp) == 400
     assert corp.split_assignment is None
-    lengths = [c.raw_length for c in corp]
+    lengths = corp.lengths().tolist()
     assert all(1 <= n <= 200 for n in lengths)
     assert any(n <= 4 for n in lengths)
     assert any(n >= 5 for n in lengths)
@@ -92,7 +92,7 @@ def test_tagger_recovers_planted_phrases():
     compl = sum(
         1 for c in after for ex in c.exchanges if "sda_complaint" in ex.sda_tags
     )
-    n_ex = sum(c.raw_length for c in after)
+    n_ex = len(after.topic)
     assert comp > 0.05 * n_ex
     assert compl > 0.02 * n_ex
 
@@ -187,8 +187,8 @@ def test_deterministic_preset_forest_recovers_length():
     names, X_tr = matrix(corp.subset("train"))
     _, X_te = matrix(corp.subset("test"))
     std = ft.Standardizer.fit(X_tr, names)
-    y_tr = np.array([float(c.capped_length) for c in corp.subset("train")])
-    y_te = np.array([float(c.capped_length) for c in corp.subset("test")])
+    y_tr = np.array(corp.subset("train").capped_lengths(), dtype=float)
+    y_te = np.array(corp.subset("test").capped_lengths(), dtype=float)
     model = fit_forest(
         std.transform(X_tr), y_tr, n_trees=10, min_leaf=2, seed=0
     )
@@ -199,8 +199,8 @@ def test_word_budget_leaves_verbosity_clean():
     # planted phrases must not stretch utterances, or the word-count
     # feature would leak the planted signal
     corp = cz.filter_min_length(tagged(generate(single_signal_config(3000))), 5)
-    names, X = matrix(tuple(corp))
-    y = np.array([float(c.capped_length) for c in corp])
+    names, X = matrix(corp)
+    y = np.array(corp.capped_lengths(), dtype=float)
     words = X[:, names.index("length_median")]
     comp = X[:, names.index("freq_sda_compliment")]
     r_words, _ = pearson(words, y)

@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convperf.corpus import Conversation, Corpus
+from convperf.corpus import Corpus
 from convperf.tagging import (
     Lexicon,
     TaggerConfig,
@@ -12,12 +12,11 @@ from convperf.tagging import (
     default_config,
     load_lexicon_dir,
     load_lexicon_file,
-    tag_conversation,
     tag_corpus,
     tag_utterance,
 )
 
-from conftest import corpus_of, make_conversation, make_exchange
+from conftest import record
 
 CFG = default_config()
 
@@ -73,44 +72,49 @@ def test_monotone_in_patterns():
         assert tag_utterance(text, base) <= tag_utterance(text, bigger)
 
 
+def sda_sets(corpus) -> list[set[str]]:
+    """Each exchange's SDA tags, in corpus order."""
+    return [set(corpus.tagsets[c]) for c in corpus.sda.tolist()]
+
+
+def one_conversation(texts) -> Corpus:
+    return Corpus.from_records([record("c", exchanges=[{"user": t} for t in texts])])
+
+
 def test_tag_corpus_union_and_overwrite():
-    conv = make_conversation("c", n=3, user="i don't care", sda=("legacy",))
-    union = tag_corpus(corpus_of(conv), CFG)
-    for ex in union.conversations[0].exchanges:
-        assert ex.sda_tags == {"legacy", "sda_complaint"}
-    replaced = tag_corpus(corpus_of(conv), CFG, overwrite=True)
-    for ex in replaced.conversations[0].exchanges:
-        assert ex.sda_tags == {"sda_complaint"}
+    corpus = Corpus.from_records(
+        [record("c", n=3, user="i don't care", sda=["legacy"])]
+    )
+    union = tag_corpus(corpus, CFG)
+    assert sda_sets(union) == [{"legacy", "sda_complaint"}] * 3
+    replaced = tag_corpus(corpus, CFG, overwrite=True)
+    assert sda_sets(replaced) == [{"sda_complaint"}] * 3
 
 
 def test_overwrite_idempotent():
-    conv = make_conversation("c", n=4, user="that's so cool")
-    once = tag_corpus(corpus_of(conv), CFG, overwrite=True)
+    corpus = Corpus.from_records([record("c", n=4, user="that's so cool")])
+    once = tag_corpus(corpus, CFG, overwrite=True)
     twice = tag_corpus(once, CFG, overwrite=True)
-    assert once.conversations == twice.conversations
+    assert once == twice
 
 
 def test_untouched_conversation_is_not_copied():
-    conv = make_conversation("c", n=3, user="quartz lantern")
-    assert tag_conversation(conv, CFG) is conv
+    corpus = Corpus.from_records([record("c", n=3, user="quartz lantern")])
+    assert tag_corpus(corpus, CFG) is corpus
 
 
 def test_exactly_one_complaint_line():
-    conv = make_conversation("c", n=3, user="quartz")
-    exchanges = list(conv.exchanges)
-    from dataclasses import replace
-    exchanges[1] = replace(exchanges[1], user_text="none of your business")
-    conv = replace(conv, exchanges=tuple(exchanges))
-    tagged = tag_conversation(conv, CFG)
-    flags = [("sda_complaint" in ex.sda_tags) for ex in tagged.exchanges]
+    tagged = tag_corpus(one_conversation(["quartz", "none of your business", "quartz"]), CFG)
+    flags = [("sda_complaint" in tags) for tags in sda_sets(tagged)]
     assert flags == [False, True, False]
 
 
 def test_empty_lexicons_union_keeps_tags():
-    conv = make_conversation("c", n=2, user="whatever", sda=("sda_abuse",))
+    corpus = Corpus.from_records(
+        [record("c", n=2, user="whatever", sda=["sda_abuse"])]
+    )
     cfg = TaggerConfig([Lexicon("sda_compliment", ("zzz",))])
-    tagged = tag_corpus(corpus_of(conv), cfg)
-    assert tagged.conversations[0].exchanges[0].sda_tags == {"sda_abuse"}
+    assert sda_sets(tag_corpus(corpus, cfg)) == [{"sda_abuse"}] * 2
 
 
 _PIECES = ["that's so cool", "i don't care", "a.i.", "x", "é", " ", "\t", "\n",
@@ -133,21 +137,16 @@ def _reference_labels(text: str, cfg: TaggerConfig) -> set[str]:
                 min_size=1, max_size=12))
 @settings(max_examples=80, deadline=None)
 def test_batched_corpus_tagging_matches_tagging_each_text(texts):
-    exchanges = tuple(make_exchange(i, user=t) for i, t in enumerate(texts))
-    corpus = Corpus(conversations=(Conversation(id="c", exchanges=exchanges),))
-    tagged = tag_corpus(corpus, CFG, overwrite=True)
-    for ex, text in zip(tagged.conversations[0].exchanges, texts):
-        assert ex.sda_tags == _reference_labels(text, CFG)
-        assert tag_utterance(text, CFG) == ex.sda_tags
+    tagged = tag_corpus(one_conversation(texts), CFG, overwrite=True)
+    for tags, text in zip(sda_sets(tagged), texts, strict=True):
+        assert tags == _reference_labels(text, CFG)
+        assert tag_utterance(text, CFG) == tags
 
 
 def test_phrase_split_across_exchanges_is_not_tagged():
     texts = ["well that's so", "cool", "i don't", "care", "that's so cool"]
-    exchanges = tuple(make_exchange(i, user=t) for i, t in enumerate(texts))
-    corpus = Corpus(conversations=(Conversation(id="c", exchanges=exchanges),))
-    tagged = tag_corpus(corpus, CFG)
-    flags = [ex.sda_tags for ex in tagged.conversations[0].exchanges]
-    assert flags == [frozenset()] * 4 + [{"sda_compliment"}]
+    tagged = tag_corpus(one_conversation(texts), CFG)
+    assert sda_sets(tagged) == [set()] * 4 + [{"sda_compliment"}]
 
 
 # ------------------------------------------------------------------ config

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convperf.corpus import Corpus
 from convperf.regressors import (
     BINNED_LENGTH,
     CAPPED_LENGTH,
@@ -12,7 +13,7 @@ from convperf.regressors import (
     targets_from_values,
 )
 
-from conftest import make_conversation
+from conftest import record
 
 
 def test_fit_target_median_split():
@@ -40,10 +41,7 @@ def test_binned_length():
 
 
 def test_capped_length_and_rating_targets():
-    convs = [
-        make_conversation("a", n=3, rating=2),
-        make_conversation("b", n=90, rating=5),
-    ]
+    convs = Corpus.from_records([record("a", n=3, rating=2), record("b", n=90, rating=5)])
     y = make_targets(convs, TargetKind(kind=CAPPED_LENGTH))
     assert y.tolist() == [3.0, 75.0]
     y = make_targets(convs, TargetKind(kind=RATING))
@@ -51,7 +49,7 @@ def test_capped_length_and_rating_targets():
 
 
 def test_rating_target_requires_ratings():
-    convs = [make_conversation("a", rating=4), make_conversation("b", rating=None)]
+    convs = Corpus.from_records([record("a", rating=4), record("b", rating=None)])
     with pytest.raises(ValueError, match="'b'"):
         make_targets(convs, TargetKind(kind=RATING))
     with pytest.raises(ValueError, match="row 0"):
