@@ -9,6 +9,12 @@ reports from it.  ``train``, ``evaluate`` and ``ablate`` fit and score
 through :func:`convperf.experiment.fit_and_report` and
 :func:`convperf.experiment.evaluate_model`, the path grid runs use.
 
+This module imports only :mod:`convperf.corpus`; each command imports
+the modules it runs, so ``ingest`` loads nothing else and only the
+fitting and reporting commands load the regressors.  An option's choices
+are a :class:`Vocabulary` declared in the module that owns them, loaded
+when a command that takes the option checks a value or prints its help.
+
 Each run option is declared once in :data:`OPTIONS`: its flag, the
 :class:`RunConfig` field it sets, and how its value is checked.
 :data:`COMMAND_OPTIONS` names the options each command reads; it builds
@@ -28,11 +34,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib
 import json
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from typing import NamedTuple
 
 from .corpus import (
@@ -43,67 +51,8 @@ from .corpus import (
     split_corpus,
     write_corpus_jsonl,
 )
-from .experiment import (
-    SplitRows,
-    correlate_metrics,
-    evaluate_model,
-    export_tree,
-    fit_and_report,
-    format_correlations,
-    format_report_table,
-    write_correlations_csv,
-    write_reports_csv,
-)
-from .features import (
-    FEATURE_SETS,
-    FeatureSchema,
-    INDEPENDENT,
-    build_matrix,
-    read_feature_csv,
-    write_feature_csv,
-)
-from .plots import length_histogram, rating_histogram, topic_z_bars, write_chart
-from .regressors import (
-    BINNED_LENGTH,
-    CAPPED_LENGTH,
-    FAMILIES,
-    MEDIAN_SPLIT,
-    ModelSpec,
-    RATING,
-    load_model,
-    save_model,
-)
-from .synth import (
-    GeneratorConfig,
-    compliment_driven_config,
-    deterministic_length_config,
-    generate,
-    single_signal_config,
-)
-from .tagging import (
-    WHOLE_UTTERANCE,
-    WORD_BOUNDARY,
-    default_config as default_tagger,
-    load_lexicon_dir,
-    tag_corpus,
-)
-from .topicscore import VARIANTS, score_topics
 
 CONFIG_ENV = "CONVPERF_CONFIG"
-
-TARGET_BY_FLAG = {
-    "rating": RATING,
-    "length": CAPPED_LENGTH,
-    "median-split": MEDIAN_SPLIT,
-    "binned": BINNED_LENGTH,
-}
-
-SYNTH_PRESETS = {
-    "default": GeneratorConfig,
-    "compliment": compliment_driven_config,
-    "single-signal": single_signal_config,
-    "deterministic": deterministic_length_config,
-}
 
 
 # Dest prefix of the hyperparameter options: "--max-depth" parses to
@@ -122,12 +71,12 @@ class RunConfig:
     seed: int = 0
     min_length: int = 5
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    feature_set: str = INDEPENDENT
+    feature_set: str = "independent"
     prefix_k: int | None = None
-    target: str = "rating"  # flag vocabulary; see TARGET_BY_FLAG
+    target: str = "rating"  # a key of regressors.TARGET_NAMES
     family: str = "ridge"
     hyperparameters: dict = field(default_factory=dict)
-    match_mode: str = WORD_BOUNDARY
+    match_mode: str = "word_boundary"
     lexicon_dir: str | None = None
     variant: str = "F1"
     exclude_topics: tuple[str, ...] = ("intro",)
@@ -188,6 +137,26 @@ def hidden_sizes(text: str) -> list[int]:
             f"expects comma-separated integers, got {text!r}")
 
 
+class Vocabulary(Sequence):
+    """An option's choices, declared as ``"module.NAME"`` in the convperf
+    module that owns them.  The module is imported when the choices are
+    first read, so a command that never reads the option never imports it."""
+
+    def __init__(self, where: str):
+        self.where = where
+
+    @cached_property
+    def _names(self) -> tuple:
+        module, name = self.where.rsplit(".", 1)
+        return tuple(getattr(importlib.import_module(f"{__package__}.{module}"), name))
+
+    def __getitem__(self, i):
+        return self._names[i]
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
 class Option(NamedTuple):
     """A run option: its flag (None if only a config file sets it), its
     dest (a RunConfig field, or HP_DEST + a hyperparameter key), the reader
@@ -198,7 +167,7 @@ class Option(NamedTuple):
     dest: str
     check: Callable | None = None
     parse: Callable | None = str
-    choices: tuple = ()
+    choices: Sequence = ()
     help: str | None = None
 
     def convert(self, value):
@@ -218,19 +187,20 @@ OPTIONS = {
     opt.dest: opt
     for opt in (
         Option("--seed", "seed", non_negative, int),
-        Option("--synth-preset", "synth_preset", choices=tuple(SYNTH_PRESETS)),
+        Option("--synth-preset", "synth_preset", choices=Vocabulary("synth.PRESETS")),
         Option("--n", "synth_n", integer, int, help="synthetic corpus size"),
         Option("--min-length", "min_length", integer, int),
-        Option("--match-mode", "match_mode", choices=(WORD_BOUNDARY, WHOLE_UTTERANCE)),
+        Option("--match-mode", "match_mode", choices=Vocabulary("tagging.MATCH_MODES")),
         Option("--lexicon-dir", "lexicon_dir", optional_text),
         Option("--split", "split", three_ratios, ratios,
                help="train,dev,test ratios (e.g. 0.8,0.1,0.1)"),
-        Option("--feature-set", "feature_set", choices=FEATURE_SETS),
+        Option("--feature-set", "feature_set", choices=Vocabulary("features.FEATURE_SETS")),
         Option("--prefix-k", "prefix_k", prefix_window, int),
-        Option("--variant", "variant", choices=VARIANTS),
+        Option("--variant", "variant", choices=Vocabulary("topicscore.VARIANTS")),
         Option(None, "exclude_topics", topic_names),
-        Option("--target", "target", choices=tuple(TARGET_BY_FLAG)),
-        Option("--family", "family", choices=FAMILIES, help="model family"),
+        Option("--target", "target", choices=Vocabulary("regressors.TARGET_NAMES")),
+        Option("--family", "family", choices=Vocabulary("regressors.FAMILIES"),
+               help="model family"),
         Option("--lambda", HP_DEST + "lambda", number, float, help="ridge/lasso weight"),
         Option("--max-depth", HP_DEST + "max_depth", tree_depth, int,
                help="tree/forest depth cap; negative means unbounded"),
@@ -335,7 +305,9 @@ def _read_corpus(path: str):
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    corpus = generate(SYNTH_PRESETS[cfg.synth_preset](cfg.synth_n, seed=cfg.seed))
+    from .synth import PRESETS, generate
+
+    corpus = generate(PRESETS[cfg.synth_preset](cfg.synth_n, seed=cfg.seed))
     with open(args.out, "w", encoding="utf-8") as fh:
         write_corpus_jsonl(corpus, fh)
     print(f"wrote {len(corpus)} conversations to {args.out}")
@@ -355,13 +327,15 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
 
 
 def cmd_tag(cfg: RunConfig, args) -> int:
+    from .tagging import default_config, load_lexicon_dir, tag_corpus
+
     corpus = _read_corpus(args.input)
     if cfg.lexicon_dir is not None:
         if not os.path.isdir(cfg.lexicon_dir):
             raise CliError(f"missing lexicon directory: {cfg.lexicon_dir}")
         tagger = load_lexicon_dir(cfg.lexicon_dir, match_mode=cfg.match_mode)
     else:
-        tagger = default_tagger(match_mode=cfg.match_mode)
+        tagger = default_config(match_mode=cfg.match_mode)
     tagged = tag_corpus(corpus, tagger, overwrite=args.overwrite)
     with open(args.out, "w", encoding="utf-8") as fh:
         write_corpus_jsonl(tagged, fh)
@@ -371,6 +345,8 @@ def cmd_tag(cfg: RunConfig, args) -> int:
 
 
 def cmd_featurize(cfg: RunConfig, args) -> int:
+    from .features import FeatureSchema, build_matrix, write_feature_csv
+
     corpus = _read_corpus(args.input)
     corpus = split_corpus(corpus, ratios=cfg.split, seed=cfg.seed)
     schema = FeatureSchema()
@@ -393,6 +369,8 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
 
 
 def cmd_score_topics(cfg: RunConfig, args) -> int:
+    from .topicscore import score_topics
+
     corpus = _read_corpus(args.input)
     report = score_topics(corpus, cfg.variant, exclude_topics=cfg.exclude_topics)
     if args.out:
@@ -426,6 +404,9 @@ def _feature_provenance(features_path: str) -> tuple[str, int | None]:
 
 def _load_feature_splits(path: str):
     """Feature names and the CSV's rows grouped by split label."""
+    from .experiment import SplitRows
+    from .features import read_feature_csv
+
     _require_file(path, "feature CSV")
     with open(path, encoding="utf-8", newline="") as fh:
         ids, names, X, ratings, lengths, splits = read_feature_csv(fh)
@@ -446,12 +427,17 @@ def _load_feature_splits(path: str):
 
 
 def _fit(cfg: RunConfig, names, splits, label, feature_set, prefix_k, drop=()):
+    from .experiment import fit_and_report
+    from .regressors import TARGET_NAMES, ModelSpec
+
     spec = ModelSpec(cfg.family, cfg.hyperparameters, seed=cfg.seed)
-    return fit_and_report(spec, names, splits, TARGET_BY_FLAG[cfg.target], label,
+    return fit_and_report(spec, names, splits, TARGET_NAMES[cfg.target], label,
                           feature_set, prefix_k, drop, cfg.seed)
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
+    from .regressors import save_model
+
     names, splits = _load_feature_splits(args.features)
     # The test report is not written, so it needs no feature-set labels.
     model, _ = _fit(cfg, names, splits, cfg.family, None, None)
@@ -464,6 +450,9 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
+    from .experiment import evaluate_model, format_report_table, write_reports_csv
+    from .regressors import load_model
+
     names, splits = _load_feature_splits(args.features)
     feature_set, prefix_k = _feature_provenance(args.features)
     _require_file(args.model, "trained model")
@@ -484,6 +473,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 
 def cmd_ablate(cfg: RunConfig, args) -> int:
+    from .experiment import format_report_table, write_reports_csv
+
     names, splits = _load_feature_splits(args.features)
     feature_set, prefix_k = _feature_provenance(args.features)
     drop = tuple(tok for tok in args.drop.split(",") if tok)
@@ -503,6 +494,8 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
 
 
 def cmd_correlate(cfg: RunConfig, args) -> int:
+    from .experiment import correlate_metrics, format_correlations, write_correlations_csv
+
     corpus = _read_corpus(args.input)
     report = correlate_metrics(corpus)
     if args.report_out:
@@ -513,6 +506,9 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
 
 
 def cmd_export_tree(cfg: RunConfig, args) -> int:
+    from .experiment import export_tree
+    from .regressors import load_model
+
     _require_file(args.model, "trained model")
     model = load_model(args.model)
     text = export_tree(
@@ -528,6 +524,9 @@ def cmd_export_tree(cfg: RunConfig, args) -> int:
 
 
 def cmd_plot(cfg: RunConfig, args) -> int:
+    from .plots import length_histogram, rating_histogram, topic_z_bars, write_chart
+    from .topicscore import score_topics
+
     corpus = _read_corpus(args.input)
     os.makedirs(args.out_dir, exist_ok=True)
     report = score_topics(corpus, cfg.variant, exclude_topics=cfg.exclude_topics)
@@ -559,13 +558,17 @@ def build_parser() -> argparse.ArgumentParser:
         if COMMAND_OPTIONS[name]:
             sp.add_argument("--config", help="JSON run-config file")
         for opt in (OPTIONS[d] for d in COMMAND_OPTIONS[name] if OPTIONS[d].flag):
-            key = opt.dest.removeprefix(HP_DEST)
-            kwargs = {"type": opt.parse, "choices": opt.choices or None,
-                      "metavar": None if opt.choices else key.upper()}
+            kwargs = {"type": opt.parse, "metavar": opt.dest.removeprefix(HP_DEST).upper()}
             if opt.parse is None:
                 kwargs = {"action": "store_const", "const": False}
-            sp.add_argument(opt.flag, dest=opt.dest, default=argparse.SUPPRESS,
-                            help=opt.help, **kwargs)
+            elif isinstance(opt.choices, Vocabulary):
+                kwargs["choices"] = opt.choices
+            action = sp.add_argument(opt.flag, dest=opt.dest, default=argparse.SUPPRESS,
+                                     help=opt.help, **kwargs)
+            if "choices" in kwargs:
+                # Help and usage list the choices.  Set after add_argument,
+                # which formats the metavar and would load the vocabulary.
+                action.metavar = None
         return sp
 
     sp = command("synth", cmd_synth, "generate a synthetic corpus")

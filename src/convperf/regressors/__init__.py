@@ -25,6 +25,7 @@ from .targets import (
     MEDIAN_SPLIT,
     RATING,
     TARGET_KINDS,
+    TARGET_NAMES,
     TargetKind,
     fit_target,
     make_targets,
@@ -54,6 +55,7 @@ __all__ = [
     "SingularSystemError",
     "SvrParams",
     "TARGET_KINDS",
+    "TARGET_NAMES",
     "TREE",
     "TargetKind",
     "TrainedModel",

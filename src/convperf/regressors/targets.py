@@ -11,6 +11,13 @@ CAPPED_LENGTH = "capped_length"
 MEDIAN_SPLIT = "median_split"
 BINNED_LENGTH = "binned_length"
 TARGET_KINDS = (RATING, CAPPED_LENGTH, MEDIAN_SPLIT, BINNED_LENGTH)
+# The name a command line gives each target kind.
+TARGET_NAMES = {
+    "rating": RATING,
+    "length": CAPPED_LENGTH,
+    "median-split": MEDIAN_SPLIT,
+    "binned": BINNED_LENGTH,
+}
 
 
 @dataclass(frozen=True)

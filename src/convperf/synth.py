@@ -49,6 +49,23 @@ DEFAULT_TOPIC_APPEAL = (
 _RG_CHOICES = ("fact", "opinion", "question", "menu", "other")
 _RG_PROBS = (0.35, 0.22, 0.2, 0.13, 0.1)
 
+
+def _cdf(p) -> np.ndarray:
+    """The normalized cumulative sum ``Generator.choice`` draws against."""
+    cdf = np.asarray(p, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(len(cdf), size, p=p)`` for ``cdf = _cdf(p)``: the same
+    arithmetic, so the same indices and the same generator state after, but
+    without ``choice``'s per-call argument checks."""
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
+_RG_CDF = _cdf(_RG_PROBS)
+
 # Filler vocabulary, disjoint from every word used by the shipped
 # lexicon phrases so no accidental tag can form.
 _FILLER = (
@@ -213,8 +230,8 @@ class _Draws:
         self.ratings.append(int(min(5, max(1, math.floor(r_cont + 0.5)))))
 
         interest = rng.dirichlet(cfg.topic_concentration * appeal)
-        self.topic_idx.append(rng.choice(len(appeal), size=length, p=interest))
-        self.rg_idx.append(rng.choice(len(_RG_CHOICES), size=length, p=_RG_PROBS))
+        self.topic_idx.append(_draw(rng, _cdf(interest), length))
+        self.rg_idx.append(_draw(rng, _RG_CDF, length))
 
         pos_rate = _clamp01(cfg.pos_answer_base + cfg.pos_answer_gain * e)
         neg_rate = _clamp01(cfg.neg_answer_base + cfg.neg_answer_gain * (1.0 - e))
@@ -378,3 +395,12 @@ def deterministic_length_config(n_conversations: int, seed: int = 0) -> Generato
         rating_noise=1.2,
         target_r=0.1,
     )
+
+
+# Each named generator configuration, called as ``preset(n, seed=seed)``.
+PRESETS = {
+    "default": GeneratorConfig,
+    "compliment": compliment_driven_config,
+    "single-signal": single_signal_config,
+    "deterministic": deterministic_length_config,
+}

@@ -26,6 +26,7 @@ from .corpus import Corpus, _TagSets
 
 WHOLE_UTTERANCE = "whole_utterance"
 WORD_BOUNDARY = "word_boundary"
+MATCH_MODES = (WORD_BOUNDARY, WHOLE_UTTERANCE)
 
 SDA_COMPLIMENT = "sda_compliment"
 SDA_COMPLAINT = "sda_complaint"
@@ -78,7 +79,7 @@ class TaggerConfig:
     """Immutable set of lexicons plus the match mode."""
 
     def __init__(self, lexicons: list[Lexicon], match_mode: str = WORD_BOUNDARY):
-        if match_mode not in (WHOLE_UTTERANCE, WORD_BOUNDARY):
+        if match_mode not in MATCH_MODES:
             raise ValueError(f"unknown match mode: {match_mode!r}")
         labels = [l.label for l in lexicons]
         if len(set(labels)) != len(labels):
@@ -158,7 +159,11 @@ def _hits(texts: list[str], cfg: TaggerConfig) -> dict[str, np.ndarray]:
             starts.append(m.start())
             m = _search(rx, joined, m.end())
         at = np.searchsorted(ends, np.array(starts, dtype=np.intp), side="right")
-        hits[label] = np.unique(at)
+        # ``at`` ascends with the starts: keep the first of each run of equals
+        # (``np.unique`` would sort it again, and imports ``numpy.ma``).
+        first = np.ones(len(at), dtype=bool)
+        first[1:] = at[1:] != at[:-1]
+        hits[label] = at[first]
     return hits
 
 

@@ -1,8 +1,11 @@
 import argparse
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from argparse import Namespace
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import convperf
 from convperf.cli import (
     COMMAND_OPTIONS,
     CONFIG_ENV,
@@ -116,6 +120,36 @@ def test_corpus_stages_build_no_exchange_objects(tmp_path, monkeypatch):
     assert main(["tag", "--in", str(kept), "--out", str(tagged)]) == 0
     features = str(tmp_path / "features.csv")
     assert main(["featurize", "--in", str(tagged), "--out", features]) == 0
+
+
+# Runs one command in a fresh interpreter, then prints the convperf
+# modules it loaded.
+_LOADED = """
+import sys
+from convperf.cli import main
+code = main(sys.argv[1:])
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "convperf"))
+sys.exit(code)
+"""
+
+
+def test_corpus_stages_import_only_what_they_run(tmp_path):
+    src = str(Path(convperf.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    loaded = {}
+    for argv in (["synth", "--out", "raw.jsonl", "--n", "30", "--seed", "1"],
+                 ["ingest", "--in", "raw.jsonl", "--out", "kept.jsonl"],
+                 ["tag", "--in", "kept.jsonl", "--out", "tagged.jsonl"],
+                 ["featurize", "--in", "tagged.jsonl", "--out", "features.csv"]):
+        run = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=tmp_path,
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        loaded[argv[0]] = set(run.stdout.splitlines()[-1].split())
+    assert loaded["ingest"] == {"convperf", "convperf.cli", "convperf.corpus"}
+    fitting = {"convperf.experiment", "convperf.regressors", "convperf.plots"}
+    for command, modules in loaded.items():
+        assert not modules & fitting, (command, sorted(modules & fitting))
 
 
 def test_evaluate_is_byte_deterministic(pipeline):
@@ -816,6 +850,20 @@ def test_split_flag_rejects_garbage(capsys):
                                    "--split", "a,b"])
     assert exc.value.code == 2
     assert "--split: invalid ratios value: 'a,b'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+def test_help_lists_each_run_option_and_its_choices(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    listed = {line.split()[0] for line in text.splitlines() if line.startswith("  --")}
+    for opt in (OPTIONS[d] for d in COMMAND_OPTIONS[command] if OPTIONS[d].flag):
+        assert opt.flag in listed, (command, opt.flag)
+        if opt.choices:
+            assert f"  {opt.flag} {{{','.join(opt.choices)}}}" in text, (command, opt.flag)
+            assert getattr(RunConfig(), opt.dest) in opt.choices, opt.dest
 
 
 def test_config_hash_stability():

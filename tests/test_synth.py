@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import convperf.corpus as cz
 import convperf.features as ft
@@ -11,6 +12,8 @@ from convperf.regressors import fit_forest, fit_linear
 from convperf.synth import (
     GeneratorConfig,
     GeneratorError,
+    _cdf,
+    _draw,
     attainable_correlation,
     deterministic_length_config,
     engagement_sd,
@@ -207,3 +210,22 @@ def test_word_budget_leaves_verbosity_clean():
     r_comp, _ = pearson(comp, y)
     assert abs(r_words) < 0.1
     assert r_comp > 0.5
+
+
+@given(
+    k=st.integers(2, 20),
+    alpha=st.floats(0.05, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+)
+@settings(max_examples=100, deadline=None)
+def test_cdf_draw_is_generator_choice(k, alpha, seed, n):
+    p = np.random.default_rng(seed).dirichlet(np.full(k, alpha))
+    cdf = _cdf(p)
+    assert cdf[-1] == 1.0
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = _draw(ours, cdf, n)
+    expected = theirs.choice(k, size=n, p=p)
+    assert drawn.dtype == expected.dtype
+    assert np.array_equal(drawn, expected)
+    assert ours.bit_generator.state == theirs.bit_generator.state

@@ -9,6 +9,7 @@ from convperf.tagging import (
     TaggerConfig,
     WHOLE_UTTERANCE,
     WORD_BOUNDARY,
+    _hits,
     default_config,
     load_lexicon_dir,
     load_lexicon_file,
@@ -107,6 +108,11 @@ def test_exactly_one_complaint_line():
     tagged = tag_corpus(one_conversation(["quartz", "none of your business", "quartz"]), CFG)
     flags = [("sda_complaint" in tags) for tags in sda_sets(tagged)]
     assert flags == [False, True, False]
+    # Two matches in one text name it once; a label that matches nothing
+    # names no text.
+    texts = ["quartz", "i don't care, none of your business", "quartz"]
+    hits = {label: at.tolist() for label, at in _hits(texts, CFG).items()}
+    assert hits == {"sda_compliment": [], "sda_complaint": [1]}
 
 
 def test_empty_lexicons_union_keeps_tags():
