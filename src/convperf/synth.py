@@ -10,14 +10,17 @@ taken verbatim from the shipped lexicons and embedded in the user text,
 so the tagger recovers exactly the planted acts, while filler words
 never overlap lexicon vocabulary.
 
-Randomness: one root seed spawns an independent substream per
-conversation, so corpora are reproducible and generation order free.
+Randomness: one root seed spawns one stream per kind of draw
+(:data:`_STREAMS`), and each stream is drawn a block of conversations at a
+time.  Conversation i takes the i-th values of every stream whatever the
+corpus or block size, so a corpus is a prefix of every larger corpus with
+the same seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,17 +54,18 @@ _RG_PROBS = (0.35, 0.22, 0.2, 0.13, 0.1)
 
 
 def _cdf(p) -> np.ndarray:
-    """The normalized cumulative sum ``Generator.choice`` draws against."""
-    cdf = np.asarray(p, dtype=float).cumsum()
-    cdf /= cdf[-1]
+    """Cumulative sums along the last axis, each row divided by its last
+    entry so that it ends at exactly 1.0."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf
 
 
-def _draw(rng: np.random.Generator, cdf: np.ndarray, size: int) -> np.ndarray:
-    """``rng.choice(len(cdf), size, p=p)`` for ``cdf = _cdf(p)``: the same
-    arithmetic, so the same indices and the same generator state after, but
-    without ``choice``'s per-call argument checks."""
-    return cdf.searchsorted(rng.random(size), side="right")
+def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index drawn by each uniform ``u[j]`` from the CDF row ``cdf[j]`` (or
+    from ``cdf`` itself when it is one row): the count of entries <= u[j],
+    which is ``np.searchsorted(cdf[j], u[j], side="right")``."""
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 _RG_CDF = _cdf(_RG_PROBS)
@@ -145,6 +149,10 @@ def attainable_correlation(cfg: GeneratorConfig) -> float:
 
 
 def _validate(cfg: GeneratorConfig) -> None:
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if isinstance(v, (int, float)) and not math.isfinite(v):
+            raise GeneratorError(f"{f.name} must be finite, got {v}")
     if cfg.n_conversations < 1:
         raise GeneratorError(f"n_conversations must be >= 1, got {cfg.n_conversations}")
     rates = {
@@ -167,8 +175,10 @@ def _validate(cfg: GeneratorConfig) -> None:
         raise GeneratorError(f"length_max must be >= {_BODY_MIN}")
     if not cfg.topic_appeal:
         raise GeneratorError("topic inventory is empty")
-    if any(w <= 0 for _, w in cfg.topic_appeal):
-        raise GeneratorError("topic appeal weights must be positive")
+    if not all(0 < w < math.inf for _, w in cfg.topic_appeal):
+        raise GeneratorError("topic appeal weights must be positive and finite")
+    if cfg.topic_concentration <= 0:
+        raise GeneratorError(f"topic_concentration must be > 0, got {cfg.topic_concentration}")
     bound = attainable_correlation(cfg)
     if cfg.target_r > bound + 1e-12:
         raise GeneratorError(
@@ -184,12 +194,19 @@ def _lexicon_phrases() -> tuple[tuple[str, ...], tuple[str, ...]]:
     return by_label["sda_compliment"], by_label["sda_complaint"]
 
 
-def _clamp01(x: float) -> float:
-    return min(1.0, max(0.0, x))
+# The kinds of draw, in the order their streams are spawned from the root
+# seed.  The first six give one value per conversation; "exchange_uniforms"
+# gives one row of six per exchange (topic, rg, user_init, answer,
+# compliment, complaint), the picks and word counts one value per exchange,
+# and "filler" one value per filler word.
+_STREAMS = (
+    "engagement", "short_flag", "short_length", "body_length", "rating",
+    "topic_interest", "exchange_uniforms", "compliment_pick", "complaint_pick",
+    "word_count", "filler",
+)
 
-
-# Conversations drawn before their draws become columns; bounds the
-# memory the draws hold.
+# Conversations drawn per call to each stream; bounds the memory the draws
+# hold, and changes no value.
 _BLOCK = 1000
 
 _MIDAS_SETS = tuple(
@@ -199,139 +216,109 @@ _MIDAS_SETS = tuple(
 )
 
 
-class _Draws:
-    """The random draws of a block of conversations, one conversation after
-    another, in each conversation's draw order."""
+def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, phrases):
+    """Draw the next ``n`` conversations from the streams ``rng``.
 
-    def __init__(self):
-        self.lengths, self.ratings = [], []
-        # Per-conversation rates, repeated over its exchanges when compared.
-        self.ui_rate, self.pos_rate, self.answer_rate = [], [], []
-        # Per-exchange draws.
-        self.topic_idx, self.rg_idx = [], []
-        self.init_draw, self.answer_draw, self.comp_flags, self.compl_flags = [], [], [], []
-        self.comp_pick, self.compl_pick, self.word_counts, self.word_idx = [], [], [], []
+    Returns their lengths and ratings, and per exchange the topic and rg
+    indices (intro is one past the last name), the midas code (an index
+    into ``((),) + _MIDAS_SETS``) and the user text.
+    """
+    e = rng["engagement"].beta(cfg.engagement_alpha, cfg.engagement_beta, n)
+    short = rng["short_flag"].random(n) < cfg.short_mass
+    short_len = rng["short_length"].integers(1, _SHORT_MAX + 1, n)
+    log_len = rng["body_length"].normal(
+        cfg.length_log_base + cfg.length_log_gain * e, cfg.length_log_noise
+    )
+    body = np.clip(np.floor(np.exp(log_len) + 0.5), _BODY_MIN, cfg.length_max)
+    lengths = np.where(short, short_len, body).astype(np.intp)
+    r_cont = rng["rating"].normal(cfg.rating_base + cfg.rating_gain * e, cfg.rating_noise)
+    ratings = np.clip(np.floor(r_cont + 0.5), 1, 5).astype(int)
+    interest = rng["topic_interest"].dirichlet(cfg.topic_concentration * appeal, n)
 
-    def add(self, rng: np.random.Generator, cfg: GeneratorConfig, n_phrases, appeal):
-        """Draw one conversation from its own generator."""
-        e = float(rng.beta(cfg.engagement_alpha, cfg.engagement_beta))
+    conv = np.repeat(np.arange(n), lengths)  # each exchange's conversation
+    u = rng["exchange_uniforms"].random((len(conv), 6))
+    first = np.cumsum(lengths) - lengths
+    topic = _pick(_cdf(interest)[conv], u[:, 0])
+    rg = _pick(_RG_CDF, u[:, 1])
+    topic[first] = len(appeal)
+    rg[first] = len(_RG_CHOICES)
 
-        if rng.random() < cfg.short_mass:
-            length = int(rng.integers(1, _SHORT_MAX + 1))
-        else:
-            log_len = rng.normal(
-                cfg.length_log_base + cfg.length_log_gain * e, cfg.length_log_noise
-            )
-            length = int(math.floor(math.exp(log_len) + 0.5))
-            length = min(max(length, _BODY_MIN), cfg.length_max)
-        self.lengths.append(length)
+    def rate(base, gain, x):
+        return np.clip(base + gain * x, 0.0, 1.0)[conv]
 
-        r_cont = rng.normal(cfg.rating_base + cfg.rating_gain * e, cfg.rating_noise)
-        self.ratings.append(int(min(5, max(1, math.floor(r_cont + 0.5)))))
+    pos = rate(cfg.pos_answer_base, cfg.pos_answer_gain, e)
+    answer_rate = pos + rate(cfg.neg_answer_base, cfg.neg_answer_gain, 1.0 - e)
+    user_init = u[:, 2] < rate(cfg.user_init_base, cfg.user_init_gain, e)
+    answer = np.where(u[:, 3] < pos, 1, np.where(u[:, 3] < answer_rate, 2, 0))
+    midas = (1 + 3 * user_init + answer).astype(np.int32)
+    comp = u[:, 4] < rate(cfg.compliment_base, cfg.compliment_gain, e)
+    compl = u[:, 5] < rate(cfg.complaint_base, cfg.complaint_gain, 1.0 - e)
+    lam = (cfg.verbosity_base + cfg.verbosity_gain * e)[conv]
+    user = _user_texts(rng, lam, comp, compl, *phrases)
+    return lengths, ratings, topic, rg, midas, user
 
-        interest = rng.dirichlet(cfg.topic_concentration * appeal)
-        self.topic_idx.append(_draw(rng, _cdf(interest), length))
-        self.rg_idx.append(_draw(rng, _RG_CDF, length))
 
-        pos_rate = _clamp01(cfg.pos_answer_base + cfg.pos_answer_gain * e)
-        neg_rate = _clamp01(cfg.neg_answer_base + cfg.neg_answer_gain * (1.0 - e))
-        self.ui_rate.append(_clamp01(cfg.user_init_base + cfg.user_init_gain * e))
-        self.pos_rate.append(pos_rate)
-        self.answer_rate.append(pos_rate + neg_rate)
-        comp_rate = _clamp01(cfg.compliment_base + cfg.compliment_gain * e)
-        compl_rate = _clamp01(cfg.complaint_base + cfg.complaint_gain * (1.0 - e))
+def _user_texts(rng: dict, lam, comp, compl, compliments, complaints) -> list[str]:
+    """Each exchange's filler words, then its planted phrases.
 
-        self.init_draw.append(rng.random(length))
-        self.answer_draw.append(rng.random(length))
-        self.comp_flags.append(rng.random(length) < comp_rate)
-        self.compl_flags.append(rng.random(length) < compl_rate)
-        self.comp_pick.append(rng.integers(0, n_phrases[0], size=length))
-        self.compl_pick.append(rng.integers(0, n_phrases[1], size=length))
-
-        lam = cfg.verbosity_base + cfg.verbosity_gain * e
-        word_counts = 1 + rng.poisson(lam, size=length)
-        self.word_counts.append(word_counts)
-        self.word_idx.append(rng.integers(0, len(_FILLER), size=int(word_counts.sum())))
-
-    def columns(self, topics, compliments, complaints):
-        """(topic, rg, user, midas code) of every drawn exchange; midas
-        codes index ``((),) + _MIDAS_SETS``."""
-        lengths = np.array(self.lengths)
-        topic = list(map(topics.__getitem__, np.concatenate(self.topic_idx).tolist()))
-        rg = list(map(_RG_CHOICES.__getitem__, np.concatenate(self.rg_idx).tolist()))
-        for j in (np.cumsum(lengths) - lengths).tolist():
-            topic[j] = rg[j] = "intro"
-        user_init = np.concatenate(self.init_draw) < np.repeat(self.ui_rate, lengths)
-        answer_draw = np.concatenate(self.answer_draw)
-        answer = np.where(
-            answer_draw < np.repeat(self.pos_rate, lengths),
-            1,
-            np.where(answer_draw < np.repeat(self.answer_rate, lengths), 2, 0),
-        )
-        midas = (1 + 3 * user_init + answer).astype(np.int32)
-        return topic, rg, self._user_texts(compliments, complaints), midas
-
-    def _user_texts(self, compliments, complaints) -> list[str]:
-        """Each exchange's filler words, then its planted phrases.
-
-        Planted phrases consume the utterance's word budget rather than
-        extending it, so word counts read verbosity and nothing else.
-        """
-        word_counts = np.concatenate(self.word_counts)
-        comp_flags = np.concatenate(self.comp_flags)
-        compl_flags = np.concatenate(self.compl_flags)
-        comp_pick = np.concatenate(self.comp_pick)
-        compl_pick = np.concatenate(self.compl_pick)
-        planted = comp_flags * np.array([len(p.split()) for p in compliments])[comp_pick]
-        planted += compl_flags * np.array([len(p.split()) for p in complaints])[compl_pick]
-        n_fill = np.maximum(0, word_counts - planted).tolist()
-        starts = (np.cumsum(word_counts) - word_counts).tolist()
-        words = list(map(_FILLER.__getitem__, np.concatenate(self.word_idx).tolist()))
-        texts = [" ".join(words[a : a + k]) for a, k in zip(starts, n_fill)]
-        for j in np.flatnonzero(comp_flags | compl_flags).tolist():
-            tail = []
-            if comp_flags[j]:
-                tail.append(compliments[comp_pick[j]])
-            if compl_flags[j]:
-                tail.append(complaints[compl_pick[j]])
-            texts[j] = " ".join(words[starts[j] : starts[j] + n_fill[j]] + tail)
-        return texts
+    An exchange's budget is 1 + Poisson(lam) words.  Its compliment is
+    planted only where the phrase fits the budget, and its complaint only
+    where it fits what is left; the filler words fill the rest.  So every
+    utterance has exactly its budget of words, and word counts read
+    verbosity and nothing else.
+    """
+    comp_pick = rng["compliment_pick"].integers(0, len(compliments), len(lam))
+    compl_pick = rng["complaint_pick"].integers(0, len(complaints), len(lam))
+    budget = 1 + rng["word_count"].poisson(lam)
+    comp_words = np.array([len(p.split()) for p in compliments])[comp_pick]
+    comp &= comp_words <= budget
+    budget -= comp * comp_words
+    compl_words = np.array([len(p.split()) for p in complaints])[compl_pick]
+    compl &= compl_words <= budget
+    budget -= compl * compl_words
+    words = rng["filler"].integers(0, len(_FILLER), int(budget.sum()))
+    # One token per filler word and planted phrase, then a newline ending
+    # each exchange; token codes index ``vocab``.
+    vocab = [w + " " for w in _FILLER + compliments + complaints] + ["\n"]
+    last = np.cumsum(budget + comp + compl + 1) - 1
+    at_compl = (last - 1)[compl]
+    at_comp = (last - 1 - compl)[comp]
+    tokens = np.empty(last[-1] + 1, dtype=np.intp)
+    tokens[last] = len(vocab) - 1
+    tokens[at_comp] = len(_FILLER) + comp_pick[comp]
+    tokens[at_compl] = len(_FILLER) + len(compliments) + compl_pick[compl]
+    is_word = np.ones(len(tokens), dtype=bool)
+    is_word[last] = is_word[at_comp] = is_word[at_compl] = False
+    tokens[is_word] = words
+    text = "".join(map(vocab.__getitem__, tokens.tolist()))
+    return text.replace(" \n", "\n").split("\n")[:-1]
 
 
 def generate(cfg: GeneratorConfig) -> Corpus:
     """Generate a corpus; same config (seed included) → identical output."""
     _validate(cfg)
-    compliments, complaints = _lexicon_phrases()
-    n_phrases = (len(compliments), len(complaints))
-    topics = [t for t, _ in cfg.topic_appeal]
+    phrases = _lexicon_phrases()
+    topics = [t for t, _ in cfg.topic_appeal] + ["intro"]
     appeal = np.array([w for _, w in cfg.topic_appeal], dtype=float)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_conversations)
-    ratings, lengths, topic, rg, user, midas = [], [], [], [], [], []
-    for first in range(0, cfg.n_conversations, _BLOCK):
-        d = _Draws()
-        for child in children[first : first + _BLOCK]:
-            d.add(np.random.default_rng(child), cfg, n_phrases, appeal)
-        block_topic, block_rg, block_user, block_midas = d.columns(
-            topics, compliments, complaints
-        )
-        topic += block_topic
-        rg += block_rg
-        user += block_user
-        midas.append(block_midas)
-        ratings += d.ratings
-        lengths += d.lengths
-    offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
-    np.cumsum(lengths, out=offsets[1:])
-    system_text = {t: f"let us talk about {t}" for t in set(topic)}
-    width = max(6, len(str(cfg.n_conversations - 1)))
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(_STREAMS))
+    rng = dict(zip(_STREAMS, map(np.random.default_rng, seeds)))
+    n = cfg.n_conversations
+    lengths, ratings, topic, rg, midas, user = zip(
+        *(_block(rng, cfg, min(_BLOCK, n - i), appeal, phrases) for i in range(0, n, _BLOCK))
+    )
+    topic = np.concatenate(topic).tolist()
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.concatenate(lengths), out=offsets[1:])
+    system = [f"let us talk about {t}" for t in topics]
+    width = max(6, len(str(n - 1)))
     return Corpus._from_columns(
-        ids=[f"syn-{i:0{width}d}" for i in range(cfg.n_conversations)],
-        ratings=ratings,
+        ids=[f"syn-{i:0{width}d}" for i in range(n)],
+        ratings=np.concatenate(ratings).tolist(),
         offsets=offsets,
-        topic=topic,
-        rg=rg,
-        user=user,
-        system=list(map(system_text.__getitem__, topic)),
+        topic=list(map(topics.__getitem__, topic)),
+        rg=list(map((_RG_CHOICES + ("intro",)).__getitem__, np.concatenate(rg).tolist())),
+        user=[text for block in user for text in block],
+        system=list(map(system.__getitem__, topic)),
         midas=np.concatenate(midas),
         sda=np.zeros(len(topic), dtype=np.int32),
         tagsets=((),) + tuple(tuple(sorted(s)) for s in _MIDAS_SETS),

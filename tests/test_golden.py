@@ -2,30 +2,27 @@
 from it.
 
 A change to the generator's draw order, to the tag-set encoding or to the
-JSONL byte format changes one of these digests.  The digests were taken
-from the object-per-exchange implementation the columnar corpus replaced,
-so they also pin that the two write the same bytes.
+JSONL byte format changes one of these digests.
 
 The model digests pin the saved JSON of a seeded forest, SVR and MLP
-fitted on the dependent matrix.  The forest and MLP digests were taken
-from the solvers before the forest presorted its columns and Adam ran on
-flat buffers, so they also pin that those rewrites fit the same models
-bit for bit.  The SVR digest was re-taken when SMO's kernel rows moved
-to the squared-norm expansion, which changes the fitted weights at the
-rounding level.
+fitted on the dependent matrix.  The grid digest pins the report CSV of
+the benchmark's 12 ridge cells ({independent, dependent} x {full, prefix
+10, prefix 15} x {rating, length}) run over the tagged corpus split with
+seed 0.  The plot digests pin the length and rating histograms that
+``convperf plot`` writes for the raw corpus, CSV and SVG.
 
-The grid digest pins the report CSV of the benchmark's 12 ridge cells
-({independent, dependent} x {full, prefix 10, prefix 15} x {rating,
-length}) run over the tagged corpus split with seed 0.  It was taken
-while ``run_grid`` still encoded one feature table per split and rebuilt
-every split matrix for every cell, so it also pins that encoding the
-split corpus once and sharing one matrix per window reports the same
-bytes.
-
-The plot digests pin the length and rating histograms that ``convperf
-plot`` writes for the raw corpus, CSV and SVG.  They were taken while
-the histograms still counted over per-conversation views, so they also
-pin that counting over the corpus columns writes the same bytes.
+Every digest was re-taken once, when the generator moved from one random
+generator per conversation to one stream per kind of draw, drawn a block
+at a time, and began planting a phrase only where it fits its utterance's
+word budget.  That changed every corpus byte and so everything derived
+from the corpus.  Before that, the same tests held unchanged across
+rewrites meant to keep their outputs bit for bit: the columnar corpus
+against the object-per-exchange one, the forest's presorted columns and
+Adam's flat buffers, ``run_grid`` encoding the split corpus once and
+sharing one matrix per window, and histograms counted over corpus columns
+instead of per-conversation views.  The SVR digest alone was re-taken
+earlier, when SMO's kernel rows moved to the squared-norm expansion,
+which changes the fitted weights at the rounding level.
 """
 
 import hashlib
@@ -51,20 +48,20 @@ from convperf.regressors import (
 from convperf.synth import GeneratorConfig, generate
 from convperf.tagging import default_config, tag_corpus
 
-RAW_SHA256 = "36814c2c61b7d4bc71e63f0b2e22d6b12e9e4f3104611cc64101bb1aceb89f24"
-TAGGED_SHA256 = "5a3d7a11b34043be267d03cba3647d077a048c223bd61109965047ff40a2a3c7"
-MATRIX_SHA256 = "20fe2af8ac98845ad5175856cfd14c23c0e702cba27ab32348a639a37cfd21a3"
-REPORTS_SHA256 = "0bd89f6febb18cd6d04d91c3f55e6ca8ff7c542acd351556350e05ceb37059fb"
+RAW_SHA256 = "12ca171457638d5dd170f5f3e459d9657c8819a55c11fd5e48c2ee33f9c88f82"
+TAGGED_SHA256 = "34dfac693afc70a150f3c0f164ce81735d06cde31cfa44be44956637de9529be"
+MATRIX_SHA256 = "677acb79d43e2994ce5b5a401df2642f45cb546ea742f53bb40918728d5b2321"
+REPORTS_SHA256 = "eac6f24edf3d0036d112f916a185087524e09e267fc100267ec6fa640bdb8d4a"
 MODEL_SHA256 = {
-    "forest": "c435b899eee6ef1a841d18197fbe3e38cbf529c4e4c737e427ffec31d7f78ccf",
-    "mlp": "f3ee864ce9504597a8c8676053819fc0f9d14886a061419b3f57982d7680b280",
-    "svr": "52a93723c5e3ec50691aa2e5607cec558ff1cd4de14490d80fce50290b7a2b70",
+    "forest": "3a109d57af6e065d225fd41170b4ca4fca2156e7d3196de8496654ceed781858",
+    "mlp": "2346301cf13a9f9252f57f546bfad3fda7b9626e02123eb01aef2f36f12b2be2",
+    "svr": "c7ed8fdaae40c89fe2d22216ee4324fe1d6b4dbf142ce31bcd84b290352ad58b",
 }
 PLOT_SHA256 = {
-    "length_hist.csv": "82a6424d8322836d0dbbb4bb05241d0635f3b1178e783ffbd9af4fb3898a15fc",
-    "length_hist.svg": "0168fa00297466608c9afbbb187b11bd5fecb220d0fe3e4ee57afa4401160b7d",
-    "rating_hist.csv": "ef1c88db3c93c431a04cb41441df7a8ba006fdddd7a4805c8437e11c91c9bcc2",
-    "rating_hist.svg": "a07d5b9a978e59a32146e17f44de956f6fa01e1213581e4804ed9bbe06fc3998",
+    "length_hist.csv": "1d959063616dba171169d925f16f8ef55f8b4f9e31e5cdcafd2e8c5fcd85996f",
+    "length_hist.svg": "72f6f2d3aba407b6cf62765b56c4b973605bbd81299cf0e67b02bdf0155d96e8",
+    "rating_hist.csv": "ff1e11b760337c1cdfdab0e63fab52aa48b0f68c70e47f5feab750bb0a7ed35f",
+    "rating_hist.svg": "1df55f433ba6d9ed11e9c9f5cdc79a57b880c90e49b814018065c7c50c642ced",
 }
 
 

@@ -1,19 +1,22 @@
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import convperf.corpus as cz
 import convperf.features as ft
+import convperf.synth as sy
 import convperf.tagging as tg
 from convperf.metrics import pearson, r_squared
 from convperf.regressors import fit_forest, fit_linear
 from convperf.synth import (
     GeneratorConfig,
     GeneratorError,
+    _RG_CDF,
     _cdf,
-    _draw,
+    _pick,
     attainable_correlation,
     deterministic_length_config,
     engagement_sd,
@@ -152,6 +155,15 @@ def test_infeasible_target_correlation_rejected():
             dict(n_conversations=5, topic_appeal=(("movies", 0.0),)),
             "appeal",
         ),
+        (
+            dict(n_conversations=5, topic_appeal=(("movies", math.inf),)),
+            "appeal",
+        ),
+        (dict(n_conversations=5, topic_concentration=0.0), "topic_concentration"),
+        (dict(n_conversations=5, topic_concentration=-1.0), "topic_concentration"),
+        (dict(n_conversations=5, length_log_base=math.nan), "length_log_base"),
+        (dict(n_conversations=5, rating_base=math.nan), "rating_base"),
+        (dict(n_conversations=5, verbosity_base=math.inf), "verbosity_base"),
     ],
 )
 def test_config_validation(kw, msg):
@@ -212,20 +224,47 @@ def test_word_budget_leaves_verbosity_clean():
     assert r_comp > 0.5
 
 
+def jsonl_lines(n, seed):
+    buf = io.StringIO()
+    cz.write_corpus_jsonl(generate(GeneratorConfig(n_conversations=n, seed=seed)), buf)
+    return buf.getvalue().splitlines()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n1=st.integers(1, 1500),
+    extra=st.integers(1, 1500),
+)
+@example(seed=0, n1=1700, extra=800)
+@example(seed=3, n1=999, extra=2)
+@settings(max_examples=15, deadline=None)
+def test_corpus_is_prefix_of_larger_corpus(seed, n1, extra):
+    # conversation i draws the i-th values of every stream, whatever n is
+    assert jsonl_lines(n1 + extra, seed)[:n1] == jsonl_lines(n1, seed)
+
+
+def test_block_size_changes_no_byte(monkeypatch):
+    before = jsonl_lines(300, 6)
+    monkeypatch.setattr(sy, "_BLOCK", 7)
+    assert jsonl_lines(300, 6) == before
+
+
 @given(
     k=st.integers(2, 20),
     alpha=st.floats(0.05, 5.0),
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(0, 300),
+    rows=st.integers(1, 30),
+    m=st.integers(1, 300),
 )
 @settings(max_examples=100, deadline=None)
-def test_cdf_draw_is_generator_choice(k, alpha, seed, n):
-    p = np.random.default_rng(seed).dirichlet(np.full(k, alpha))
-    cdf = _cdf(p)
-    assert cdf[-1] == 1.0
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = _draw(ours, cdf, n)
-    expected = theirs.choice(k, size=n, p=p)
-    assert drawn.dtype == expected.dtype
-    assert np.array_equal(drawn, expected)
-    assert ours.bit_generator.state == theirs.bit_generator.state
+def test_block_topic_draw_is_searchsorted(k, alpha, seed, rows, m):
+    rng = np.random.default_rng(seed)
+    cdf = _cdf(rng.dirichlet(np.full(k, alpha), rows))
+    assert np.all(cdf[:, -1] == 1.0)
+    conv = rng.integers(0, rows, m)
+    u = rng.random(m)
+    u[0] = cdf[conv[0], rng.integers(0, k - 1)]  # a uniform on a CDF entry
+    drawn = _pick(cdf[conv], u)
+    expected = [np.searchsorted(cdf[c], x, side="right") for c, x in zip(conv, u)]
+    assert drawn.tolist() == expected
+    assert _pick(_RG_CDF, u).tolist() == np.searchsorted(_RG_CDF, u, side="right").tolist()
