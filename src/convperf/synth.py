@@ -14,7 +14,7 @@ Randomness: one root seed spawns one stream per kind of draw
 (:data:`_STREAMS`), and each stream is drawn a block of conversations at a
 time.  Conversation i takes the i-th values of every stream whatever the
 corpus or block size, so a corpus is a prefix of every larger corpus with
-the same seed.
+the same seed (ids gain a digit past a million conversations).
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 _RG_CDF = _cdf(_RG_PROBS)
+_RG_NAMES = _RG_CHOICES + ("intro",)
 
 # Filler vocabulary, disjoint from every word used by the shipped
 # lexicon phrases so no accidental tag can form.
@@ -216,12 +217,12 @@ _MIDAS_SETS = tuple(
 )
 
 
-def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, phrases):
+def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, topics, phrases):
     """Draw the next ``n`` conversations from the streams ``rng``.
 
-    Returns their lengths and ratings, and per exchange the topic and rg
-    indices (intro is one past the last name), the midas code (an index
-    into ``((),) + _MIDAS_SETS``) and the user text.
+    Returns lists of their lengths and ratings and of each exchange's
+    topic, rg and user text, then the exchanges' midas codes (indices into
+    ``((),) + _MIDAS_SETS``).
     """
     e = rng["engagement"].beta(cfg.engagement_alpha, cfg.engagement_beta, n)
     short = rng["short_flag"].random(n) < cfg.short_mass
@@ -229,6 +230,9 @@ def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, phrases):
     log_len = rng["body_length"].normal(
         cfg.length_log_base + cfg.length_log_gain * e, cfg.length_log_noise
     )
+    # Capping the exponent first leaves every length as it was and keeps
+    # exp from overflowing; anything above the cap clips to length_max.
+    log_len = np.minimum(log_len, math.log(cfg.length_max + 1))
     body = np.clip(np.floor(np.exp(log_len) + 0.5), _BODY_MIN, cfg.length_max)
     lengths = np.where(short, short_len, body).astype(np.intp)
     r_cont = rng["rating"].normal(cfg.rating_base + cfg.rating_gain * e, cfg.rating_noise)
@@ -240,8 +244,7 @@ def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, phrases):
     first = np.cumsum(lengths) - lengths
     topic = _pick(_cdf(interest)[conv], u[:, 0])
     rg = _pick(_RG_CDF, u[:, 1])
-    topic[first] = len(appeal)
-    rg[first] = len(_RG_CHOICES)
+    topic[first] = rg[first] = -1  # the intro
 
     def rate(base, gain, x):
         return np.clip(base + gain * x, 0.0, 1.0)[conv]
@@ -254,8 +257,14 @@ def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, phrases):
     comp = u[:, 4] < rate(cfg.compliment_base, cfg.compliment_gain, e)
     compl = u[:, 5] < rate(cfg.complaint_base, cfg.complaint_gain, 1.0 - e)
     lam = (cfg.verbosity_base + cfg.verbosity_gain * e)[conv]
-    user = _user_texts(rng, lam, comp, compl, *phrases)
-    return lengths, ratings, topic, rg, midas, user
+    return (
+        lengths.tolist(),
+        ratings.tolist(),
+        list(map(topics.__getitem__, topic.tolist())),
+        list(map(_RG_NAMES.__getitem__, rg.tolist())),
+        _user_texts(rng, lam, comp, compl, *phrases),
+        midas,
+    )
 
 
 def _user_texts(rng: dict, lam, comp, compl, compliments, complaints) -> list[str]:
@@ -303,21 +312,23 @@ def generate(cfg: GeneratorConfig) -> Corpus:
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(_STREAMS))
     rng = dict(zip(_STREAMS, map(np.random.default_rng, seeds)))
     n = cfg.n_conversations
-    lengths, ratings, topic, rg, midas, user = zip(
-        *(_block(rng, cfg, min(_BLOCK, n - i), appeal, phrases) for i in range(0, n, _BLOCK))
-    )
-    topic = np.concatenate(topic).tolist()
+    lengths, ratings, topic, rg, user, midas = [], [], [], [], [], []
+    for i in range(0, n, _BLOCK):
+        *parts, block_midas = _block(rng, cfg, min(_BLOCK, n - i), appeal, topics, phrases)
+        for column, part in zip((lengths, ratings, topic, rg, user), parts):
+            column += part
+        midas.append(block_midas)
     offsets = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.concatenate(lengths), out=offsets[1:])
-    system = [f"let us talk about {t}" for t in topics]
+    np.cumsum(lengths, out=offsets[1:])
+    system = {t: f"let us talk about {t}" for t in topics}
     width = max(6, len(str(n - 1)))
     return Corpus._from_columns(
         ids=[f"syn-{i:0{width}d}" for i in range(n)],
-        ratings=np.concatenate(ratings).tolist(),
+        ratings=ratings,
         offsets=offsets,
-        topic=list(map(topics.__getitem__, topic)),
-        rg=list(map((_RG_CHOICES + ("intro",)).__getitem__, np.concatenate(rg).tolist())),
-        user=[text for block in user for text in block],
+        topic=topic,
+        rg=rg,
+        user=user,
         system=list(map(system.__getitem__, topic)),
         midas=np.concatenate(midas),
         sda=np.zeros(len(topic), dtype=np.int32),

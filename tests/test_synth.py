@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,14 @@ def test_infeasible_target_correlation_rejected():
 def test_config_validation(kw, msg):
     with pytest.raises(GeneratorError, match=msg):
         generate(GeneratorConfig(**kw))
+
+
+def test_huge_log_length_clips_to_length_max():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp must not overflow
+        corp = generate(GeneratorConfig(n_conversations=20, short_mass=0.0,
+                                        length_log_base=1000.0))
+    assert corp.lengths().tolist() == [200] * 20
 
 
 def test_rating_predictability_tracks_noise():
