@@ -29,6 +29,7 @@ from .tagging import default_config
 
 _SHORT_MAX = 4  # accidental-invocation lengths are 1.._SHORT_MAX
 _BODY_MIN = 5
+_VERBOSITY_MAX = 100.0  # cap on the Poisson word-count rate, reached at full engagement
 
 DEFAULT_TOPIC_APPEAL = (
     ("movies", 2.2),
@@ -170,6 +171,11 @@ def _validate(cfg: GeneratorConfig) -> None:
     for name in ("length_log_noise", "rating_noise", "verbosity_base", "verbosity_gain"):
         if getattr(cfg, name) < 0.0:
             raise GeneratorError(f"{name} must be >= 0")
+    if cfg.verbosity_base + cfg.verbosity_gain > _VERBOSITY_MAX:
+        raise GeneratorError(
+            f"verbosity_base + verbosity_gain must be <= {_VERBOSITY_MAX:g}, got "
+            f"{cfg.verbosity_base:g} + {cfg.verbosity_gain:g}"
+        )
     if cfg.engagement_alpha <= 0 or cfg.engagement_beta <= 0:
         raise GeneratorError("engagement shape parameters must be positive")
     if cfg.length_max < _BODY_MIN:

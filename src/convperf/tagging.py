@@ -4,8 +4,16 @@ SDAs label user behaviors that proxy satisfaction or dissatisfaction:
 compliments, complaints, abuse, repeat requests, out-of-skill requests
 (dev commands), and prohibited ("red") topics.  Tags are assigned by
 phrase lexicons, which are data, not code: a lexicon directory holds one
-file per label, one lowercase pattern per line; blank lines and lines
-starting with ``#`` are skipped.
+file per label, one pattern per line; blank lines and lines starting with
+``#`` are skipped.
+
+Patterns and texts meet in one normal form: lowercase, single spaces
+between words, none around them.  Loading a pattern normalizes it, and a
+``Lexicon`` accepts no other form.  In the default ``word_boundary`` mode
+a lexicon matches a text when one of its patterns occurs literally
+(``str.find``) in the normalized text with no word character right
+before or after it.  With both sides normalized, a space in a pattern can
+only meet the one space between two words, so this literal search is exact.
 
 MIDAS dialogue-act tags are deliberately never synthesized here; they
 come from ingested logs only, since producing them requires the host
@@ -45,34 +53,14 @@ class Lexicon:
         if not self.patterns:
             raise ValueError(f"lexicon {self.label!r} has no patterns")
         for p in self.patterns:
-            if not p or p != p.strip() or p != p.lower():
+            if not p or p != _normalize(p):
                 raise ValueError(
-                    f"lexicon {self.label!r}: patterns must be lowercase with no "
-                    f"surrounding whitespace, got {p!r}"
+                    f"lexicon {self.label!r}: patterns must be lowercase with single "
+                    f"spaces between words and none around them, got {p!r}"
                 )
 
 
-def _compile(lex: Lexicon) -> re.Pattern:
-    # Word-boundary containment: pattern words appear as a contiguous run.
-    # Plain \b misbehaves next to non-word characters ("a.i."), so use
-    # explicit non-word lookarounds and flexible inner whitespace.  The
-    # lookbehind is checked by _search, not compiled in: a pattern that
-    # starts with literals lets the regex engine skip ahead to them.
-    alts = "|".join(re.escape(p).replace(r"\ ", r"\s+") for p in lex.patterns)
-    return re.compile(rf"(?:{alts})(?!\w)")
-
-
 _WORD = re.compile(r"\w")
-
-
-def _search(rx: re.Pattern, text: str, pos: int = 0) -> re.Match | None:
-    """First match of ``rx`` at or after ``pos`` that no word character precedes."""
-    while (m := rx.search(text, pos)) is not None:
-        start = m.start()
-        if not (start and _WORD.match(text, start - 1)):
-            return m
-        pos = start + 1
-    return None
 
 
 class TaggerConfig:
@@ -86,7 +74,6 @@ class TaggerConfig:
             raise ValueError("lexicon labels must be unique")
         self.lexicons = tuple(lexicons)
         self.match_mode = match_mode
-        self._regexes = {l.label: _compile(l) for l in lexicons}
         self._exact = {l.label: frozenset(l.patterns) for l in lexicons}
         self._separator = _separator(lexicons)
 
@@ -97,7 +84,7 @@ class TaggerConfig:
 def load_lexicon_file(path: Path, label: str | None = None) -> Lexicon:
     patterns = []
     for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip().lower()
+        line = _normalize(line)
         if line and not line.startswith("#"):
             patterns.append(line)
     return Lexicon(label=label or path.stem, patterns=tuple(patterns))
@@ -137,33 +124,37 @@ def _separator(lexicons) -> str:
 
 
 def _hits(texts: list[str], cfg: TaggerConfig) -> dict[str, np.ndarray]:
-    """Per label, the positions of the texts its lexicon matches once each
-    text is normalized: the whole text (``WHOLE_UTTERANCE``) or a run of
-    its words (``WORD_BOUNDARY``)."""
+    """Per label, the ascending positions of the texts its lexicon matches
+    once each text is normalized: the whole text (``WHOLE_UTTERANCE``) or a
+    run of its words (``WORD_BOUNDARY``, a literal search; see above).
+
+    The run search scans all texts joined by the separator and resumes one
+    character past each occurrence, so overlapping ones are all seen ("a a"
+    in "xa a a").  No pattern holds the separator, so no occurrence spans
+    two texts, and the boundary test sees it as a text's edge.  Starts map
+    to texts by their end offsets, not by counting separators: a text may
+    itself hold the separator character."""
     norms = [_normalize(t) for t in texts]
     if cfg.match_mode == WHOLE_UTTERANCE:
         return {
             label: np.array([i for i, t in enumerate(norms) if t in pats], dtype=np.intp)
             for label, pats in cfg._exact.items()
         }
-    # One search over all texts joined by the separator finds, per text,
-    # what searching that text alone finds: no match can span two texts,
-    # and the lookarounds see the separator as a text's start or end.
     joined = cfg._separator.join(norms)
     ends = np.cumsum([len(t) + 1 for t in norms], dtype=np.intp)
+    find, word = joined.find, _WORD.match
     hits = {}
-    for label, rx in cfg._regexes.items():
+    for lex in cfg.lexicons:
         starts = []
-        m = _search(rx, joined)
-        while m is not None:
-            starts.append(m.start())
-            m = _search(rx, joined, m.end())
-        at = np.searchsorted(ends, np.array(starts, dtype=np.intp), side="right")
-        # ``at`` ascends with the starts: keep the first of each run of equals
-        # (``np.unique`` would sort it again, and imports ``numpy.ma``).
-        first = np.ones(len(at), dtype=bool)
-        first[1:] = at[1:] != at[:-1]
-        hits[label] = at[first]
+        for p in lex.patterns:
+            i = find(p)
+            while i >= 0:
+                if not (i and word(joined, i - 1) or word(joined, i + len(p))):
+                    starts.append(i)
+                i = find(p, i + 1)
+        hit = np.zeros(len(norms), dtype=bool)
+        hit[np.searchsorted(ends, np.array(starts, dtype=np.intp), side="right")] = True
+        hits[lex.label] = np.flatnonzero(hit)
     return hits
 
 

@@ -165,6 +165,9 @@ def test_infeasible_target_correlation_rejected():
         (dict(n_conversations=5, length_log_base=math.nan), "length_log_base"),
         (dict(n_conversations=5, rating_base=math.nan), "rating_base"),
         (dict(n_conversations=5, verbosity_base=math.inf), "verbosity_base"),
+        (dict(n_conversations=5, verbosity_base=1e20), "verbosity_base"),
+        (dict(n_conversations=5, verbosity_gain=1e20), "verbosity_gain"),
+        (dict(n_conversations=5, verbosity_base=60.0, verbosity_gain=41.0), "<= 100"),
     ],
 )
 def test_config_validation(kw, msg):

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from convperf.corpus import Corpus
 from convperf.tagging import (
@@ -124,7 +124,12 @@ def test_empty_lexicons_union_keeps_tags():
 
 
 _PIECES = ["that's so cool", "i don't care", "a.i.", "x", "é", " ", "\t", "\n",
-           "\x00", "\x1c", "THAT'S", "so", "cool", "care", "_", "-", "İ", "ς"]
+           "\x00", "\x1c", "THAT'S", "so", "cool", "care", "_", "-", "İ", "ς",
+           "a", "A", ".", "Σ"]
+# Pattern words: self-overlapping ("aa", and "a a" once joined), sharing a
+# prefix ("so", "so cool"), starting or ending with a non-word character.
+_WORDS = ["a", "aa", "so", "cool", "a.i.", ".x", "x.", "x", "i", "ς", "σ", "é", "_"]
+_SHIPPED = [p for lex in CFG.lexicons for p in lex.patterns]
 
 
 def _reference_labels(text: str, cfg: TaggerConfig) -> set[str]:
@@ -139,14 +144,35 @@ def _reference_labels(text: str, cfg: TaggerConfig) -> set[str]:
     return labels
 
 
-@given(st.lists(st.lists(st.sampled_from(_PIECES), max_size=8).map("".join),
-                min_size=1, max_size=12))
-@settings(max_examples=80, deadline=None)
-def test_batched_corpus_tagging_matches_tagging_each_text(texts):
-    tagged = tag_corpus(one_conversation(texts), CFG, overwrite=True)
+@st.composite
+def lexicons_and_texts(draw):
+    """Pattern lists, one per lexicon, and texts built from pieces that
+    include those patterns."""
+    words = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+    pattern = st.one_of(st.sampled_from(_SHIPPED), words)
+    lexicons = draw(st.lists(st.lists(pattern, min_size=1, max_size=4, unique=True),
+                             min_size=1, max_size=3))
+    own = [w for pats in lexicons for p in pats for w in {p, *p.split()}]
+    pieces = st.one_of(st.sampled_from(sorted(own)), st.sampled_from(_PIECES))
+    texts = draw(st.lists(st.lists(pieces, max_size=8).map("".join),
+                          min_size=1, max_size=12))
+    return lexicons, texts
+
+
+@given(lexicons_and_texts())
+# An occurrence inside a word overlaps one that stands alone.
+@example(([["a a"]], ["xa a a", "a a"]))
+@example(([["so"], ["so cool", "a.i."]], ["soso cool", "so cool.", "xa.i."]))
+@example(([[".x"], ["x."]], ["a.x", ".xa", "x.a", "ax.", ".x", "x."]))
+@example(([_SHIPPED], ["that's so cool\x00i don't care", "İ ς"]))
+@settings(max_examples=150, deadline=None)
+def test_batched_corpus_tagging_matches_tagging_each_text(case):
+    patterns, texts = case
+    cfg = TaggerConfig([Lexicon(f"l{k}", tuple(p)) for k, p in enumerate(patterns)])
+    tagged = tag_corpus(one_conversation(texts), cfg, overwrite=True)
     for tags, text in zip(sda_sets(tagged), texts, strict=True):
-        assert tags == _reference_labels(text, CFG)
-        assert tag_utterance(text, CFG) == tags
+        assert tags == _reference_labels(text, cfg)
+        assert tag_utterance(text, cfg) == tags
 
 
 def test_phrase_split_across_exchanges_is_not_tagged():
@@ -174,6 +200,12 @@ def test_lexicon_validation():
         Lexicon("x", ("Nice",))
     with pytest.raises(ValueError, match="lowercase"):
         Lexicon("x", (" padded ",))
+    # Only normalized patterns, which can meet normalized text: one space
+    # between words, no other whitespace.  The error names both.
+    for bad in ("shut  up", "a\tb", "a\nb", "\x1c", ""):
+        with pytest.raises(ValueError, match=rf"lexicon 'x'.*{re.escape(repr(bad))}"):
+            Lexicon("x", ("ok", bad))
+    assert Lexicon("x", ("shut up", "a.i.", "ς")).patterns == ("shut up", "a.i.", "ς")
 
 
 def test_tagger_config_validation():
@@ -185,12 +217,13 @@ def test_tagger_config_validation():
 
 
 def test_load_lexicon_dir(tmp_path):
-    (tmp_path / "sda_abuse.txt").write_text("Shut Up\n\n# comment\ngo away\n")
+    (tmp_path / "sda_abuse.txt").write_text("Shut  Up\n\n# comment\n\tgo\t away \n")
     (tmp_path / "sda_repeat.txt").write_text("say that again\n")
     (tmp_path / "notes.md").write_text("ignored")
     cfg = load_lexicon_dir(tmp_path)
     assert set(cfg.labels()) == {"sda_abuse", "sda_repeat"}
     assert tag_utterance("oh SHUT UP now", cfg) == {"sda_abuse"}
+    assert tag_utterance("go  away", cfg) == {"sda_abuse"}
 
     lex = load_lexicon_file(tmp_path / "sda_abuse.txt")
     assert lex.label == "sda_abuse"
