@@ -5,8 +5,10 @@ Stages communicate through files (corpus JSONL, feature CSV, model
 JSON, report CSV) so expensive steps can be reused across runs.
 ``featurize`` also writes ``<features>.json``, a sidecar naming the
 feature set and prefix window; ``evaluate`` and ``ablate`` label their
-reports from it.  ``train``, ``evaluate`` and ``ablate`` fit and score
-through :func:`convperf.experiment.fit_and_report` and
+reports from it.  ``train``, ``evaluate`` and ``ablate`` describe each
+fit as a :class:`convperf.experiment.GridCell` (``ablate``'s second
+cell names the dropped columns) and fit and score it through
+:func:`convperf.experiment.fit_and_report` and
 :func:`convperf.experiment.evaluate_model`, the path grid runs use.
 
 This module imports only :mod:`convperf.corpus`; each command imports
@@ -409,7 +411,10 @@ def _load_feature_splits(path: str):
 
     _require_file(path, "feature CSV")
     with open(path, encoding="utf-8", newline="") as fh:
-        ids, names, X, ratings, lengths, splits = read_feature_csv(fh)
+        try:
+            ids, names, X, ratings, lengths, splits = read_feature_csv(fh)
+        except ValueError as e:
+            raise CliError(f"{path}: {e}") from None
     rows = {s: [] for s in SPLIT_NAMES}
     for i, s in enumerate(splits):
         if s not in rows:
@@ -426,13 +431,13 @@ def _load_feature_splits(path: str):
     }
 
 
-def _fit(cfg: RunConfig, names, splits, label, feature_set, prefix_k, drop=()):
-    from .experiment import fit_and_report
+def _fit(cfg: RunConfig, names, splits, feature_set, prefix_k, name=None, drop=()):
+    from .experiment import GridCell, fit_and_report
     from .regressors import TARGET_NAMES, ModelSpec
 
     spec = ModelSpec(cfg.family, cfg.hyperparameters, seed=cfg.seed)
-    return fit_and_report(spec, names, splits, TARGET_NAMES[cfg.target], label,
-                          feature_set, prefix_k, drop, cfg.seed)
+    cell = GridCell(spec, feature_set, TARGET_NAMES[cfg.target], prefix_k, name, drop)
+    return fit_and_report(cell, names, splits, cfg.seed)
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
@@ -440,7 +445,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
     names, splits = _load_feature_splits(args.features)
     # The test report is not written, so it needs no feature-set labels.
-    model, _ = _fit(cfg, names, splits, cfg.family, None, None)
+    model = _fit(cfg, names, splits, None, None).model
     save_model(model, args.model_out)
     print(
         f"trained {cfg.family} on {len(splits['train'].ids)} rows "
@@ -450,7 +455,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
-    from .experiment import evaluate_model, format_report_table, write_reports_csv
+    from .experiment import GridCell, evaluate_model, format_report_table, write_reports_csv
     from .regressors import load_model
 
     names, splits = _load_feature_splits(args.features)
@@ -462,9 +467,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
             f"model {args.model} was trained on a different feature schema "
             f"than {args.features}"
         )
-    report = evaluate_model(
-        model, splits["test"], model.spec.family, feature_set, prefix_k
-    )
+    cell = GridCell(model.spec, feature_set, model.target, prefix_k)
+    report = evaluate_model(model, splits["test"], cell)
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8", newline="") as fh:
             write_reports_csv(fh, [report], config_hash(cfg, args.command))
@@ -482,8 +486,8 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     if unknown:  # before the base fit, which may fail for its own reasons
         raise CliError(f"unknown feature names: {', '.join(unknown)}")
     reports = [
-        _fit(cfg, names, splits, label, feature_set, prefix_k, dropped)[1]
-        for label, dropped in ((cfg.family, ()), (f"{cfg.family}-ablated", drop))
+        _fit(cfg, names, splits, feature_set, prefix_k, name, dropped).report
+        for name, dropped in ((None, ()), (f"{cfg.family}-ablated", drop))
     ]
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8", newline="") as fh:

@@ -1,10 +1,13 @@
-"""Experiment harness: grid runs, metric correlations, ablation, tree export.
+"""Experiment harness: grid runs, metric correlations, tree export.
 
-A grid cell pairs a model spec with a feature set, a target, and an
-optional prefix window.  Grid cells, ablations and the CLI's
-train/evaluate/ablate commands share one path, :func:`fit_and_report`:
-train on the train split with a train-fitted standardizer, use the dev
-split only for MLP early stopping, and report test-split metrics.
+A :class:`GridCell` describes one fit: a model spec, a feature set, a
+target, an optional prefix window, and the feature columns to drop.  An
+ablation is a cell with a non-empty ``drop``, so base and ablated cells
+run side by side in one :func:`run_grid` call.  Grid cells and the
+CLI's train/evaluate/ablate commands share one path,
+:func:`fit_and_report`: train on the train split with a train-fitted
+standardizer, use the dev split only for MLP early stopping, and report
+test-split metrics.
 Reports serialize to CSV (byte-stable via repr floats) and to aligned
 text tables where r gets a "**" mark at p <= .01; constant predictions
 leave r undefined.
@@ -63,11 +66,15 @@ METRIC_PAIRS = (
 
 @dataclass(frozen=True)
 class GridCell:
+    """One fit.  A target given by kind name has its median fitted on
+    train; ``drop`` names feature columns removed before the fit."""
+
     spec: ModelSpec
     feature_set: str
-    target: TargetKind
+    target: TargetKind | str
     prefix_k: int | None = None
     name: str | None = None
+    drop: tuple[str, ...] = ()
 
     @property
     def label(self) -> str:
@@ -96,8 +103,7 @@ class SplitRows(NamedTuple):
     lengths: list  # capped lengths
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     report: EvalReport
     model: TrainedModel
 
@@ -114,12 +120,6 @@ class CorrelationReport:
             if {m1, m2} == {a, b}:
                 return r, p
         raise KeyError(f"no correlation entry for ({a}, {b})")
-
-
-@dataclass(frozen=True)
-class AblationResult:
-    ablated: tuple[str, ...]
-    report: EvalReport
 
 
 # Fit keywords spelled differently as spec keys (``lambda`` is a Python
@@ -167,28 +167,19 @@ def fit_spec(spec: ModelSpec, X, y, dev=None, fallback_seed: int = 0) -> Trained
 
 
 def fit_and_report(
-    spec: ModelSpec,
-    names,
-    splits: dict[str, SplitRows],
-    target: TargetKind | str,
-    label: str,
-    feature_set: str,
-    prefix_k: int | None,
-    drop: tuple[str, ...] = (),
-    seed: int = 0,
-) -> tuple[TrainedModel, EvalReport]:
-    """Fit one model on the train split and report it on the test split.
+    cell: GridCell, names, splits: dict[str, SplitRows], seed: int = 0
+) -> CellResult:
+    """Fit one cell on the train split and report it on the test split.
 
     ``splits`` maps train/dev/test to raw rows whose columns follow
-    ``names``.  Dropped columns go first; the standardizer, and the
-    median of a median-split target given by kind name, are fitted on
-    train; dev reaches only the MLP's early stopping.  ``label``,
-    ``feature_set`` and ``prefix_k`` are provenance for the report.
+    ``names``.  The cell's dropped columns go first; the standardizer,
+    and the median of a median-split target given by kind name, are
+    fitted on train; dev reaches only the MLP's early stopping.
     """
-    unknown = [d for d in drop if d not in names]
+    unknown = [d for d in cell.drop if d not in names]
     if unknown:
         raise ValueError(f"unknown feature names: {', '.join(unknown)}")
-    keep = [i for i, n in enumerate(names) if n not in drop]
+    keep = [i for i, n in enumerate(names) if n not in cell.drop]
     names = tuple(names[i] for i in keep)
     for split in ("train", "test"):  # before a fit that may take long
         if not splits[split].ids:
@@ -198,36 +189,33 @@ def fit_and_report(
     # a C-ordered matrix is used as it is, not copied.
     splits = {
         k: s._replace(
-            X=s.X.take(keep, axis=1) if drop else np.ascontiguousarray(s.X)
+            X=s.X.take(keep, axis=1) if cell.drop else np.ascontiguousarray(s.X)
         )
         for k, s in splits.items()
     }
     train, dev = splits["train"], splits["dev"]
     std = Standardizer.fit(train.X, names)
+    target = cell.target
     if isinstance(target, str):
         target = fit_target(target, train.lengths)
     dev_pair = None
-    if dev.ids and spec.family == MLP:
+    if dev.ids and cell.spec.family == MLP:
         dev_pair = (std.transform(dev.X), _targets(target, dev))
     model = fit_spec(
-        spec, std.transform(train.X), _targets(target, train), dev_pair, seed
+        cell.spec, std.transform(train.X), _targets(target, train), dev_pair, seed
     )
     model = model.bind(target=target, feature_names=names, standardizer=std)
-    return model, evaluate_model(model, splits["test"], label, feature_set, prefix_k)
+    return CellResult(evaluate_model(model, splits["test"], cell), model)
 
 
 def _targets(target: TargetKind, rows: SplitRows) -> np.ndarray:
     return targets_from_values(target, rows.ratings, rows.lengths, ids=rows.ids)
 
 
-def evaluate_model(
-    model: TrainedModel,
-    test: SplitRows,
-    label: str,
-    feature_set: str,
-    prefix_k: int | None,
-) -> EvalReport:
+def evaluate_model(model: TrainedModel, test: SplitRows, cell: GridCell) -> EvalReport:
     """Test-split metrics for a bound model with its standardizer.
+
+    The report's label, feature set and prefix window come from ``cell``.
 
     A model that predicts one constant value has no correlation with
     the truth; its report carries None for ``pearson_r`` and ``p_value``.
@@ -246,10 +234,10 @@ def evaluate_model(
     if np.any(pred != pred[0]):
         r, p = pearson(pred, truth)
     return EvalReport(
-        model=label,
+        model=cell.label,
         target_kind=model.target.kind,
-        feature_set=feature_set,
-        prefix_k=prefix_k,
+        feature_set=cell.feature_set,
+        prefix_k=cell.prefix_k,
         mse=mse(pred, truth),
         r2=r_squared(pred, truth),
         pearson_r=r,
@@ -282,35 +270,17 @@ def _take(parts, X: np.ndarray) -> dict[str, SplitRows]:
     }
 
 
-def _fit_cell(cell: GridCell, splits, schema, seed: int, drop=()):
-    return fit_and_report(
-        cell.spec,
-        schema.names(cell.feature_set),
-        splits,
-        cell.target,
-        cell.label,
-        cell.feature_set,
-        cell.prefix_k,
-        drop,
-        seed,
-    )
-
-
-def run_grid(
-    cells,
-    corpus: Corpus,
-    seed: int = 0,
-    schema: FeatureSchema | None = None,
-) -> list[CellResult]:
+def run_grid(cells, corpus: Corpus, seed: int = 0) -> list[CellResult]:
     """Train and evaluate every grid cell; results follow grid order.
 
     The split corpus is encoded into one :class:`FeatureTable` per
     call.  Each distinct (feature set, prefix window) matrix is built
     once, at its first cell, and freed after its last, so one matrix is
-    held at a time when each window's cells are adjacent.  Every cell
-    takes its train/dev/test rows from its window's matrix by index.
+    held at a time when each window's cells are adjacent.  Every cell,
+    ablated or not, takes its train/dev/test rows from its window's
+    matrix by index.
     """
-    schema = schema if schema is not None else FeatureSchema()
+    schema = FeatureSchema()
     parts = _split_parts(corpus)
     table = FeatureTable(corpus, schema)
     uses = Counter((cell.feature_set, cell.prefix_k) for cell in cells)
@@ -325,40 +295,15 @@ def run_grid(
             uses[window] -= 1
             if not uses[window]:
                 del held[window]
-            model, report = _fit_cell(cell, splits, schema, seed)
+            names = schema.names(cell.feature_set)
+            results.append(fit_and_report(cell, names, splits, seed))
         except Exception as e:
+            kind = getattr(cell.target, "kind", cell.target)  # or a kind name
             raise RuntimeError(
                 f"grid cell {i} ({cell.label}, {cell.feature_set}, "
-                f"{cell.target.kind}, prefix_k={cell.prefix_k}) failed: {e}"
+                f"{kind}, prefix_k={cell.prefix_k}) failed: {e}"
             ) from e
-        results.append(CellResult(report=report, model=model))
     return results
-
-
-def run_experiment(
-    cells,
-    corpus: Corpus,
-    seed: int = 0,
-    schema: FeatureSchema | None = None,
-) -> list[EvalReport]:
-    return [res.report for res in run_grid(cells, corpus, seed, schema)]
-
-
-def ablate(
-    cell: GridCell,
-    feature_names,
-    corpus: Corpus,
-    seed: int = 0,
-    schema: FeatureSchema | None = None,
-) -> AblationResult:
-    """Refit the cell with the named features removed from its schema."""
-    schema = schema if schema is not None else FeatureSchema()
-    dropped = tuple(feature_names)
-    parts = _split_parts(corpus)
-    _, X = FeatureTable(corpus, schema).matrix(cell.feature_set, cell.prefix_k)
-    splits = _take(parts, X)
-    _, report = _fit_cell(cell, splits, schema, seed, dropped)
-    return AblationResult(ablated=dropped, report=report)
 
 
 def correlate_metrics(corpus: Corpus) -> CorrelationReport:

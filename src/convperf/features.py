@@ -152,7 +152,8 @@ class FeatureSchema:
     """Fixed, ordered feature inventory.
 
     The order of the name lists is part of the contract: model
-    coefficients index into it, and the fingerprint guards mismatches.
+    coefficients index into it, and ``evaluate`` refuses a model whose
+    feature names differ from the feature CSV's.
     """
 
     topics: tuple[str, ...] = DEFAULT_TOPICS
@@ -384,7 +385,9 @@ def read_feature_csv(fh):
     id (and column).
     """
     reader = csv.reader(fh)
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("not a feature CSV (the file is empty)")
     if header[:1] != ["id"] or header[-3:] != ["rating", "capped_length", "split"]:
         raise ValueError("not a feature CSV (unexpected header)")
     names = tuple(header[1:-3])

@@ -120,9 +120,14 @@ def model_to_json(model: TrainedModel) -> dict:
 
 
 def model_from_json(obj: dict) -> TrainedModel:
+    if not isinstance(obj, dict):
+        raise ValueError("a model file must hold a JSON object")
     version = obj.get("version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {version!r}")
+    for key in ("family", "parameters"):
+        if key not in obj:
+            raise ValueError(f"model file has no {key!r} key")
     family = obj["family"]
     if family not in _PARAM_CODECS:
         raise ValueError(f"unknown model family in file: {family!r}")

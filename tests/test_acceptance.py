@@ -7,6 +7,7 @@ Failures also surface through ordinary assertions with details.
 
 import math
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,7 @@ from convperf.corpus import (
     split_corpus,
     write_corpus_jsonl,
 )
-from convperf.experiment import GridCell, ablate, run_grid
+from convperf.experiment import GridCell, run_grid
 from convperf.features import (
     FeatureSchema,
     Standardizer,
@@ -138,9 +139,9 @@ def ablation_runs():
         "independent",
         TargetKind(CAPPED_LENGTH),
     )
-    base = run_grid([cell], corpus, seed=0)[0].report
-    planted = ablate(cell, ("freq_sda_compliment",), corpus, seed=0).report
-    inert = ablate(cell, ("freq_midas_neg_answer",), corpus, seed=0).report
+    drops = ((), ("freq_sda_compliment",), ("freq_midas_neg_answer",))
+    cells = [replace(cell, drop=drop) for drop in drops]
+    base, planted, inert = (r.report for r in run_grid(cells, corpus, seed=0))
     return SimpleNamespace(base=base, planted=planted, inert=inert)
 
 

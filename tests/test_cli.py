@@ -34,7 +34,6 @@ from convperf.cli import (
 from convperf.corpus import Corpus, parse_corpus, split_corpus
 from convperf.experiment import (
     GridCell,
-    ablate,
     fit_spec,
     run_grid,
     write_reports_csv,
@@ -409,9 +408,8 @@ def test_cli_and_library_paths_report_the_same_rows(pipeline, tmp_path, family, 
         corpus = split_corpus(parse_corpus(fh), seed=0)
     spec = ModelSpec(family, hp, seed=0)
     cell = GridCell(spec, "dependent", TargetKind(CAPPED_LENGTH), prefix_k=10)
-    ablated_cell = replace(cell, name=f"{family}-ablated")
-    (base,) = run_grid([cell], corpus, seed=0)
-    dropped = ablate(ablated_cell, ("length_median",), corpus, seed=0)
+    ablated_cell = replace(cell, name=f"{family}-ablated", drop=("length_median",))
+    base, dropped = run_grid([cell, ablated_cell], corpus, seed=0)
 
     def rows(reports):
         text = io.StringIO()
@@ -488,6 +486,34 @@ def test_train_rejects_a_non_numeric_feature_cell(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert repr(row_id) in err and repr(header[2]) in err and "not a number" in err
     assert not model_out.exists()
+
+
+def test_train_rejects_an_empty_feature_csv(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    model_out = tmp_path / "model.json"
+    assert main(["train", "--features", str(empty), "--model-out", str(model_out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{empty}: not a feature CSV" in err
+    assert not model_out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [("[1, 2]", "a model file must hold a JSON object"),
+     ('{"version": 1, "family": "ridge"}', "model file has no 'parameters' key"),
+     ('{"version": 1, "parameters": {}}', "model file has no 'family' key")],
+    ids=["list", "no-parameters", "no-family"],
+)
+@pytest.mark.parametrize("command", ["evaluate", "export-tree"])
+def test_malformed_model_file_is_rejected(pipeline, tmp_path, capsys, content,
+                                          message, command):
+    model = tmp_path / "model.json"
+    model.write_text(content)
+    argv = {"evaluate": ["evaluate", "--features", str(pipeline.feats)],
+            "export-tree": ["export-tree"]}[command]
+    assert main([*argv, "--model", str(model)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_train_rejects_an_unknown_split_label(pipeline, tmp_path, capsys):
@@ -993,6 +1019,17 @@ def documented_commands(text):
             line = line[:-1] + next(lines).strip()
         commands.append(line[len("convperf "):])
     return [shlex.split(c) for c in commands]
+
+
+def test_readme_library_example_runs(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert "n_conversations=30_000" in code
+    small = code.replace("n_conversations=30_000", "n_conversations=400")
+    exec(compile(small, "README.md", "exec"), {})
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [label for label, _ in rows] == ["forest", "forest-ablated"]
+    assert all(np.isfinite(float(r2)) for _, r2 in rows)
 
 
 @pytest.mark.parametrize("doc", DOCS, ids=lambda p: p.relative_to(ROOT).as_posix())

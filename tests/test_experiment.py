@@ -2,6 +2,7 @@ import io
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,14 +15,12 @@ from convperf.experiment import (
     GridCell,
     METRIC_PAIRS,
     SplitRows,
-    ablate,
     correlate_metrics,
     export_tree,
     fit_and_report,
     fit_spec,
     format_correlations,
     format_report_table,
-    run_experiment,
     run_grid,
     write_correlations_csv,
     write_reports_csv,
@@ -50,6 +49,10 @@ def corpus400():
         cz.filter_min_length(synth.generate(cfg), 5), tg.default_config()
     )
     return cz.split_corpus(corp, seed=3)
+
+
+def reports(cells, corpus, seed=0):
+    return [result.report for result in run_grid(cells, corpus, seed=seed)]
 
 
 def ridge_cell(target=None, **kw):
@@ -118,8 +121,8 @@ def test_run_grid_order_fields_and_binding(corpus400):
 
 def test_identical_runs_give_identical_reports(corpus400):
     cells = [ridge_cell(), ridge_cell(target=TargetKind(CAPPED_LENGTH))]
-    a = run_experiment(cells, corpus400, seed=0)
-    b = run_experiment(cells, corpus400, seed=0)
+    a = reports(cells, corpus400)
+    b = reports(cells, corpus400)
     assert a == b
 
 
@@ -130,8 +133,8 @@ def test_conversation_order_does_not_change_metrics(corpus400):
     shuffled = [json.loads(line) for line in buf.getvalue().splitlines()]
     rng.shuffle(shuffled)
     permuted = cz.Corpus.from_records(shuffled, corpus400.split_assignment)
-    (a,) = run_experiment([ridge_cell()], corpus400, seed=0)
-    (b,) = run_experiment([ridge_cell()], permuted, seed=0)
+    (a,) = reports([ridge_cell()], corpus400)
+    (b,) = reports([ridge_cell()], permuted)
     assert abs(a.mse - b.mse) < 1e-9
     assert abs(a.r2 - b.r2) < 1e-9
     assert abs(a.pearson_r - b.pearson_r) < 1e-9
@@ -147,10 +150,8 @@ def test_median_split_target_stays_frozen(corpus400):
 
 
 def test_prefix_cell_reports_its_window(corpus400):
-    (report,) = run_experiment(
-        [ridge_cell(target=TargetKind(CAPPED_LENGTH), prefix_k=5)],
-        corpus400,
-        seed=0,
+    (report,) = reports(
+        [ridge_cell(target=TargetKind(CAPPED_LENGTH), prefix_k=5)], corpus400
     )
     assert report.prefix_k == 5
     assert np.isfinite(report.r2)
@@ -165,7 +166,7 @@ def test_mlp_cell_uses_dev_split(corpus400):
         feature_set="independent",
         target=TargetKind(RATING),
     )
-    (report,) = run_experiment([cell], corpus400, seed=0)
+    (report,) = reports([cell], corpus400)
     assert np.isfinite(report.mse)
 
 
@@ -239,6 +240,14 @@ def test_run_grid_names_the_cell_of_an_unknown_hyperparameter(corpus400):
         run_grid([cell], corpus400, seed=0)
 
 
+def test_run_grid_names_a_failing_cell_whose_target_is_a_kind_name(corpus400):
+    cell = GridCell(ModelSpec("ridge", {"lambdaa": 1.0}), "independent", MEDIAN_SPLIT)
+    message = (r"grid cell 0 \(ridge, independent, median_split, prefix_k=None\) "
+               r"failed: ridge has no hyperparameter 'lambdaa'")
+    with pytest.raises(RuntimeError, match=message):
+        run_grid([cell], corpus400, seed=0)
+
+
 def split_rows(rng, n, ratings=None):
     ratings = list(rng.integers(1, 6, size=n)) if ratings is None else ratings
     return SplitRows([f"r{i}" for i in range(n)], rng.normal(size=(n, 3)),
@@ -256,8 +265,8 @@ def test_constant_test_target_gets_one_message(spec):
     splits = {"train": split_rows(rng, 30), "dev": split_rows(rng, 0),
               "test": split_rows(rng, 6, ratings=[4] * 6)}
     with pytest.raises(ValueError) as exc:
-        fit_and_report(spec, ("a", "b", "c"), splits, TargetKind(RATING),
-                       spec.family, "independent", None)
+        fit_and_report(GridCell(spec, "independent", TargetKind(RATING)),
+                       ("a", "b", "c"), splits)
     assert str(exc.value) == (
         "test split's rating target is constant (every value is 4); R² is undefined"
     )
@@ -270,8 +279,8 @@ def test_every_family_trains_with_an_empty_dev_split(family):
               "test": split_rows(rng, 8)}
     small = {"forest": {"n_trees": 3}, "mlp": {"hidden": [3], "max_epochs": 40}}
     spec = ModelSpec(family, small.get(family, {}), seed=0)
-    model, report = fit_and_report(spec, ("a", "b", "c"), splits, TargetKind(RATING),
-                                   family, "independent", None)
+    report, model = fit_and_report(GridCell(spec, "independent", TargetKind(RATING)),
+                                   ("a", "b", "c"), splits)
     assert report.n == 8 and np.isfinite(report.mse)
     if family == "mlp":  # no dev rows, so no early stopping: every epoch runs
         train = splits["train"]
@@ -287,8 +296,7 @@ def test_fit_and_report_rejects_an_empty_test_split():
     splits = {"train": split_rows(rng, 20), "dev": split_rows(rng, 4),
               "test": split_rows(rng, 0)}
     with pytest.raises(ValueError, match="test split is empty"):
-        fit_and_report(ModelSpec("ridge", {"lambda": 1.0}), ("a", "b", "c"), splits,
-                       TargetKind(RATING), "ridge", "independent", None)
+        fit_and_report(ridge_cell(), ("a", "b", "c"), splits)
 
 
 def test_run_grid_wraps_failures_with_context():
@@ -306,25 +314,26 @@ def test_run_grid_wraps_failures_with_context():
 
 def test_ablate_nothing_matches_base_run(corpus400):
     cell = ridge_cell()
-    (base,) = run_experiment([cell], corpus400, seed=0)
-    result = ablate(cell, (), corpus400, seed=0)
-    assert result.ablated == ()
-    assert result.report == base
+    base, ablated = run_grid([cell, replace(cell, drop=())], corpus400, seed=0)
+    assert ablated.report == base.report
+    assert ablated.model.feature_names == FeatureSchema().names("independent")
 
 
 def test_ablate_drops_named_feature(corpus400):
-    cell = ridge_cell(target=TargetKind(CAPPED_LENGTH))
-    result = ablate(cell, ("length_median",), corpus400, seed=0)
-    assert result.ablated == ("length_median",)
+    cell = ridge_cell(target=TargetKind(CAPPED_LENGTH), drop=("length_median",))
+    (result,) = run_grid([cell], corpus400, seed=0)
+    names = FeatureSchema().names("independent")
+    assert result.model.feature_names == tuple(n for n in names if n != "length_median")
     assert np.isfinite(result.report.r2)
 
 
 def test_ablate_unknown_feature_errors(corpus400):
-    with pytest.raises(ValueError, match="unknown feature names"):
-        ablate(ridge_cell(), ("no_such_column",), corpus400, seed=0)
+    cell = ridge_cell(drop=("no_such_column",))
+    with pytest.raises(RuntimeError, match="unknown feature names: no_such_column"):
+        run_grid([cell], corpus400, seed=0)
 
 
-def per_cell_reference(cell, corpus, seed=0, drop=()):
+def per_cell_reference(cell, corpus, seed=0):
     """fit_and_report fed by build_matrix, one fresh matrix per split and cell."""
     schema = FeatureSchema()
     splits = {}
@@ -334,17 +343,7 @@ def per_cell_reference(cell, corpus, seed=0, drop=()):
         splits[split] = SplitRows(
             ids, X, convs.ratings, convs.capped_lengths()
         )
-    return fit_and_report(
-        cell.spec,
-        schema.names(cell.feature_set),
-        splits,
-        cell.target,
-        cell.label,
-        cell.feature_set,
-        cell.prefix_k,
-        drop,
-        seed,
-    )
+    return fit_and_report(cell, schema.names(cell.feature_set), splits, seed)
 
 
 def grid_of_windows():
@@ -370,7 +369,7 @@ def test_run_grid_matches_per_cell_build_matrix(corpus400):
     results = run_grid(cells, corpus400, seed=4)
     assert len(results) == len(cells)
     for cell, result in zip(cells, results):
-        model, report = per_cell_reference(cell, corpus400, seed=4)
+        report, model = per_cell_reference(cell, corpus400, seed=4)
         assert result.report == report
         assert result.model.feature_names == model.feature_names
         mean = result.model.standardizer.mean
@@ -379,10 +378,9 @@ def test_run_grid_matches_per_cell_build_matrix(corpus400):
 
 @pytest.mark.parametrize("index", [0, 9, 12])
 def test_ablate_matches_per_cell_build_matrix(corpus400, index):
-    cell = grid_of_windows()[index]
-    drop = ("length_median", "freq_sda_compliment")
-    result = ablate(cell, drop, corpus400, seed=4)
-    assert result.report == per_cell_reference(cell, corpus400, 4, drop)[1]
+    cell = replace(grid_of_windows()[index], drop=("length_median", "freq_sda_compliment"))
+    (result,) = run_grid([cell], corpus400, seed=4)
+    assert result.report == per_cell_reference(cell, corpus400, 4).report
 
 
 def hand_metric_corpus():

@@ -311,6 +311,8 @@ def test_feature_csv_round_trip():
 def test_read_feature_csv_rejects_other_files():
     with pytest.raises(ValueError, match="feature CSV"):
         read_feature_csv(io.StringIO("a,b,c\n1,2,3\n"))
+    with pytest.raises(ValueError, match=r"not a feature CSV \(the file is empty\)"):
+        read_feature_csv(io.StringIO(""))
 
 
 def test_build_matrix_shape_and_order():

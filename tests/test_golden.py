@@ -32,7 +32,7 @@ import pytest
 
 from convperf.cli import main
 from convperf.corpus import split_corpus, write_corpus_jsonl
-from convperf.experiment import GridCell, run_experiment, write_reports_csv
+from convperf.experiment import GridCell, run_grid, write_reports_csv
 from convperf.features import DEPENDENT, FeatureSchema, Standardizer, build_matrix
 from convperf.regressors import (
     CAPPED_LENGTH,
@@ -126,7 +126,7 @@ def test_grid_reports_bytes(raw):
         for kind in (RATING, CAPPED_LENGTH)
     ]
     buf = io.StringIO()
-    write_reports_csv(buf, run_experiment(cells, corpus, seed=0))
+    write_reports_csv(buf, [r.report for r in run_grid(cells, corpus, seed=0)])
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == REPORTS_SHA256
 
 
