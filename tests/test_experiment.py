@@ -313,10 +313,13 @@ def test_run_grid_wraps_failures_with_context():
 
 
 def test_ablate_nothing_matches_base_run(corpus400):
+    # The ablated cell between them shares the window's matrix: it must
+    # leave the matrix as it found it.
     cell = ridge_cell()
-    base, ablated = run_grid([cell, replace(cell, drop=())], corpus400, seed=0)
-    assert ablated.report == base.report
-    assert ablated.model.feature_names == FeatureSchema().names("independent")
+    cells = [cell, replace(cell, drop=("length_median",)), replace(cell, drop=())]
+    base, _, unablated = run_grid(cells, corpus400, seed=0)
+    assert unablated.report == base.report
+    assert unablated.model.feature_names == FeatureSchema().names("independent")
 
 
 def test_ablate_drops_named_feature(corpus400):
