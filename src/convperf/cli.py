@@ -462,6 +462,10 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     feature_set, prefix_k = _feature_provenance(args.features)
     _require_file(args.model, "trained model")
     model = load_model(args.model)
+    for key in ("feature_names", "standardizer", "target"):
+        if getattr(model, key) is None:  # a model saved before bind()
+            raise CliError(f"model {args.model} has no {key!r}; evaluate needs "
+                           "one bound to its features and target, as train saves it")
     if model.feature_names != tuple(names):
         raise CliError(
             f"model {args.model} was trained on a different feature schema "

@@ -1,7 +1,7 @@
 """Regression suite: linear family, trees, forests, SVR, and MLP.
 
-Importing this package registers every family's JSON codec, so
-``load_model`` works on any saved model without further imports.
+Importing this package imports every family's parameters class, so
+``load_model`` reads any saved model without further imports.
 """
 
 from .base import (
@@ -32,46 +32,3 @@ from .targets import (
     targets_from_values,
 )
 from .tree import TREE, TreeParams, fit_tree
-
-__all__ = [
-    "BINNED_LENGTH",
-    "CAPPED_LENGTH",
-    "ConvergenceError",
-    "DivergenceError",
-    "FAMILIES",
-    "FOREST",
-    "ForestParams",
-    "LASSO",
-    "LinearParams",
-    "MEDIAN_SPLIT",
-    "MLP",
-    "MODEL_FORMAT_VERSION",
-    "MlpParams",
-    "ModelSpec",
-    "OLS",
-    "RATING",
-    "RIDGE",
-    "SVR",
-    "SingularSystemError",
-    "SvrParams",
-    "TARGET_KINDS",
-    "TARGET_NAMES",
-    "TREE",
-    "TargetKind",
-    "TrainedModel",
-    "TreeParams",
-    "fit_forest",
-    "fit_linear",
-    "fit_mlp",
-    "fit_svr",
-    "fit_target",
-    "fit_tree",
-    "load_model",
-    "make_targets",
-    "model_from_json",
-    "model_to_json",
-    "resolve_gamma",
-    "save_model",
-    "schema_fingerprint",
-    "targets_from_values",
-]

@@ -14,15 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, check_training_data, register_family
-from .tree import TreeParams, _tree_from_json, _tree_to_json, grow_tree
+from .base import ModelSpec, Params, TrainedModel, check_training_data
+from .tree import TreeParams, grow_tree
 
 FOREST = "forest"
 
 
 @dataclass(frozen=True)
-class ForestParams:
+class ForestParams(Params):
+    families = (FOREST,)
     trees: tuple[TreeParams, ...]
+
+    def __post_init__(self):
+        if not self.trees:
+            raise ValueError("trees: a forest needs at least one tree")
+
+    def check_features(self, n: int, path: str) -> None:
+        for i, tree in enumerate(self.trees):
+            tree.check_features(n, f"{path}.trees[{i}]")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -83,10 +92,3 @@ def fit_forest(
         seed=seed,
     )
     return TrainedModel(spec=spec, params=ForestParams(tuple(trees)))
-
-
-register_family(
-    FOREST,
-    lambda p: {"trees": [_tree_to_json(t) for t in p.trees]},
-    lambda o: ForestParams(tuple(_tree_from_json(t) for t in o["trees"])),
-)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, check_training_data, register_family
+from .base import FloatVector, ModelSpec, Params, TrainedModel, check_training_data
 
 OLS = "ols"
 RIDGE = "ridge"
@@ -29,8 +29,9 @@ class SingularSystemError(ValueError):
 
 
 @dataclass(frozen=True)
-class LinearParams:
-    coef: np.ndarray
+class LinearParams(Params):
+    families = (OLS, RIDGE, LASSO)
+    coef: FloatVector
     intercept: float
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -132,11 +133,3 @@ def fit_linear(
     intercept = y_mean - float(x_mean @ beta)
     spec = ModelSpec(family=family, hyperparameters={"lambda": lam})
     return TrainedModel(spec=spec, params=LinearParams(beta, intercept))
-
-
-for _family in (OLS, RIDGE, LASSO):
-    register_family(
-        _family,
-        lambda p: {"coef": p.coef.tolist(), "intercept": p.intercept},
-        lambda o: LinearParams(np.array(o["coef"], dtype=float), float(o["intercept"])),
-    )

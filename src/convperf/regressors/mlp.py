@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, check_training_data, register_family
+from .base import FloatArray, ModelSpec, Params, TrainedModel, check_training_data
 
 MLP = "mlp"
 
@@ -28,8 +28,19 @@ class DivergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class MlpParams:
-    layers: tuple[np.ndarray, ...]  # W0, b0, W1, b1, ...
+class MlpParams(Params):
+    families = (MLP,)
+    layers: tuple[FloatArray, ...]  # W0, b0, W1, b1, ...
+
+    def __post_init__(self):
+        # W is (inputs, k) and b is (k,), where k is the next W's inputs (1 at the end).
+        ws, bs = self.layers[::2], self.layers[1::2]
+        outs = [w.shape[0] for w in ws[1:]] + [1]
+        if not ws or len(ws) != len(bs) or any(
+            w.shape[1:] != (k,) or b.shape != (k,) for w, b, k in zip(ws, bs, outs)
+        ):
+            raise ValueError("layers must alternate weight matrices and bias vectors "
+                             "whose shapes chain from the inputs to one output")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return forward(list(self.layers), np.asarray(X, dtype=float))
@@ -205,12 +216,3 @@ def fit_mlp(
     return TrainedModel(
         spec=spec, params=MlpParams(tuple(w.copy() for w in _views(theta, shapes)))
     )
-
-
-register_family(
-    MLP,
-    lambda p: {"layers": [w.tolist() for w in p.layers]},
-    lambda o: MlpParams(
-        tuple(np.array(w, dtype=float) for w in o["layers"])
-    ),
-)

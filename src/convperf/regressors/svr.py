@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, check_training_data, register_family
+from .base import FloatMatrix, FloatVector, ModelSpec, Params, TrainedModel, check_training_data
 
 SVR = "svr"
 
@@ -58,9 +58,10 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SvrParams:
-    sv_x: np.ndarray
-    sv_beta: np.ndarray
+class SvrParams(Params):
+    families = (SVR,)
+    sv_x: FloatMatrix
+    sv_beta: FloatVector
     intercept: float
     gamma: float
 
@@ -275,24 +276,3 @@ def fit_svr(
         sv_x=X[keep].copy(), sv_beta=beta[keep].copy(), intercept=b, gamma=g
     )
     return TrainedModel(spec=spec, params=params)
-
-
-register_family(
-    SVR,
-    lambda p: {
-        "sv_x": p.sv_x.tolist(),
-        "sv_beta": p.sv_beta.tolist(),
-        "intercept": p.intercept,
-        "gamma": p.gamma,
-    },
-    lambda o: SvrParams(
-        sv_x=(
-            np.array(o["sv_x"], dtype=float)
-            if o["sv_beta"]
-            else np.zeros((0, 0))
-        ),
-        sv_beta=np.array(o["sv_beta"], dtype=float),
-        intercept=float(o["intercept"]),
-        gamma=float(o["gamma"]),
-    ),
-)

@@ -42,23 +42,8 @@ class TargetKind:
             raise ValueError(f"unknown target kind: {self.kind!r}")
         if self.kind == MEDIAN_SPLIT and self.median is None:
             raise ValueError("median_split target requires a fitted median")
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "median": self.median,
-            "bin_width": self.bin_width,
-            "max_bin": self.max_bin,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TargetKind":
-        return cls(
-            kind=obj["kind"],
-            median=obj.get("median"),
-            bin_width=obj.get("bin_width", 10),
-            max_bin=obj.get("max_bin", 7),
-        )
+        if self.bin_width < 1 or self.max_bin < 0:
+            raise ValueError("bin_width must be at least 1 and max_bin at least 0")
 
 
 def fit_target(kind: str, train_capped_lengths) -> TargetKind:

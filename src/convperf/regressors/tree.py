@@ -20,11 +20,11 @@ node, which stays as the exhaustive reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import ModelSpec, TrainedModel, check_training_data, register_family
+from .base import FloatVector, IntVector, ModelSpec, Params, TrainedModel, check_training_data
 
 TREE = "tree"
 
@@ -32,16 +32,42 @@ _LEAF = -1
 
 
 @dataclass(frozen=True)
-class TreeParams:
-    """Flat-array tree: node i is a leaf iff feature[i] == -1."""
+class TreeParams(Params):
+    """Flat-array tree: node i is a leaf iff feature[i] == -1.  Nodes are in
+    preorder; arrays that form no such tree are refused, so predict and export end."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    n_samples: np.ndarray
-    impurity: np.ndarray
+    families = (TREE,)
+    feature: IntVector
+    threshold: FloatVector
+    left: IntVector
+    right: IntVector
+    value: FloatVector
+    n_samples: IntVector
+    impurity: FloatVector
+
+    def __post_init__(self):
+        n, split = self.n_nodes, self.feature != _LEAF
+        for f in fields(self):
+            if n == 0 or getattr(self, f.name).shape != (n,):
+                raise ValueError(f"{f.name}: the node arrays need one equal length, at least 1")
+        if self.feature.min() < _LEAF:
+            raise ValueError("feature: a split feature is a column index, or -1 at a leaf")
+        ids = np.arange(n)
+        for name in ("left", "right"):
+            child = getattr(self, name)
+            bad = np.where(split, (child <= ids) | (child >= n), child != _LEAF)
+            if bad.any():
+                i = bad.argmax()
+                raise ValueError(f"{name}: node {i}'s child is {child[i]}, not a later "
+                                 "node (or -1 at a leaf)")
+        children = np.concatenate([self.left[split], self.right[split]])
+        if not np.array_equal(np.sort(children), ids[1:]):
+            raise ValueError("left, right: each node but the root needs exactly one parent")
+
+    def check_features(self, n: int, path: str) -> None:
+        if self.feature.max() >= n:
+            raise ValueError(f"model file: {path}: feature: split on column "
+                             f"{self.feature.max()}, past the {n} feature names")
 
     @property
     def n_nodes(self) -> int:
@@ -255,30 +281,3 @@ def fit_tree(
         hyperparameters={"max_depth": max_depth, "min_leaf": min_leaf},
     )
     return TrainedModel(spec=spec, params=params)
-
-
-def _tree_to_json(p: TreeParams) -> dict:
-    return {
-        "feature": p.feature.tolist(),
-        "threshold": p.threshold.tolist(),
-        "left": p.left.tolist(),
-        "right": p.right.tolist(),
-        "value": p.value.tolist(),
-        "n_samples": p.n_samples.tolist(),
-        "impurity": p.impurity.tolist(),
-    }
-
-
-def _tree_from_json(o: dict) -> TreeParams:
-    return TreeParams(
-        feature=np.array(o["feature"], dtype=np.int64),
-        threshold=np.array(o["threshold"], dtype=float),
-        left=np.array(o["left"], dtype=np.int64),
-        right=np.array(o["right"], dtype=np.int64),
-        value=np.array(o["value"], dtype=float),
-        n_samples=np.array(o["n_samples"], dtype=np.int64),
-        impurity=np.array(o["impurity"], dtype=float),
-    )
-
-
-register_family(TREE, _tree_to_json, _tree_from_json)

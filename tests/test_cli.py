@@ -6,13 +6,16 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from argparse import Namespace
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import convperf
 from convperf.cli import (
@@ -498,22 +501,151 @@ def test_train_rejects_an_empty_feature_csv(tmp_path, capsys):
     assert not model_out.exists()
 
 
+@pytest.fixture(scope="module")
+def model_files(pipeline):
+    """The pipeline's ridge model, and a tree and a three-tree forest on its features."""
+    files = {"ridge": pipeline.model}
+    for family, flags in (("tree", ["--max-depth", "4"]),
+                          ("forest", ["--n-trees", "3", "--max-depth", "4"])):
+        files[family] = pipeline.root / f"base-{family}.json"
+        argv = ["train", "--features", str(pipeline.feats), "--model-out",
+                str(files[family]), "--family", family, *flags, "--target", "length"]
+        assert main(argv) == 0
+    return files
+
+
+DELETE = object()
+_PARAMS = ("parameters",)
+
+
+def edited_model(path, *edits):
+    """The model JSON at ``path`` with each (key path, value) edit made;
+    the value DELETE removes the key or list item."""
+    obj = json.loads(path.read_text())
+    for keys, value in edits:
+        parent = obj
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value(parent[keys[-1]]) if callable(value) else value
+    return obj
+
+
 @pytest.mark.parametrize(
-    "content, message",
-    [("[1, 2]", "a model file must hold a JSON object"),
-     ('{"version": 1, "family": "ridge"}', "model file has no 'parameters' key"),
-     ('{"version": 1, "parameters": {}}', "model file has no 'family' key")],
-    ids=["list", "no-parameters", "no-family"],
+    "base, edits, message",
+    [(None, "[1, 2]", "a model file must hold a JSON object"),
+     (None, '{"version": 1, "family": "ridge"}', "model file has no 'parameters' key"),
+     (None, '{"version": 1, "parameters": {}}', "model file has no 'family' key"),
+     ("ridge", [(_PARAMS, {})], "model file has no 'parameters.coef' key"),
+     ("ridge", [(("standardizer",), {})], "model file has no 'standardizer.mean' key"),
+     ("ridge", [(("feature_names",), 5)],
+      "model file: feature_names must be a list, not an integer"),
+     ("forest", [(_PARAMS + ("trees",), 5)],
+      "model file: parameters.trees must be a list, not an integer"),
+     ("tree", [(_PARAMS + ("left",), DELETE)], "model file has no 'parameters.left' key"),
+     ("tree", [(_PARAMS + ("feature", 0), 1.5)],
+      "model file: parameters.feature must be a rank-1 list of 64-bit integers"),
+     ("tree", [(_PARAMS + ("value", 0), DELETE)],
+      "model file: parameters: value: the node arrays need one equal length"),
+     ("tree", [(_PARAMS + ("left", 0), 0)],
+      "model file: parameters: left: node 0's child is 0, not a later node"),
+     ("tree", [(_PARAMS + ("right", 0), 10_000)],
+      "model file: parameters: right: node 0's child is 10000, not a later node"),
+     ("tree", [(_PARAMS + ("right", 0), lambda right: right - 1)],
+      "model file: parameters: left, right: each node but the root needs exactly one parent"),
+     ("tree", [(_PARAMS + ("feature", 0), 99)],
+      "model file: parameters: feature: split on column 99, past the"),
+     ("forest", [(_PARAMS + ("trees", 2, "left", 0), 0)],
+      "model file: parameters.trees[2]: left: node 0's child is 0"),
+     ("ridge", [(("standardizer", "std", 0), DELETE)],
+      "model file: standardizer mean and std need one value per feature name"),
+     ("ridge", [(("feature_names", 0), 3)],
+      "model file: feature_names[0] must be a string, not an integer"),
+     ("ridge", [(("hyperparameters",), [])],
+      "model file: hyperparameters must be an object, not a list"),
+     ("ridge", [(("seed",), "0")], "model file: seed must be an integer, not a string"),
+     ("ridge", [(("target",), 5)], "model file: target must be an object, not an integer"),
+     ("ridge", [(("target",), {"kind": "binned_length", "bin_width": 0})],
+      "model file: target: bin_width must be at least 1 and max_bin at least 0")],
+    ids=["list", "no-parameters", "no-family", "empty-parameters", "empty-standardizer",
+         "feature-names-5", "trees-5", "tree-without-left", "split-feature-1.5",
+         "unequal-node-arrays", "cyclic-left", "child-past-the-end", "shared-child",
+         "split-past-the-features", "forest-tree-cyclic-left", "short-standardizer",
+         "numeric-feature-name", "hyperparameters-list", "seed-string", "target-5",
+         "zero-bin-width"],
 )
 @pytest.mark.parametrize("command", ["evaluate", "export-tree"])
-def test_malformed_model_file_is_rejected(pipeline, tmp_path, capsys, content,
-                                          message, command):
+def test_malformed_model_file_is_rejected(pipeline, model_files, tmp_path, capsys, base,
+                                          edits, message, command):
     model = tmp_path / "model.json"
-    model.write_text(content)
+    if base is None:
+        model.write_text(edits)
+    else:
+        model.write_text(json.dumps(edited_model(model_files[base], *edits)))
     argv = {"evaluate": ["evaluate", "--features", str(pipeline.feats)],
             "export-tree": ["export-tree"]}[command]
     assert main([*argv, "--model", str(model)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "nulls", [("target", "feature_names", "fingerprint", "standardizer"), ("target",),
+              ("standardizer",)],
+    ids=["unbound", "no-target", "no-standardizer"],
+)
+def test_evaluate_refuses_an_unbound_model(pipeline, model_files, tmp_path, capsys, nulls):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(edited_model(model_files["tree"],
+                                             *(((key,), None) for key in nulls))))
+    argv = ["evaluate", "--features", str(pipeline.feats), "--model", str(model)]
+    assert main(argv) == 1
+    missing = "feature_names" if len(nulls) > 1 else nulls[0]
+    assert capsys.readouterr().err == (
+        f"error: model {model} has no {missing!r}; evaluate needs one bound to its "
+        "features and target, as train saves it\n"
+    )
+    assert main(["export-tree", "--model", str(model)]) == 0  # a valid model all the same
+
+
+def _key_paths(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _key_paths(item, path + (key,))
+
+
+_WRONG_TYPES = ("x", None, True, 1.5, [], {})
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_mutated_model_file_exits_0_or_1_with_one_line(pipeline, model_files, data):
+    """Delete one key path of a valid model file, or swap its value for one
+    of another JSON type; both commands end with exit 0, or exit 1 and a
+    one-line message, and raise nothing."""
+    family = data.draw(st.sampled_from(sorted(model_files)), label="family")
+    obj = json.loads(model_files[family].read_text())
+    keys = data.draw(st.sampled_from(list(_key_paths(obj))[1:]), label="key path")
+    value = obj
+    for key in keys:
+        value = value[key]
+    edit = data.draw(st.sampled_from(
+        [DELETE] + [v for v in _WRONG_TYPES if type(v) is not type(value)]), label="edit")
+    mutant = pipeline.root / "mutant.json"
+    mutant.write_text(json.dumps(edited_model(model_files[family], (keys, edit))))
+    export = ["export-tree"] + (["--tree-index", "0"] if family == "forest" else [])
+    for argv in (["evaluate", "--features", str(pipeline.feats)], export):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--model", str(mutant)])
+        lines = err.getvalue().splitlines()
+        assert (code, lines) == (0, []) or (
+            code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+        ), (argv[0], keys, edit, err.getvalue())
 
 
 def test_train_rejects_an_unknown_split_label(pipeline, tmp_path, capsys):

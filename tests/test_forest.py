@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,6 @@ from convperf.regressors import (
     TreeParams,
     fit_forest,
     fit_tree,
-    model_from_json,
-    model_to_json,
 )
 
 
@@ -111,15 +107,3 @@ def test_validation_errors():
         fit_forest(np.ones((0, 2)), np.ones(0))
     with pytest.raises(ValueError, match="\\(n, d\\)"):
         fit_forest(np.ones(6), y)
-
-
-def test_serialization_round_trip():
-    rng = np.random.default_rng(205)
-    X = rng.normal(size=(50, 3))
-    y = rng.normal(size=50)
-    model = fit_forest(X, y, n_trees=4, max_depth=3, seed=2)
-    back = model_from_json(json.loads(json.dumps(model_to_json(model))))
-    assert back.spec.seed == 2
-    assert len(back.params.trees) == 4
-    grid = rng.normal(size=(20, 3))
-    assert np.array_equal(back.predict_prepared(grid), model.predict_prepared(grid))

@@ -4,8 +4,11 @@ from it.
 A change to the generator's draw order, to the tag-set encoding or to the
 JSONL byte format changes one of these digests.
 
-The model digests pin the saved JSON of a seeded forest, SVR and MLP
-fitted on the dependent matrix.  The grid digest pins the report CSV of
+The model digests pin the saved JSON of a ridge, a tree, a seeded forest,
+an SVR and an MLP fitted on the dependent matrix, so every family's
+parameters pass through the model-file encoder byte for byte.  The
+ridge and tree digests were taken when the per-family codecs gave way to
+one encoder, from the code before that change.  The grid digest pins the report CSV of
 the benchmark's 12 ridge cells ({independent, dependent} x {full, prefix
 10, prefix 15} x {rating, length}) run over the tagged corpus split with
 seed 0.  The plot digests pin the length and rating histograms that
@@ -40,8 +43,10 @@ from convperf.regressors import (
     ModelSpec,
     TargetKind,
     fit_forest,
+    fit_linear,
     fit_mlp,
     fit_svr,
+    fit_tree,
     make_targets,
     save_model,
 )
@@ -55,7 +60,9 @@ REPORTS_SHA256 = "eac6f24edf3d0036d112f916a185087524e09e267fc100267ec6fa640bdb8d
 MODEL_SHA256 = {
     "forest": "3a109d57af6e065d225fd41170b4ca4fca2156e7d3196de8496654ceed781858",
     "mlp": "2346301cf13a9f9252f57f546bfad3fda7b9626e02123eb01aef2f36f12b2be2",
+    "ridge": "42ec8ac3ecc35fccee8903e8039803da34512d6667d413a5c57d8d24159faab5",
     "svr": "c7ed8fdaae40c89fe2d22216ee4324fe1d6b4dbf142ce31bcd84b290352ad58b",
+    "tree": "55e23324197e04a60faf1139c9071f9af26e8119e8397c1cfad248d0199a3311",
 }
 PLOT_SHA256 = {
     "length_hist.csv": "1d959063616dba171169d925f16f8ef55f8b4f9e31e5cdcafd2e8c5fcd85996f",
@@ -104,6 +111,10 @@ def _fit(family, X, y):
         return fit_forest(X, y, n_trees=5, max_depth=8, min_leaf=2, seed=0)
     if family == "svr":
         return fit_svr(X, y, C=3.0, epsilon=0.2)
+    if family == "tree":
+        return fit_tree(X, y, max_depth=8, min_leaf=2)
+    if family == "ridge":
+        return fit_linear(X, y, family="ridge", lam=1.0)
     return fit_mlp(
         X[:250], y[:250], hidden=(16, 8), max_epochs=15, patience=3, seed=0,
         dev=(X[250:], y[250:]),

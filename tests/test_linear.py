@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -10,8 +8,6 @@ from convperf.regressors import (
     RIDGE,
     SingularSystemError,
     fit_linear,
-    model_from_json,
-    model_to_json,
 )
 
 
@@ -192,15 +188,3 @@ def test_shift_equivariance():
     shifted = fit_linear(X, y + 7.0)
     assert np.abs(base.params.coef - shifted.params.coef).max() < 1e-9
     assert abs(shifted.params.intercept - base.params.intercept - 7.0) < 1e-9
-
-
-def test_serialization_round_trip():
-    rng = np.random.default_rng(11)
-    X = rng.normal(size=(20, 3))
-    y = rng.normal(size=20)
-    for family, lam in ((OLS, 0.0), (RIDGE, 2.0), (LASSO, 1.0)):
-        model = fit_linear(X, y, family=family, lam=lam)
-        back = model_from_json(json.loads(json.dumps(model_to_json(model))))
-        assert back.spec.family == family
-        assert back.spec.hyperparameters["lambda"] == lam
-        assert np.allclose(back.predict_prepared(X), model.predict_prepared(X))

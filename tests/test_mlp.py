@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -7,8 +5,6 @@ from convperf.regressors import (
     DivergenceError,
     MlpParams,
     fit_mlp,
-    model_from_json,
-    model_to_json,
 )
 from convperf.regressors.mlp import forward, init_weights, loss_and_grads
 
@@ -186,13 +182,3 @@ def test_validation_errors():
         fit_mlp(np.ones((0, 2)), np.ones(0))
     with pytest.raises(ValueError, match="\\(n, d\\)"):
         fit_mlp(np.ones(6), y)
-
-
-def test_serialization_round_trip():
-    rng = np.random.default_rng(17)
-    X = rng.normal(size=(15, 3))
-    y = rng.normal(size=15)
-    model = fit_mlp(X, y, hidden=(5, 3), max_epochs=3, seed=1)
-    back = model_from_json(json.loads(json.dumps(model_to_json(model))))
-    assert back.spec.hyperparameters["hidden"] == [5, 3]
-    assert np.array_equal(back.predict_prepared(X), model.predict_prepared(X))

@@ -12,6 +12,7 @@ from convperf.regressors import (
     make_targets,
     targets_from_values,
 )
+from convperf.regressors.base import decode, encode
 
 from conftest import record
 
@@ -69,6 +70,9 @@ def test_target_kind_validation():
         TargetKind(kind="bogus")
     with pytest.raises(ValueError, match="median"):
         TargetKind(kind=MEDIAN_SPLIT)
+    for bin_width, max_bin in ((0, 7), (-3, 7), (10, -1)):
+        with pytest.raises(ValueError, match="bin_width must be at least 1"):
+            TargetKind(kind=BINNED_LENGTH, bin_width=bin_width, max_bin=max_bin)
 
 
 def test_target_kind_json_round_trip():
@@ -77,7 +81,9 @@ def test_target_kind_json_round_trip():
         TargetKind(kind=MEDIAN_SPLIT, median=17.0),
         TargetKind(kind=BINNED_LENGTH, bin_width=10, max_bin=7),
     ):
-        assert TargetKind.from_json(target.to_json()) == target
+        obj = encode(target)
+        assert list(obj) == ["kind", "median", "bin_width", "max_bin"]
+        assert decode(TargetKind, obj, "target") == target
 
 
 def test_targets_are_float_arrays():

@@ -1,10 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convperf.regressors import fit_tree, model_from_json, model_to_json
+from convperf.regressors import fit_tree
 from convperf.regressors.tree import best_split, grow_tree
 
 
@@ -266,17 +264,6 @@ def test_validation_errors():
         fit_tree(np.ones((5, 2)), np.arange(5.0), min_leaf=3)
     with pytest.raises(ValueError, match="\\(n, d\\)"):
         fit_tree(np.ones(4), y)
-
-
-def test_serialization_round_trip():
-    rng = np.random.default_rng(106)
-    X = rng.normal(size=(50, 3))
-    y = rng.normal(size=50)
-    model = fit_tree(X, y, max_depth=4, min_leaf=2)
-    back = model_from_json(json.loads(json.dumps(model_to_json(model))))
-    assert back.spec.hyperparameters == {"max_depth": 4, "min_leaf": 2}
-    grid = rng.normal(size=(20, 3))
-    assert np.array_equal(back.predict_prepared(grid), model.predict_prepared(grid))
 
 
 def reference_grow(X, y, max_depth, min_leaf, rng, feat_frac):
