@@ -18,14 +18,19 @@ and de-duplicated.
 
 A :class:`Corpus` is columnar.  It holds per-conversation ids, ratings
 and CSR (compressed sparse row) offsets into per-exchange columns:
-``topic``/``rg``/``user``/``system`` strings, and ``midas``/``sda``
-integer codes into ``tagsets``, the corpus's table of distinct tag sets
-(each a sorted, de-duplicated tuple; code 0 is the empty set).
+``user``/``system`` strings, ``topic``/``rg`` integer codes into the
+corpus's tables of distinct names, ``topic_names``/``rg_names``, and
+``midas``/``sda`` integer codes into ``tagsets``, its table of distinct
+tag sets (each a sorted, de-duplicated tuple; code 0 is the empty set).
+Each table is filled by one :class:`_Interner`, so a distinct name or
+tag set is validated and encoded once, not once per exchange.
 :func:`parse_corpus` and :func:`convperf.synth.generate` fill the
 columns directly; filtering, splitting and :meth:`Corpus.subset` are
 index selections.  Records in the JSONL schema, decoded, are the only
 way in from outside: :meth:`Corpus.from_records` validates them, and
-:func:`parse_corpus` is line decoding plus that constructor.
+:func:`parse_corpus` is line decoding plus that constructor.  Every
+string must be encodable as UTF-8, so a lone surrogate (which a JSON
+escape such as ``"\\ud800"`` can produce) is refused there too.
 :class:`Exchange` and :class:`Conversation` are read-only output:
 iterating a corpus yields :class:`Conversation` views whose
 ``exchanges`` build each :class:`Exchange` only when it is accessed.
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -53,7 +59,15 @@ _WRITE_BLOCK = 200
 
 
 class CorpusError(ValueError):
-    """Malformed conversation record or corpus-level invariant violation."""
+    """Malformed conversation record or corpus-level invariant violation.
+
+    ``record`` is the position of the record the message names when it
+    was found only after later records were read, else None.
+    """
+
+    def __init__(self, message: str, record: int | None = None):
+        super().__init__(message)
+        self.record = record
 
 
 @dataclass(frozen=True)
@@ -97,20 +111,24 @@ class _Exchanges(Sequence):
         return self._corpus._exchange(self._start + i % n)
 
 
-class _TagSets:
-    """Distinct tag sets, each a sorted, de-duplicated tuple; code 0 is ()."""
+class _Interner:
+    """A table of distinct values; a value's code is its position in it."""
 
-    def __init__(self, sets=((),)):
-        self.sets = list(sets)
-        self.codes = {s: i for i, s in enumerate(self.sets)}
+    def __init__(self, values=()):
+        self.values = list(values)
+        self.codes = {v: i for i, v in enumerate(self.values)}
 
-    def code(self, tags) -> int:
-        key = tuple(sorted(set(tags)))
-        code = self.codes.get(key)
+    def code(self, value) -> int:
+        code = self.codes.get(value)
         if code is None:
-            code = self.codes[key] = len(self.sets)
-            self.sets.append(key)
+            code = self.codes[value] = len(self.values)
+            self.values.append(value)
         return code
+
+
+def _tag_set(tags) -> tuple:
+    """A tag list as the corpus stores it: sorted and de-duplicated."""
+    return tuple(sorted(set(tags)))
 
 
 class _Columns:
@@ -121,22 +139,26 @@ class _Columns:
         self.ids: list[str] = []
         self.ratings: list[int | None] = []
         self.ends: list[int] = []
-        self.topic: list[str] = []
-        self.rg: list[str] = []
+        self.topic: list[int] = []
+        self.rg: list[int] = []
         self.user: list[str] = []
         self.system: list[str] = []
         self.midas: list[int] = []
         self.sda: list[int] = []
-        self.tags = _TagSets()
+        self.topics = _Interner()
+        self.rgs = _Interner()
+        self.tags = _Interner([()])  # code 0 is the empty tag set
 
     def corpus(self) -> Corpus:
         offsets = np.zeros(len(self.ends) + 1, dtype=np.intp)
         offsets[1:] = self.ends
         return Corpus._from_columns(
             self.ids, self.ratings, offsets,
-            self.topic, self.rg, self.user, self.system,
-            np.array(self.midas, dtype=np.int32), np.array(self.sda, dtype=np.int32),
-            tuple(self.tags.sets), None,
+            np.array(self.topic, np.int32), np.array(self.rg, np.int32),
+            self.user, self.system,
+            np.array(self.midas, np.int32), np.array(self.sda, np.int32),
+            tuple(self.topics.values), tuple(self.rgs.values), tuple(self.tags.values),
+            None,
         )
 
 
@@ -146,10 +168,10 @@ class Corpus:
     Columns (read-only): ``ids``, ``ratings`` and ``offsets`` per
     conversation (conversation ``i`` owns exchanges ``offsets[i]`` to
     ``offsets[i + 1]``); ``topic``, ``rg``, ``user``, ``system``,
-    ``midas`` and ``sda`` per exchange; ``tagsets``, the tag-set table
-    the ``midas``/``sda`` codes index; and ``split``, each
-    conversation's index into :data:`SPLIT_NAMES` (None when the corpus
-    is not split).
+    ``midas`` and ``sda`` per exchange; the tables the codes index:
+    ``topic_names`` (``topic``), ``rg_names`` (``rg``) and ``tagsets``
+    (``midas`` and ``sda``); and ``split``, each conversation's index
+    into :data:`SPLIT_NAMES` (None when the corpus is not split).
 
     :meth:`from_records` builds a corpus from outside the program.
     """
@@ -165,7 +187,9 @@ class Corpus:
 
         Raises :class:`CorpusError` naming the field of the first bad
         record, on a duplicate id, and on a split assignment that does
-        not cover exactly the ids with known split names.
+        not cover exactly the ids with known split names.  A lone
+        surrogate is looked for once every record is read, so it is
+        named only when no record has any other fault.
         """
         b = _Columns()
         raw_codes = {(): 0}  # code 0 is the empty tag set
@@ -176,6 +200,7 @@ class Corpus:
                 raise CorpusError(f"duplicate conversation id {cid!r}")
             seen.add(cid)
         corpus = b.corpus()
+        _refuse_surrogates(corpus)
         if split_assignment is not None:
             if split_assignment.keys() != seen:
                 raise CorpusError("split assignment does not cover the id set")
@@ -198,7 +223,8 @@ class Corpus:
 
     @classmethod
     def _from_columns(
-        cls, ids, ratings, offsets, topic, rg, user, system, midas, sda, tagsets, split
+        cls, ids, ratings, offsets, topic, rg, user, system, midas, sda,
+        topic_names, rg_names, tagsets, split,
     ) -> Corpus:
         self = cls.__new__(cls)
         self.ids = ids
@@ -210,6 +236,8 @@ class Corpus:
         self.system = system
         self.midas = midas
         self.sda = sda
+        self.topic_names = topic_names
+        self.rg_names = rg_names
         self.tagsets = tagsets
         self.split = split
         return self
@@ -231,13 +259,13 @@ class Corpus:
     __hash__ = None
 
     def _key(self) -> tuple:
-        """Every column as lists, tag-set codes resolved to their sets
-        (codes depend on the order the sets were first seen)."""
-        sets = self.tagsets
+        """Every column as lists, codes resolved to the names and tag sets
+        they index (codes depend on the order those were first seen)."""
         return (
             self.ids, self.ratings, self.offsets.tolist(),
-            self.topic, self.rg, self.user, self.system,
-            [sets[c] for c in self.midas.tolist()], [sets[c] for c in self.sda.tolist()],
+            _decode(self.topic_names, self.topic), _decode(self.rg_names, self.rg),
+            self.user, self.system,
+            _decode(self.tagsets, self.midas), _decode(self.tagsets, self.sda),
             None if self.split is None else self.split.tolist(),
         )
 
@@ -264,7 +292,8 @@ class Corpus:
 
     def _exchange(self, e: int) -> Exchange:
         return Exchange(
-            self.topic[e], self.rg[e], self.user[e], self.system[e],
+            self.topic_names[self.topic[e]], self.rg_names[self.rg[e]],
+            self.user[e], self.system[e],
             frozenset(self.tagsets[self.midas[e]]), frozenset(self.tagsets[self.sda[e]]),
         )
 
@@ -283,8 +312,8 @@ class Corpus:
             ids=list(map(self.ids.__getitem__, rows_at)),
             ratings=list(map(self.ratings.__getitem__, rows_at)),
             offsets=offsets,
-            topic=list(map(self.topic.__getitem__, at)),
-            rg=list(map(self.rg.__getitem__, at)),
+            topic=self.topic[picked],
+            rg=self.rg[picked],
             user=list(map(self.user.__getitem__, at)),
             system=list(map(self.system.__getitem__, at)),
             midas=self.midas[picked],
@@ -313,7 +342,8 @@ def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
     """Validate one decoded record and append it to the columns.
 
     ``raw_codes`` maps each tag list already seen, as a tuple in input
-    order, to its tag-set code.  Returns the conversation id.
+    order, to its tag-set code.  A topic or rg name is validated when its
+    table first sees it.  Returns the conversation id.
     """
     if not isinstance(obj, dict):
         raise CorpusError("conversation record must be an object")
@@ -330,22 +360,27 @@ def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
         raise CorpusError(f"conversation {cid!r} has no exchanges")
     topics, rgs, users, systems = b.topic, b.rg, b.user, b.system
     midas, sda = b.midas, b.sda
+    topic_codes, rg_codes = b.topics.codes, b.rgs.codes
     for j, e in enumerate(raw):
         if type(e) is not dict and not isinstance(e, dict):
             raise CorpusError(f"exchange record must be an object{_at(cid, j)}")
-        fields = (
-            e.get("topic", ""), e.get("rg", ""), e.get("user", ""), e.get("system", "")
-        )
-        topic, rg, user, system = fields
-        if not (
-            type(topic) is str and type(rg) is str
-            and type(user) is str and type(system) is str
-        ):
-            for key, value in zip(_STRING_FIELDS, fields):
+        topic = e.get("topic", "")
+        rg = e.get("rg", "")
+        user = e.get("user", "")
+        system = e.get("system", "")
+        try:
+            tc = topic_codes[topic]
+            gc = rg_codes[rg]
+        except (KeyError, TypeError):  # a name not seen yet, or not a string
+            tc = None
+        if tc is None or type(user) is not str or type(system) is not str:
+            for key, value in zip(_STRING_FIELDS, (topic, rg, user, system)):
                 if not isinstance(value, str):
                     raise CorpusError(
                         f"exchange field {key!r} must be a string{_at(cid, j)}"
                     )
+            tc = b.topics.code(topic)
+            gc = b.rgs.code(rg)
         m = e.get("midas", _NO_TAGS)
         s = e.get("sda", _NO_TAGS)
         try:
@@ -362,8 +397,8 @@ def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
             sc = _new_tag_code(b, raw_codes, s, "sda", cid, j)
         if not topic:
             raise CorpusError(f"exchange topic must be non-empty{_at(cid, j)}")
-        topics.append(topic)
-        rgs.append(rg)
+        topics.append(tc)
+        rgs.append(gc)
         users.append(user)
         systems.append(system)
         midas.append(mc)
@@ -388,11 +423,69 @@ def _new_tag_code(b: _Columns, raw_codes: dict, tags, key: str, cid: str, j: int
         except TypeError:
             pass
         else:
-            code = raw_codes[tuple(tags)] = b.tags.code(tags)
+            code = raw_codes[tuple(tags)] = b.tags.code(_tag_set(tags))
             return code
     raise CorpusError(
         f"exchange field {key!r} must be a list of strings{_at(cid, j)}"
     )
+
+
+def _decode(table, codes: np.ndarray) -> list:
+    """The table entry each code names."""
+    return list(map(table.__getitem__, codes.tolist()))
+
+
+def _unencodable(strings) -> list[int]:
+    """Positions of the strings that UTF-8 cannot encode: those holding a
+    lone surrogate.  Strings that join to ASCII text need no more; otherwise
+    the joined text is encoded once, and only if that fails is each
+    non-ASCII string tried."""
+    text = "".join(strings)
+    if text.isascii() or _encodes(text):
+        return []
+    return [i for i, s in enumerate(strings) if not (s.isascii() or _encodes(s))]
+
+
+def _encodes(text: str) -> bool:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _refuse_surrogates(corpus: Corpus) -> None:
+    """Refuse the first string of ``corpus`` that no UTF-8 file can hold,
+    naming its conversation and, in an exchange, the exchange and field."""
+    bad = _unencodable(corpus.ids)
+    if bad:
+        i = bad[0]
+        raise CorpusError(
+            f"conversation id {corpus.ids[i]!r} holds a lone surrogate", record=i
+        )
+    tag_text = list(map("".join, corpus.tagsets))
+    found = []  # (exchange position, field order, field) per bad column
+    for order, (key, strings, codes) in enumerate((
+        ("topic", corpus.topic_names, corpus.topic),
+        ("rg", corpus.rg_names, corpus.rg),
+        ("user", corpus.user, None),
+        ("system", corpus.system, None),
+        ("midas", tag_text, corpus.midas),
+        ("sda", tag_text, corpus.sda),
+    )):
+        at = _unencodable(strings)
+        if codes is not None:  # table entries: the exchanges that use them
+            at = np.flatnonzero(np.isin(codes, at)).tolist() if at else []
+        if at:
+            found.append((at[0], order, key))
+    if found:
+        e, _, key = min(found)
+        i = int(np.searchsorted(corpus.offsets, e, side="right")) - 1
+        raise CorpusError(
+            f"exchange field {key!r} holds a lone surrogate"
+            f"{_at(corpus.ids[i], e - int(corpus.offsets[i]))}",
+            record=i,
+        )
 
 
 def parse_corpus(stream) -> Corpus:
@@ -405,11 +498,13 @@ def parse_corpus(stream) -> Corpus:
     it names.
     """
     lineno = 0
+    blanks = []  # for each blank line, the number of records before it
 
     def records():
         nonlocal lineno
         for lineno, line in enumerate(stream, start=1):
             if not line.strip():
+                blanks.append(lineno - 1 - len(blanks))
                 continue
             try:
                 obj = json.loads(line)
@@ -420,6 +515,8 @@ def parse_corpus(stream) -> Corpus:
     try:
         return Corpus.from_records(records())
     except CorpusError as e:
+        if e.record is not None:
+            lineno = e.record + 1 + bisect_right(blanks, e.record)
         raise CorpusError(f"line {lineno}: {e}") from e
 
 
@@ -433,17 +530,20 @@ def write_corpus_jsonl(corpus: Corpus, fh) -> None:
 
     Each line holds the record's keys in schema order, tag lists sorted
     and de-duplicated, as ``json.dumps(record, ensure_ascii=False)``
-    writes it; the lines are assembled from the columns.
+    writes it; the lines are assembled from the columns, each table entry
+    encoded once.
     """
     enc = encode_basestring
+    topic_json = list(map(enc, corpus.topic_names))
+    rg_json = list(map(enc, corpus.rg_names))
     tag_json = [json.dumps(list(t), ensure_ascii=False) for t in corpus.tagsets]
     offsets = corpus.offsets.tolist()
     for first in range(0, len(corpus), _WRITE_BLOCK):
         last = min(first + _WRITE_BLOCK, len(corpus))
         a, b = offsets[first], offsets[last]
         exchanges = list(map(_EXCHANGE_JSON.__mod__, zip(
-            map(enc, corpus.topic[a:b]),
-            map(enc, corpus.rg[a:b]),
+            map(topic_json.__getitem__, corpus.topic[a:b].tolist()),
+            map(rg_json.__getitem__, corpus.rg[a:b].tolist()),
             map(enc, corpus.user[a:b]),
             map(enc, corpus.system[a:b]),
             map(tag_json.__getitem__, corpus.midas[a:b].tolist()),

@@ -25,6 +25,7 @@ import numpy as np
 
 from .corpus import SPLIT_NAMES, Corpus
 from .features import (
+    DEPENDENT,
     INDEPENDENT,
     FeatureSchema,
     FeatureTable,
@@ -167,29 +168,34 @@ def fit_spec(spec: ModelSpec, X, y, dev=None, fallback_seed: int = 0) -> Trained
 
 
 def fit_and_report(
-    cell: GridCell, names, splits: dict[str, SplitRows], seed: int = 0
+    cell: GridCell, names, splits: dict[str, SplitRows], seed: int = 0, features=None
 ) -> CellResult:
     """Fit one cell on the train split and report it on the test split.
 
     ``splits`` maps train/dev/test to raw rows whose columns follow
-    ``names``.  The cell's dropped columns go first; the standardizer,
-    and the median of a median-split target given by kind name, are
-    fitted on train; dev reaches only the MLP's early stopping.
+    ``names``.  The cell's columns are ``features`` (a subset of
+    ``names``; all of them when None) less its dropped ones, taken by
+    name before anything else; the standardizer, and the median of a
+    median-split target given by kind name, are fitted on train; dev
+    reaches only the MLP's early stopping.
     """
-    unknown = [d for d in cell.drop if d not in names]
+    features = names if features is None else features
+    unknown = [d for d in cell.drop if d not in features]
     if unknown:
         raise ValueError(f"unknown feature names: {', '.join(unknown)}")
-    keep = [i for i, n in enumerate(names) if n not in cell.drop]
-    names = tuple(names[i] for i in keep)
+    column = {n: j for j, n in enumerate(names)}
+    keep = [column[n] for n in features if n not in cell.drop]
+    names = tuple(names[j] for j in keep)
     for split in ("train", "test"):  # before a fit that may take long
         if not splits[split].ids:
             raise ValueError(f"{split} split is empty")
     # C-ordered rows (take() returns them), so the standardizer's sums do
-    # not depend on how the caller laid out its matrices; without a drop
-    # a C-ordered matrix is used as it is, not copied.
+    # not depend on how the caller laid out its matrices; a C-ordered
+    # matrix whose every column is kept is used as it is, not copied.
+    whole = keep == list(range(len(column)))
     splits = {
         k: s._replace(
-            X=s.X.take(keep, axis=1) if cell.drop else np.ascontiguousarray(s.X)
+            X=np.ascontiguousarray(s.X) if whole else s.X.take(keep, axis=1)
         )
         for k, s in splits.items()
     }
@@ -274,29 +280,34 @@ def run_grid(cells, corpus: Corpus, seed: int = 0) -> list[CellResult]:
     """Train and evaluate every grid cell; results follow grid order.
 
     The split corpus is encoded into one :class:`FeatureTable` per
-    call.  Each distinct (feature set, prefix window) matrix is built
-    once, at its first cell, and freed after its last, so one matrix is
-    held at a time when each window's cells are adjacent.  Every cell,
-    ablated or not, takes its train/dev/test rows from its window's
-    matrix by index.
+    call.  Each prefix window's matrix is built once, at its first cell,
+    over the widest feature set that window's cells use (dependent if
+    any cell uses it), split into train/dev/test rows, and freed after
+    the window's last cell, so one matrix is held at a time when each
+    window's cells are adjacent.  Every cell, ablated or not, takes its
+    feature set's columns from its window's rows by name.
     """
     schema = FeatureSchema()
     parts = _split_parts(corpus)
     table = FeatureTable(corpus, schema)
-    uses = Counter((cell.feature_set, cell.prefix_k) for cell in cells)
+    widest = {cell.prefix_k: INDEPENDENT for cell in cells}
+    widest.update((cell.prefix_k, DEPENDENT) for cell in cells
+                  if cell.feature_set == DEPENDENT)
+    uses = Counter(cell.prefix_k for cell in cells)
     held = {}
     results = []
     for i, cell in enumerate(cells):
-        window = (cell.feature_set, cell.prefix_k)
+        window = cell.prefix_k
         try:
+            features = schema.names(cell.feature_set)
             if window not in held:
-                held[window] = table.matrix(*window)[1]
-            splits = _take(parts, held[window])
+                held[window] = _take(parts, table.matrix(widest[window], window)[1])
+            splits = held[window]
             uses[window] -= 1
             if not uses[window]:
                 del held[window]
-            names = schema.names(cell.feature_set)
-            results.append(fit_and_report(cell, names, splits, seed))
+            names = schema.names(widest[window])
+            results.append(fit_and_report(cell, names, splits, seed, features))
         except Exception as e:
             kind = getattr(cell.target, "kind", cell.target)  # or a kind name
             raise RuntimeError(

@@ -21,8 +21,10 @@ counts come from :func:`word_counts`, which counts a block of texts at a
 time; :func:`word_count` is its one-text definition.  Callers that need
 several matrices over the same conversations keep the table and call
 :meth:`FeatureTable.matrix` for each: :func:`convperf.experiment.run_grid`
-encodes the whole split corpus into one table, builds each distinct
-window's matrix once and selects every split's rows from it.
+encodes the whole split corpus into one table, builds one matrix per
+prefix window, over the widest feature set that window's cells use, and
+selects every split's rows and every cell's columns from it.  The
+independent columns of a dependent matrix equal the independent matrix.
 Standardizers are fitted on training vectors only and applied unchanged
 to dev/test.
 """
@@ -32,7 +34,6 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -226,12 +227,14 @@ class FeatureTable:
     Built once from a :class:`~convperf.corpus.Corpus`, it holds flat
     per-exchange arrays: the corpus's CSR (compressed sparse row)
     conversation offsets, user word counts, topic and
-    response-generator codes into the schema inventories (values outside
-    them take the ``other`` code), and, per SDA and MIDAS label of the
-    schema, the positions of the exchanges carrying it.  :meth:`matrix`
-    turns them into any feature set and prefix window with
-    ``np.bincount``, so one table over a split corpus serves every grid
-    cell and every split.
+    response-generator codes into the schema inventories, and, per SDA
+    and MIDAS label of the schema, the positions of the exchanges
+    carrying it.  The schema codes come from the corpus's own codes
+    through one lookup array per name table, so each distinct name is
+    looked up once; names outside the schema take the ``other`` code.
+    :meth:`matrix` turns the arrays into any feature set and prefix
+    window with ``np.bincount``, so one table over a split corpus serves
+    every grid cell and every split.
     """
 
     def __init__(self, corpus: Corpus, schema: FeatureSchema):
@@ -241,9 +244,13 @@ class FeatureTable:
         words = word_counts(corpus.user)
         self.words = words.astype(np.min_scalar_type(words.max(initial=0)))
         self.unknown = set()
-        self.topic = self._schema_codes(corpus.topic, schema.topics, "topic")
-        self.rg = self._schema_codes(
-            corpus.rg, schema.response_generators, "response generator"
+        self.topic, self.rg = (
+            self._lookup(kind, names, inventory, codes)[codes]
+            for kind, names, inventory, codes in (
+                ("topic", corpus.topic_names, schema.topics, corpus.topic),
+                ("response generator", corpus.rg_names, schema.response_generators,
+                 corpus.rg),
+            )
         )
         # Positions of the exchanges carrying each SDA, then MIDAS, label.
         self.tagged = [
@@ -254,12 +261,14 @@ class FeatureTable:
             for label in labels
         ]
 
-    def _schema_codes(self, values, inventory, kind) -> np.ndarray:
-        """Codes into ``inventory``; values outside it take ``other``'s code."""
+    def _lookup(self, kind, names, inventory, codes) -> np.ndarray:
+        """Each name's code into ``inventory``, ``other``'s for a name
+        outside it; such names that ``codes`` uses join ``unknown``."""
         code = {v: i for i, v in enumerate(inventory)}
-        self.unknown |= {(kind, v) for v in set(values) - code.keys()}
-        codes = map(code.get, values, repeat(code["other"]))
-        return np.fromiter(codes, np.min_scalar_type(len(inventory)), len(values))
+        used = np.bincount(codes, minlength=len(names)).astype(bool).tolist()
+        self.unknown |= {(kind, v) for v, u in zip(names, used) if u and v not in code}
+        lookup = [code.get(v, code["other"]) for v in names]
+        return np.array(lookup, np.min_scalar_type(len(inventory)))
 
     def matrix(
         self, feature_set: str = DEPENDENT, prefix_k: int | None = None

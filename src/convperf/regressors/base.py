@@ -48,7 +48,8 @@ class Params:
     families: ClassVar[tuple[str, ...]] = ()
 
     def check_features(self, n: int, path: str) -> None:
-        """Raise ValueError naming the key under ``path`` that reads past column n."""
+        """Raise ValueError naming the key under ``path`` that does not fit n
+        feature columns."""
 
 
 def check_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +223,10 @@ def model_from_json(obj) -> TrainedModel:
     if std is not None and not len(std.mean) == len(std.std) == len(names or ()):
         raise ValueError("model file: standardizer mean and std need one value per "
                          f"feature name ({len(names or ())})")
+    fingerprint = None if names is None else schema_fingerprint(names)
+    if f.fingerprint != fingerprint:
+        raise ValueError(f"model file: fingerprint {f.fingerprint!r} does not match "
+                         f"feature_names, whose fingerprint is {fingerprint!r}")
     if names is not None:
         params.check_features(len(names), "parameters")
     return TrainedModel(

@@ -34,6 +34,11 @@ class LinearParams(Params):
     coef: FloatVector
     intercept: float
 
+    def check_features(self, n: int, path: str) -> None:
+        if len(self.coef) != n:
+            raise ValueError(f"model file: {path}: coef: {len(self.coef)} coefficients, "
+                             f"not one per feature name ({n})")
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         return X @ self.coef + self.intercept
 

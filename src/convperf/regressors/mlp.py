@@ -42,6 +42,12 @@ class MlpParams(Params):
             raise ValueError("layers must alternate weight matrices and bias vectors "
                              "whose shapes chain from the inputs to one output")
 
+    def check_features(self, n: int, path: str) -> None:
+        rows = self.layers[0].shape[0]
+        if rows != n:
+            raise ValueError(f"model file: {path}: layers[0]: {rows} rows, "
+                             f"not one per feature name ({n})")
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         return forward(list(self.layers), np.asarray(X, dtype=float))
 

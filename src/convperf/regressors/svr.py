@@ -65,6 +65,16 @@ class SvrParams(Params):
     intercept: float
     gamma: float
 
+    def __post_init__(self):
+        if self.sv_x.shape[0] != self.sv_beta.shape[0]:
+            raise ValueError(f"sv_x: {self.sv_x.shape[0]} support vectors, not one per "
+                             f"sv_beta entry ({self.sv_beta.shape[0]})")
+
+    def check_features(self, n: int, path: str) -> None:
+        if len(self.sv_x) and self.sv_x.shape[1] != n:
+            raise ValueError(f"model file: {path}: sv_x: {self.sv_x.shape[1]} columns, "
+                             f"not one per feature name ({n})")
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if self.sv_beta.shape[0] == 0:

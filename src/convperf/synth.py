@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _Interner
 from .tagging import default_config
 
 _SHORT_MAX = 4  # accidental-invocation lengths are 1.._SHORT_MAX
@@ -227,8 +227,8 @@ def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, topics, phrases):
     """Draw the next ``n`` conversations from the streams ``rng``.
 
     Returns lists of their lengths and ratings and of each exchange's
-    topic, rg and user text, then the exchanges' midas codes (indices into
-    ``((),) + _MIDAS_SETS``).
+    user text, then arrays of each exchange's topic, rg and midas codes
+    (indices into ``topics``, ``_RG_NAMES`` and ``((),) + _MIDAS_SETS``).
     """
     e = rng["engagement"].beta(cfg.engagement_alpha, cfg.engagement_beta, n)
     short = rng["short_flag"].random(n) < cfg.short_mass
@@ -250,7 +250,7 @@ def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, topics, phrases):
     first = np.cumsum(lengths) - lengths
     topic = _pick(_cdf(interest)[conv], u[:, 0])
     rg = _pick(_RG_CDF, u[:, 1])
-    topic[first] = rg[first] = -1  # the intro
+    topic[first] = rg[first] = -1  # the intro, last in both tables
 
     def rate(base, gain, x):
         return np.clip(base + gain * x, 0.0, 1.0)[conv]
@@ -264,12 +264,8 @@ def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, topics, phrases):
     compl = u[:, 5] < rate(cfg.complaint_base, cfg.complaint_gain, 1.0 - e)
     lam = (cfg.verbosity_base + cfg.verbosity_gain * e)[conv]
     return (
-        lengths.tolist(),
-        ratings.tolist(),
-        list(map(topics.__getitem__, topic.tolist())),
-        list(map(_RG_NAMES.__getitem__, rg.tolist())),
-        _user_texts(rng, lam, comp, compl, *phrases),
-        midas,
+        (lengths.tolist(), ratings.tolist(), _user_texts(rng, lam, comp, compl, *phrases)),
+        (topic % len(topics), rg % len(_RG_NAMES), midas),
     )
 
 
@@ -318,26 +314,32 @@ def generate(cfg: GeneratorConfig) -> Corpus:
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(_STREAMS))
     rng = dict(zip(_STREAMS, map(np.random.default_rng, seeds)))
     n = cfg.n_conversations
-    lengths, ratings, topic, rg, user, midas = [], [], [], [], [], []
+    lengths, ratings, user, codes = [], [], [], []
     for i in range(0, n, _BLOCK):
-        *parts, block_midas = _block(rng, cfg, min(_BLOCK, n - i), appeal, topics, phrases)
-        for column, part in zip((lengths, ratings, topic, rg, user), parts):
+        lists, arrays = _block(rng, cfg, min(_BLOCK, n - i), appeal, topics, phrases)
+        for column, part in zip((lengths, ratings, user), lists):
             column += part
-        midas.append(block_midas)
+        codes.append(arrays)
+    topic, rg, midas = map(np.concatenate, zip(*codes))
     offsets = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(lengths, out=offsets[1:])
-    system = {t: f"let us talk about {t}" for t in topics}
+    # A name listed twice in topic_appeal still has one code.
+    names = _Interner()
+    topic = np.array([names.code(t) for t in topics], dtype=np.int32)[topic]
+    system = [f"let us talk about {t}" for t in names.values]
     width = max(6, len(str(n - 1)))
     return Corpus._from_columns(
         ids=[f"syn-{i:0{width}d}" for i in range(n)],
         ratings=ratings,
         offsets=offsets,
         topic=topic,
-        rg=rg,
+        rg=rg.astype(np.int32),
         user=user,
-        system=list(map(system.__getitem__, topic)),
-        midas=np.concatenate(midas),
+        system=list(map(system.__getitem__, topic.tolist())),
+        midas=midas,
         sda=np.zeros(len(topic), dtype=np.int32),
+        topic_names=tuple(names.values),
+        rg_names=_RG_NAMES,
         tagsets=((),) + tuple(tuple(sorted(s)) for s in _MIDAS_SETS),
         split=None,
     )

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, _TagSets
+from .corpus import Corpus, _Interner, _tag_set
 
 WHOLE_UTTERANCE = "whole_utterance"
 WORD_BOUNDARY = "word_boundary"
@@ -108,11 +108,6 @@ def default_config(match_mode: str = WORD_BOUNDARY) -> TaggerConfig:
     return TaggerConfig(lexicons, match_mode=match_mode)
 
 
-def tag_utterance(text: str, cfg: TaggerConfig) -> frozenset[str]:
-    """Labels whose lexicon matches ``text`` under the config's match mode."""
-    return frozenset(label for label, at in _hits([text], cfg).items() if len(at))
-
-
 def _separator(lexicons) -> str:
     """A character that is not whitespace, not a word character and in no
     pattern, so no match can contain it."""
@@ -166,13 +161,13 @@ def tag_corpus(corpus: Corpus, cfg: TaggerConfig, overwrite: bool = False) -> Co
     Returns ``corpus`` itself when no exchange's tags change, else a
     corpus that shares every column but ``sda``.
     """
-    tags = _TagSets(corpus.tagsets)
+    tags = _Interner(corpus.tagsets)
     codes = np.zeros_like(corpus.sda) if overwrite else corpus.sda.copy()
     for label, at in _hits(corpus.user, cfg).items():
         # Each distinct tag set at these exchanges gains the label.
         before, inverse = np.unique(codes[at], return_inverse=True)
-        after = [tags.code(tags.sets[c] + (label,)) for c in before.tolist()]
+        after = [tags.code(_tag_set(tags.values[c] + (label,))) for c in before.tolist()]
         codes[at] = np.array(after, dtype=codes.dtype)[inverse]
     if np.array_equal(codes, corpus.sda):
         return corpus
-    return corpus._replace(sda=codes, tagsets=tuple(tags.sets))
+    return corpus._replace(sda=codes, tagsets=tuple(tags.values))

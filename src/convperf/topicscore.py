@@ -58,6 +58,7 @@ def score_topics(
     sums: dict[str, float] = {}
     offsets = corpus.offsets.tolist()
     user_words = word_counts(corpus.user).tolist()
+    topic = list(map(corpus.topic_names.__getitem__, corpus.topic.tolist()))
     for i, rating in enumerate(corpus.ratings):
         if rating is None:
             raise ValueError(
@@ -66,7 +67,7 @@ def score_topics(
         counts: dict[str, int] = {}
         words: dict[str, list[int]] = {}
         a, b = offsets[i], offsets[i + 1]
-        for t, count in zip(corpus.topic[a:b], user_words[a:b]):
+        for t, count in zip(topic[a:b], user_words[a:b]):
             if t in exclude_topics:
                 continue
             counts[t] = counts.get(t, 0) + 1

@@ -568,13 +568,17 @@ def edited_model(path, *edits):
      ("ridge", [(("seed",), "0")], "model file: seed must be an integer, not a string"),
      ("ridge", [(("target",), 5)], "model file: target must be an object, not an integer"),
      ("ridge", [(("target",), {"kind": "binned_length", "bin_width": 0})],
-      "model file: target: bin_width must be at least 1 and max_bin at least 0")],
+      "model file: target: bin_width must be at least 1 and max_bin at least 0"),
+     ("ridge", [(_PARAMS + ("coef", 0), DELETE)],
+      "model file: parameters: coef: 10 coefficients, not one per feature name (11)"),
+     ("ridge", [(("fingerprint",), "abc")],
+      "model file: fingerprint 'abc' does not match feature_names, whose fingerprint is")],
     ids=["list", "no-parameters", "no-family", "empty-parameters", "empty-standardizer",
          "feature-names-5", "trees-5", "tree-without-left", "split-feature-1.5",
          "unequal-node-arrays", "cyclic-left", "child-past-the-end", "shared-child",
          "split-past-the-features", "forest-tree-cyclic-left", "short-standardizer",
          "numeric-feature-name", "hyperparameters-list", "seed-string", "target-5",
-         "zero-bin-width"],
+         "zero-bin-width", "short-coef", "wrong-fingerprint"],
 )
 @pytest.mark.parametrize("command", ["evaluate", "export-tree"])
 def test_malformed_model_file_is_rejected(pipeline, model_files, tmp_path, capsys, base,

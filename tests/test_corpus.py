@@ -383,6 +383,22 @@ def test_corpus_equality_ignores_tag_set_codes():
     assert a != b
     assert a != split_corpus(from_records(*(record(f"c{i}") for i in range(3))))
 
+    # Topic and rg codes too: b sees its names in the other order, and
+    # one name that a lacks.
+    a = from_records(record("a", topic="music", rg="fact"),
+                     record("b", topic="movies", rg="menu"))
+    b = from_records(record("b", topic="movies", rg="menu"),
+                     record("c", topic="tv", rg="other"),
+                     record("a", topic="music", rg="fact"))
+    picked = b._select(np.array([2, 0]))
+    assert (a.topic.tolist(), a.rg.tolist()) != (picked.topic.tolist(), picked.rg.tolist())
+    assert picked.topic_names == ("movies", "tv", "music")
+    assert a == picked
+    assert a != b._select(np.array([2, 1]))
+    buf = io.StringIO()
+    write_corpus_jsonl(picked, buf)
+    assert parse_corpus(io.StringIO(buf.getvalue())) == a
+
 
 def test_views_are_read_only_records():
     rec = record("c1", rating=4, exchanges=[
@@ -427,6 +443,7 @@ _BAD_FIELDS = [
     ("exchange", "midas", [3], "exchange field 'midas' must be a list of strings"),
     ("exchange", "midas", "x", "exchange field 'midas' must be a list of strings"),
     ("exchange", "sda", ["ok", None], "exchange field 'sda' must be a list of strings"),
+    ("exchange", "user", "\ud800 hi", "exchange field 'user' holds a lone surrogate"),
     ("whole", "exchange", "hello", "exchange record must be an object"),
     ("whole", "exchange", ["topic"], "exchange record must be an object"),
     ("whole", "record", ["c1"], "conversation record must be an object"),
@@ -461,6 +478,33 @@ def test_one_boundary_refuses_each_bad_field_alike(records, bad, data):
         parse_corpus([json.dumps(r) for r in records])
     assert problem in str(direct.value)
     assert str(parsed.value) == f"line {at + 1}: {direct.value}"
+
+
+_AT = " (conversation 'c2', exchange 1)"
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("id", "c\udfff", "conversation id 'c\\udfff' holds a lone surrogate"),
+     ("topic", "mo\ud800", "exchange field 'topic' holds a lone surrogate" + _AT),
+     ("rg", "\udc00", "exchange field 'rg' holds a lone surrogate" + _AT),
+     ("system", "ok\ud83d", "exchange field 'system' holds a lone surrogate" + _AT),
+     ("sda", ["ok", "\ud800"], "exchange field 'sda' holds a lone surrogate" + _AT)],
+    ids=["id", "topic", "rg", "system", "sda"],
+)
+def test_a_lone_surrogate_is_refused_where_it_is(key, value, message):
+    # The bad record is the third, after a blank line: line 4.  Every
+    # user text is non-ASCII, so no column passes on the ASCII test alone.
+    records = [record(f"c{i}", user="café") for i in range(4)]
+    if key == "id":
+        records[2]["id"] = value
+    else:
+        records[2]["exchanges"][1][key] = value
+    lines = [json.dumps(r) for r in records]
+    lines.insert(1, "")
+    with pytest.raises(CorpusError) as err:
+        parse_corpus(lines)
+    assert str(err.value) == f"line 4: {message}"
 
 
 def test_selection_keeps_columns_aligned():

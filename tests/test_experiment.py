@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import math
 from collections import Counter
 from dataclasses import replace
@@ -80,8 +81,10 @@ def test_run_grid_encodes_once_and_builds_each_window_once(corpus400, monkeypatc
         (cz.Corpus, "subset", "subset"),
     ):
         monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
-    windows = [("independent", None), ("dependent", 10), ("independent", 3)]
-    # Cells of one window are not adjacent: every window is still built once.
+    windows = [("independent", None), ("dependent", 10), ("independent", 3),
+               ("independent", 10), ("dependent", None)]
+    # Cells of one window are not adjacent, and both feature sets share the
+    # full and the 10-exchange window: every prefix window is built once.
     spec = ModelSpec(family="ridge", hyperparameters={"lambda": 1.0})
     cells = [
         GridCell(spec, feature_set, TargetKind(kind), k)
@@ -89,7 +92,21 @@ def test_run_grid_encodes_once_and_builds_each_window_once(corpus400, monkeypatc
         for feature_set, k in windows
     ]
     run_grid(cells, corpus400, seed=0)
-    assert (calls["table"], calls["matrix"], calls["subset"]) == (1, len(windows), 0)
+    assert (calls["table"], calls["matrix"], calls["subset"]) == (1, 3, 0)
+
+
+def test_an_independent_window_maps_no_topic(caplog):
+    convs = [record(f"c{i}", n=5 + i % 7, rating=1 + i % 5, topic="grid_only_topic")
+             for i in range(40)]
+    corpus = cz.split_corpus(cz.Corpus.from_records(convs), seed=0)
+    cells = [ridge_cell(prefix_k=k) for k in (None, 3)]
+    with caplog.at_level(logging.WARNING, logger="convperf.features"):
+        run_grid(cells, corpus)
+        assert caplog.records == []
+        run_grid(cells + [replace(cells[1], feature_set="dependent")], corpus)
+    assert [r.getMessage() for r in caplog.records] == [
+        "unknown topic 'grid_only_topic' mapped to 'other'"
+    ]
 
 
 def test_run_grid_order_fields_and_binding(corpus400):

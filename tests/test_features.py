@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convperf.corpus import Corpus
+import convperf.synth as synth
+from convperf.corpus import SPLIT_NAMES, Corpus, filter_min_length, split_corpus
 from convperf.features import (
     DEPENDENT,
     FeatureSchema,
@@ -234,6 +235,63 @@ def test_feature_ranges(conv):
             assert 0.0 <= v <= 1.0
         else:
             assert v >= 0.0
+
+
+# ------------------------------------------------- schema codes of a table
+
+_NAMES = ("movies", "intro", "other", "klingon_opera", "Movies", "café")
+_RGS = ("fact", "menu", "other", "oracle_rg", "")
+
+
+def schema_codes(values, inventory):
+    """Oracle: a dict lookup per value into ``inventory`` (``other``'s code
+    for a value outside it), and the set of values outside it."""
+    code = {v: i for i, v in enumerate(inventory)}
+    return [code.get(v, code["other"]) for v in values], set(values) - code.keys()
+
+
+@st.composite
+def coded_corpus(draw):
+    """A parsed or synthesized corpus with unknown names, whole, filtered
+    to a minimum length, or one split of it."""
+    if draw(st.booleans()):
+        exchanges = st.lists(st.fixed_dictionaries(
+            {"topic": st.sampled_from(_NAMES), "rg": st.sampled_from(_RGS)}
+        ), min_size=1, max_size=6)
+        convs = draw(st.lists(exchanges, min_size=3, max_size=8))
+        corpus = Corpus.from_records(
+            [record(f"c{i}", exchanges=ex) for i, ex in enumerate(convs)]
+        )
+    else:
+        names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4))
+        corpus = synth.generate(synth.GeneratorConfig(
+            n_conversations=draw(st.integers(3, 30)), seed=draw(st.integers(0, 99)),
+            topic_appeal=tuple((name, 1.0) for name in names),
+        ))
+    view = draw(st.sampled_from(["whole", "filtered", "split"]))
+    if view == "filtered":
+        corpus = filter_min_length(corpus, draw(st.integers(1, 8)))
+    elif view == "split":
+        corpus = split_corpus(corpus).subset(draw(st.sampled_from(SPLIT_NAMES)))
+    return corpus
+
+
+@given(coded_corpus())
+@settings(max_examples=80, deadline=None)
+def test_table_codes_match_a_per_exchange_map(corpus):
+    for names in (corpus.topic_names, corpus.rg_names):
+        assert len(set(names)) == len(names)
+    table = FeatureTable(corpus, SCHEMA)
+    exchanges = [ex for conv in corpus for ex in conv.exchanges]
+    topics, unknown_topics = schema_codes([ex.topic for ex in exchanges], SCHEMA.topics)
+    rgs, unknown_rgs = schema_codes(
+        [ex.response_generator for ex in exchanges], SCHEMA.response_generators
+    )
+    assert table.topic.tolist() == topics
+    assert table.rg.tolist() == rgs
+    assert table.unknown == {("topic", v) for v in unknown_topics} | {
+        ("response generator", v) for v in unknown_rgs
+    }
 
 
 # ------------------------------------------------------------- standardizer

@@ -21,6 +21,7 @@ from convperf.regressors import (
     ForestParams,
     MlpParams,
     ModelSpec,
+    SvrParams,
     TargetKind,
     TreeParams,
     fit_svr,
@@ -192,15 +193,35 @@ def test_a_tree_the_builder_could_not_grow_is_refused(tree_json, case):
     assert str(err.value).startswith(expected)
 
 
-def test_a_split_feature_past_the_feature_names_is_refused(tree_json):
-    params = decode(TreeParams, tree_json, "parameters")
-    width = int(params.feature.max()) + 1
-    params.check_features(width, "parameters")
-    with pytest.raises(ValueError, match=r"^model file: parameters: feature: split on column"):
-        params.check_features(width - 1, "parameters")
-    forest = decode(ForestParams, {"trees": [tree_json] * 2}, "parameters")
-    with pytest.raises(ValueError, match=r"parameters\.trees\[0\]: feature: split on column"):
-        forest.check_features(width - 1, "parameters")
+# What each family's check_features says when its parameters need one
+# more column than there are feature names.
+_TOO_WIDE = {
+    "ols": r"parameters: coef: 3 coefficients, not one per feature name \(2\)",
+    "ridge": r"parameters: coef: 3 coefficients, not one per feature name \(2\)",
+    "lasso": r"parameters: coef: 3 coefficients, not one per feature name \(2\)",
+    "tree": r"parameters: feature: split on column 2, past the 2 feature names",
+    "forest": r"parameters\.trees\[\d+\]: feature: split on column 2, past the 2",
+    "svr": r"parameters: sv_x: 3 columns, not one per feature name \(2\)",
+    "mlp": r"parameters: layers\[0\]: 3 rows, not one per feature name \(2\)",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_split_feature_past_the_feature_names_is_refused(family):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(80, 3))
+    y = X[:, 2] + 0.1 * rng.normal(size=80)  # so trees split on column 2
+    params = fit_spec(SPECS[family], X, y).params
+    params.check_features(3, "parameters")
+    with pytest.raises(ValueError, match="^model file: " + _TOO_WIDE[family]):
+        params.check_features(2, "parameters")
+
+
+def test_svr_needs_one_support_vector_row_per_coefficient():
+    params = {"sv_x": [[1.0], [2.0]], "sv_beta": [0.5], "intercept": 0.0, "gamma": 1.0}
+    with pytest.raises(ValueError, match=r"^model file: parameters: sv_x: 2 support "
+                                         r"vectors, not one per sv_beta entry \(1\)"):
+        decode(SvrParams, params, "parameters")
 
 
 def test_a_forest_needs_a_tree():

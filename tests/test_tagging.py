@@ -14,12 +14,16 @@ from convperf.tagging import (
     load_lexicon_dir,
     load_lexicon_file,
     tag_corpus,
-    tag_utterance,
 )
 
 from conftest import record
 
 CFG = default_config()
+
+
+def tag_utterance(text, cfg):
+    """Labels whose lexicon matches one text under the config's match mode."""
+    return frozenset(label for label, at in _hits([text], cfg).items() if len(at))
 
 
 def test_shipped_phrases_tag():
