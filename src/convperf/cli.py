@@ -49,6 +49,7 @@ from .corpus import (
     SPLIT_NAMES,
     CorpusError,
     filter_min_length,
+    open_output,
     parse_corpus,
     split_corpus,
     write_corpus_jsonl,
@@ -310,7 +311,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     from .synth import PRESETS, generate
 
     corpus = generate(PRESETS[cfg.synth_preset](cfg.synth_n, seed=cfg.seed))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_output(args.out) as fh:
         write_corpus_jsonl(corpus, fh)
     print(f"wrote {len(corpus)} conversations to {args.out}")
     return 0
@@ -319,7 +320,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 def cmd_ingest(cfg: RunConfig, args) -> int:
     corpus = _read_corpus(args.input)
     kept = filter_min_length(corpus, cfg.min_length)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_output(args.out) as fh:
         write_corpus_jsonl(kept, fh)
     print(
         f"ingested {len(corpus)} conversations, kept {len(kept)} with "
@@ -339,7 +340,7 @@ def cmd_tag(cfg: RunConfig, args) -> int:
     else:
         tagger = default_config(match_mode=cfg.match_mode)
     tagged = tag_corpus(corpus, tagger, overwrite=args.overwrite)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_output(args.out) as fh:
         write_corpus_jsonl(tagged, fh)
     n_tagged = int((tagged.sda != 0).sum())  # code 0 is the empty tag set
     print(f"tagged {len(tagged)} conversations ({n_tagged} exchanges carry tags)")
@@ -355,13 +356,14 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
     ids, X = build_matrix(corpus, schema, cfg.feature_set, cfg.prefix_k)
     names = schema.names(cfg.feature_set)
     splits = [SPLIT_NAMES[k] for k in corpus.split.tolist()]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    # Both files are replaced only once both are written.
+    with (open_output(args.out, newline="") as fh,
+          open_output(_sidecar(args.out)) as side):
         write_feature_csv(
             fh, ids, names, X, corpus.ratings, corpus.capped_lengths(), splits
         )
-    with open(_sidecar(args.out), "w", encoding="utf-8") as fh:
-        json.dump({"feature_set": cfg.feature_set, "prefix_k": cfg.prefix_k}, fh)
-        fh.write("\n")
+        json.dump({"feature_set": cfg.feature_set, "prefix_k": cfg.prefix_k}, side)
+        side.write("\n")
     n_train = splits.count("train")
     print(
         f"featurized {len(ids)} conversations ({len(names)} features, "
@@ -376,7 +378,7 @@ def cmd_score_topics(cfg: RunConfig, args) -> int:
     corpus = _read_corpus(args.input)
     report = score_topics(corpus, cfg.variant, exclude_topics=cfg.exclude_topics)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open_output(args.out, newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["topic", "raw_sum", "z_score", "config_hash"])
             digest = config_hash(cfg, args.command)
@@ -393,15 +395,26 @@ def _sidecar(features_path: str) -> str:
     return features_path + ".json"
 
 
-def _feature_provenance(features_path: str) -> tuple[str, int | None]:
-    """(feature_set, prefix_k) from the sidecar featurize wrote."""
+def _feature_provenance(features_path: str, names) -> tuple[str, int | None]:
+    """(feature_set, prefix_k) from the sidecar featurize wrote, each checked
+    as its option is, and the set's names checked against the CSV's."""
+    from .features import FeatureSchema
+
     path = _require_file(_sidecar(features_path), "feature CSV sidecar")
     with open(path, encoding="utf-8") as fh:
         try:
             meta = json.load(fh)
-            return meta["feature_set"], meta["prefix_k"]
+            feature_set, prefix_k = (
+                OPTIONS[key].convert(meta[key]) for key in ("feature_set", "prefix_k")
+            )
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise CliError(f"feature CSV sidecar {path} is malformed: {e!r}")
+        except CliError as e:
+            raise CliError(f"feature CSV sidecar {path}: {e}") from None
+    if FeatureSchema().names(feature_set) != tuple(names):
+        raise CliError(f"feature CSV sidecar {path}: feature_set {feature_set!r} "
+                       f"does not name the columns of {features_path}")
+    return feature_set, prefix_k
 
 
 def _load_feature_splits(path: str):
@@ -459,7 +472,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     from .regressors import load_model
 
     names, splits = _load_feature_splits(args.features)
-    feature_set, prefix_k = _feature_provenance(args.features)
+    feature_set, prefix_k = _feature_provenance(args.features, names)
     _require_file(args.model, "trained model")
     model = load_model(args.model)
     for key in ("feature_names", "standardizer", "target"):
@@ -474,7 +487,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     cell = GridCell(model.spec, feature_set, model.target, prefix_k)
     report = evaluate_model(model, splits["test"], cell)
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8", newline="") as fh:
+        with open_output(args.report_out, newline="") as fh:
             write_reports_csv(fh, [report], config_hash(cfg, args.command))
     print(format_report_table([report]), end="")
     return 0
@@ -484,7 +497,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
     from .experiment import format_report_table, write_reports_csv
 
     names, splits = _load_feature_splits(args.features)
-    feature_set, prefix_k = _feature_provenance(args.features)
+    feature_set, prefix_k = _feature_provenance(args.features, names)
     drop = tuple(tok for tok in args.drop.split(",") if tok)
     unknown = [d for d in drop if d not in names]
     if unknown:  # before the base fit, which may fail for its own reasons
@@ -494,7 +507,7 @@ def cmd_ablate(cfg: RunConfig, args) -> int:
         for name, dropped in ((None, ()), (f"{cfg.family}-ablated", drop))
     ]
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8", newline="") as fh:
+        with open_output(args.report_out, newline="") as fh:
             write_reports_csv(fh, reports, config_hash(cfg, args.command))
     print(f"ablated: {', '.join(drop) or '(nothing)'}")
     print(format_report_table(reports), end="")
@@ -507,7 +520,7 @@ def cmd_correlate(cfg: RunConfig, args) -> int:
     corpus = _read_corpus(args.input)
     report = correlate_metrics(corpus)
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8", newline="") as fh:
+        with open_output(args.report_out, newline="") as fh:
             write_correlations_csv(fh, report, config_hash(cfg, args.command))
     print(format_correlations(report), end="")
     return 0
@@ -523,7 +536,7 @@ def cmd_export_tree(cfg: RunConfig, args) -> int:
         model, depth_limit=args.depth_limit, tree_index=args.tree_index
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_output(args.out) as fh:
             fh.write(text)
         print(f"wrote tree graph to {args.out}")
     else:

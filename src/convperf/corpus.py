@@ -34,14 +34,18 @@ escape such as ``"\\ud800"`` can produce) is refused there too.
 :class:`Exchange` and :class:`Conversation` are read-only output:
 iterating a corpus yields :class:`Conversation` views whose
 ``exchanges`` build each :class:`Exchange` only when it is accessed.
+Every file a command writes goes through :func:`open_output`, so a
+failed write leaves no partial output and any earlier file intact.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from bisect import bisect_right
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 
@@ -518,6 +522,24 @@ def parse_corpus(stream) -> Corpus:
         if e.record is not None:
             lineno = e.record + 1 + bisect_right(blanks, e.record)
         raise CorpusError(f"line {lineno}: {e}") from e
+
+
+@contextmanager
+def open_output(path, newline: str | None = None):
+    """A UTF-8 text file for ``path``: a temporary file beside it that
+    replaces ``path`` only when the ``with`` block succeeds, and is
+    removed when it fails."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as e:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:
+            e.filename = path  # name the file the caller asked for
+        raise
 
 
 _EXCHANGE_JSON = (

@@ -11,20 +11,23 @@ feature sets are supported:
   response-generator frequencies and the per-topic dwell median.  It is
   the union of both kinds, so there is no separate union set.
 
-:func:`build_matrix` is the public way to turn a corpus into feature
-values.  It encodes the corpus once into a columnar
-:class:`FeatureTable` and asks it for one matrix: counts come from
-``np.bincount`` over the integer codes in each window and are divided by
-the window length, the medians come from sorted per-row segments, and
-column positions come from :meth:`FeatureSchema.names`.  User word
-counts come from :func:`word_counts`, which counts a block of texts at a
-time; :func:`word_count` is its one-text definition.  Callers that need
-several matrices over the same conversations keep the table and call
-:meth:`FeatureTable.matrix` for each: :func:`convperf.experiment.run_grid`
-encodes the whole split corpus into one table, builds one matrix per
-prefix window, over the widest feature set that window's cells use, and
-selects every split's rows and every cell's columns from it.  The
-independent columns of a dependent matrix equal the independent matrix.
+:class:`FeatureSchema` declares the columns once: ``length_median``,
+each frequency block of :meth:`FeatureSchema.blocks` (a name prefix, a
+corpus column and its labels), then, for the dependent set,
+``topic_dist_median``.  :func:`build_matrix` is the public way to turn
+a corpus into feature values.  It encodes the corpus once into a
+columnar :class:`FeatureTable` and asks it for one matrix.  Every block
+is counted the same way: one ``np.bincount`` over the window's
+(conversation, pattern) codes, mapped onto the block's labels and
+divided by the window length.  The medians come from sorted per-row
+segments; user word counts come from :func:`word_counts`.  Callers that
+need several matrices over the same conversations keep the table and
+call :meth:`FeatureTable.matrix` for each:
+:func:`convperf.experiment.run_grid` encodes the whole split corpus into
+one table, builds one matrix per prefix window, over the widest feature
+set that window's cells use, and selects every split's rows and every
+cell's columns from it.  The independent columns of a dependent matrix
+equal the independent matrix.
 Standardizers are fitted on training vectors only and applied unchanged
 to dev/test.
 """
@@ -91,20 +94,8 @@ DEFAULT_RESPONSE_GENERATORS = (
 )
 
 _warned_unknown: set[tuple[str, str]] = set()
-
-
-def _catchall(kind: str, value: str) -> str:
-    """The catch-all for a value missing from the schema, warned once."""
-    key = (kind, value)
-    if key not in _warned_unknown:
-        _warned_unknown.add(key)
-        logger.warning("unknown %s %r mapped to 'other'", kind, value)
-    return "other"
-
-
-def word_count(text: str) -> int:
-    """Whitespace-delimited token count after trimming."""
-    return len(text.split())
+# The name-valued corpus columns and the kind of name each holds.
+_NAME_KINDS = {"topic": "topic", "rg": "response generator"}
 
 
 # Texts per block in word_counts; it bounds the joined text and its views.
@@ -119,7 +110,8 @@ _TO_SPACE = str.maketrans(dict.fromkeys(_UNICODE_SPACES, " "))
 
 
 def word_counts(texts) -> np.ndarray:
-    """:func:`word_count` of each of a list of texts, a block at a time.
+    """Each text's whitespace-delimited word count (``len(text.split())``),
+    a block of texts at a time.
 
     A block of texts is joined with spaces, so no word spans two texts,
     and viewed one code point per element: bytes when it is ASCII,
@@ -169,27 +161,25 @@ class FeatureSchema:
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
 
-    def independent_names(self) -> tuple[str, ...]:
-        return (
-            ("length_median",)
-            + tuple(f"freq_{l}" for l in self.sda_labels)
-            + tuple(f"freq_midas_{l}" for l in self.midas_labels)
-        )
-
-    def dependent_names(self) -> tuple[str, ...]:
-        return (
-            self.independent_names()
-            + tuple(f"topic_freq_{t}" for t in self.topics)
-            + tuple(f"rg_freq_{g}" for g in self.response_generators)
-            + ("topic_dist_median",)
-        )
+    def blocks(self, feature_set: str) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
+        """The ordered frequency blocks of a feature set: (name prefix,
+        corpus column, labels).  The dependent set's blocks extend the
+        independent set's."""
+        blocks = (("freq_", "sda", self.sda_labels),
+                  ("freq_midas_", "midas", self.midas_labels))
+        if feature_set == DEPENDENT:
+            return blocks + (("topic_freq_", "topic", self.topics),
+                             ("rg_freq_", "rg", self.response_generators))
+        if feature_set != INDEPENDENT:
+            raise ValueError(f"unknown feature set: {feature_set!r}")
+        return blocks
 
     def names(self, feature_set: str) -> tuple[str, ...]:
-        if feature_set == INDEPENDENT:
-            return self.independent_names()
-        if feature_set == DEPENDENT:
-            return self.dependent_names()
-        raise ValueError(f"unknown feature set: {feature_set!r}")
+        """``length_median``, each block's names, then for the dependent
+        set ``topic_dist_median``."""
+        freqs = tuple(p + l for p, _, labels in self.blocks(feature_set) for l in labels)
+        dwell = ("topic_dist_median",) if feature_set == DEPENDENT else ()
+        return ("length_median",) + freqs + dwell
 
 
 def _row_counts(row_of: np.ndarray, codes: np.ndarray, n_codes: int, n: int):
@@ -224,16 +214,17 @@ def _segment_medians(segment: np.ndarray, values: np.ndarray, n: int) -> np.ndar
 class FeatureTable:
     """Columnar encoding of a corpus for one schema.
 
-    Built once from a :class:`~convperf.corpus.Corpus`, it holds flat
-    per-exchange arrays: the corpus's CSR (compressed sparse row)
-    conversation offsets, user word counts, topic and
-    response-generator codes into the schema inventories, and, per SDA
-    and MIDAS label of the schema, the positions of the exchanges
-    carrying it.  The schema codes come from the corpus's own codes
-    through one lookup array per name table, so each distinct name is
-    looked up once; names outside the schema take the ``other`` code.
-    :meth:`matrix` turns the arrays into any feature set and prefix
-    window with ``np.bincount``, so one table over a split corpus serves
+    Built once from a :class:`~convperf.corpus.Corpus`, it holds the
+    corpus's CSR (compressed sparse row) conversation offsets, user word
+    counts and, per block of :meth:`FeatureSchema.blocks`, each
+    exchange's code into a table of distinct 0/1 patterns over the
+    block's labels.  A tag set counts toward every label it holds, a
+    topic or response-generator name toward its own label or ``other``.
+    So a block has at most 2^labels patterns for tags and one per label
+    for names, however many distinct values the corpus holds.
+    :meth:`matrix` counts each (conversation, pattern) cell of a window
+    with one ``np.bincount`` per block and maps the counts onto the
+    labels through the patterns, so one table over a split corpus serves
     every grid cell and every split.
     """
 
@@ -244,41 +235,32 @@ class FeatureTable:
         words = word_counts(corpus.user)
         self.words = words.astype(np.min_scalar_type(words.max(initial=0)))
         self.unknown = set()
-        self.topic, self.rg = (
-            self._lookup(kind, names, inventory, codes)[codes]
-            for kind, names, inventory, codes in (
-                ("topic", corpus.topic_names, schema.topics, corpus.topic),
-                ("response generator", corpus.rg_names, schema.response_generators,
-                 corpus.rg),
-            )
-        )
-        # Positions of the exchanges carrying each SDA, then MIDAS, label.
-        self.tagged = [
-            np.flatnonzero(np.array([label in t for t in corpus.tagsets])[codes])
-            for labels, codes in (
-                (schema.sda_labels, corpus.sda), (schema.midas_labels, corpus.midas)
-            )
-            for label in labels
-        ]
-
-    def _lookup(self, kind, names, inventory, codes) -> np.ndarray:
-        """Each name's code into ``inventory``, ``other``'s for a name
-        outside it; such names that ``codes`` uses join ``unknown``."""
-        code = {v: i for i, v in enumerate(inventory)}
-        used = np.bincount(codes, minlength=len(names)).astype(bool).tolist()
-        self.unknown |= {(kind, v) for v, u in zip(names, used) if u and v not in code}
-        lookup = [code.get(v, code["other"]) for v in names]
-        return np.array(lookup, np.min_scalar_type(len(inventory)))
+        # Per corpus column, each exchange's pattern code and the patterns.
+        self.blocks = {}
+        for _, column, labels in schema.blocks(DEPENDENT):
+            codes = getattr(corpus, column)
+            # The labels each entry of the column's table holds: a tag
+            # set's own, or a name's own label (``other`` outside the schema).
+            held = corpus.tagsets
+            if column in _NAME_KINDS:
+                names = getattr(corpus, f"{column}_names")
+                used = np.bincount(codes, minlength=len(names)).astype(bool).tolist()
+                self.unknown |= {(_NAME_KINDS[column], v)
+                                 for v, u in zip(names, used) if u and v not in labels}
+                held = [(v if v in labels else "other",) for v in names]
+            rows = np.array([[l in h for l in labels] for h in held], float)
+            patterns, code = np.unique(rows.reshape(-1, len(labels)), axis=0,
+                                       return_inverse=True)
+            code = code.astype(np.min_scalar_type(len(patterns)))
+            self.blocks[column] = code[codes], patterns
 
     def matrix(
         self, feature_set: str = DEPENDENT, prefix_k: int | None = None
     ) -> tuple[list[str], np.ndarray]:
         """(ids, rows) for one feature set and window; see :func:`build_matrix`."""
-        schema = self.schema
-        names = schema.names(feature_set)
+        blocks = self.schema.blocks(feature_set)
         if prefix_k is not None and prefix_k < 1:
             raise ValueError(f"prefix_k must be >= 1, got {prefix_k}")
-        col = {name: j for j, name in enumerate(names)}
         n = len(self.ids)
         starts = self.offsets[:-1]
         lengths = np.diff(self.offsets)
@@ -292,35 +274,29 @@ class FeatureTable:
             edge[starts] = 1
             edge[starts + window] -= 1
             row_of[np.cumsum(edge[:-1], dtype=np.int8) == 0] = n
-        X = np.zeros((n, len(names)))
-        tag_cols = [col[f"freq_{l}"] for l in schema.sda_labels] + [
-            col[f"freq_midas_{l}"] for l in schema.midas_labels
-        ]
-        for j, tagged in zip(tag_cols, self.tagged):
-            X[:, j] = np.bincount(row_of[tagged], minlength=n + 1)[:n] / window
         # Blank user turns do not count toward the median.
         said = (row_of < n) & (self.words > 0)
-        X[:, col["length_median"]] = _segment_medians(
-            row_of[said], self.words[said], n
-        )
+        columns = [_segment_medians(row_of[said], self.words[said], n)]
+        dwell = []
+        for _, column, _ in blocks:
+            codes, patterns = self.blocks[column]
+            # Counts are small integers, so the product is exact.
+            counts = _row_counts(row_of, codes, len(patterns), n)
+            columns.append(counts @ patterns / window[:, None])
+            if column == "topic":
+                # Median share of the window per distinct topic.  Each
+                # topic pattern is one topic, so its counts are the
+                # topic's.  Dividing by the window, like every count,
+                # keeps the feature invariant under exchange duplication.
+                seen = counts > 0
+                medians = _segment_medians(np.nonzero(seen)[0], counts[seen], n)
+                dwell.append(medians / window)
         if feature_set != INDEPENDENT:
-            for kind, value in sorted(self.unknown):
-                _catchall(kind, value)
-            topics = _row_counts(row_of, self.topic, len(schema.topics), n)
-            X[:, [col[f"topic_freq_{t}"] for t in schema.topics]] = (
-                topics / window[:, None]
-            )
-            rgs = _row_counts(row_of, self.rg, len(schema.response_generators), n)
-            X[:, [col[f"rg_freq_{g}"] for g in schema.response_generators]] = (
-                rgs / window[:, None]
-            )
-            # Median share of the window per distinct topic.  Dividing by
-            # the window, like every count, keeps the feature invariant
-            # under exchange duplication.
-            seen = topics > 0
-            dwell = _segment_medians(np.nonzero(seen)[0], topics[seen], n)
-            X[:, col["topic_dist_median"]] = dwell / window
-        return list(self.ids), X
+            # Each name mapped to ``other`` is warned about once per process.
+            for key in sorted(self.unknown - _warned_unknown):
+                _warned_unknown.add(key)
+                logger.warning("unknown %s %r mapped to 'other'", *key)
+        return list(self.ids), np.column_stack(columns + dwell)
 
 
 def build_matrix(

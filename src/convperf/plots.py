@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, open_output
 from .topicscore import TopicScoreReport
 
 _BIN_WIDTH = 5
@@ -115,11 +115,9 @@ def render_bar_svg(
 
 def write_chart(path_base, labels, values, title: str = "") -> None:
     """Write <base>.svg and <base>.csv for one bar chart."""
-    svg_path = f"{path_base}.svg"
-    csv_path = f"{path_base}.csv"
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(render_bar_svg(labels, values, title))
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with (open_output(f"{path_base}.svg") as svg,
+          open_output(f"{path_base}.csv", newline="") as fh):
+        svg.write(render_bar_svg(labels, values, title))
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["label", "value"])
         for label, v in zip(labels, values):

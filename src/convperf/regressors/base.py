@@ -26,6 +26,7 @@ from typing import Annotated, ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from ..corpus import open_output
 from ..features import Standardizer
 from .targets import TargetKind
 
@@ -236,7 +237,7 @@ def model_from_json(obj) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(model_to_json(model), fh, indent=1)
         fh.write("\n")
 

@@ -23,7 +23,6 @@ system's trained NLU.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -75,7 +74,6 @@ class TaggerConfig:
         self.lexicons = tuple(lexicons)
         self.match_mode = match_mode
         self._exact = {l.label: frozenset(l.patterns) for l in lexicons}
-        self._separator = _separator(lexicons)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(l.label for l in self.lexicons)
@@ -108,34 +106,24 @@ def default_config(match_mode: str = WORD_BOUNDARY) -> TaggerConfig:
     return TaggerConfig(lexicons, match_mode=match_mode)
 
 
-def _separator(lexicons) -> str:
-    """A character that is not whitespace, not a word character and in no
-    pattern, so no match can contain it."""
-    used = set("".join(p for lex in lexicons for p in lex.patterns))
-    return next(
-        c for c in map(chr, range(sys.maxunicode + 1))
-        if c not in used and not re.match(r"[\s\w]", c)
-    )
-
-
 def _hits(texts: list[str], cfg: TaggerConfig) -> dict[str, np.ndarray]:
     """Per label, the ascending positions of the texts its lexicon matches
     once each text is normalized: the whole text (``WHOLE_UTTERANCE``) or a
     run of its words (``WORD_BOUNDARY``, a literal search; see above).
 
-    The run search scans all texts joined by the separator and resumes one
+    The run search scans all texts joined by newlines and resumes one
     character past each occurrence, so overlapping ones are all seen ("a a"
-    in "xa a a").  No pattern holds the separator, so no occurrence spans
-    two texts, and the boundary test sees it as a text's edge.  Starts map
-    to texts by their end offsets, not by counting separators: a text may
-    itself hold the separator character."""
+    in "xa a a").  Normalizing turns every whitespace run into one space,
+    so neither a normalized text nor a pattern holds a newline: no
+    occurrence spans two texts, and the boundary test sees the newline as
+    a text's edge.  Starts map to texts by their end offsets."""
     norms = [_normalize(t) for t in texts]
     if cfg.match_mode == WHOLE_UTTERANCE:
         return {
             label: np.array([i for i, t in enumerate(norms) if t in pats], dtype=np.intp)
             for label, pats in cfg._exact.items()
         }
-    joined = cfg._separator.join(norms)
+    joined = "\n".join(norms)
     ends = np.cumsum([len(t) + 1 for t in norms], dtype=np.intp)
     find, word = joined.find, _WORD.match
     hits = {}

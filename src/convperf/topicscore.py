@@ -10,12 +10,15 @@ different weightings for dwell time and user verbosity:
   short-but-verbose topics get credit for engagement.
 
 Per-(conversation, topic) scores are summed into per-topic totals and
-standardized into z-scores across topics.
+standardized into z-scores across topics.  Only the (conversation,
+topic) cells that occur are kept, so memory grows with the exchanges,
+not with conversations times distinct topics.  Dwell counts, word sums
+and per-topic totals are each one ``np.bincount``, and each topic's
+total adds its scores in conversation order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,41 +58,33 @@ def score_topics(
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown scoring variant: {variant!r}")
-    sums: dict[str, float] = {}
-    offsets = corpus.offsets.tolist()
-    user_words = word_counts(corpus.user).tolist()
-    topic = list(map(corpus.topic_names.__getitem__, corpus.topic.tolist()))
-    for i, rating in enumerate(corpus.ratings):
-        if rating is None:
-            raise ValueError(
-                f"conversation {corpus.ids[i]!r} is unrated; filter before scoring"
-            )
-        counts: dict[str, int] = {}
-        words: dict[str, list[int]] = {}
-        a, b = offsets[i], offsets[i + 1]
-        for t, count in zip(topic[a:b], user_words[a:b]):
-            if t in exclude_topics:
-                continue
-            counts[t] = counts.get(t, 0) + 1
-            if count > 0:
-                words.setdefault(t, []).append(count)
-        for t, n_t in counts.items():
-            if variant == "F1":
-                score = n_t * rating
-            elif variant == "F2":
-                score = math.sqrt(n_t) * rating
-            else:
-                w = words.get(t)
-                mean_words = sum(w) / len(w) if w else 0.0
-                score = math.sqrt(n_t) * rating * mean_words
-            sums[t] = sums.get(t, 0.0) + score
-
-    if len(sums) < 2:
-        raise ValueError(
-            f"need >= 2 topics to standardize, got {len(sums)}"
-        )
-    topics = tuple(sorted(sums))
-    raw = np.array([sums[t] for t in topics], dtype=float)
+    unrated = [cid for cid, r in zip(corpus.ids, corpus.ratings) if r is None]
+    if unrated:
+        raise ValueError(f"conversation {unrated[0]!r} is unrated; filter before scoring")
+    names = corpus.topic_names
+    row_of = np.repeat(np.arange(len(corpus.ids)), np.diff(corpus.offsets))
+    kept = ~np.array([t in exclude_topics for t in names], bool)[corpus.topic]
+    # One cell per (conversation, topic) pair, ordered by conversation.
+    cells, cell_of = np.unique(
+        row_of[kept] * len(names) + corpus.topic[kept], return_inverse=True
+    )
+    row, topic = np.divmod(cells, len(names))
+    dwell = np.bincount(cell_of, minlength=len(cells))
+    rating = np.array(corpus.ratings, float)[row]
+    score = (dwell if variant == "F1" else np.sqrt(dwell)) * rating
+    if variant == "F3":
+        # Mean user words over the cell's non-blank turns, 0.0 for none.
+        words = word_counts(corpus.user)[kept]
+        said = np.bincount(cell_of[words > 0], minlength=len(cells))
+        total = np.bincount(cell_of, weights=words, minlength=len(cells))
+        score *= np.divide(total, said, out=np.zeros(len(cells)), where=said > 0)
+    present = sorted(np.unique(topic).tolist(), key=names.__getitem__)
+    if len(present) < 2:
+        raise ValueError(f"need >= 2 topics to standardize, got {len(present)}")
+    topics = tuple(names[j] for j in present)
+    # bincount adds the weights in input order, so each topic's total adds
+    # its scores in conversation order.
+    raw = np.bincount(topic, weights=score, minlength=len(names))[present]
     std = raw.std()
     if std == 0.0:
         z = np.zeros_like(raw)

@@ -364,6 +364,83 @@ def test_evaluate_needs_the_featurize_sidecar(pipeline, tmp_path, capsys):
     assert "missing feature CSV sidecar" in err and "bare.csv.json" in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+@pytest.mark.parametrize(
+    "sidecar,key",
+    [
+        ({"feature_set": "dependent", "prefix_k": None}, "feature_set"),
+        ({"feature_set": "dependent", "prefix_k": "banana"}, "prefix_k"),
+        ({"feature_set": "independent", "prefix_k": 0}, "prefix_k"),
+        ({"feature_set": "independent", "prefix_k": True}, "prefix_k"),
+        ({"feature_set": "bogus", "prefix_k": 0}, "feature_set"),
+    ],
+    ids=["other-columns", "text-window", "zero-window", "bool-window", "unknown-set"],
+)
+def test_a_sidecar_that_does_not_describe_its_csv_is_refused(
+    pipeline, tmp_path, capsys, command, sidecar, key
+):
+    feats = tmp_path / "features.csv"
+    feats.write_bytes(pipeline.feats.read_bytes())  # independent columns
+    side = tmp_path / "features.csv.json"
+    side.write_text(json.dumps(sidecar))
+    report = tmp_path / "report.csv"
+    args = ["--model", str(pipeline.model)] if command == "evaluate" else [
+        "--drop", "length_median"]
+    assert main([command, "--features", str(feats), *args,
+                 "--report-out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert f"feature CSV sidecar {side}: {key}" in err
+    assert not report.exists()
+
+
+def fail_after_a_partial_write(monkeypatch):
+    """Every output file's first write writes half its text, then raises."""
+    def partial_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        write = fh.write
+
+        def partial(text):
+            write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+        fh.write = partial
+        return fh
+    monkeypatch.setattr(convperf.corpus, "open", partial_open, raising=False)
+
+
+def test_an_output_that_cannot_be_created_is_named(pipeline, tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "kept.jsonl"
+    assert main(["ingest", "--in", str(pipeline.raw), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{out}'\n"
+    )
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("command", ["ingest", "featurize", "train", "evaluate"])
+def test_a_failed_write_leaves_no_partial_output(
+    pipeline, tmp_path, monkeypatch, capsys, command, existing
+):
+    out = tmp_path / "out"
+    argv = {
+        "ingest": ["--in", str(pipeline.raw), "--out", str(out)],
+        "featurize": ["--in", str(pipeline.tagged), "--out", str(out)],
+        "train": ["--features", str(pipeline.feats), "--model-out", str(out),
+                  "--lambda", "1.0"],
+        "evaluate": ["--features", str(pipeline.feats), "--model", str(pipeline.model),
+                     "--report-out", str(out)],
+    }[command]
+    outputs = [out, tmp_path / "out.json"] if command == "featurize" else [out]
+    if existing:
+        for i, path in enumerate(outputs):
+            path.write_bytes(f"earlier output {i}\n".encode())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    fail_after_a_partial_write(monkeypatch)
+    assert main([command, *argv]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    # No temporary file is left, and earlier outputs keep their bytes.
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize(
     "flags",
     [["--family", "lasso", "--lambda", "1e9"], ["--family", "tree", "--max-depth", "0"]],

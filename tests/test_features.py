@@ -11,13 +11,13 @@ import convperf.synth as synth
 from convperf.corpus import SPLIT_NAMES, Corpus, filter_min_length, split_corpus
 from convperf.features import (
     DEPENDENT,
+    FEATURE_SETS,
     FeatureSchema,
     FeatureTable,
     INDEPENDENT,
     Standardizer,
     build_matrix,
     read_feature_csv,
-    word_count,
     word_counts,
     write_feature_csv,
 )
@@ -145,6 +145,11 @@ def test_prefix_window():
         feature_values(conv, SCHEMA, DEPENDENT, prefix_k=0)
 
 
+def word_count(text: str) -> int:
+    """Oracle of word_counts: whitespace-delimited tokens of one text."""
+    return len(text.split())
+
+
 def test_word_count():
     assert word_count("i don't care") == 3
     assert word_count("") == 0
@@ -237,10 +242,12 @@ def test_feature_ranges(conv):
             assert v >= 0.0
 
 
-# ------------------------------------------------- schema codes of a table
+# ------------------------------------------------ block patterns of a table
 
 _NAMES = ("movies", "intro", "other", "klingon_opera", "Movies", "café")
 _RGS = ("fact", "menu", "other", "oracle_rg", "")
+_SDAS = ("sda_compliment", "sda_complaint", "sda_unheard_of")
+_MIDAS = ("user_init", "pos_answer", "mumble")
 
 
 def schema_codes(values, inventory):
@@ -252,12 +259,14 @@ def schema_codes(values, inventory):
 
 @st.composite
 def coded_corpus(draw):
-    """A parsed or synthesized corpus with unknown names, whole, filtered
-    to a minimum length, or one split of it."""
+    """A parsed or synthesized corpus with unknown names and tags, whole,
+    filtered to a minimum length, or one split of it."""
     if draw(st.booleans()):
-        exchanges = st.lists(st.fixed_dictionaries(
-            {"topic": st.sampled_from(_NAMES), "rg": st.sampled_from(_RGS)}
-        ), min_size=1, max_size=6)
+        exchanges = st.lists(st.fixed_dictionaries({
+            "topic": st.sampled_from(_NAMES), "rg": st.sampled_from(_RGS),
+            "sda": st.lists(st.sampled_from(_SDAS), max_size=3, unique=True),
+            "midas": st.lists(st.sampled_from(_MIDAS), max_size=3, unique=True),
+        }), min_size=1, max_size=6)
         convs = draw(st.lists(exchanges, min_size=3, max_size=8))
         corpus = Corpus.from_records(
             [record(f"c{i}", exchanges=ex) for i, ex in enumerate(convs)]
@@ -287,11 +296,36 @@ def test_table_codes_match_a_per_exchange_map(corpus):
     rgs, unknown_rgs = schema_codes(
         [ex.response_generator for ex in exchanges], SCHEMA.response_generators
     )
-    assert table.topic.tolist() == topics
-    assert table.rg.tolist() == rgs
+    expected = {
+        "topic": np.eye(len(SCHEMA.topics))[topics],
+        "rg": np.eye(len(SCHEMA.response_generators))[rgs],
+        "sda": [[l in ex.sda_tags for l in SCHEMA.sda_labels] for ex in exchanges],
+        "midas": [[l in ex.midas_tags for l in SCHEMA.midas_labels] for ex in exchanges],
+    }
+    assert list(table.blocks) == [column for _, column, _ in SCHEMA.blocks(DEPENDENT)]
+    for column, (codes, patterns) in table.blocks.items():
+        assert len(codes) == len(exchanges)
+        # Deduplicated: no two patterns are the same row.
+        assert len({tuple(p) for p in patterns.tolist()}) == len(patterns)
+        assert patterns[codes].tolist() == np.asarray(expected[column], float).tolist()
     assert table.unknown == {("topic", v) for v in unknown_topics} | {
         ("response generator", v) for v in unknown_rgs
     }
+
+
+def test_names_are_the_blocks_expansion():
+    for feature_set in FEATURE_SETS:
+        freqs = tuple(prefix + label
+                      for prefix, _, labels in SCHEMA.blocks(feature_set)
+                      for label in labels)
+        dwell = ("topic_dist_median",) if feature_set == DEPENDENT else ()
+        assert SCHEMA.names(feature_set) == ("length_median",) + freqs + dwell
+    independent = SCHEMA.names(INDEPENDENT)
+    assert SCHEMA.names(DEPENDENT)[: len(independent)] == independent
+    assert [(prefix, column) for prefix, column, _ in SCHEMA.blocks(DEPENDENT)] == [
+        ("freq_", "sda"), ("freq_midas_", "midas"),
+        ("topic_freq_", "topic"), ("rg_freq_", "rg"),
+    ]
 
 
 # ------------------------------------------------------------- standardizer

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +11,7 @@ from convperf.tagging import (
     WHOLE_UTTERANCE,
     WORD_BOUNDARY,
     _hits,
+    _normalize,
     default_config,
     load_lexicon_dir,
     load_lexicon_file,
@@ -169,6 +171,8 @@ def lexicons_and_texts(draw):
 @example(([["so"], ["so cool", "a.i."]], ["soso cool", "so cool.", "xa.i."]))
 @example(([[".x"], ["x."]], ["a.x", ".xa", "x.a", "ax.", ".x", "x."]))
 @example(([_SHIPPED], ["that's so cool\x00i don't care", "İ ς"]))
+# The texts are joined by newlines; a text's own newline or \x1c is a space.
+@example(([_SHIPPED, ["so cool"]], ["that's so\ncool", "i don't\x1ccare so", "\ncool\n"]))
 @settings(max_examples=150, deadline=None)
 def test_batched_corpus_tagging_matches_tagging_each_text(case):
     patterns, texts = case
@@ -177,6 +181,10 @@ def test_batched_corpus_tagging_matches_tagging_each_text(case):
     for tags, text in zip(sda_sets(tagged), texts, strict=True):
         assert tags == _reference_labels(text, cfg)
         assert tag_utterance(text, cfg) == tags
+
+
+def test_no_normalized_code_point_holds_the_newline_that_joins_texts():
+    assert not any("\n" in _normalize(chr(c)) for c in range(sys.maxunicode + 1))
 
 
 def test_phrase_split_across_exchanges_is_not_tagged():

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convperf.corpus import Corpus
-from convperf.topicscore import TopicScoreReport, score_topics
+from convperf.topicscore import VARIANTS, TopicScoreReport, score_topics
 
 from conftest import record
 
@@ -156,3 +158,65 @@ def test_report_is_plain_data():
         variant="F1", topics=("a", "b"), raw_sums=(1.0, 2.0), z_scores=(-1.0, 1.0)
     )
     assert report.ranked() == [("b", 1.0), ("a", -1.0)]
+
+
+# ---------------------------------------------------- per-conversation oracle
+
+
+def oracle_sums(corpus, variant, exclude_topics):
+    """Per-topic raw sums from a dict loop over each conversation's
+    exchanges, adding each conversation's score in conversation order."""
+    sums = {}
+    for conv in corpus:
+        counts, words = {}, {}
+        for ex in conv.exchanges:
+            t = ex.topic
+            if t in exclude_topics:
+                continue
+            counts[t] = counts.get(t, 0) + 1
+            if len(ex.user_text.split()) > 0:
+                words.setdefault(t, []).append(len(ex.user_text.split()))
+        for t, n_t in counts.items():
+            if variant == "F1":
+                score = n_t * conv.rating
+            elif variant == "F2":
+                score = math.sqrt(n_t) * conv.rating
+            else:
+                w = words.get(t)
+                mean_words = sum(w) / len(w) if w else 0.0
+                score = math.sqrt(n_t) * conv.rating * mean_words
+            sums[t] = sums.get(t, 0.0) + score
+    return sums
+
+
+_scored_exchange = st.fixed_dictionaries({
+    "topic": st.sampled_from(["movies", "music", "intro", "klingon_opera", "café", "news"]),
+    "user": st.sampled_from(["", "  ", "yes", "quartz lantern", "a b c d e f g", "tab\tx"]),
+})
+
+
+@given(
+    convs=st.lists(st.tuples(st.integers(1, 5), st.lists(_scored_exchange, min_size=1,
+                                                           max_size=9)), max_size=12),
+    variant=st.sampled_from(VARIANTS),
+    exclude=st.sampled_from([(), ("intro",), ("intro", "café"), ("movies", "music")]),
+)
+@settings(max_examples=200, deadline=None)
+def test_score_topics_matches_a_per_conversation_loop(convs, variant, exclude):
+    corpus = Corpus.from_records(
+        [record(f"c{i}", rating=r, exchanges=ex) for i, (r, ex) in enumerate(convs)]
+    )
+    sums = oracle_sums(corpus, variant, exclude)
+    if len(sums) < 2:
+        with pytest.raises(ValueError, match=f"got {len(sums)}$"):
+            score_topics(corpus, variant, exclude)
+        return
+    report = score_topics(corpus, variant, exclude)
+    topics = tuple(sorted(sums))
+    raw = np.array([sums[t] for t in topics])
+    std = raw.std()
+    z = np.zeros_like(raw) if std == 0.0 else (raw - raw.mean()) / std
+    assert report.topics == topics
+    # Byte for byte: the float bits, signs of zero included.
+    assert [x.hex() for x in report.raw_sums] == [x.hex() for x in raw.tolist()]
+    assert [x.hex() for x in report.z_scores] == [x.hex() for x in z.tolist()]
