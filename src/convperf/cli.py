@@ -300,7 +300,8 @@ def _require_file(path: str, what: str) -> str:
 
 def _read_corpus(path: str):
     _require_file(path, "corpus file")
-    with open(path, encoding="utf-8") as fh:
+    # A byte that is not UTF-8 reaches parse_corpus, which names its line.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return parse_corpus(fh)
 
 

@@ -24,13 +24,19 @@ corpus's tables of distinct names, ``topic_names``/``rg_names``, and
 tag sets (each a sorted, de-duplicated tuple; code 0 is the empty set).
 Each table is filled by one :class:`_Interner`, so a distinct name or
 tag set is validated and encoded once, not once per exchange.
+``words`` holds each exchange's user word count, ``len(user.split())``,
+in the smallest unsigned dtype that holds it.
 :func:`parse_corpus` and :func:`convperf.synth.generate` fill the
-columns directly; filtering, splitting and :meth:`Corpus.subset` are
-index selections.  Records in the JSONL schema, decoded, are the only
-way in from outside: :meth:`Corpus.from_records` validates them, and
-:func:`parse_corpus` is line decoding plus that constructor.  Every
-string must be encodable as UTF-8, so a lone surrogate (which a JSON
-escape such as ``"\\ud800"`` can produce) is refused there too.
+columns directly; ``generate`` fills ``words`` with the word budgets it
+drew, and any other corpus counts its user texts with
+:func:`word_counts` the first time the column is read.  Filtering,
+splitting and :meth:`Corpus.subset` are index selections, and carry a
+known ``words`` column with the rest.  Records in the JSONL schema,
+decoded, are the only way in from outside: :meth:`Corpus.from_records`
+validates them, and :func:`parse_corpus` is line decoding plus that
+constructor.  Every string must be encodable as UTF-8, so a lone
+surrogate (which a JSON escape such as ``"\\ud800"`` can produce) is
+refused there too.
 :class:`Exchange` and :class:`Conversation` are read-only output:
 iterating a corpus yields :class:`Conversation` views whose
 ``exchanges`` build each :class:`Exchange` only when it is accessed.
@@ -47,6 +53,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -60,6 +67,16 @@ SPLIT_NAMES = ("train", "dev", "test")
 
 # Conversations serialized per write() call, which bounds the text held.
 _WRITE_BLOCK = 200
+
+# Texts per block in word_counts; it bounds the joined text and its views.
+_WORD_BLOCK = 4096
+
+# The non-ASCII characters for which str.isspace() is true.
+_UNICODE_SPACES = (
+    "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+    "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+_TO_SPACE = str.maketrans(dict.fromkeys(_UNICODE_SPACES, " "))
 
 
 class CorpusError(ValueError):
@@ -130,6 +147,43 @@ class _Interner:
         return code
 
 
+def word_counts(texts) -> np.ndarray:
+    """Each text's whitespace-delimited word count (``len(text.split())``),
+    a block of texts at a time, in the smallest unsigned dtype that holds
+    the largest.
+
+    A block of texts is joined with spaces, so no word spans two texts,
+    and viewed one code point per element: bytes when it is ASCII,
+    otherwise UTF-32 after its non-ASCII whitespace becomes a space.  A
+    word starts at each non-space code point that follows a space or
+    opens the block; each text counts the starts within its bounds.
+    """
+    counts = np.zeros(len(texts), np.intp)
+    for lo in range(0, len(texts), _WORD_BLOCK):
+        block = texts[lo : lo + _WORD_BLOCK]
+        joined = " ".join(block)
+        if joined.isascii():
+            points = np.frombuffer(joined.encode("ascii"), np.uint8)
+        else:
+            wide = joined.translate(_TO_SPACE).encode("utf-32-le", "surrogatepass")
+            points = np.frombuffer(wide, np.uint32)
+        # str.split()'s ASCII whitespace, \t to \r and \x1c to the space;
+        # unsigned subtraction wraps the code points below each range.
+        space = (points - 9 <= 4) | (points - 28 <= 4)
+        start = ~space
+        start[1:] &= space[:-1]
+        # Text i and the separator after it end just before ends[i].
+        ends = np.cumsum(np.fromiter(map(len, block), np.intp, len(block)) + 1)
+        at = np.searchsorted(np.flatnonzero(start), ends)
+        counts[lo : lo + len(block)] = np.diff(at, prepend=0)
+    return _compact(counts)
+
+
+def _compact(counts: np.ndarray) -> np.ndarray:
+    """Nonnegative integers in the smallest unsigned dtype that holds them."""
+    return counts.astype(np.min_scalar_type(counts.max(initial=0)))
+
+
 def _tag_set(tags) -> tuple:
     """A tag list as the corpus stores it: sorted and de-duplicated."""
     return tuple(sorted(set(tags)))
@@ -174,8 +228,11 @@ class Corpus:
     ``offsets[i + 1]``); ``topic``, ``rg``, ``user``, ``system``,
     ``midas`` and ``sda`` per exchange; the tables the codes index:
     ``topic_names`` (``topic``), ``rg_names`` (``rg``) and ``tagsets``
-    (``midas`` and ``sda``); and ``split``, each conversation's index
-    into :data:`SPLIT_NAMES` (None when the corpus is not split).
+    (``midas`` and ``sda``); ``split``, each conversation's index into
+    :data:`SPLIT_NAMES` (None when the corpus is not split); and
+    ``words``, each exchange's user word count, counted from ``user``
+    when first read unless the corpus was built knowing it.  Equality
+    compares every column but ``words``, which ``user`` determines.
 
     :meth:`from_records` builds a corpus from outside the program.
     """
@@ -228,7 +285,7 @@ class Corpus:
     @classmethod
     def _from_columns(
         cls, ids, ratings, offsets, topic, rg, user, system, midas, sda,
-        topic_names, rg_names, tagsets, split,
+        topic_names, rg_names, tagsets, split, words=None,
     ) -> Corpus:
         self = cls.__new__(cls)
         self.ids = ids
@@ -244,7 +301,14 @@ class Corpus:
         self.rg_names = rg_names
         self.tagsets = tagsets
         self.split = split
+        if words is not None:
+            self.words = words
         return self
+
+    @cached_property
+    def words(self) -> np.ndarray:
+        """Each exchange's user word count; see :func:`word_counts`."""
+        return word_counts(self.user)
 
     def _replace(self, **columns) -> Corpus:
         return Corpus._from_columns(**dict(self.__dict__, **columns))
@@ -312,6 +376,7 @@ class Corpus:
         picked += np.repeat(starts - offsets[:-1], sizes)
         at = picked.tolist()
         rows_at = rows.tolist()
+        words = self.__dict__.get("words")  # only a column already known
         return self._replace(
             ids=list(map(self.ids.__getitem__, rows_at)),
             ratings=list(map(self.ratings.__getitem__, rows_at)),
@@ -323,6 +388,7 @@ class Corpus:
             midas=self.midas[picked],
             sda=self.sda[picked],
             split=None if self.split is None else self.split[rows],
+            words=None if words is None else words[picked],
         )
 
     def split_rows(self, split: str) -> np.ndarray:
@@ -492,6 +558,16 @@ def _refuse_surrogates(corpus: Corpus) -> None:
         )
 
 
+def _refuse_escaped_bytes(line: str) -> None:
+    """Refuse the first byte of ``line`` that is not UTF-8, read as a lone
+    surrogate by ``errors="surrogateescape"``, naming its column."""
+    for column, char in enumerate(line, start=1):
+        if "\udc80" <= char <= "\udcff":
+            raise CorpusError(
+                f"not UTF-8: byte 0x{ord(char) - 0xDC00:02x} at column {column}"
+            )
+
+
 def parse_corpus(stream) -> Corpus:
     """Parse line-delimited conversation records.
 
@@ -499,7 +575,10 @@ def parse_corpus(stream) -> Corpus:
     is preserved; blank lines are skipped.  Each line is decoded and the
     records go through :meth:`Corpus.from_records`, whose
     :class:`CorpusError` is prefixed with the 1-based number of the line
-    it names.
+    it names.  A line JSON cannot decode is refused the same way, and so
+    is a byte that is not UTF-8 when the stream was opened with
+    ``errors="surrogateescape"``, which reads each such byte as a lone
+    surrogate in U+DC80..U+DCFF.
     """
     lineno = 0
     blanks = []  # for each blank line, the number of records before it
@@ -510,10 +589,15 @@ def parse_corpus(stream) -> Corpus:
             if not line.strip():
                 blanks.append(lineno - 1 - len(blanks))
                 continue
+            if not (line.isascii() or _encodes(line)):
+                _refuse_escaped_bytes(line)
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise CorpusError(f"invalid JSON: {e.msg}") from e
+            except (ValueError, RecursionError) as e:
+                # Too many digits in an integer, or nesting too deep.
+                raise CorpusError(f"invalid JSON: {e}") from e
             yield obj
 
     try:

@@ -20,7 +20,9 @@ columnar :class:`FeatureTable` and asks it for one matrix.  Every block
 is counted the same way: one ``np.bincount`` over the window's
 (conversation, pattern) codes, mapped onto the block's labels and
 divided by the window length.  The medians come from sorted per-row
-segments; user word counts come from :func:`word_counts`.  Callers that
+segments; user word counts come from the corpus's ``words`` column,
+which :func:`convperf.synth.generate` fills from its word budgets and
+any other corpus counts once, when first read.  Callers that
 need several matrices over the same conversations keep the table and
 call :meth:`FeatureTable.matrix` for each:
 :func:`convperf.experiment.run_grid` encodes the whole split corpus into
@@ -98,48 +100,6 @@ _warned_unknown: set[tuple[str, str]] = set()
 _NAME_KINDS = {"topic": "topic", "rg": "response generator"}
 
 
-# Texts per block in word_counts; it bounds the joined text and its views.
-_WORD_BLOCK = 4096
-
-# The non-ASCII characters for which str.isspace() is true.
-_UNICODE_SPACES = (
-    "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
-    "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
-)
-_TO_SPACE = str.maketrans(dict.fromkeys(_UNICODE_SPACES, " "))
-
-
-def word_counts(texts) -> np.ndarray:
-    """Each text's whitespace-delimited word count (``len(text.split())``),
-    a block of texts at a time.
-
-    A block of texts is joined with spaces, so no word spans two texts,
-    and viewed one code point per element: bytes when it is ASCII,
-    otherwise UTF-32 after its non-ASCII whitespace becomes a space.  A
-    word starts at each non-space code point that follows a space or
-    opens the block; each text counts the starts within its bounds.
-    """
-    counts = np.zeros(len(texts), np.intp)
-    for lo in range(0, len(texts), _WORD_BLOCK):
-        block = texts[lo : lo + _WORD_BLOCK]
-        joined = " ".join(block)
-        if joined.isascii():
-            points = np.frombuffer(joined.encode("ascii"), np.uint8)
-        else:
-            wide = joined.translate(_TO_SPACE).encode("utf-32-le", "surrogatepass")
-            points = np.frombuffer(wide, np.uint32)
-        # str.split()'s ASCII whitespace, \t to \r and \x1c to the space;
-        # unsigned subtraction wraps the code points below each range.
-        space = (points - 9 <= 4) | (points - 28 <= 4)
-        start = ~space
-        start[1:] &= space[:-1]
-        # Text i and the separator after it end just before ends[i].
-        ends = np.cumsum(np.fromiter(map(len, block), np.intp, len(block)) + 1)
-        at = np.searchsorted(np.flatnonzero(start), ends)
-        counts[lo : lo + len(block)] = np.diff(at, prepend=0)
-    return counts
-
-
 @dataclass(frozen=True)
 class FeatureSchema:
     """Fixed, ordered feature inventory.
@@ -215,10 +175,10 @@ class FeatureTable:
     """Columnar encoding of a corpus for one schema.
 
     Built once from a :class:`~convperf.corpus.Corpus`, it holds the
-    corpus's CSR (compressed sparse row) conversation offsets, user word
-    counts and, per block of :meth:`FeatureSchema.blocks`, each
-    exchange's code into a table of distinct 0/1 patterns over the
-    block's labels.  A tag set counts toward every label it holds, a
+    corpus's CSR (compressed sparse row) conversation offsets, its
+    ``words`` column of user word counts (read, never counted, here)
+    and, per block of :meth:`FeatureSchema.blocks`, each exchange's code
+    into a table of distinct 0/1 patterns over the block's labels.  A tag set counts toward every label it holds, a
     topic or response-generator name toward its own label or ``other``.
     So a block has at most 2^labels patterns for tags and one per label
     for names, however many distinct values the corpus holds.
@@ -232,8 +192,7 @@ class FeatureTable:
         self.schema = schema
         self.ids = corpus.ids
         self.offsets = corpus.offsets
-        words = word_counts(corpus.user)
-        self.words = words.astype(np.min_scalar_type(words.max(initial=0)))
+        self.words = corpus.words
         self.unknown = set()
         # Per corpus column, each exchange's pattern code and the patterns.
         self.blocks = {}

@@ -14,7 +14,8 @@ standardized into z-scores across topics.  Only the (conversation,
 topic) cells that occur are kept, so memory grows with the exchanges,
 not with conversations times distinct topics.  Dwell counts, word sums
 and per-topic totals are each one ``np.bincount``, and each topic's
-total adds its scores in conversation order.
+total adds its scores in conversation order.  User word counts are the
+corpus's ``words`` column.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .features import word_counts
 
 VARIANTS = ("F1", "F2", "F3")
 
@@ -74,7 +74,7 @@ def score_topics(
     score = (dwell if variant == "F1" else np.sqrt(dwell)) * rating
     if variant == "F3":
         # Mean user words over the cell's non-blank turns, 0.0 for none.
-        words = word_counts(corpus.user)[kept]
+        words = corpus.words[kept]
         said = np.bincount(cell_of[words > 0], minlength=len(cells))
         total = np.bincount(cell_of, weights=words, minlength=len(cells))
         score *= np.divide(total, said, out=np.zeros(len(cells)), where=said > 0)

@@ -24,6 +24,18 @@ def record(cid, n=5, rating=3, exchanges=None, **fields):
     return {"id": cid, "rating": rating, "exchanges": [{**base, **ex} for ex in exchanges]}
 
 
+# JSONL lines no decoder reads, each with the start of the message that
+# names it: a byte that is not UTF-8 (read with errors="surrogateescape"),
+# an integer of more than 4,300 digits, and nesting too deep.
+UNDECODABLE_LINES = [
+    (b'{"id": "c\xff"}', "not UTF-8: byte 0xff at column 10\n"),
+    (b'{"id": "c", "rating": ' + b"7" * 5000 + b"}",
+     "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+]
+UNDECODABLE_IDS = ["bytes", "digits", "nesting"]
+
+
 def feature_values(rec, schema, feature_set=DEPENDENT, prefix_k=None):
     """One record's features by name, as build_matrix computes them."""
     names = schema.names(feature_set)

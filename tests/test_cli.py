@@ -51,6 +51,8 @@ from convperf.regressors import (
     load_model,
 )
 
+from conftest import UNDECODABLE_IDS, UNDECODABLE_LINES
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -143,12 +145,15 @@ def test_corpus_stages_import_only_what_they_run(tmp_path):
     for argv in (["synth", "--out", "raw.jsonl", "--n", "30", "--seed", "1"],
                  ["ingest", "--in", "raw.jsonl", "--out", "kept.jsonl"],
                  ["tag", "--in", "kept.jsonl", "--out", "tagged.jsonl"],
-                 ["featurize", "--in", "tagged.jsonl", "--out", "features.csv"]):
+                 ["featurize", "--in", "tagged.jsonl", "--out", "features.csv"],
+                 ["score-topics", "--in", "tagged.jsonl", "--variant", "F3",
+                  "--out", "topics.csv"]):
         run = subprocess.run([sys.executable, "-c", _LOADED, *argv], cwd=tmp_path,
                              env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         loaded[argv[0]] = set(run.stdout.splitlines()[-1].split())
     assert loaded["ingest"] == {"convperf", "convperf.cli", "convperf.corpus"}
+    assert loaded["score-topics"] == loaded["ingest"] | {"convperf.topicscore"}
     fitting = {"convperf.experiment", "convperf.regressors", "convperf.plots"}
     for command, modules in loaded.items():
         assert not modules & fitting, (command, sorted(modules & fitting))
@@ -751,6 +756,56 @@ def test_truncated_last_jsonl_line_is_rejected(
     assert main([command, "--in", str(cut), "--out", str(out)]) == 1
     assert f"line {len(lines)}: invalid JSON" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "featurize"])
+@pytest.mark.parametrize("line, message", UNDECODABLE_LINES, ids=UNDECODABLE_IDS)
+def test_an_undecodable_line_is_named(pipeline, tmp_path, capsys, command, line, message):
+    lines = pipeline.tagged.read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    # The bad line is line 4, after a blank one; a good line follows it.
+    bad.write_bytes(b"".join(lines[:2]) + b"\n" + line + b"\n" + b"".join(lines[2:]))
+    out = tmp_path / "out"
+    assert main([command, "--in", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 4: {message}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` with a few bytes replaced, inserted or deleted."""
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        new = draw(st.binary(min_size=1, max_size=4)) if edit != "delete" else b""
+        cut = draw(st.integers(1, 8)) if edit != "insert" else 0
+        data = data[:at] + new + data[at + cut:]
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_mutated_jsonl_file_exits_0_or_1_with_one_line(pipeline, data):
+    """Replace, insert or delete a few bytes of a valid corpus file; ingest
+    ends with exit 0, or exit 1, a one-line message naming the line and no
+    output file, and raises nothing."""
+    valid = b"".join(pipeline.raw.read_bytes().splitlines(keepends=True)[:6])
+    mutant = pipeline.root / "mutant.jsonl"
+    mutant.write_bytes(data.draw(_mutated(valid), label="mutant"))
+    out = pipeline.root / "mutant-out.jsonl"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["ingest", "--in", str(mutant), "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert out.exists() and not any(l.startswith("error") for l in lines), lines
+    else:
+        assert code == 1 and len(lines) == 1, (code, err.getvalue())
+        assert re.match(r"error: line [1-9][0-9]*: ", lines[0]), lines[0]
+        assert not out.exists()
 
 
 def test_tag_rejects_a_lexicon_dir_without_lexicons(pipeline, tmp_path, capsys):

@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import convperf.synth as synth
+import convperf.tagging as tg
 from convperf.corpus import (
+    SPLIT_NAMES,
     Corpus,
     CorpusError,
     LENGTH_CAP,
     filter_min_length,
     parse_corpus,
     split_corpus,
+    word_counts,
     write_corpus_jsonl,
 )
 
-from conftest import record
+from conftest import UNDECODABLE_IDS, UNDECODABLE_LINES, record
 
 
 def from_records(*records, split=None):
@@ -505,6 +509,79 @@ def test_a_lone_surrogate_is_refused_where_it_is(key, value, message):
     with pytest.raises(CorpusError) as err:
         parse_corpus(lines)
     assert str(err.value) == f"line 4: {message}"
+
+
+@pytest.mark.parametrize("line, message", UNDECODABLE_LINES, ids=UNDECODABLE_IDS)
+def test_an_undecodable_line_is_named(tmp_path, line, message):
+    # The bad line is line 3, after a blank line; a good line follows it.
+    good = [json.dumps(record(cid)).encode() for cid in ("a", "b")]
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join([good[0], b"", line, good[1]]))
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with pytest.raises(CorpusError) as err:
+            parse_corpus(fh)
+    assert f"{err.value}\n".startswith(f"line 3: {message}")
+
+
+def test_only_an_escaped_byte_is_named_not_utf8():
+    # A lone surrogate outside U+DC80..U+DCFF is no escaped byte: the
+    # record names it once decoded.
+    lines = [json.dumps(record("a")), json.dumps(record("b"), ensure_ascii=False)]
+    lines[1] = lines[1].replace("quartz", "\ud800", 1)
+    with pytest.raises(CorpusError, match="^line 2: exchange field 'user' holds"):
+        parse_corpus(lines)
+    lines[1] = lines[1].replace("\ud800", "\udcfe")
+    with pytest.raises(CorpusError, match="^line 2: not UTF-8: byte 0xfe at column"):
+        parse_corpus(lines)
+
+
+def _selections(corpus: Corpus, seed: int, min_len: int, split: str):
+    """``corpus`` tagged, then length-filtered, split and subset."""
+    tagged = tg.tag_corpus(corpus, tg.default_config())
+    kept = filter_min_length(tagged, min_len)
+    assigned = split_corpus(kept, seed=seed)
+    return [tagged, kept, assigned, assigned.subset(split)]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(40, 1300),
+    min_len=st.integers(1, 6),
+    split=st.sampled_from(SPLIT_NAMES),
+)
+@settings(max_examples=15, deadline=None)
+def test_words_survive_every_selection(seed, n, min_len, split):
+    for corpus in _selections(synth.generate(synth.GeneratorConfig(n, seed=seed)),
+                              seed, min_len, split):
+        assert "words" in vars(corpus)  # carried, not to be counted
+        text = io.StringIO()
+        write_corpus_jsonl(corpus, text)
+        parsed = parse_corpus(text.getvalue().splitlines())
+        assert "words" not in vars(parsed) and parsed.user == corpus.user
+        assert corpus.words.tolist() == parsed.words.tolist()
+
+
+def test_words_hold_counts_past_every_small_dtype():
+    long = {"user": " ".join(["w"] * 70_000)}
+    corpus = from_records(
+        record("a", exchanges=[{"user": "w " * 300}, long, {"user": " "}]),
+        record("b", n=2, user="\u3000two\xa0words "),
+        record("c", exchanges=[long, {"user": "x " * 256}]),
+    )
+    assert corpus.words.tolist() == [300, 70_000, 0, 2, 2, 70_000, 256]
+    assert corpus.words.dtype == np.uint32
+    assert word_counts(["w " * 255]).dtype == np.uint8
+    assert word_counts(["w " * 256]).dtype == np.uint16
+    for chosen in _selections(corpus, 0, 2, "train"):
+        expected = [word_counts([u])[0] for u in chosen.user]
+        assert chosen.words.tolist() == expected
+
+
+def test_equality_ignores_whether_words_are_known():
+    corpus = from_records(record("a", user="one two"), record("b", user="three"))
+    counted = from_records(record("a", user="one two"), record("b", user="three"))
+    assert counted.words.tolist() == [2] * 5 + [1] * 5
+    assert corpus == counted and "words" not in vars(corpus)
 
 
 def test_selection_keeps_columns_aligned():

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import convperf.synth as synth
-from convperf.corpus import SPLIT_NAMES, Corpus, filter_min_length, split_corpus
+from convperf.corpus import (
+    SPLIT_NAMES,
+    Corpus,
+    filter_min_length,
+    split_corpus,
+    word_counts,
+)
+from convperf.corpus import _UNICODE_SPACES, _WORD_BLOCK
 from convperf.features import (
     DEPENDENT,
     FEATURE_SETS,
@@ -18,10 +25,8 @@ from convperf.features import (
     Standardizer,
     build_matrix,
     read_feature_csv,
-    word_counts,
     write_feature_csv,
 )
-from convperf.features import _UNICODE_SPACES, _WORD_BLOCK
 
 from conftest import feature_values, record
 
