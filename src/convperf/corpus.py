@@ -24,19 +24,15 @@ corpus's tables of distinct names, ``topic_names``/``rg_names``, and
 tag sets (each a sorted, de-duplicated tuple; code 0 is the empty set).
 Each table is filled by one :class:`_Interner`, so a distinct name or
 tag set is validated and encoded once, not once per exchange.
-``words`` holds each exchange's user word count, ``len(user.split())``,
-in the smallest unsigned dtype that holds it.
+``words``, each exchange's user word count, is counted from ``user``
+with :func:`word_counts` the first time it is read, and kept.
 :func:`parse_corpus` and :func:`convperf.synth.generate` fill the
-columns directly; ``generate`` fills ``words`` with the word budgets it
-drew, and any other corpus counts its user texts with
-:func:`word_counts` the first time the column is read.  Filtering,
-splitting and :meth:`Corpus.subset` are index selections, and carry a
-known ``words`` column with the rest.  Records in the JSONL schema,
-decoded, are the only way in from outside: :meth:`Corpus.from_records`
-validates them, and :func:`parse_corpus` is line decoding plus that
-constructor.  Every string must be encodable as UTF-8, so a lone
-surrogate (which a JSON escape such as ``"\\ud800"`` can produce) is
-refused there too.
+columns directly; filtering, splitting and :meth:`Corpus.subset` are
+index selections.  Records in the JSONL schema, decoded, are the only
+way in from outside: :meth:`Corpus.from_records` validates them, and
+:func:`parse_corpus` is line decoding plus that constructor.  Every
+string must be encodable as UTF-8, so a lone surrogate (which a JSON
+escape such as ``"\\ud800"`` can produce) is refused there too.
 :class:`Exchange` and :class:`Conversation` are read-only output:
 iterating a corpus yields :class:`Conversation` views whose
 ``exchanges`` build each :class:`Exchange` only when it is accessed.
@@ -176,11 +172,6 @@ def word_counts(texts) -> np.ndarray:
         ends = np.cumsum(np.fromiter(map(len, block), np.intp, len(block)) + 1)
         at = np.searchsorted(np.flatnonzero(start), ends)
         counts[lo : lo + len(block)] = np.diff(at, prepend=0)
-    return _compact(counts)
-
-
-def _compact(counts: np.ndarray) -> np.ndarray:
-    """Nonnegative integers in the smallest unsigned dtype that holds them."""
     return counts.astype(np.min_scalar_type(counts.max(initial=0)))
 
 
@@ -231,8 +222,8 @@ class Corpus:
     (``midas`` and ``sda``); ``split``, each conversation's index into
     :data:`SPLIT_NAMES` (None when the corpus is not split); and
     ``words``, each exchange's user word count, counted from ``user``
-    when first read unless the corpus was built knowing it.  Equality
-    compares every column but ``words``, which ``user`` determines.
+    the first time it is read.  A corpus made from this one counts its
+    own, and equality ignores ``words``, which ``user`` determines.
 
     :meth:`from_records` builds a corpus from outside the program.
     """
@@ -285,7 +276,7 @@ class Corpus:
     @classmethod
     def _from_columns(
         cls, ids, ratings, offsets, topic, rg, user, system, midas, sda,
-        topic_names, rg_names, tagsets, split, words=None,
+        topic_names, rg_names, tagsets, split,
     ) -> Corpus:
         self = cls.__new__(cls)
         self.ids = ids
@@ -301,8 +292,6 @@ class Corpus:
         self.rg_names = rg_names
         self.tagsets = tagsets
         self.split = split
-        if words is not None:
-            self.words = words
         return self
 
     @cached_property
@@ -311,7 +300,9 @@ class Corpus:
         return word_counts(self.user)
 
     def _replace(self, **columns) -> Corpus:
-        return Corpus._from_columns(**dict(self.__dict__, **columns))
+        columns = dict(self.__dict__, **columns)
+        columns.pop("words", None)  # the new corpus counts its own
+        return Corpus._from_columns(**columns)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -376,7 +367,6 @@ class Corpus:
         picked += np.repeat(starts - offsets[:-1], sizes)
         at = picked.tolist()
         rows_at = rows.tolist()
-        words = self.__dict__.get("words")  # only a column already known
         return self._replace(
             ids=list(map(self.ids.__getitem__, rows_at)),
             ratings=list(map(self.ratings.__getitem__, rows_at)),
@@ -388,7 +378,6 @@ class Corpus:
             midas=self.midas[picked],
             sda=self.sda[picked],
             split=None if self.split is None else self.split[rows],
-            words=None if words is None else words[picked],
         )
 
     def split_rows(self, split: str) -> np.ndarray:
@@ -560,11 +549,14 @@ def _refuse_surrogates(corpus: Corpus) -> None:
 
 def _refuse_escaped_bytes(line: str) -> None:
     """Refuse the first byte of ``line`` that is not UTF-8, read as a lone
-    surrogate by ``errors="surrogateescape"``, naming its column."""
-    for column, char in enumerate(line, start=1):
+    surrogate by ``errors="surrogateescape"``, naming its 1-based byte
+    column in the file's line."""
+    for i, char in enumerate(line):
         if "\udc80" <= char <= "\udcff":
+            # No escaped byte comes before it; count the bytes that do.
+            column = len(line[:i].encode("utf-8", "surrogatepass")) + 1
             raise CorpusError(
-                f"not UTF-8: byte 0x{ord(char) - 0xDC00:02x} at column {column}"
+                f"not UTF-8: byte 0x{ord(char) - 0xDC00:02x} at byte column {column}"
             )
 
 

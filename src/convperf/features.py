@@ -21,8 +21,7 @@ is counted the same way: one ``np.bincount`` over the window's
 (conversation, pattern) codes, mapped onto the block's labels and
 divided by the window length.  The medians come from sorted per-row
 segments; user word counts come from the corpus's ``words`` column,
-which :func:`convperf.synth.generate` fills from its word budgets and
-any other corpus counts once, when first read.  Callers that
+which a corpus counts once, the first time it is read.  Callers that
 need several matrices over the same conversations keep the table and
 call :meth:`FeatureTable.matrix` for each:
 :func:`convperf.experiment.run_grid` encodes the whole split corpus into
@@ -178,8 +177,9 @@ class FeatureTable:
     corpus's CSR (compressed sparse row) conversation offsets, its
     ``words`` column of user word counts (read, never counted, here)
     and, per block of :meth:`FeatureSchema.blocks`, each exchange's code
-    into a table of distinct 0/1 patterns over the block's labels.  A tag set counts toward every label it holds, a
-    topic or response-generator name toward its own label or ``other``.
+    into a table of distinct 0/1 patterns over the block's labels.  A
+    tag set counts toward every label it holds, a topic or
+    response-generator name toward its own label or ``other``.
     So a block has at most 2^labels patterns for tags and one per label
     for names, however many distinct values the corpus holds.
     :meth:`matrix` counts each (conversation, pattern) cell of a window

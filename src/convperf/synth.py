@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .corpus import Corpus, _compact, _Interner
+from .corpus import Corpus, _Interner
 from .tagging import default_config
 
 _SHORT_MAX = 4  # accidental-invocation lengths are 1.._SHORT_MAX
@@ -228,8 +228,7 @@ def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, topics, phrases):
 
     Returns lists of their lengths and ratings and of each exchange's
     user text, then arrays of each exchange's topic, rg and midas codes
-    (indices into ``topics``, ``_RG_NAMES`` and ``((),) + _MIDAS_SETS``)
-    and user word count.
+    (indices into ``topics``, ``_RG_NAMES`` and ``((),) + _MIDAS_SETS``).
     """
     e = rng["engagement"].beta(cfg.engagement_alpha, cfg.engagement_beta, n)
     short = rng["short_flag"].random(n) < cfg.short_mass
@@ -264,37 +263,35 @@ def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, topics, phrases):
     comp = u[:, 4] < rate(cfg.compliment_base, cfg.compliment_gain, e)
     compl = u[:, 5] < rate(cfg.complaint_base, cfg.complaint_gain, 1.0 - e)
     lam = (cfg.verbosity_base + cfg.verbosity_gain * e)[conv]
-    user, words = _user_texts(rng, lam, comp, compl, *phrases)
     return (
-        (lengths.tolist(), ratings.tolist(), user),
-        (topic % len(topics), rg % len(_RG_NAMES), midas, words),
+        (lengths.tolist(), ratings.tolist(), _user_texts(rng, lam, comp, compl, *phrases)),
+        (topic % len(topics), rg % len(_RG_NAMES), midas),
     )
 
 
-def _user_texts(rng: dict, lam, comp, compl, compliments, complaints):
-    """Each exchange's filler words, then its planted phrases; and its
-    word budget.
+def _user_texts(rng: dict, lam, comp, compl, compliments, complaints) -> list[str]:
+    """Each exchange's filler words, then its planted phrases.
 
     An exchange's budget is 1 + Poisson(lam) words.  Its compliment is
     planted only where the phrase fits the budget, and its complaint only
     where it fits what is left; the filler words fill the rest.  So every
     utterance has exactly its budget of words, and word counts read
-    verbosity and nothing else: the budgets are the corpus's ``words``.
+    verbosity and nothing else.
     """
     comp_pick = rng["compliment_pick"].integers(0, len(compliments), len(lam))
     compl_pick = rng["complaint_pick"].integers(0, len(complaints), len(lam))
     budget = 1 + rng["word_count"].poisson(lam)
     comp_words = np.array([len(p.split()) for p in compliments])[comp_pick]
     comp &= comp_words <= budget
-    left = budget - comp * comp_words
+    budget -= comp * comp_words
     compl_words = np.array([len(p.split()) for p in complaints])[compl_pick]
-    compl &= compl_words <= left
-    left -= compl * compl_words
-    words = rng["filler"].integers(0, len(_FILLER), int(left.sum()))
+    compl &= compl_words <= budget
+    budget -= compl * compl_words
+    words = rng["filler"].integers(0, len(_FILLER), int(budget.sum()))
     # One token per filler word and planted phrase, then a newline ending
     # each exchange; token codes index ``vocab``.
     vocab = [w + " " for w in _FILLER + compliments + complaints] + ["\n"]
-    last = np.cumsum(left + comp + compl + 1) - 1
+    last = np.cumsum(budget + comp + compl + 1) - 1
     at_compl = (last - 1)[compl]
     at_comp = (last - 1 - compl)[comp]
     tokens = np.empty(last[-1] + 1, dtype=np.intp)
@@ -305,7 +302,7 @@ def _user_texts(rng: dict, lam, comp, compl, compliments, complaints):
     is_word[last] = is_word[at_comp] = is_word[at_compl] = False
     tokens[is_word] = words
     text = "".join(map(vocab.__getitem__, tokens.tolist()))
-    return text.replace(" \n", "\n").split("\n")[:-1], _compact(budget)
+    return text.replace(" \n", "\n").split("\n")[:-1]
 
 
 def generate(cfg: GeneratorConfig) -> Corpus:
@@ -323,8 +320,7 @@ def generate(cfg: GeneratorConfig) -> Corpus:
         for column, part in zip((lengths, ratings, user), lists):
             column += part
         codes.append(arrays)
-    # Each block's word budgets are compact, and so is their concatenation.
-    topic, rg, midas, words = map(np.concatenate, zip(*codes))
+    topic, rg, midas = map(np.concatenate, zip(*codes))
     offsets = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(lengths, out=offsets[1:])
     # A name listed twice in topic_appeal still has one code.
@@ -346,7 +342,6 @@ def generate(cfg: GeneratorConfig) -> Corpus:
         rg_names=_RG_NAMES,
         tagsets=((),) + tuple(tuple(sorted(s)) for s in _MIDAS_SETS),
         split=None,
-        words=words,
     )
 
 

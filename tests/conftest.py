@@ -26,14 +26,16 @@ def record(cid, n=5, rating=3, exchanges=None, **fields):
 
 # JSONL lines no decoder reads, each with the start of the message that
 # names it: a byte that is not UTF-8 (read with errors="surrogateescape"),
-# an integer of more than 4,300 digits, and nesting too deep.
+# alone and after a two-byte character, an integer of more than 4,300
+# digits, and nesting too deep.
 UNDECODABLE_LINES = [
-    (b'{"id": "c\xff"}', "not UTF-8: byte 0xff at column 10\n"),
+    (b'{"id": "c\xff"}', "not UTF-8: byte 0xff at byte column 10\n"),
+    (b'{"id": "\xc3\xa9\xfe"}', "not UTF-8: byte 0xfe at byte column 11\n"),
     (b'{"id": "c", "rating": ' + b"7" * 5000 + b"}",
      "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
     (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
 ]
-UNDECODABLE_IDS = ["bytes", "digits", "nesting"]
+UNDECODABLE_IDS = ["bytes", "bytes-after-two-byte-char", "digits", "nesting"]
 
 
 def feature_values(rec, schema, feature_set=DEPENDENT, prefix_k=None):

@@ -105,24 +105,21 @@ def test_user_words_are_counted_once_per_corpus(monkeypatch):
 
     monkeypatch.setattr(cz, "word_counts", counted)
     cells = [ridge_cell(), replace(ridge_cell(prefix_k=3), feature_set="dependent")]
-    # synth hands its word budgets to every selection of its corpus.
     raw = synth.generate(synth.GeneratorConfig(n_conversations=120, seed=8))
     tagged = tg.tag_corpus(raw, tg.default_config())
-    split = cz.split_corpus(cz.filter_min_length(tagged, 5), seed=8)
-    run_grid(cells, split)
-    assert calls["count"] == 0
-    # Reading, tagging and writing a corpus count nothing ...
+    # Generating, reading, tagging and writing a corpus count nothing ...
     text = io.StringIO()
     cz.write_corpus_jsonl(tagged, text)
     parsed = cz.parse_corpus(text.getvalue().splitlines())
     cz.write_corpus_jsonl(tg.tag_corpus(parsed, tg.default_config()), io.StringIO())
     assert calls["count"] == 0
-    # ... and a parsed corpus counts once, when a matrix first needs it.
-    split = cz.split_corpus(cz.filter_min_length(parsed, 5), seed=8)
-    run_grid(cells, split)
-    run_grid(cells, split)
-    run_grid(cells, cz.split_corpus(split, seed=9))
-    assert calls["count"] == 1
+    # ... and a split corpus counts once, when a matrix first needs it.
+    for corpus in (tagged, parsed):
+        split = cz.split_corpus(cz.filter_min_length(corpus, 5), seed=8)
+        calls.clear()
+        run_grid(cells, split)
+        run_grid(cells, split)
+        assert calls["count"] == 1
 
 
 def test_an_independent_window_maps_no_topic(caplog):

@@ -236,28 +236,6 @@ def test_word_budget_leaves_verbosity_clean():
     assert r_comp > 0.5
 
 
-@given(
-    preset=st.sampled_from(sorted(sy.PRESETS)),
-    seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([1, 2, 300, 999, 1000, 1001, 1400]),
-)
-@settings(max_examples=20, deadline=None)
-def test_words_are_the_word_budgets_every_utterance_holds(preset, seed, n):
-    corpus = generate(sy.PRESETS[preset](n, seed=seed))
-    assert corpus.words.dtype == np.min_scalar_type(corpus.words.max())
-    assert corpus.words.tolist() == cz.word_counts(corpus.user).tolist()
-
-
-def test_words_hold_budgets_at_the_verbosity_cap():
-    # verbosity_base + verbosity_gain is capped at 100, so budgets stay
-    # below 256; from_records checks longer utterances.
-    cfg = GeneratorConfig(n_conversations=200, seed=2, verbosity_base=100.0,
-                          verbosity_gain=0.0)
-    corpus = generate(cfg)
-    assert corpus.words.min() > 50 and corpus.words.max() > 120
-    assert corpus.words.tolist() == cz.word_counts(corpus.user).tolist()
-
-
 def jsonl_lines(n, seed):
     buf = io.StringIO()
     cz.write_corpus_jsonl(generate(GeneratorConfig(n_conversations=n, seed=seed)), buf)
