@@ -3,11 +3,13 @@
 A :class:`GridCell` describes one fit: a model spec, a feature set, a
 target, an optional prefix window, and the feature columns to drop.  An
 ablation is a cell with a non-empty ``drop``, so base and ablated cells
-run side by side in one :func:`run_grid` call.  Grid cells and the
-CLI's train/evaluate/ablate commands share one path,
-:func:`fit_and_report`: train on the train split with a train-fitted
-standardizer, use the dev split only for MLP early stopping, and report
-test-split metrics.
+run side by side in one :func:`run_grid` call.  Every cell, in a grid
+or from the CLI's train/ablate commands, is fitted from a
+:class:`Design`: its window's split rows restricted to its columns,
+with a standardizer fitted on the train rows and the train rows
+standardized.  Cells with the same window and columns share one design.
+A fit trains on the standardized train rows, uses the dev split only
+for MLP early stopping, and reports test-split metrics.
 Reports serialize to CSV (byte-stable via repr floats) and to aligned
 text tables where r gets a "**" mark at p <= .01; constant predictions
 leave r undefined.
@@ -16,6 +18,7 @@ leave r undefined.
 from __future__ import annotations
 
 import csv
+import functools
 import inspect
 from collections import Counter
 from dataclasses import dataclass
@@ -137,6 +140,12 @@ def _fit_function(family: str):
     return {TREE: fit_tree, FOREST: fit_forest, SVR: fit_svr, MLP: fit_mlp}[family]
 
 
+@functools.cache
+def _parameters(fit):
+    """``fit``'s signature parameters, read once per function object."""
+    return inspect.signature(fit).parameters
+
+
 def fit_spec(spec: ModelSpec, X, y, dev=None, fallback_seed: int = 0) -> TrainedModel:
     """Fit ``spec``'s family with its hyperparameters as keyword arguments.
 
@@ -149,7 +158,7 @@ def fit_spec(spec: ModelSpec, X, y, dev=None, fallback_seed: int = 0) -> Trained
     """
     family = spec.family
     fit = _fit_function(family)
-    params = inspect.signature(fit).parameters
+    params = _parameters(fit)
     keyword = {_SPEC_KEY.get(p, p): p for p in params if p not in _SUPPLIED}
     unknown = [key for key in spec.hyperparameters if key not in keyword]
     if unknown:
@@ -167,6 +176,63 @@ def fit_spec(spec: ModelSpec, X, y, dev=None, fallback_seed: int = 0) -> Trained
     return fit(X, y, **kwargs)
 
 
+class Design(NamedTuple):
+    """One window's split rows restricted to one column list, with the
+    standardizer fitted on its train rows and those rows standardized.
+
+    Every cell over the same window and columns fits from one design;
+    the standardizer's ``feature_names`` are the columns.
+    """
+
+    splits: dict[str, SplitRows]
+    standardizer: Standardizer
+    train: np.ndarray  # the standardized train rows
+
+
+def _columns(cell: GridCell, features) -> tuple[str, ...]:
+    """``features`` less the cell's dropped columns, which must be among them."""
+    unknown = [d for d in cell.drop if d not in features]
+    if unknown:
+        raise ValueError(f"unknown feature names: {', '.join(unknown)}")
+    return tuple(n for n in features if n not in cell.drop)
+
+
+def _design(names, splits: dict[str, SplitRows], columns) -> Design:
+    """The design of ``splits`` (columns following ``names``) over ``columns``."""
+    for split in ("train", "test"):  # before a fit that may take long
+        if not splits[split].ids:
+            raise ValueError(f"{split} split is empty")
+    position = {n: j for j, n in enumerate(names)}
+    keep = [position[n] for n in columns]
+    # C-ordered rows (take() returns them), so the standardizer's sums do
+    # not depend on how the caller laid out its matrices; a C-ordered
+    # matrix whose every column is kept is used as it is, not copied.
+    whole = keep == list(range(len(names)))
+    splits = {
+        k: s._replace(
+            X=np.ascontiguousarray(s.X) if whole else s.X.take(keep, axis=1)
+        )
+        for k, s in splits.items()
+    }
+    std = Standardizer.fit(splits["train"].X, columns)
+    return Design(splits, std, std.transform(splits["train"].X))
+
+
+def _fit_design(cell: GridCell, design: Design, seed: int) -> CellResult:
+    """Fit one cell from its design and report it on the test split."""
+    train, dev = design.splits["train"], design.splits["dev"]
+    std = design.standardizer
+    target = cell.target
+    if isinstance(target, str):
+        target = fit_target(target, train.lengths)
+    dev_pair = None
+    if dev.ids and cell.spec.family == MLP:
+        dev_pair = (std.transform(dev.X), _targets(target, dev))
+    model = fit_spec(cell.spec, design.train, _targets(target, train), dev_pair, seed)
+    model = model.bind(target=target, feature_names=std.feature_names, standardizer=std)
+    return CellResult(evaluate_model(model, design.splits["test"], cell), model)
+
+
 def fit_and_report(
     cell: GridCell, names, splits: dict[str, SplitRows], seed: int = 0, features=None
 ) -> CellResult:
@@ -175,43 +241,13 @@ def fit_and_report(
     ``splits`` maps train/dev/test to raw rows whose columns follow
     ``names``.  The cell's columns are ``features`` (a subset of
     ``names``; all of them when None) less its dropped ones, taken by
-    name before anything else; the standardizer, and the median of a
-    median-split target given by kind name, are fitted on train; dev
-    reaches only the MLP's early stopping.
+    name before anything else; the cell is fitted from the
+    :class:`Design` over them, as every :func:`run_grid` cell is.  The
+    standardizer, and the median of a median-split target given by kind
+    name, are fitted on train; dev reaches only the MLP's early stopping.
     """
-    features = names if features is None else features
-    unknown = [d for d in cell.drop if d not in features]
-    if unknown:
-        raise ValueError(f"unknown feature names: {', '.join(unknown)}")
-    column = {n: j for j, n in enumerate(names)}
-    keep = [column[n] for n in features if n not in cell.drop]
-    names = tuple(names[j] for j in keep)
-    for split in ("train", "test"):  # before a fit that may take long
-        if not splits[split].ids:
-            raise ValueError(f"{split} split is empty")
-    # C-ordered rows (take() returns them), so the standardizer's sums do
-    # not depend on how the caller laid out its matrices; a C-ordered
-    # matrix whose every column is kept is used as it is, not copied.
-    whole = keep == list(range(len(column)))
-    splits = {
-        k: s._replace(
-            X=np.ascontiguousarray(s.X) if whole else s.X.take(keep, axis=1)
-        )
-        for k, s in splits.items()
-    }
-    train, dev = splits["train"], splits["dev"]
-    std = Standardizer.fit(train.X, names)
-    target = cell.target
-    if isinstance(target, str):
-        target = fit_target(target, train.lengths)
-    dev_pair = None
-    if dev.ids and cell.spec.family == MLP:
-        dev_pair = (std.transform(dev.X), _targets(target, dev))
-    model = fit_spec(
-        cell.spec, std.transform(train.X), _targets(target, train), dev_pair, seed
-    )
-    model = model.bind(target=target, feature_names=names, standardizer=std)
-    return CellResult(evaluate_model(model, splits["test"], cell), model)
+    columns = _columns(cell, names if features is None else features)
+    return _fit_design(cell, _design(names, splits, columns), seed)
 
 
 def _targets(target: TargetKind, rows: SplitRows) -> np.ndarray:
@@ -282,10 +318,13 @@ def run_grid(cells, corpus: Corpus, seed: int = 0) -> list[CellResult]:
     The split corpus is encoded into one :class:`FeatureTable` per
     call.  Each prefix window's matrix is built once, at its first cell,
     over the widest feature set that window's cells use (dependent if
-    any cell uses it), split into train/dev/test rows, and freed after
-    the window's last cell, so one matrix is held at a time when each
-    window's cells are adjacent.  Every cell, ablated or not, takes its
-    feature set's columns from its window's rows by name.
+    any cell uses it), and split into train/dev/test rows.  Each of the
+    window's column lists (a cell's feature set less its dropped
+    columns) gets one :class:`Design`, built at its first cell and
+    shared by every cell that has those columns, so a rating cell and a
+    length cell fit one standardizer.  A window's rows and designs are
+    freed after its last cell, so one window is held at a time when
+    each window's cells are adjacent.
     """
     schema = FeatureSchema()
     parts = _split_parts(corpus)
@@ -294,20 +333,22 @@ def run_grid(cells, corpus: Corpus, seed: int = 0) -> list[CellResult]:
     widest.update((cell.prefix_k, DEPENDENT) for cell in cells
                   if cell.feature_set == DEPENDENT)
     uses = Counter(cell.prefix_k for cell in cells)
-    held = {}
+    held = {}  # window -> (its rows, its designs by column list)
     results = []
     for i, cell in enumerate(cells):
         window = cell.prefix_k
         try:
-            features = schema.names(cell.feature_set)
+            columns = _columns(cell, schema.names(cell.feature_set))
             if window not in held:
-                held[window] = _take(parts, table.matrix(widest[window], window)[1])
-            splits = held[window]
+                held[window] = _take(parts, table.matrix(widest[window], window)[1]), {}
+            splits, designs = held[window]
+            if columns not in designs:
+                designs[columns] = _design(schema.names(widest[window]), splits, columns)
+            design = designs[columns]
             uses[window] -= 1
             if not uses[window]:
                 del held[window]
-            names = schema.names(widest[window])
-            results.append(fit_and_report(cell, names, splits, seed, features))
+            results.append(_fit_design(cell, design, seed))
         except Exception as e:
             kind = getattr(cell.target, "kind", cell.target)  # or a kind name
             raise RuntimeError(

@@ -19,15 +19,17 @@ a corpus into feature values.  It encodes the corpus once into a
 columnar :class:`FeatureTable` and asks it for one matrix.  Every block
 is counted the same way: one ``np.bincount`` over the window's
 (conversation, pattern) codes, mapped onto the block's labels and
-divided by the window length.  The medians come from sorted per-row
-segments; user word counts come from the corpus's ``words`` column,
-which a corpus counts once, the first time it is read.  Callers that
+divided by the window length.  ``length_median`` comes from sorted
+per-row segments of the user word counts, which are the corpus's
+``words`` column (a corpus counts it once, the first time it is read);
+``topic_dist_median`` comes from each row's sorted topic counts, whose
+last nonzero entries are the topics the window holds.  Callers that
 need several matrices over the same conversations keep the table and
 call :meth:`FeatureTable.matrix` for each:
 :func:`convperf.experiment.run_grid` encodes the whole split corpus into
 one table, builds one matrix per prefix window, over the widest feature
-set that window's cells use, and selects every split's rows and every
-cell's columns from it.  The independent columns of a dependent matrix
+set that window's cells use, and selects every split's rows and each
+design's columns from it.  The independent columns of a dependent matrix
 equal the independent matrix.
 Standardizers are fitted on training vectors only and applied unchanged
 to dev/test.
@@ -170,6 +172,23 @@ def _segment_medians(segment: np.ndarray, values: np.ndarray, n: int) -> np.ndar
     return medians
 
 
+def _held_medians(counts: np.ndarray) -> np.ndarray:
+    """Median of each row's nonzero counts, 0.0 for a row of zeros.
+
+    Sorted, a row's k held counts are its last k entries, so the median
+    is two reads per row.
+    """
+    n, width = counts.shape
+    ordered = np.sort(counts, axis=1)
+    held = np.count_nonzero(counts, axis=1)
+    # Lower and upper middle, counted from the end; a row of zeros reads
+    # its last entry, a zero, twice.
+    lo = width - 1 - held // 2
+    hi = width - 1 - np.maximum(held - 1, 0) // 2
+    rows = np.arange(n)
+    return (ordered[rows, lo] + ordered[rows, hi]) / 2
+
+
 class FeatureTable:
     """Columnar encoding of a corpus for one schema.
 
@@ -247,9 +266,7 @@ class FeatureTable:
                 # topic pattern is one topic, so its counts are the
                 # topic's.  Dividing by the window, like every count,
                 # keeps the feature invariant under exchange duplication.
-                seen = counts > 0
-                medians = _segment_medians(np.nonzero(seen)[0], counts[seen], n)
-                dwell.append(medians / window)
+                dwell.append(_held_medians(counts) / window)
         if feature_set != INDEPENDENT:
             # Each name mapped to ``other`` is warned about once per process.
             for key in sorted(self.unknown - _warned_unknown):

@@ -14,6 +14,7 @@ a handful of whole-vector operations.  The fitted layers are copies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,7 @@ def loss_and_grads(
     delta = (2.0 / n) * err[:, None]
     for k in range(n_layers - 1, -1, -1):
         np.matmul(acts[k].T, delta, out=grads[2 * k])
-        np.sum(delta, axis=0, out=grads[2 * k + 1])
+        np.add.reduce(delta, axis=0, out=grads[2 * k + 1])
         if k > 0:
             delta = (delta @ ws[2 * k].T) * (pre[k - 1] > 0.0)
     return loss, grads
@@ -163,10 +164,11 @@ def fit_mlp(
     bad = 0
     for _ in range(max_epochs):
         perm = rng.permutation(n)
+        Xp, yp = X[perm], y[perm]
         for start in range(0, n, batch_size):
-            rows = perm[start : start + batch_size]
-            loss, _ = loss_and_grads(ws, X[rows], y[rows], out=grads)
-            if not np.isfinite(loss):
+            stop = start + batch_size
+            loss, _ = loss_and_grads(ws, Xp[start:stop], yp[start:stop], out=grads)
+            if not math.isfinite(loss):
                 raise DivergenceError(
                     f"training loss became {loss}; lower the learning rate "
                     f"(currently {lr:g})"

@@ -86,11 +86,6 @@ class TreeParams(Params):
         return self.value[idx]
 
 
-def _node_ss(y: np.ndarray) -> float:
-    m = y.mean()
-    return float(((y - m) ** 2).sum())
-
-
 def best_split(
     X: np.ndarray, y: np.ndarray, min_leaf: int, feature_ids: np.ndarray | None = None
 ) -> tuple[int, float, float] | None:
@@ -158,12 +153,13 @@ class _Builder:
         k = max(1, min(k, d))
         return np.sort(self.rng.choice(d, size=k, replace=False))
 
-    def _split(self, orders, ysub, feats):
+    def _split(self, orders, ysub, total1, feats):
         """best_split's answer for the node, from its presorted orders.
 
         Scores every candidate feature at once on a (k, m) array; the
-        row-wise argmin takes each feature's lowest tied threshold and
-        the argmin over features its lowest tied index.
+        argmin over features' lowest scores takes the lowest tied
+        feature index, and the argmin along its row its lowest tied
+        threshold.  ``total1`` is ``ysub.sum()``.
         """
         m = ysub.shape[0]
         if m < 2 * self.min_leaf or feats.shape[0] == 0:
@@ -173,20 +169,20 @@ class _Builder:
         ys = self.y[order]
         s1 = np.cumsum(ys, axis=1)[:, :-1]
         s2 = np.cumsum(ys * ys, axis=1)[:, :-1]
-        total1 = ysub.sum()
         total2 = (ysub * ysub).sum()
         counts = np.arange(1, m, dtype=float)
-        left_ss = s2 - s1**2 / counts
+        scores = s2 - s1**2 / counts  # left_ss
         right_ss = (total2 - s2) - (total1 - s1) ** 2 / (m - counts)
-        scores = np.maximum(left_ss, 0.0) + np.maximum(right_ss, 0.0)
+        np.maximum(scores, 0.0, out=scores)
+        np.maximum(right_ss, 0.0, out=right_ss)
+        scores += right_ss
         valid = xs[:, :-1] < xs[:, 1:]
         if self.min_leaf > 1:
             valid[:, : self.min_leaf - 1] = False
             valid[:, m - self.min_leaf :] = False
         scores[~valid] = np.inf
-        best_i = scores.argmin(axis=1)
-        f = int(scores[np.arange(feats.shape[0]), best_i].argmin())
-        i = best_i[f]
+        f = int(scores.min(axis=1).argmin())
+        i = int(scores[f].argmin())
         if not valid[f, i]:
             return None
         return int(feats[f]), float((xs[f, i] + xs[f, i + 1]) / 2.0)
@@ -206,12 +202,14 @@ class _Builder:
                 else:
                     self.right[parent] = node_id
             ysub = self.y[rows]
-            ss = _node_ss(ysub)
+            total1 = ysub.sum()
+            mean = total1 / rows.shape[0]  # what ysub.mean() computes
+            ss = float(((ysub - mean) ** 2).sum())
             self.feature.append(_LEAF)
             self.threshold.append(0.0)
             self.left.append(_LEAF)
             self.right.append(_LEAF)
-            self.value.append(float(ysub.mean()))
+            self.value.append(float(mean))
             self.n_samples.append(int(rows.shape[0]))
             self.impurity.append(ss)
 
@@ -219,7 +217,7 @@ class _Builder:
                 continue
             if ss <= 0.0:
                 continue
-            split = self._split(orders, ysub, self._candidate_features())
+            split = self._split(orders, ysub, total1, self._candidate_features())
             if split is None:
                 continue
             j, thr = split

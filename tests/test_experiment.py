@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+import inspect
 import io
 import json
 import logging
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 import convperf.corpus as cz
+import convperf.experiment as experiment
 import convperf.synth as synth
 import convperf.tagging as tg
 from convperf.experiment import (
@@ -26,7 +30,7 @@ from convperf.experiment import (
     write_correlations_csv,
     write_reports_csv,
 )
-from convperf.features import FeatureSchema, FeatureTable, build_matrix
+from convperf.features import FeatureSchema, FeatureTable, Standardizer, build_matrix
 from convperf.regressors import (
     CAPPED_LENGTH,
     MEDIAN_SPLIT,
@@ -421,6 +425,86 @@ def test_run_grid_matches_per_cell_build_matrix(corpus400):
         assert result.model.feature_names == model.feature_names
         mean = result.model.standardizer.mean
         assert mean.tobytes() == model.standardizer.mean.tobytes()
+
+
+def param_arrays(params):
+    """Every array (and scalar) of a params dataclass, in field order."""
+    out = []
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        out += value if isinstance(value, tuple) else [value]
+    return [np.asarray(a) for a in out]
+
+
+def test_cells_sharing_a_window_and_columns_share_one_design(corpus400, monkeypatch):
+    fit = Standardizer.fit.__func__
+    fitted = []
+
+    def counted(cls, X, names):
+        fitted.append(tuple(names))
+        return fit(cls, X, names)
+
+    monkeypatch.setattr(Standardizer, "fit", classmethod(counted))
+    ridge = ModelSpec("ridge", {"lambda": 1.0})
+    cells = [
+        GridCell(ridge, fs, TargetKind(kind), k)
+        for fs in ("independent", "dependent")
+        for k in (None, 10)
+        for kind in (RATING, CAPPED_LENGTH)
+    ]
+    # The MLP reads dev and comes before the ridge cells of its design, and
+    # the ablated cell has columns no other cell has.
+    mlp = GridCell(ModelSpec("mlp", {"hidden": [4], "max_epochs": 5}, seed=2),
+                   "dependent", TargetKind(RATING), 10, name="mlp")
+    cells = [mlp] + cells + [replace(cells[0], drop=("length_median",))]
+    results = run_grid(cells, corpus400, seed=4)
+    monkeypatch.undo()
+    schema = FeatureSchema()
+    designs = {(c.prefix_k, tuple(n for n in schema.names(c.feature_set)
+                                  if n not in c.drop)) for c in cells}
+    assert len(designs) == 5
+    assert len(fitted) == len(designs)
+    assert sorted(fitted) == sorted(names for _, names in designs)
+    for cell, result in zip(cells, results):
+        report, model = per_cell_reference(cell, corpus400, seed=4)
+        assert result.report == report
+        assert result.model.feature_names == model.feature_names
+        for a, b in zip(param_arrays(result.model.params), param_arrays(model.params),
+                        strict=True):
+            assert a.tobytes() == b.tobytes()
+        for field in ("mean", "std"):
+            got = getattr(result.model.standardizer, field)
+            assert got.tobytes() == getattr(model.standardizer, field).tobytes()
+
+
+def test_fit_spec_reads_each_fit_signature_once(monkeypatch):
+    # A wrapped fit function (as a tracer installs one) is the one
+    # called, and its hyperparameters still come from the signature it wraps.
+    called = []
+
+    @functools.wraps(fit_linear)
+    def traced(*args, **kwargs):
+        called.append(kwargs)
+        return fit_linear(*args, **kwargs)
+
+    read = Counter()
+    signature = inspect.signature
+
+    def counted(function):
+        read[function] += 1
+        return signature(function)
+
+    monkeypatch.setattr(experiment, "fit_linear", traced)
+    monkeypatch.setattr(inspect, "signature", counted)
+    X = np.arange(12.0).reshape(6, 2) ** 0.5
+    models = [fit_spec(ModelSpec("ridge", {"lambda": 2.0}), X, X[:, 0])
+              for _ in range(3)]
+    monkeypatch.undo()
+    assert read == {traced: 1}
+    assert called == [{"lam": 2.0, "family": "ridge"}] * 3
+    direct = fit_linear(X, X[:, 0], family="ridge", lam=2.0)
+    for model in models:
+        assert model.params.coef.tobytes() == direct.params.coef.tobytes()
 
 
 @pytest.mark.parametrize("index", [0, 9, 12])

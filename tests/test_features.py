@@ -1,11 +1,12 @@
 import io
 import logging
 import math
+import statistics
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import convperf.synth as synth
 from convperf.corpus import (
@@ -27,6 +28,7 @@ from convperf.features import (
     read_feature_csv,
     write_feature_csv,
 )
+from convperf.features import _held_medians
 
 from conftest import feature_values, record
 
@@ -48,6 +50,24 @@ def test_worked_topic_frequencies():
     assert vec["topic_freq_sports"] == 0.0
     # counts {13, 5, 23} -> median count 13, normalized by the window
     assert vec["topic_dist_median"] == 13 / 41
+
+
+@example(rows=[[0, 0, 0]])  # nothing held -> 0.0
+@example(rows=[[0, 4, 0]])  # one held topic
+@example(rows=[[3, 1, 2, 0]])  # odd held count
+@example(rows=[[5, 0, 1, 2, 8]])  # even held count
+@example(rows=[[2, 2, 0, 2, 1], [1, 1, 0, 0, 0]])  # ties
+@given(st.integers(1, 17).flatmap(lambda width: st.lists(
+    st.lists(st.integers(0, 5), min_size=width, max_size=width),
+    min_size=1, max_size=8)))
+@settings(max_examples=200, deadline=None)
+def test_held_medians_are_each_rows_nonzero_median(rows):
+    counts = np.array(rows, dtype=np.int64)
+    medians = _held_medians(counts)
+    assert medians.dtype == np.float64
+    for row, got in zip(rows, medians.tolist()):
+        held = [c for c in row if c]
+        assert got == (float(statistics.median(held)) if held else 0.0)
 
 
 def test_topic_freq_sums_to_one_when_all_topics_known():
