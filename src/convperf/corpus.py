@@ -32,7 +32,8 @@ index selections.  Records in the JSONL schema, decoded, are the only
 way in from outside: :meth:`Corpus.from_records` validates them, and
 :func:`parse_corpus` is line decoding plus that constructor.  Every
 string must be encodable as UTF-8, so a lone surrogate (which a JSON
-escape such as ``"\\ud800"`` can produce) is refused there too.
+escape such as ``"\\ud800"`` can produce) is refused there too.  A
+corpus fault is named at the first bad record, by its line.
 :class:`Exchange` and :class:`Conversation` are read-only output:
 iterating a corpus yields :class:`Conversation` views whose
 ``exchanges`` build each :class:`Exchange` only when it is accessed.
@@ -45,7 +46,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-from bisect import bisect_right
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -76,15 +76,7 @@ _TO_SPACE = str.maketrans(dict.fromkeys(_UNICODE_SPACES, " "))
 
 
 class CorpusError(ValueError):
-    """Malformed conversation record or corpus-level invariant violation.
-
-    ``record`` is the position of the record the message names when it
-    was found only after later records were read, else None.
-    """
-
-    def __init__(self, message: str, record: int | None = None):
-        super().__init__(message)
-        self.record = record
+    """Malformed conversation record or corpus-level invariant violation."""
 
 
 @dataclass(frozen=True)
@@ -237,11 +229,10 @@ class Corpus:
     ) -> Corpus:
         """Validate decoded JSONL records and build their corpus, in order.
 
-        Raises :class:`CorpusError` naming the field of the first bad
-        record, on a duplicate id, and on a split assignment that does
-        not cover exactly the ids with known split names.  A lone
-        surrogate is looked for once every record is read, so it is
-        named only when no record has any other fault.
+        Raises :class:`CorpusError` at the first bad record, naming its
+        field (a lone surrogate included), which :func:`parse_corpus`
+        names by its line; on a duplicate id; and on a split assignment
+        that does not cover exactly the ids with known split names.
         """
         b = _Columns()
         raw_codes = {(): 0}  # code 0 is the empty tag set
@@ -252,7 +243,6 @@ class Corpus:
                 raise CorpusError(f"duplicate conversation id {cid!r}")
             seen.add(cid)
         corpus = b.corpus()
-        _refuse_surrogates(corpus)
         if split_assignment is not None:
             if split_assignment.keys() != seen:
                 raise CorpusError("split assignment does not cover the id set")
@@ -401,14 +391,22 @@ def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
     """Validate one decoded record and append it to the columns.
 
     ``raw_codes`` maps each tag list already seen, as a tuple in input
-    order, to its tag-set code.  A topic or rg name is validated when its
-    table first sees it.  Returns the conversation id.
+    order, to its tag-set code.  A topic or rg name, or a tag list, is
+    validated when its table first sees it.  Returns the conversation id.
+
+    Checks, in order: the record's type; the id's type, then lone
+    surrogates; the rating's type; the exchange list; per exchange, its
+    type, its string fields' types, a new topic or rg name's surrogates,
+    the midas then sda list, an empty topic; the user then system texts'
+    surrogates, exchange by exchange; the rating's range.
     """
     if not isinstance(obj, dict):
         raise CorpusError("conversation record must be an object")
     cid = obj.get("id")
     if not isinstance(cid, str) or not cid:
         raise CorpusError("missing or invalid conversation id")
+    if not _encodes(cid):
+        raise CorpusError(f"conversation id {cid!r} holds a lone surrogate")
     rating = obj.get("rating")
     if rating is not None and (isinstance(rating, bool) or not isinstance(rating, int)):
         raise CorpusError(f"conversation {cid!r}: rating must be an integer")
@@ -420,6 +418,7 @@ def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
     topics, rgs, users, systems = b.topic, b.rg, b.user, b.system
     midas, sda = b.midas, b.sda
     topic_codes, rg_codes = b.topics.codes, b.rgs.codes
+    first = len(topics)
     for j, e in enumerate(raw):
         if type(e) is not dict and not isinstance(e, dict):
             raise CorpusError(f"exchange record must be an object{_at(cid, j)}")
@@ -438,6 +437,9 @@ def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
                     raise CorpusError(
                         f"exchange field {key!r} must be a string{_at(cid, j)}"
                     )
+            for key, name in (("topic", topic), ("rg", rg)):
+                if not _encodes(name):
+                    raise _lone_surrogate(key, cid, j)
             tc = b.topics.code(topic)
             gc = b.rgs.code(rg)
         m = e.get("midas", _NO_TAGS)
@@ -462,6 +464,11 @@ def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
         systems.append(system)
         midas.append(mc)
         sda.append(sc)
+    if not _encodes("".join(users[first:]) + "".join(systems[first:])):
+        for j, pair in enumerate(zip(users[first:], systems[first:])):
+            for key, value in zip(("user", "system"), pair):
+                if not _encodes(value):
+                    raise _lone_surrogate(key, cid, j)
     if rating is not None and rating not in (1, 2, 3, 4, 5):
         raise CorpusError(f"conversation {cid!r}: rating out of range: {rating}")
     b.ids.append(cid)
@@ -474,19 +481,23 @@ def _at(cid: str, j: int) -> str:
     return f" (conversation {cid!r}, exchange {j})"
 
 
+def _lone_surrogate(key: str, cid: str, j: int) -> CorpusError:
+    return CorpusError(f"exchange field {key!r} holds a lone surrogate{_at(cid, j)}")
+
+
 def _new_tag_code(b: _Columns, raw_codes: dict, tags, key: str, cid: str, j: int) -> int:
-    """Tag-set code of a tag list not seen before, which must hold strings."""
+    """Tag-set code of a new tag list, which must hold strings UTF-8 can encode."""
     if isinstance(tags, list):
         try:
-            "".join(tags)  # a TypeError names any item that is not a string
+            text = "".join(tags)  # a TypeError names an item that is not a string
         except TypeError:
             pass
         else:
+            if not _encodes(text):
+                raise _lone_surrogate(key, cid, j)
             code = raw_codes[tuple(tags)] = b.tags.code(_tag_set(tags))
             return code
-    raise CorpusError(
-        f"exchange field {key!r} must be a list of strings{_at(cid, j)}"
-    )
+    raise CorpusError(f"exchange field {key!r} must be a list of strings{_at(cid, j)}")
 
 
 def _decode(table, codes: np.ndarray) -> list:
@@ -494,57 +505,15 @@ def _decode(table, codes: np.ndarray) -> list:
     return list(map(table.__getitem__, codes.tolist()))
 
 
-def _unencodable(strings) -> list[int]:
-    """Positions of the strings that UTF-8 cannot encode: those holding a
-    lone surrogate.  Strings that join to ASCII text need no more; otherwise
-    the joined text is encoded once, and only if that fails is each
-    non-ASCII string tried."""
-    text = "".join(strings)
-    if text.isascii() or _encodes(text):
-        return []
-    return [i for i, s in enumerate(strings) if not (s.isascii() or _encodes(s))]
-
-
 def _encodes(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: it holds no lone surrogate."""
+    if text.isascii():
+        return True
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
         return False
     return True
-
-
-def _refuse_surrogates(corpus: Corpus) -> None:
-    """Refuse the first string of ``corpus`` that no UTF-8 file can hold,
-    naming its conversation and, in an exchange, the exchange and field."""
-    bad = _unencodable(corpus.ids)
-    if bad:
-        i = bad[0]
-        raise CorpusError(
-            f"conversation id {corpus.ids[i]!r} holds a lone surrogate", record=i
-        )
-    tag_text = list(map("".join, corpus.tagsets))
-    found = []  # (exchange position, field order, field) per bad column
-    for order, (key, strings, codes) in enumerate((
-        ("topic", corpus.topic_names, corpus.topic),
-        ("rg", corpus.rg_names, corpus.rg),
-        ("user", corpus.user, None),
-        ("system", corpus.system, None),
-        ("midas", tag_text, corpus.midas),
-        ("sda", tag_text, corpus.sda),
-    )):
-        at = _unencodable(strings)
-        if codes is not None:  # table entries: the exchanges that use them
-            at = np.flatnonzero(np.isin(codes, at)).tolist() if at else []
-        if at:
-            found.append((at[0], order, key))
-    if found:
-        e, _, key = min(found)
-        i = int(np.searchsorted(corpus.offsets, e, side="right")) - 1
-        raise CorpusError(
-            f"exchange field {key!r} holds a lone surrogate"
-            f"{_at(corpus.ids[i], e - int(corpus.offsets[i]))}",
-            record=i,
-        )
 
 
 def _refuse_escaped_bytes(line: str) -> None:
@@ -573,15 +542,13 @@ def parse_corpus(stream) -> Corpus:
     surrogate in U+DC80..U+DCFF.
     """
     lineno = 0
-    blanks = []  # for each blank line, the number of records before it
 
     def records():
         nonlocal lineno
         for lineno, line in enumerate(stream, start=1):
             if not line.strip():
-                blanks.append(lineno - 1 - len(blanks))
                 continue
-            if not (line.isascii() or _encodes(line)):
+            if not _encodes(line):
                 _refuse_escaped_bytes(line)
             try:
                 obj = json.loads(line)
@@ -595,8 +562,6 @@ def parse_corpus(stream) -> Corpus:
     try:
         return Corpus.from_records(records())
     except CorpusError as e:
-        if e.record is not None:
-            lineno = e.record + 1 + bisect_right(blanks, e.record)
         raise CorpusError(f"line {lineno}: {e}") from e
 
 

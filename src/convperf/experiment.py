@@ -234,20 +234,18 @@ def _fit_design(cell: GridCell, design: Design, seed: int) -> CellResult:
 
 
 def fit_and_report(
-    cell: GridCell, names, splits: dict[str, SplitRows], seed: int = 0, features=None
+    cell: GridCell, names, splits: dict[str, SplitRows], seed: int = 0
 ) -> CellResult:
     """Fit one cell on the train split and report it on the test split.
 
     ``splits`` maps train/dev/test to raw rows whose columns follow
-    ``names``.  The cell's columns are ``features`` (a subset of
-    ``names``; all of them when None) less its dropped ones, taken by
-    name before anything else; the cell is fitted from the
+    ``names``.  The cell's columns are ``names`` less its dropped ones,
+    taken by name before anything else; the cell is fitted from the
     :class:`Design` over them, as every :func:`run_grid` cell is.  The
     standardizer, and the median of a median-split target given by kind
     name, are fitted on train; dev reaches only the MLP's early stopping.
     """
-    columns = _columns(cell, names if features is None else features)
-    return _fit_design(cell, _design(names, splits, columns), seed)
+    return _fit_design(cell, _design(names, splits, _columns(cell, names)), seed)
 
 
 def _targets(target: TargetKind, rows: SplitRows) -> np.ndarray:
@@ -398,6 +396,8 @@ def export_tree(
     ``depth_limit`` are shown as truncated leaves.  Node ids and line
     order are stable across runs.
     """
+    if depth_limit is not None and depth_limit < 0:
+        raise ValueError(f"depth_limit must be >= 0, got {depth_limit}")
     family = model.spec.family
     if family == TREE:
         params = model.params

@@ -51,7 +51,7 @@ from convperf.regressors import (
     load_model,
 )
 
-from conftest import UNDECODABLE_IDS, UNDECODABLE_LINES
+from conftest import UNDECODABLE_IDS, UNDECODABLE_LINES, record
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +287,16 @@ def test_train_max_depth_negative_is_unbounded(pipeline):
         == 0
     )
     assert load_model(model_p).spec.hyperparameters["max_depth"] is None
+
+
+def test_export_tree_rejects_a_negative_depth_limit(model_files, tmp_path, capsys):
+    dot_p = tmp_path / "tree.dot"
+    argv = ["export-tree", "--model", str(model_files["tree"]),
+            "--depth-limit", "-1", "--out", str(dot_p)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: depth_limit must be >= 0, got -1\n"
+    assert not dot_p.exists()
 
 
 def test_export_tree_rejects_linear_model(pipeline, capsys):
@@ -1298,6 +1308,17 @@ def test_readme_library_example_runs(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [label for label, _ in rows] == ["forest", "forest-ablated"]
     assert all(np.isfinite(float(r2)) for _, r2 in rows)
+
+
+def test_readme_corpus_error_example_is_what_ingest_prints(tmp_path, capsys):
+    text = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    (quoted,) = re.findall(r"as in `(line 2: exchange field 'midas'[^`]*)`", text)
+    bad = tmp_path / "bad.jsonl"
+    lines = [record("c0"), record("c1", exchanges=[{}, {"midas": "user_init"}])]
+    bad.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    out = tmp_path / "out.jsonl"
+    assert main(["ingest", "--in", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {quoted}\n"
 
 
 @pytest.mark.parametrize("doc", DOCS, ids=lambda p: p.relative_to(ROOT).as_posix())

@@ -511,6 +511,69 @@ def test_a_lone_surrogate_is_refused_where_it_is(key, value, message):
     assert str(err.value) == f"line 4: {message}"
 
 
+def test_a_lone_surrogate_is_named_before_a_later_bad_rating():
+    lines = [json.dumps(record("a")), json.dumps(record("b", user="\ud800")),
+             json.dumps(record("c", rating=9))]
+    with pytest.raises(CorpusError) as err:
+        parse_corpus(lines)
+    assert str(err.value) == (
+        "line 2: exchange field 'user' holds a lone surrogate (conversation 'b', exchange 0)"
+    )
+
+
+# A duplicate id needs an earlier clean copy, so it is left out.
+_RECORD_FAULTS = [bad for bad in _BAD_FIELDS if bad[2] != "duplicate"]
+
+
+def _spoiled(rec: dict, bad, data) -> object:
+    """A copy of ``rec`` holding one fault of ``_BAD_FIELDS``."""
+    where, key, value, _ = bad
+    if where == "whole" and key == "record":
+        return value
+    rec = json.loads(json.dumps(rec))
+    if where == "record":
+        rec[key] = value
+        return rec
+    j = data.draw(st.integers(0, len(rec["exchanges"]) - 1), label="bad exchange")
+    if where == "exchange":
+        rec["exchanges"][j][key] = value
+    else:
+        rec["exchanges"][j] = value
+    return rec
+
+
+@given(
+    _records().filter(lambda records: len(records) >= 2),
+    st.sampled_from(_RECORD_FAULTS),
+    st.sampled_from(_RECORD_FAULTS),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_the_first_bad_record_is_named_at_its_own_line(records, early, late, data):
+    a = data.draw(st.integers(0, len(records) - 2), label="earlier bad record")
+    b = data.draw(st.integers(a + 1, len(records) - 1), label="later bad record")
+    records = list(records)
+    records[a] = _spoiled(records[a], early, data)
+    records[b] = _spoiled(records[b], late, data)
+
+    with pytest.raises(CorpusError) as alone:
+        Corpus.from_records(records[: a + 1])
+    assert early[3] in str(alone.value)
+    with pytest.raises(CorpusError) as direct:
+        Corpus.from_records(records)
+    assert str(direct.value) == str(alone.value)
+
+    lines = []
+    for i, rec in enumerate(records):
+        lines += [""] * data.draw(st.integers(0, 2), label=f"blank lines before {i}")
+        lines.append(json.dumps(rec))
+        if i == a:
+            line = len(lines)
+    with pytest.raises(CorpusError) as parsed:
+        parse_corpus(lines)
+    assert str(parsed.value) == f"line {line}: {direct.value}"
+
+
 @pytest.mark.parametrize("line, message", UNDECODABLE_LINES, ids=UNDECODABLE_IDS)
 def test_an_undecodable_line_is_named(tmp_path, line, message):
     # The bad line is line 3, after a blank line; a good line follows it.

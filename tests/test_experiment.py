@@ -594,6 +594,11 @@ def test_export_tree_depth_limit():
     assert "->" not in dot
 
 
+def test_export_tree_refuses_a_negative_depth_limit():
+    with pytest.raises(ValueError, match="depth_limit must be >= 0, got -1"):
+        export_tree(step_tree(), depth_limit=-1)
+
+
 def test_export_tree_single_leaf():
     model = fit_tree(np.array([[1.0], [2.0]]), np.array([3.0, 3.0]))
     dot = export_tree(model)
