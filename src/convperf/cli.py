@@ -431,8 +431,6 @@ def _load_feature_splits(path: str):
             raise CliError(f"{path}: {e}") from None
     rows = {s: [] for s in SPLIT_NAMES}
     for i, s in enumerate(splits):
-        if s not in rows:
-            raise CliError(f"feature CSV {path} has unknown split {s!r}")
         rows[s].append(i)
     return names, {
         s: SplitRows(

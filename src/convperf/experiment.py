@@ -386,12 +386,12 @@ def export_tree(
     model: TrainedModel,
     depth_limit: int | None = None,
     tree_index: int | None = None,
-    feature_names=None,
 ) -> str:
     """Render a fitted tree as DOT graph text.
 
     Forest models need ``tree_index`` to pick one member.  Nodes list
-    the split feature and threshold (or the leaf mean), the sample
+    the split feature (named from ``model.feature_names``, or ``x{j}``
+    for an unbound model) and threshold (or the leaf mean), the sample
     count, and the within-node squared deviation; internal nodes at
     ``depth_limit`` are shown as truncated leaves.  Node ids and line
     order are stable across runs.
@@ -415,13 +415,6 @@ def export_tree(
     else:
         raise ValueError(f"cannot export family {family!r} as a tree")
 
-    if feature_names is None:
-        feature_names = model.feature_names
-    def fname(j: int) -> str:
-        if feature_names is not None:
-            return feature_names[j]
-        return f"x{j}"
-
     lines = ["digraph tree {"]
     stack = [(0, 0)]
     while stack:
@@ -440,9 +433,8 @@ def export_tree(
             )
             continue
         thr = repr(float(params.threshold[node]))
-        lines.append(
-            f'  n{node} [label="{fname(j)} <= {thr}\\nn={n} ss={ss}"];'
-        )
+        name = f"x{j}" if model.feature_names is None else model.feature_names[j]
+        lines.append(f'  n{node} [label="{name} <= {thr}\\nn={n} ss={ss}"];')
         left = int(params.left[node])
         right = int(params.right[node])
         lines.append(f'  n{node} -> n{left} [label="yes"];')

@@ -11,11 +11,12 @@ feature sets are supported:
   response-generator frequencies and the per-topic dwell median.  It is
   the union of both kinds, so there is no separate union set.
 
-:class:`FeatureSchema` declares the columns once: ``length_median``,
-each frequency block of :meth:`FeatureSchema.blocks` (a name prefix, a
-corpus column and its labels), then, for the dependent set,
-``topic_dist_median``.  :func:`build_matrix` is the public way to turn
-a corpus into feature values.  It encodes the corpus once into a
+:class:`FeatureSchema` declares the one fixed inventory, which has no
+settable field, and its columns once: ``length_median``, each frequency
+block of :meth:`FeatureSchema.blocks` (a name prefix, a corpus column
+and its labels), then, for the dependent set, ``topic_dist_median``.
+:func:`build_matrix` is the public way to turn a corpus into feature
+values.  It encodes the corpus once into a
 columnar :class:`FeatureTable` and asks it for one matrix.  Every block
 is counted the same way: one ``np.bincount`` over the window's
 (conversation, pattern) codes, mapped onto the block's labels and
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import LENGTH_CAP, SPLIT_NAMES, Corpus
 
 logger = logging.getLogger(__name__)
 
@@ -101,26 +102,19 @@ _warned_unknown: set[tuple[str, str]] = set()
 _NAME_KINDS = {"topic": "topic", "rg": "response generator"}
 
 
-@dataclass(frozen=True)
 class FeatureSchema:
-    """Fixed, ordered feature inventory.
+    """The fixed, ordered feature inventory.
 
     The order of the name lists is part of the contract: model
     coefficients index into it, and ``evaluate`` refuses a model whose
-    feature names differ from the feature CSV's.
+    feature names differ from the feature CSV's.  The topic and
+    response-generator lists end in the ``other`` catch-all.
     """
 
-    topics: tuple[str, ...] = DEFAULT_TOPICS
-    sda_labels: tuple[str, ...] = DEFAULT_SDA_LABELS
-    midas_labels: tuple[str, ...] = DEFAULT_MIDAS_LABELS
-    response_generators: tuple[str, ...] = DEFAULT_RESPONSE_GENERATORS
-
-    def __post_init__(self):
-        if "other" not in self.topics or "other" not in self.response_generators:
-            raise ValueError("topic and rg inventories need an 'other' catch-all")
-        names = self.names(DEPENDENT)
-        if len(set(names)) != len(names):
-            raise ValueError("feature names must be unique")
+    topics = DEFAULT_TOPICS
+    sda_labels = DEFAULT_SDA_LABELS
+    midas_labels = DEFAULT_MIDAS_LABELS
+    response_generators = DEFAULT_RESPONSE_GENERATORS
 
     def blocks(self, feature_set: str) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
         """The ordered frequency blocks of a feature set: (name prefix,
@@ -341,7 +335,8 @@ def read_feature_csv(fh):
 
     Returns (ids, names, X, ratings, capped_lengths, splits); missing
     ratings come back as None.  A row whose width differs from the
-    header, a rating or capped length that is not an integer, and a
+    header, a rating outside 1..5, a capped length outside
+    1..``LENGTH_CAP``, a split label other than train/dev/test, and a
     feature cell that is not a finite number are rejected with the row
     id (and column).
     """
@@ -371,8 +366,11 @@ def read_feature_csv(fh):
                 f"feature CSV row {row_id!r}, column {name!r}: "
                 f"{cell!r} is not a number"
             ) from None
-        ratings.append(_int_cell(row_id, "rating", rec[-3]) if rec[-3] else None)
-        lengths.append(_int_cell(row_id, "capped_length", rec[-2]))
+        ratings.append(_int_cell(row_id, "rating", rec[-3], 5) if rec[-3] else None)
+        lengths.append(_int_cell(row_id, "capped_length", rec[-2], LENGTH_CAP))
+        if rec[-1] not in SPLIT_NAMES:
+            raise ValueError(f"feature CSV row {row_id!r}, column 'split': "
+                             f"unknown split {rec[-1]!r}")
         splits.append(rec[-1])
     X = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
     bad = np.argwhere(~np.isfinite(X))
@@ -393,11 +391,15 @@ def _is_float(cell: str) -> bool:
     return True
 
 
-def _int_cell(row_id: str, column: str, cell: str) -> int:
+def _int_cell(row_id: str, column: str, cell: str, hi: int) -> int:
+    """``cell`` as an integer in 1..``hi``."""
     try:
-        return int(cell)
+        value = int(cell)
     except ValueError:
+        value = None
+    if value is None or not 1 <= value <= hi:
+        what = "an integer" if value is None else f"in 1..{hi}"
         raise ValueError(
-            f"feature CSV row {row_id!r}, column {column!r}: "
-            f"{cell!r} is not an integer"
-        ) from None
+            f"feature CSV row {row_id!r}, column {column!r}: {cell!r} is not {what}"
+        )
+    return value

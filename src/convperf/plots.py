@@ -1,8 +1,8 @@
 """Deterministic SVG bar charts plus CSV companions.
 
 The renderer is hand-rolled markup (no plotting dependency): identical
-inputs give byte-identical SVG.  Bars may be negative (topic z-scores);
-the baseline sits at value zero.
+inputs give byte-identical SVG.  Every chart is 640 x 360 pixels.  Bars
+may be negative (topic z-scores); the baseline sits at value zero.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from .topicscore import TopicScoreReport
 
 _BIN_WIDTH = 5
 _MAX_BINS = 20  # lengths past _BIN_WIDTH * _MAX_BINS collapse into the last bin
+
+_WIDTH, _HEIGHT = 640, 360  # chart size in pixels
 
 
 def length_histogram(corpus: Corpus) -> tuple[list[str], list[float]]:
@@ -47,13 +49,7 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def render_bar_svg(
-    labels,
-    values,
-    title: str = "",
-    width: int = 640,
-    height: int = 360,
-) -> str:
+def render_bar_svg(labels, values, title: str = "") -> str:
     """Vertical bar chart as a standalone SVG document string."""
     labels = list(labels)
     values = [float(v) for v in values]
@@ -64,8 +60,8 @@ def render_bar_svg(
     span = top - bot or 1.0
 
     margin_l, margin_r, margin_t, margin_b = 50, 10, 30, 60
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
+    plot_w = _WIDTH - margin_l - margin_r
+    plot_h = _HEIGHT - margin_t - margin_b
     n = len(values)
     slot = plot_w / n
     bar_w = slot * 0.8
@@ -74,18 +70,18 @@ def render_bar_svg(
         return margin_t + (top - v) / span * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{title}</text>'
         )
     zero_y = y_of(0.0)
     parts.append(
-        f'<line x1="{margin_l}" y1="{_fmt(zero_y)}" x2="{width - margin_r}" '
+        f'<line x1="{margin_l}" y1="{_fmt(zero_y)}" x2="{_WIDTH - margin_r}" '
         f'y2="{_fmt(zero_y)}" stroke="black" stroke-width="1"/>'
     )
     for i, (label, v) in enumerate(zip(labels, values)):
@@ -97,7 +93,7 @@ def render_bar_svg(
             f'height="{_fmt(h)}" fill="#4878a8"/>'
         )
         lx = margin_l + i * slot + slot / 2
-        ly = height - margin_b + 12
+        ly = _HEIGHT - margin_b + 12
         parts.append(
             f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="9" '

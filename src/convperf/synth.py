@@ -4,11 +4,13 @@ Every conversation is driven by a latent engagement value e in [0, 1].
 Engagement raises conversation length (log-normal body), per-utterance
 verbosity, compliment rate, and initiative/answer tag rates; complaint
 rate rises as engagement falls; the rating is a noisy, weakly coupled
-readout of the same latent.  A configurable point mass at lengths 1-4
-models accidental invocations.  Compliment and complaint phrases are
-taken verbatim from the shipped lexicons and embedded in the user text,
-so the tagger recovers exactly the planted acts, while filler words
-never overlap lexicon vocabulary.
+readout of the same latent.  No setting declares the rating/length
+correlation: it follows from the rating gain and noise, and with the
+defaults it reads r ~0.134 at 30k conversations.  A configurable point
+mass at lengths 1-4 models accidental invocations.  Compliment and
+complaint phrases are taken verbatim from the shipped lexicons and
+embedded in the user text, so the tagger recovers exactly the planted
+acts, while filler words never overlap lexicon vocabulary.
 
 Randomness: one root seed spawns one stream per kind of draw
 (:data:`_STREAMS`), and each stream is drawn a block of conversations at a
@@ -85,7 +87,7 @@ _FILLER = (
 
 
 class GeneratorError(ValueError):
-    """Raised for invalid or infeasible generator configurations."""
+    """Raised for invalid generator configurations."""
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,6 @@ class GeneratorConfig:
 
     Rates are per exchange; every ``*_gain`` scales the engagement
     linkage of its rate (complaint and neg_answer couple to 1-e).
-    ``target_r`` declares the intended rating/length correlation and is
-    checked against what the rating noise permits.
     """
 
     n_conversations: int
@@ -114,7 +114,6 @@ class GeneratorConfig:
     rating_base: float = 3.25
     rating_gain: float = 1.03
     rating_noise: float = 1.0
-    target_r: float = 0.134
     # verbosity (filler words per user utterance)
     verbosity_base: float = 2.0
     verbosity_gain: float = 11.0
@@ -133,21 +132,6 @@ class GeneratorConfig:
     # topics
     topic_appeal: tuple[tuple[str, float], ...] = DEFAULT_TOPIC_APPEAL
     topic_concentration: float = 1.2
-
-
-def engagement_sd(cfg: GeneratorConfig) -> float:
-    a, b = cfg.engagement_alpha, cfg.engagement_beta
-    return math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
-
-
-def attainable_correlation(cfg: GeneratorConfig) -> float:
-    """Upper bound on rating/length r given the rating noise."""
-    signal = cfg.rating_gain * engagement_sd(cfg)
-    if signal <= 0.0:
-        return 0.0
-    if cfg.rating_noise == 0.0:
-        return 1.0
-    return signal / math.hypot(signal, cfg.rating_noise)
 
 
 def _validate(cfg: GeneratorConfig) -> None:
@@ -186,13 +170,6 @@ def _validate(cfg: GeneratorConfig) -> None:
         raise GeneratorError("topic appeal weights must be positive and finite")
     if cfg.topic_concentration <= 0:
         raise GeneratorError(f"topic_concentration must be > 0, got {cfg.topic_concentration}")
-    bound = attainable_correlation(cfg)
-    if cfg.target_r > bound + 1e-12:
-        raise GeneratorError(
-            f"target rating/length correlation {cfg.target_r:.3f} exceeds the "
-            f"attainable bound {bound:.3f} under rating_noise="
-            f"{cfg.rating_noise:g}; lower the noise or raise rating_gain"
-        )
 
 
 def _lexicon_phrases() -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -399,7 +376,6 @@ def deterministic_length_config(n_conversations: int, seed: int = 0) -> Generato
         compliment_base=0.05,
         compliment_gain=0.75,
         rating_noise=1.2,
-        target_r=0.1,
     )
 
 

@@ -554,19 +554,27 @@ def test_train_rejects_a_row_with_a_missing_cell(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "column, offset", [("rating", -3), ("capped_length", -2)], ids=["rating", "length"]
+    "column, offset, cell, message",
+    [
+        ("rating", -3, "4.5", "not an integer"),
+        ("capped_length", -2, "4.5", "not an integer"),
+        ("rating", -3, "9", "'9' is not in 1..5"),
+        ("capped_length", -2, "-4", "'-4' is not in 1..75"),
+        ("capped_length", -2, "500", "'500' is not in 1..75"),
+    ],
+    ids=["rating", "length", "rating-9", "length--4", "length-500"],
 )
 def test_train_rejects_a_non_integer_target_cell(
-    pipeline, tmp_path, capsys, column, offset
+    pipeline, tmp_path, capsys, column, offset, cell, message
 ):
     def edit(cells):
-        cells[offset] = "4.5"
+        cells[offset] = cell
 
     bad, row_id = edited_feature_csv(pipeline, tmp_path, edit)
     model_out = tmp_path / "model.json"
     assert main(["train", "--features", str(bad), "--model-out", str(model_out)]) == 1
     err = capsys.readouterr().err
-    assert repr(row_id) in err and repr(column) in err and "not an integer" in err
+    assert repr(row_id) in err and repr(column) in err and message in err
     assert not model_out.exists()
 
 
@@ -748,10 +756,11 @@ def test_train_rejects_an_unknown_split_label(pipeline, tmp_path, capsys):
     def edit(cells):
         cells[-1] = "holdout"
 
-    bad, _ = edited_feature_csv(pipeline, tmp_path, edit)
+    bad, row_id = edited_feature_csv(pipeline, tmp_path, edit)
     model_out = tmp_path / "model.json"
     assert main(["train", "--features", str(bad), "--model-out", str(model_out)]) == 1
-    assert "unknown split 'holdout'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"row {row_id!r}, column 'split': unknown split 'holdout'" in err
     assert not model_out.exists()
 
 

@@ -583,7 +583,8 @@ def test_export_tree_dot_structure():
 
 
 def test_export_tree_feature_names_override():
-    dot = export_tree(step_tree(), feature_names=("talkativeness",))
+    bound = replace(step_tree(), feature_names=("talkativeness",))
+    dot = export_tree(bound)
     assert "talkativeness <= 0.5" in dot
     assert "x0" not in dot
 

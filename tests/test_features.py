@@ -220,8 +220,11 @@ def test_union_is_not_a_feature_set():
             SCHEMA.names(name)
 
 
-def test_schema_needs_catchalls():
-    with pytest.raises(ValueError, match="catch-all"):
+def test_the_fixed_inventory_has_catchalls_and_unique_names():
+    assert "other" in SCHEMA.topics and "other" in SCHEMA.response_generators
+    names = SCHEMA.names(DEPENDENT)
+    assert len(set(names)) == len(names)
+    with pytest.raises(TypeError):
         FeatureSchema(topics=("movies",))
 
 

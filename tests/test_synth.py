@@ -18,9 +18,7 @@ from convperf.synth import (
     _RG_CDF,
     _cdf,
     _pick,
-    attainable_correlation,
     deterministic_length_config,
-    engagement_sd,
     generate,
     single_signal_config,
 )
@@ -113,34 +111,6 @@ def test_filler_never_triggers_tags():
     assert all(ex.sda_tags == frozenset() for c in after for ex in c.exchanges)
 
 
-def test_engagement_sd_matches_beta_variance():
-    cfg = GeneratorConfig(n_conversations=1)
-    assert abs(engagement_sd(cfg) - math.sqrt(1.0 / 20.0)) < 1e-12
-    skew = GeneratorConfig(n_conversations=1, engagement_alpha=1.0,
-                           engagement_beta=3.0)
-    assert abs(engagement_sd(skew) - math.sqrt(3.0 / (16.0 * 5.0))) < 1e-12
-
-
-def test_attainable_correlation_formula():
-    cfg = GeneratorConfig(n_conversations=1)
-    signal = 1.03 * math.sqrt(1.0 / 20.0)
-    assert abs(
-        attainable_correlation(cfg) - signal / math.hypot(signal, 1.0)
-    ) < 1e-12
-    assert attainable_correlation(
-        GeneratorConfig(n_conversations=1, rating_noise=0.0)
-    ) == 1.0
-    assert attainable_correlation(
-        GeneratorConfig(n_conversations=1, rating_gain=0.0)
-    ) == 0.0
-
-
-def test_infeasible_target_correlation_rejected():
-    cfg = GeneratorConfig(n_conversations=10, rating_noise=5.0, target_r=0.5)
-    with pytest.raises(GeneratorError, match="attainable"):
-        generate(cfg)
-
-
 @pytest.mark.parametrize(
     "kw,msg",
     [
@@ -187,9 +157,7 @@ def test_rating_predictability_tracks_noise():
     def mean_r2(noise):
         vals = []
         for seed in range(5):
-            cfg = GeneratorConfig(
-                n_conversations=2000, seed=seed, rating_noise=noise, target_r=0.0
-            )
+            cfg = GeneratorConfig(n_conversations=2000, seed=seed, rating_noise=noise)
             corp = prepared(cfg)
             _, X_tr = matrix(corp.subset("train"))
             names, X_te = matrix(corp.subset("test"))
