@@ -336,9 +336,10 @@ def read_feature_csv(fh):
     Returns (ids, names, X, ratings, capped_lengths, splits); missing
     ratings come back as None.  A row whose width differs from the
     header, a rating outside 1..5, a capped length outside
-    1..``LENGTH_CAP``, a split label other than train/dev/test, and a
-    feature cell that is not a finite number are rejected with the row
-    id (and column).
+    1..``LENGTH_CAP``, a split label other than train/dev/test, a
+    feature cell that is not a finite number, and a second row with an
+    id already read (a model could train and test on one conversation)
+    are rejected with the row id (and column).
     """
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -348,6 +349,7 @@ def read_feature_csv(fh):
         raise ValueError("not a feature CSV (unexpected header)")
     names = tuple(header[1:-3])
     ids, rows, ratings, lengths, splits = [], [], [], [], []
+    first_split = {}  # id -> split of its row
     for rec in reader:
         row_id = rec[0] if rec else ""
         if len(rec) != len(header):
@@ -355,6 +357,9 @@ def read_feature_csv(fh):
                 f"feature CSV row {row_id!r} has {len(rec)} cells, "
                 f"the header has {len(header)} columns"
             )
+        if row_id in first_split:
+            raise ValueError(f"feature CSV row {row_id!r}: the id is already on a row "
+                             f"in split {first_split[row_id]!r}")
         ids.append(row_id)
         try:
             rows.append([float(x) for x in rec[1:-3]])
@@ -372,6 +377,7 @@ def read_feature_csv(fh):
             raise ValueError(f"feature CSV row {row_id!r}, column 'split': "
                              f"unknown split {rec[-1]!r}")
         splits.append(rec[-1])
+        first_split[row_id] = rec[-1]
     X = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
     bad = np.argwhere(~np.isfinite(X))
     if len(bad):

@@ -6,16 +6,29 @@ features at every split.  Prediction is the plain mean over trees.  All
 randomness flows from one seed through spawned per-tree generators, so
 a given (data, hyperparameters, seed) triple always yields the same
 forest regardless of how many trees ran before.
+
+A fit ranks the matrix's columns once (:func:`tree.dense_ranks`) and
+each tree sorts its rows' ranks.  The trees are independent (Breiman,
+*Random Forests*, 2001), so they grow on every CPU the process may use:
+with w = min(usable CPUs, n_trees), w - 1 forked workers each grow every
+w-th tree and send it back over a pipe, and the parent grows the rest.
+Each tree depends only on its own index, so the forest is the same for
+any w.  The parent grows every tree itself where ``os.fork`` is
+missing, where other Python threads run, or where a fork fails.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .base import ModelSpec, Params, TrainedModel, check_training_data
-from .tree import TreeParams, grow_tree
+from .tree import TreeParams, dense_ranks, grow_tree
 
 FOREST = "forest"
 
@@ -65,21 +78,22 @@ def fit_forest(
         raise ValueError(f"feat_frac must be in (0, 1], got {feat_frac}")
 
     n = y.shape[0]
+    ranks = dense_ranks(X)
     children = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
-    for child in children:
-        rng = np.random.default_rng(child)
+
+    def grow(i: int) -> TreeParams:
+        rng = np.random.default_rng(children[i])
         if bootstrap:
             rows = rng.integers(0, n, size=n)
-            Xb, yb = X[rows], y[rows]
+            Xb, yb, rb = X[rows], y[rows], ranks[:, rows]
         else:
-            Xb, yb = X, y
-        trees.append(
-            grow_tree(
-                Xb, yb, max_depth=max_depth, min_leaf=min_leaf,
-                rng=rng, feat_frac=feat_frac,
-            )
+            Xb, yb, rb = X, y, ranks
+        return grow_tree(
+            Xb, yb, max_depth=max_depth, min_leaf=min_leaf,
+            rng=rng, feat_frac=feat_frac, ranks=rb,
         )
+
+    trees = _map_on_cpus(grow, n_trees)
     spec = ModelSpec(
         family=FOREST,
         hyperparameters={
@@ -92,3 +106,83 @@ def fit_forest(
         seed=seed,
     )
     return TrainedModel(spec=spec, params=ForestParams(tuple(trees)))
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_on_cpus(fn, count: int) -> list:
+    """``[fn(0), ..., fn(count - 1)]``, computed on up to ``_usable_cpus()`` CPUs.
+
+    With w = min(usable CPUs, count), forked worker k computes fn(k),
+    fn(k + w), ... and the parent computes share 0, and the share of any
+    worker that could not be forked.  Every worker is reaped before this
+    returns or raises; a worker's exception is raised here.
+    """
+    w = min(_usable_cpus(), count)
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        w = 1  # forking with other threads running can deadlock the child
+    results = [None] * count
+    workers = {}  # share -> (pid, read end of its pipe)
+    try:
+        for k in range(1, w):
+            started = _fork(fn, range(k, count, w))
+            if started is None:
+                break
+            workers[k] = started
+        for k in range(w):
+            if k not in workers:
+                for i in range(k, count, w):
+                    results[i] = fn(i)
+        for k in list(workers):
+            pid, pipe = workers[k]
+            with pipe:
+                reply = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[k]
+            if code != 0 or not reply:
+                raise RuntimeError(f"forest worker {pid} ended without its trees "
+                                   f"(exit status {code})")
+            ok, value = pickle.loads(reply)
+            if not ok:
+                raise value
+            results[k::w] = value
+    finally:
+        for pid, pipe in workers.values():  # only on an error
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _fork(fn, indices):
+    """Fork a worker that sends back ``[fn(i) for i in indices]``, or the
+    exception that stopped it; (pid, read end), or None if fork fails."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            try:
+                reply = pickle.dumps((True, [fn(i) for i in indices]))
+            except BaseException as exc:
+                reply = pickle.dumps((False, exc))
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(reply)
+            code = 0
+        finally:
+            os._exit(code)  # no atexit handlers, no flush of the parent's buffers
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+

@@ -38,7 +38,6 @@ the fit.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,18 +105,16 @@ def _kernel_rows(X, gamma):
     X = X - X.mean(axis=0)  # same distances; rounding no longer grows with offsets
     sq = (X * X).sum(axis=1)
     max_rows = max(2, KERNEL_CACHE_BYTES // (8 * X.shape[0]))
-    cache: OrderedDict[int, np.ndarray] = OrderedDict()
+    cache: dict[int, np.ndarray] = {}  # insertion order is recency order
 
     def row(i: int) -> np.ndarray:
-        r = cache.get(i)
-        if r is not None:
-            cache.move_to_end(i)
-            return r
-        r = X @ X[i]
-        r[i] = sq[i]  # then the distance to itself is exactly 0 and K_ii = 1
-        r = _rbf(r, sq, sq[i], gamma)
-        if len(cache) >= max_rows:
-            cache.popitem(last=False)
+        r = cache.pop(i, None)
+        if r is None:
+            r = X @ X[i]
+            r[i] = sq[i]  # then the distance to itself is exactly 0 and K_ii = 1
+            r = _rbf(r, sq, sq[i], gamma)
+            if len(cache) >= max_rows:
+                del cache[next(iter(cache))]
         cache[i] = r
         return r
 
@@ -240,15 +237,17 @@ def fit_svr(
             break
         row_i = krow(i)
         row_j = krow(j)
-        eta = row_i[i] + row_j[j] - 2.0 * row_i[j]
-        t = _pair_step(beta[i], beta[j], F[i], F[j], max(eta, 0.0), epsilon, C)
+        # Python floats: scalar arithmetic on numpy scalars costs more.
+        beta_i, beta_j = float(beta[i]), float(beta[j])
+        eta = float(row_i[i]) + float(row_j[j]) - 2.0 * float(row_i[j])
+        t = _pair_step(beta_i, beta_j, float(F[i]), float(F[j]), max(eta, 0.0), epsilon, C)
         if t is None:
             break
-        delta = t - beta[i]
+        delta = t - beta_i
         beta[i] = t
-        beta[j] -= delta
+        beta[j] = beta_j - delta
         a_lo[i], a_hi[i] = _offsets(t, epsilon, C)
-        a_lo[j], a_hi[j] = _offsets(float(beta[j]), epsilon, C)
+        a_lo[j], a_hi[j] = _offsets(beta_j - delta, epsilon, C)
         np.subtract(row_i, row_j, out=step)
         step *= delta
         G += step

@@ -16,6 +16,14 @@ in the same order as ``y[rows]``.  A node scores all its candidate
 features in one pass over a (features, rows) array, and the fitted tree
 is bit-identical to calling :func:`best_split` on ``X[rows]`` at every
 node, which stays as the exhaustive reference.
+
+The per-tree sort runs on small integers: :func:`dense_ranks` gives each
+column's values their dense ranks (equal values, -0.0 and 0.0 among
+them, share one), which sort in the same stable order as the values and
+which numpy sorts by radix.  A forest ranks its matrix once per fit and
+hands each tree its rows' ranks.  A column that is constant over a
+tree's rows can never split, so it gets no order and is never scored;
+the candidate draw still runs over all d columns.
 """
 
 from __future__ import annotations
@@ -129,9 +137,34 @@ def best_split(
     return best
 
 
+def dense_ranks(X: np.ndarray) -> np.ndarray:
+    """Each column's dense ranks, shaped (d, n), in the smallest unsigned type that holds them.
+
+    Rank order is value order, and equal values (-0.0 and 0.0 too)
+    share a rank, so a stable argsort of any rows' ranks equals one of
+    their values.
+    """
+    order = np.argsort(X, axis=0)
+    xs = np.take_along_axis(X, order, axis=0)
+    steps = np.zeros(X.shape, dtype=np.int64)
+    np.cumsum(xs[1:] != xs[:-1], axis=0, out=steps[1:])
+    ranks = np.empty(X.shape[::-1], dtype=np.min_scalar_type(int(steps.max(initial=0))))
+    np.put_along_axis(ranks.T, order, steps, axis=0)
+    return ranks
+
+
 class _Builder:
-    def __init__(self, X: np.ndarray, y: np.ndarray, max_depth, min_leaf: int, rng=None, feat_frac=None):
+    def __init__(self, X: np.ndarray, y: np.ndarray, max_depth, min_leaf: int, rng=None,
+                 feat_frac=None, ranks=None):
         self.XT = np.ascontiguousarray(X.T)
+        if ranks is None:
+            ranks = dense_ranks(X)
+        # Only a column with two values among these rows can split; slot
+        # maps a column to its row of ``ranks`` and of the orders, or -1.
+        live = np.flatnonzero((ranks != ranks[:, :1]).any(axis=1))
+        self.live, self.ranks = live, ranks[live]
+        self.slot = np.full(self.XT.shape[0], -1)
+        self.slot[live] = np.arange(live.shape[0])
         self.y = y
         self.max_depth = max_depth
         self.min_leaf = min_leaf
@@ -156,16 +189,20 @@ class _Builder:
     def _split(self, orders, ysub, total1, feats):
         """best_split's answer for the node, from its presorted orders.
 
-        Scores every candidate feature at once on a (k, m) array; the
-        argmin over features' lowest scores takes the lowest tied
-        feature index, and the argmin along its row its lowest tied
+        Scores every candidate feature that can split at once on a (k, m)
+        array; the argmin over features' lowest scores takes the lowest
+        tied feature index, and the argmin along its row its lowest tied
         threshold.  ``total1`` is ``ysub.sum()``.
         """
         m = ysub.shape[0]
-        if m < 2 * self.min_leaf or feats.shape[0] == 0:
+        if m < 2 * self.min_leaf:
             return None
-        order = orders[feats]
-        xs = self.XT[feats[:, None], order]
+        slots = self.slot[feats]
+        slots = slots[slots >= 0]
+        if slots.shape[0] == 0:
+            return None
+        order = orders[slots]
+        rs = self.ranks[slots[:, None], order]
         ys = self.y[order]
         s1 = np.cumsum(ys, axis=1)[:, :-1]
         s2 = np.cumsum(ys * ys, axis=1)[:, :-1]
@@ -176,7 +213,7 @@ class _Builder:
         np.maximum(scores, 0.0, out=scores)
         np.maximum(right_ss, 0.0, out=right_ss)
         scores += right_ss
-        valid = xs[:, :-1] < xs[:, 1:]
+        valid = rs[:, :-1] != rs[:, 1:]
         if self.min_leaf > 1:
             valid[:, : self.min_leaf - 1] = False
             valid[:, m - self.min_leaf :] = False
@@ -185,14 +222,15 @@ class _Builder:
         i = int(scores[f].argmin())
         if not valid[f, i]:
             return None
-        return int(feats[f]), float((xs[f, i] + xs[f, i + 1]) / 2.0)
+        j = int(self.live[slots[f]])
+        return j, float((self.XT[j, order[f, i]] + self.XT[j, order[f, i + 1]]) / 2.0)
 
     def build(self) -> TreeParams:
         n = self.y.shape[0]
         go_left = np.zeros(n, dtype=bool)
         # (ascending rows, per-column orders, depth, parent_id, is_left);
         # right child pushed first so ids come out in preorder.
-        stack = [(np.arange(n), np.argsort(self.XT, axis=1, kind="stable"), 0, -1, False)]
+        stack = [(np.arange(n), np.argsort(self.ranks, axis=1, kind="stable"), 0, -1, False)]
         while stack:
             rows, orders, depth, parent, is_left = stack.pop()
             node_id = len(self.feature)
@@ -246,9 +284,14 @@ class _Builder:
         )
 
 
-def grow_tree(X, y, max_depth=None, min_leaf: int = 1, rng=None, feat_frac=None) -> TreeParams:
-    """Raw tree growth; the forest calls this with a feature subsample."""
-    return _Builder(X, y, max_depth, min_leaf, rng, feat_frac).build()
+def grow_tree(X, y, max_depth=None, min_leaf: int = 1, rng=None, feat_frac=None,
+              ranks=None) -> TreeParams:
+    """Raw tree growth; the forest calls this with a feature subsample.
+
+    ``ranks`` are the rows' :func:`dense_ranks` (or any (d, n) integers
+    in the same order), computed here when not given.
+    """
+    return _Builder(X, y, max_depth, min_leaf, rng, feat_frac, ranks).build()
 
 
 def fit_tree(

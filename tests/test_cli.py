@@ -764,6 +764,21 @@ def test_train_rejects_an_unknown_split_label(pipeline, tmp_path, capsys):
     assert not model_out.exists()
 
 
+def test_train_rejects_an_id_on_two_rows(pipeline, tmp_path, capsys):
+    lines = pipeline.feats.read_text().splitlines()
+    cells = lines[3].split(",")
+    first_split = cells[-1]
+    cells[-1] = "test" if first_split != "test" else "train"
+    bad = tmp_path / "features.csv"
+    bad.write_text("\n".join(lines + [",".join(cells)]) + "\n")
+    model_out = tmp_path / "model.json"
+    assert main(["train", "--features", str(bad), "--model-out", str(model_out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"row {cells[0]!r}: the id is already on a row in split {first_split!r}" in err[0]
+    assert not model_out.exists()
+
+
 @pytest.mark.parametrize("command, source", [("ingest", "raw"), ("tag", "kept")])
 def test_truncated_last_jsonl_line_is_rejected(
     pipeline, tmp_path, capsys, command, source

@@ -1,3 +1,7 @@
+import os
+import threading
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,11 @@ from convperf.regressors import (
     fit_forest,
     fit_tree,
 )
+from convperf.regressors import forest
+
+# A warning on the fork path (Python 3.12 warns on a fork with threads
+# running) fails the test instead of scrolling past.
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def leaf(value):
@@ -107,3 +116,104 @@ def test_validation_errors():
         fit_forest(np.ones((0, 2)), np.ones(0))
     with pytest.raises(ValueError, match="\\(n, d\\)"):
         fit_forest(np.ones(6), y)
+
+
+def same_trees(a, b):
+    assert len(a.params.trees) == len(b.params.trees)
+    for s, t in zip(a.params.trees, b.params.trees):
+        for f in fields(TreeParams):
+            assert np.array_equal(getattr(s, f.name), getattr(t, f.name)), f.name
+
+
+@pytest.fixture
+def problem():
+    rng = np.random.default_rng(205)
+    X = rng.integers(0, 5, size=(90, 5)) * 0.5
+    X[:, 3] = 1.0  # a column that can never split
+    return X, rng.normal(size=90)
+
+
+def fit_on(monkeypatch, cpus, X, y, **hp):
+    monkeypatch.setattr(forest, "_usable_cpus", lambda: cpus)
+    return fit_forest(X, y, n_trees=5, max_depth=6, min_leaf=2, seed=4, **hp)
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("cpus", [2, 3, 9])
+def test_the_forest_does_not_depend_on_the_cpu_count(monkeypatch, problem, cpus, bootstrap):
+    one = fit_on(monkeypatch, 1, *problem, bootstrap=bootstrap)
+    same_trees(fit_on(monkeypatch, cpus, *problem, bootstrap=bootstrap), one)
+
+
+def test_the_parent_grows_every_tree_when_it_cannot_fork(monkeypatch, problem):
+    one = fit_on(monkeypatch, 1, *problem)
+
+    def no_fork():
+        raise OSError("no fork here")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    same_trees(fit_on(monkeypatch, 3, *problem), one)
+    monkeypatch.delattr(os, "fork")
+    same_trees(fit_on(monkeypatch, 3, *problem), one)
+
+
+def test_the_parent_does_not_fork_while_threads_run(monkeypatch, problem):
+    one = fit_on(monkeypatch, 1, *problem)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a thread running"))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        same_trees(fit_on(monkeypatch, 3, *problem), one)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def in_a_worker(monkeypatch, act):
+    """Make every tree grown outside this process call ``act()``."""
+    parent, grow = os.getpid(), forest.grow_tree
+
+    def grow_here(*args, **kwargs):
+        if os.getpid() != parent:
+            act()
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(forest, "grow_tree", grow_here)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_error_is_raised_in_the_parent(monkeypatch, problem):
+    def fail():
+        raise ValueError("no tree from this worker")
+
+    in_a_worker(monkeypatch, fail)
+    with pytest.raises(ValueError, match="no tree from this worker"):
+        fit_on(monkeypatch, 3, *problem)
+    no_child_left()
+
+
+def test_a_worker_that_dies_is_named_by_its_exit_status(monkeypatch, problem):
+    in_a_worker(monkeypatch, lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"ended without its trees \(exit status 3\)"):
+        fit_on(monkeypatch, 2, *problem)
+    no_child_left()
+
+
+def test_a_parent_error_reaps_the_workers(monkeypatch, problem):
+    parent, grow = os.getpid(), forest.grow_tree
+
+    def grow_there(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(forest, "grow_tree", grow_there)
+    with pytest.raises(KeyboardInterrupt):
+        fit_on(monkeypatch, 3, *problem)
+    no_child_left()

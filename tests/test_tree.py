@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convperf.regressors import fit_tree
-from convperf.regressors.tree import best_split, grow_tree
+from convperf.regressors.tree import best_split, dense_ranks, grow_tree
+
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def _ss(y):
@@ -340,3 +342,40 @@ def test_grow_tree_matches_per_node_best_split(problem):
     ref = reference_grow(X, y, max_depth, min_leaf, rng, feat_frac)
     for name, values in ref.items():
         assert np.array_equal(getattr(p, name), np.array(values)), name
+
+
+@st.composite
+def tied_columns(draw):
+    """A matrix with ties, -0.0 beside 0.0, constant columns and maybe one
+    row, with a bootstrap draw of its rows."""
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.array([-0.0, 0.0, -1.5, 2.25, 1e-300, -1e300, 7.0])
+    X = rng.choice(values[: draw(st.integers(1, len(values)))], size=(n, d))
+    X[:, rng.random(d) < 0.3] = -0.0
+    if draw(st.booleans()):
+        X[:, 0] = rng.normal(size=n)  # all distinct
+    rows = rng.integers(0, n, size=n) if draw(st.booleans()) else np.arange(n)
+    return X, rows
+
+
+@given(tied_columns())
+@settings(max_examples=200, deadline=None)
+def test_dense_rank_order_is_the_stable_value_order(problem):
+    X, rows = problem
+    ranks = dense_ranks(X)
+    assert ranks.shape == X.shape[::-1] and ranks.dtype == np.uint8
+    got = np.argsort(ranks[:, rows], axis=1, kind="stable")
+    assert np.array_equal(got, np.argsort(X[rows].T, axis=1, kind="stable"))
+    # Equal values, -0.0 and 0.0 among them, share a rank; ranks are dense.
+    for x, r in zip(X.T, ranks):
+        assert np.array_equal(np.unique(r), np.arange(np.unique(x).shape[0]))
+        assert np.array_equal(r[:, None] == r[None, :], x[:, None] == x[None, :])
+
+
+def test_dense_ranks_widen_past_256_values():
+    X = np.arange(300.0)[::-1, None]
+    ranks = dense_ranks(X)
+    assert ranks.dtype == np.uint16
+    assert np.array_equal(ranks[0], np.arange(300)[::-1])
