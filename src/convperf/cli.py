@@ -106,17 +106,22 @@ def _seq(item_ok: Callable, n: int | None = None) -> Callable:
                       and all(map(item_ok, v)))
 
 
+def finite(v) -> bool:
+    """A float, or an int a float holds; NaN and inf are not finite."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 integer = _check("an integer", lambda v: type(v) is int)
 non_negative = _check("an integer >= 0", lambda v: type(v) is int and v >= 0)
-number = _check("a number", lambda v: type(v) in (int, float))
+number = _check("a finite number", finite)
 boolean = _check("true or false", lambda v: type(v) is bool)
 optional_text = _check("a string", lambda v: v is None or isinstance(v, str))
 prefix_window = _check("an integer >= 1", lambda v: v is None or type(v) is int and v > 0)
 # max_depth: None or a negative integer means unbounded.
 tree_depth = _check("an integer", lambda v: v is None or type(v) is int,
                     lambda v: None if v is None or v < 0 else v)
-scale_or_number = _check('"scale" or a number',
-                         lambda v: v == "scale" or type(v) in (int, float))
+scale_or_number = _check('"scale" or a finite number',
+                         lambda v: v == "scale" or finite(v))
 int_list = _check("a list of integers", _seq(lambda v: type(v) is int), list)
 topic_names = _check("a list of topic names", _seq(lambda t: isinstance(t, str)), tuple)
 three_ratios = _check("three ratios", _seq(lambda v: type(v) in (int, float), 3),
@@ -215,6 +220,7 @@ OPTIONS = {
         Option("--epsilon", HP_DEST + "epsilon", number, float),
         Option("--gamma", HP_DEST + "gamma", scale_or_number, gamma,
                help='"scale" or a positive number'),
+        Option(None, HP_DEST + "tol", number),  # SVR's stopping gap, from a file only
         Option("--max-iter", HP_DEST + "max_iter", integer, int),
         Option("--hidden", HP_DEST + "hidden", int_list, hidden_sizes,
                help="MLP hidden sizes, e.g. 100,50"),
@@ -284,7 +290,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if not isinstance(hp, dict):
         raise CliError(f"hyperparameters: expects a JSON object, got {hp!r}")
     # Keyed by dest, flags over the file.  A hyperparameter key that no
-    # flag names goes unchecked to fit_spec, which rejects it by family.
+    # option declares goes unchecked to fit_spec, which rejects it by family.
     data.update((HP_DEST + k, v) for k, v in hp.items())
     data.update((d, getattr(args, d)) for d in dests if hasattr(args, d))
     data.update((d, OPTIONS[d].convert(data[d])) for d in dests if d in data)
@@ -419,8 +425,9 @@ def _feature_provenance(features_path: str, names) -> tuple[str, int | None]:
 
 
 def _load_feature_splits(path: str):
-    """Feature names and the CSV's rows grouped by split label."""
-    from .experiment import SplitRows
+    """Feature names and the CSV's rows by split, as
+    :func:`convperf.experiment.take` gives them."""
+    from .experiment import split_parts, take
     from .features import read_feature_csv
 
     _require_file(path, "feature CSV")
@@ -429,18 +436,8 @@ def _load_feature_splits(path: str):
             ids, names, X, ratings, lengths, splits = read_feature_csv(fh)
         except ValueError as e:
             raise CliError(f"{path}: {e}") from None
-    rows = {s: [] for s in SPLIT_NAMES}
-    for i, s in enumerate(splits):
-        rows[s].append(i)
-    return names, {
-        s: SplitRows(
-            [ids[i] for i in idx],
-            X[idx],
-            [ratings[i] for i in idx],
-            [lengths[i] for i in idx],
-        )
-        for s, idx in rows.items()
-    }
+    split = list(map(SPLIT_NAMES.index, splits))
+    return names, take(split_parts(ids, ratings, lengths, split), X)
 
 
 def _fit(cfg: RunConfig, names, splits, feature_set, prefix_k, name=None, drop=()):

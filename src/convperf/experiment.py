@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import SPLIT_NAMES, Corpus
+from .corpus import SPLIT_NAMES, Corpus, CorpusError
 from .features import (
     DEPENDENT,
     INDEPENDENT,
@@ -103,8 +103,8 @@ class SplitRows(NamedTuple):
 
     ids: list
     X: np.ndarray
-    ratings: list
-    lengths: list  # capped lengths
+    ratings: np.ndarray  # floats, NaN where unrated
+    lengths: np.ndarray  # capped lengths, as floats
 
 
 class CellResult(NamedTuple):
@@ -286,24 +286,23 @@ def evaluate_model(model: TrainedModel, test: SplitRows, cell: GridCell) -> Eval
     )
 
 
-def _split_parts(corpus: Corpus) -> dict:
-    """Per split: its row positions, ids, ratings and capped lengths."""
-    lengths = corpus.capped_lengths()
-    parts = {}
-    for split in SPLIT_NAMES:
-        rows = corpus.split_rows(split)
-        at = rows.tolist()
-        parts[split] = (
-            rows,
-            list(map(corpus.ids.__getitem__, at)),
-            list(map(corpus.ratings.__getitem__, at)),
-            list(map(lengths.__getitem__, at)),
-        )
-    return parts
+def split_parts(ids, ratings, lengths, split) -> dict:
+    """Per split name: its row positions and ids, its ratings as floats
+    (NaN where unrated) and its capped lengths as floats.
+
+    ``ids``, ``ratings`` and ``lengths`` are per row, and ``split``
+    holds each row's index into ``SPLIT_NAMES``.
+    """
+    split = np.asarray(split)
+    ratings = np.array(ratings, dtype=float)  # None becomes NaN
+    lengths = np.array(lengths, dtype=float)
+    rows = {name: np.flatnonzero(split == k) for k, name in enumerate(SPLIT_NAMES)}
+    return {name: (at, list(map(ids.__getitem__, at.tolist())), ratings[at], lengths[at])
+            for name, at in rows.items()}
 
 
-def _take(parts, X: np.ndarray) -> dict[str, SplitRows]:
-    """Each split's rows of the whole-corpus matrix ``X``."""
+def take(parts, X: np.ndarray) -> dict[str, SplitRows]:
+    """Each split's :class:`SplitRows`, its rows taken from the whole matrix ``X``."""
     return {
         split: SplitRows(ids, X[rows], ratings, lengths)
         for split, (rows, ids, ratings, lengths) in parts.items()
@@ -324,8 +323,10 @@ def run_grid(cells, corpus: Corpus, seed: int = 0) -> list[CellResult]:
     freed after its last cell, so one window is held at a time when
     each window's cells are adjacent.
     """
+    if corpus.split is None:
+        raise CorpusError("corpus has no split assignment")
     schema = FeatureSchema()
-    parts = _split_parts(corpus)
+    parts = split_parts(corpus.ids, corpus.ratings, corpus.capped_lengths(), corpus.split)
     table = FeatureTable(corpus, schema)
     widest = {cell.prefix_k: INDEPENDENT for cell in cells}
     widest.update((cell.prefix_k, DEPENDENT) for cell in cells
@@ -338,7 +339,7 @@ def run_grid(cells, corpus: Corpus, seed: int = 0) -> list[CellResult]:
         try:
             columns = _columns(cell, schema.names(cell.feature_set))
             if window not in held:
-                held[window] = _take(parts, table.matrix(widest[window], window)[1]), {}
+                held[window] = take(parts, table.matrix(widest[window], window)[1]), {}
             splits, designs = held[window]
             if columns not in designs:
                 designs[columns] = _design(schema.names(widest[window]), splits, columns)

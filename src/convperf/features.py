@@ -339,7 +339,9 @@ def read_feature_csv(fh):
     1..``LENGTH_CAP``, a split label other than train/dev/test, a
     feature cell that is not a finite number, and a second row with an
     id already read (a model could train and test on one conversation)
-    are rejected with the row id (and column).
+    are rejected with the row id (and column).  So is a header that
+    names no feature column, or names one twice (a fit takes its
+    columns by name, so it would read one of the two).
     """
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -348,6 +350,11 @@ def read_feature_csv(fh):
     if header[:1] != ["id"] or header[-3:] != ["rating", "capped_length", "split"]:
         raise ValueError("not a feature CSV (unexpected header)")
     names = tuple(header[1:-3])
+    if not names:
+        raise ValueError("not a feature CSV (the header names no feature column)")
+    repeated = next((n for n in names if names.count(n) > 1), None)
+    if repeated is not None:
+        raise ValueError(f"feature CSV column {repeated!r} is repeated in the header")
     ids, rows, ratings, lengths, splits = [], [], [], [], []
     first_split = {}  # id -> split of its row
     for rec in reader:

@@ -202,7 +202,7 @@ def model_to_json(model: TrainedModel) -> dict:
         hyperparameters=model.spec.hyperparameters,
         seed=model.spec.seed,
         target=model.target,
-        feature_names=names or None,
+        feature_names=names,
         fingerprint=None if names is None else schema_fingerprint(names),
         standardizer=None if std is None else _Moments(std.mean, std.std),
         parameters=encode(model.params),

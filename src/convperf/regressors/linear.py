@@ -114,7 +114,7 @@ def fit_linear(
     raise :class:`SingularSystemError` on rank-deficient inputs.
     """
     X, y = check_training_data(X, y)
-    if lam < 0:
+    if not lam >= 0:  # NaN too
         raise ValueError(f"regularization must be >= 0, got {lam}")
     if family == OLS and X.shape[0] <= X.shape[1]:
         raise ValueError(

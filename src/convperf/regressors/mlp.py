@@ -139,7 +139,7 @@ def fit_mlp(
         raise ValueError("cannot train on zero rows")
     if any(h < 1 for h in hidden):
         raise ValueError(f"hidden sizes must be >= 1, got {hidden}")
-    if lr <= 0 or batch_size < 1 or max_epochs < 0 or patience < 1:
+    if not lr > 0 or batch_size < 1 or max_epochs < 0 or patience < 1:
         raise ValueError("bad training hyperparameters")
 
     rng = np.random.default_rng(seed)

@@ -129,7 +129,7 @@ def resolve_gamma(X: np.ndarray, gamma) -> float:
             return 1.0
         return 1.0 / (X.shape[1] * mv)
     g = float(gamma)
-    if g <= 0.0:
+    if not g > 0.0:  # NaN too
         raise ValueError(f"gamma must be positive, got {gamma}")
     return g
 
@@ -207,10 +207,13 @@ def fit_svr(
     n = y.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 rows, got {n}")
-    if C <= 0.0:
+    # Written so that NaN fails each check.
+    if not C > 0.0:
         raise ValueError(f"C must be positive, got {C}")
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     g = resolve_gamma(X, gamma)
     if max_iter is None:
         max_iter = max(20_000, 200 * n)

@@ -59,17 +59,19 @@ def fit_target(kind: str, train_capped_lengths) -> TargetKind:
 def targets_from_values(target: TargetKind, ratings, capped_lengths, ids=None) -> np.ndarray:
     """Target vector from parallel rating/length sequences.
 
-    Rating targets require every rating present; ``ids`` only improves
-    the error message.
+    A rating that is NaN (or None) is unrated.  Rating targets require
+    every rating present; ``ids`` only improves the error message.
     """
     if target.kind == RATING:
-        if None in ratings:
-            i = list(ratings).index(None)
+        ratings = np.asarray(ratings, dtype=float)  # None becomes NaN
+        unrated = np.flatnonzero(np.isnan(ratings))
+        if unrated.size:
+            i = int(unrated[0])
             who = repr(ids[i]) if ids is not None else f"row {i}"
             raise ValueError(
                 f"conversation {who} is unrated; cannot build rating targets"
             )
-        return np.array(ratings, dtype=float)
+        return ratings
     lengths = np.asarray(capped_lengths, dtype=float)
     if target.kind == CAPPED_LENGTH:
         return lengths

@@ -14,8 +14,8 @@ index): exactly what a stable argsort of that node's rows would give.
 The node's row list stays in ascending order, so its sums and means add
 in the same order as ``y[rows]``.  A node scores all its candidate
 features in one pass over a (features, rows) array, and the fitted tree
-is bit-identical to calling :func:`best_split` on ``X[rows]`` at every
-node, which stays as the exhaustive reference.
+is bit-identical to calling :func:`best_split` on the node's rows of its
+candidate columns at every node, which stays as the exhaustive reference.
 
 The per-tree sort runs on small integers: :func:`dense_ranks` gives each
 column's values their dense ranks (equal values, -0.0 and 0.0 among
@@ -94,23 +94,19 @@ class TreeParams(Params):
         return self.value[idx]
 
 
-def best_split(
-    X: np.ndarray, y: np.ndarray, min_leaf: int, feature_ids: np.ndarray | None = None
-) -> tuple[int, float, float] | None:
+def best_split(X: np.ndarray, y: np.ndarray, min_leaf: int) -> tuple[int, float, float] | None:
     """Return (feature, threshold, score) of the best split, or None.
 
-    ``feature_ids`` restricts the search to those columns (used by the
-    forest); score is left_ss + right_ss.  None means no boundary leaves
-    min_leaf rows on both sides.
+    Score is left_ss + right_ss, and the first column wins a tie.  None
+    means no boundary leaves min_leaf rows on both sides.
     """
     n = y.shape[0]
     if n < 2 * min_leaf:
         return None
-    cols = range(X.shape[1]) if feature_ids is None else feature_ids
     best: tuple[int, float, float] | None = None
     total1 = y.sum()
     total2 = (y * y).sum()
-    for j in cols:
+    for j in range(X.shape[1]):
         xs = X[:, j]
         order = np.argsort(xs, kind="stable")
         xs = xs[order]

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import convperf
+import convperf.experiment as experiment
 from convperf.cli import (
     COMMAND_OPTIONS,
     CONFIG_ENV,
@@ -25,6 +26,7 @@ from convperf.cli import (
     OPTIONS,
     CliError,
     RunConfig,
+    _load_feature_splits,
     build_parser,
     config_hash,
     gamma,
@@ -34,11 +36,12 @@ from convperf.cli import (
     ratios,
     read_fields,
 )
-from convperf.corpus import Corpus, parse_corpus, split_corpus
+from convperf.corpus import SPLIT_NAMES, Corpus, parse_corpus, split_corpus
 from convperf.experiment import (
     GridCell,
     fit_spec,
     run_grid,
+    take,
     write_reports_csv,
 )
 from convperf.features import FeatureSchema
@@ -518,6 +521,45 @@ def test_cli_and_library_paths_report_the_same_rows(pipeline, tmp_path, family, 
     assert cli_rows(ablated) == rows([base.report, dropped.report])
 
 
+@pytest.mark.parametrize("feature_set, prefix_k", [("independent", None), ("dependent", 10)])
+def test_a_feature_csv_holds_the_split_rows_run_grid_takes(
+    pipeline, tmp_path, monkeypatch, feature_set, prefix_k
+):
+    # Every seventh conversation loses its rating, so both paths meet unrated rows.
+    records = [json.loads(line) for line in pipeline.tagged.read_text().splitlines()]
+    for rec in records[::7]:
+        rec["rating"] = None
+    unrated = {rec["id"] for rec in records[::7]}
+    partly_rated = tmp_path / "partly-rated.jsonl"
+    partly_rated.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    feats = tmp_path / "features.csv"
+    window = [] if prefix_k is None else ["--prefix-k", str(prefix_k)]
+    assert main(["featurize", "--in", str(partly_rated), "--out", str(feats), "--seed", "2",
+                 "--feature-set", feature_set, *window]) == 0
+    names, from_csv = _load_feature_splits(str(feats))
+
+    taken = []  # what run_grid takes for its one window
+    monkeypatch.setattr(experiment, "take", lambda parts, X: taken.append(take(parts, X))
+                        or taken[-1])
+    with open(partly_rated, encoding="utf-8") as fh:
+        corpus = split_corpus(parse_corpus(fh), seed=2)
+    cell = GridCell(ModelSpec("ridge", {"lambda": 1.0}), feature_set,
+                    TargetKind(CAPPED_LENGTH), prefix_k)
+    run_grid([cell], corpus)
+    (from_grid,) = taken
+
+    assert names == FeatureSchema().names(feature_set)
+    for split in SPLIT_NAMES:
+        grid, csv_rows = from_grid[split], from_csv[split]
+        assert csv_rows.ids == grid.ids and grid.ids
+        assert csv_rows.X.shape == grid.X.shape and csv_rows.X.dtype == grid.X.dtype
+        assert csv_rows.X.tobytes() == grid.X.tobytes()
+        for got, want in ((csv_rows.ratings, grid.ratings), (csv_rows.lengths, grid.lengths)):
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(grid.ratings).tolist() == [i in unrated for i in grid.ids]
+
+
 def test_train_rejects_a_non_finite_feature_cell(pipeline, tmp_path, capsys):
     lines = pipeline.feats.read_text().splitlines()
     header = lines[0].split(",")
@@ -588,6 +630,33 @@ def test_train_rejects_a_non_numeric_feature_cell(pipeline, tmp_path, capsys):
     assert main(["train", "--features", str(bad), "--model-out", str(model_out)]) == 1
     err = capsys.readouterr().err
     assert repr(row_id) in err and repr(header[2]) in err and "not a number" in err
+    assert not model_out.exists()
+
+
+def _repeat_a_column_name(rows):
+    rows[0][rows[0].index("freq_sda_compliment")] = "length_median"
+    return rows
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_repeat_a_column_name, "feature CSV column 'length_median' is repeated in the header"),
+        (lambda rows: [[r[0], *r[-3:]] for r in rows],
+         "not a feature CSV (the header names no feature column)"),
+    ],
+    ids=["repeated-name", "no-feature-column"],
+)
+def test_train_refuses_a_header_that_does_not_name_each_column_once(
+    pipeline, tmp_path, capsys, edit, message
+):
+    rows = [line.split(",") for line in pipeline.feats.read_text().splitlines()]
+    feats = tmp_path / "features.csv"
+    feats.write_text("".join(",".join(row) + "\n" for row in edit(rows)))
+    model_out = tmp_path / "model.json"
+    assert main(["train", "--features", str(feats), "--lambda", "1",
+                 "--model-out", str(model_out)]) == 1
+    assert capsys.readouterr().err == f"error: {feats}: {message}\n"
     assert not model_out.exists()
 
 
@@ -1076,6 +1145,49 @@ def test_config_key_no_family_takes_is_rejected(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "tree has no hyperparameter 'max_dept' (it takes max_depth, min_leaf)" in err
     assert not model_out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config, message",
+    [
+        (["--lambda", "nan"], None,
+         "hyperparameters.lambda (--lambda): expects a finite number, got nan"),
+        (["--lambda", "inf"], None,
+         "hyperparameters.lambda (--lambda): expects a finite number, got inf"),
+        ([], '{"hyperparameters": {"lambda": 1e400}}',
+         "hyperparameters.lambda (--lambda): expects a finite number, got inf"),
+        (["--family", "svr", "--epsilon", "nan"], None,
+         "hyperparameters.epsilon (--epsilon): expects a finite number, got nan"),
+        (["--family", "svr", "--gamma", "inf"], None,
+         'hyperparameters.gamma (--gamma): expects "scale" or a finite number, got inf'),
+        (["--family", "mlp"], '{"hyperparameters": {"lr": NaN}}',
+         "hyperparameters.lr (--lr): expects a finite number, got nan"),
+        # tol has no flag; only a config file sets it.
+        (["--family", "svr"], '{"hyperparameters": {"tol": "x"}}',
+         "hyperparameters.tol: expects a finite number, got 'x'"),
+        (["--family", "svr"], '{"hyperparameters": {"tol": null}}',
+         "hyperparameters.tol: expects a finite number, got None"),
+        (["--family", "svr"], '{"hyperparameters": {"tol": -1}}',
+         "tol must be positive, got -1"),
+    ],
+    ids=["lambda-nan", "lambda-inf", "lambda-1e400-file", "epsilon-nan", "gamma-inf",
+         "lr-nan-file", "tol-text-file", "tol-null-file", "tol-negative-file"],
+)
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_hyperparameter_out_of_its_range_is_refused(
+    pipeline, tmp_path, capsys, command, flags, config, message
+):
+    out = tmp_path / "out"
+    argv = [command, "--features", str(pipeline.feats), *flags,
+            *(["--model-out", str(out)] if command == "train" else
+              ["--drop", "length_median", "--report-out", str(out)])]
+    if config is not None:  # JSON text as written, 1e400 and NaN included
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_flag_of_another_family_is_rejected(pipeline, tmp_path, capsys):

@@ -281,6 +281,25 @@ def test_fit_spec_rejects_keys_the_fit_function_does_not_take(family, hp, messag
     assert message in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "family, hp, message",
+    [
+        ("ridge", {"lambda": math.nan}, "regularization must be >= 0, got nan"),
+        ("lasso", {"lambda": math.nan}, "regularization must be >= 0, got nan"),
+        ("svr", {"C": math.nan}, "C must be positive, got nan"),
+        ("svr", {"epsilon": math.nan}, "epsilon must be >= 0, got nan"),
+        ("svr", {"gamma": math.nan}, "gamma must be positive, got nan"),
+        ("svr", {"tol": math.nan}, "tol must be positive, got nan"),
+        ("svr", {"tol": 0.0}, "tol must be positive, got 0.0"),
+        ("mlp", {"lr": math.nan}, "bad training hyperparameters"),
+    ],
+)
+def test_fit_functions_refuse_nan_in_their_range_checks(family, hp, message):
+    X = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(ValueError, match=message):
+        fit_spec(ModelSpec(family, hp), X, X[:, 0])
+
+
 def test_run_grid_names_the_cell_of_an_unknown_hyperparameter(corpus400):
     spec = ModelSpec("tree", {"max_dept": 2})
     cell = GridCell(spec, "independent", TargetKind(RATING))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convperf.corpus import SPLIT_NAMES, Corpus
-from convperf.experiment import _split_parts, _take
+from convperf.experiment import split_parts, take
 from convperf.features import (
     DEPENDENT,
     INDEPENDENT,
@@ -110,7 +110,7 @@ def test_one_table_serves_every_window_in_any_order(convs, order, splits):
     # per split as run_grid selects them.
     named = [{**c, "id": f"s{i}"} for i, c in enumerate(convs)]
     corpus = Corpus.from_records(named, {c["id"]: s for c, s in zip(named, splits)})
-    parts = _split_parts(corpus)
+    parts = split_parts(corpus.ids, corpus.ratings, corpus.capped_lengths(), corpus.split)
     split_table = FeatureTable(corpus, SCHEMA)
     for feature_set, prefix_k in order:
         expected = np.array(
@@ -119,7 +119,7 @@ def test_one_table_serves_every_window_in_any_order(convs, order, splits):
         ids = [c["id"] for c in convs]
         cases = [(ids, table.matrix(feature_set, prefix_k), expected)]
         _, whole = split_table.matrix(feature_set, prefix_k)
-        for split, rows in _take(parts, whole).items():
+        for split, rows in take(parts, whole).items():
             picked = [i for i, s in enumerate(splits[: len(convs)]) if s == split]
             cases.append(([f"s{i}" for i in picked], rows[:2], expected[picked]))
         for want_ids, (ids, X), want in cases:

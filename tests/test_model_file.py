@@ -108,6 +108,15 @@ def test_svr_without_support_vectors_round_trips(tmp_path):
     assert np.allclose(back.predict_prepared([[5.0], [9.0]]), [0.0, 0.0])
 
 
+def test_a_model_bound_to_no_feature_names_round_trips(tmp_path):
+    X = np.zeros((10, 0))
+    model = fit_spec(SPECS["ridge"], X, np.arange(10.0))
+    model = model.bind(TargetKind(CAPPED_LENGTH), (), Standardizer.fit(X, ()))
+    back = round_trip(model, tmp_path)
+    assert back.feature_names == ()
+    assert np.array_equal(back.predict_prepared(X), model.predict_prepared(X))
+
+
 def test_every_family_has_one_params_class():
     for family in FAMILIES:
         owners = [c for c in Params.__subclasses__() if family in c.families]

@@ -269,7 +269,7 @@ def test_validation_errors():
 
 
 def reference_grow(X, y, max_depth, min_leaf, rng, feat_frac):
-    """grow_tree restated as best_split on X[rows] at every node.
+    """grow_tree restated as best_split on X[rows]'s candidate columns at every node.
 
     Nodes come out in preorder and the feature subsample is drawn, in
     that order, at every node that is neither at max_depth nor pure.
@@ -286,14 +286,16 @@ def reference_grow(X, y, max_depth, min_leaf, rng, feat_frac):
             cols[k].append(v)
         if (max_depth is not None and depth >= max_depth) or cols["impurity"][node] <= 0.0:
             return
-        feats = None
+        feats = np.arange(d)
         if feat_frac is not None:
             k = max(1, min(int(np.ceil(feat_frac * d)), d))
             feats = np.sort(rng.choice(d, size=k, replace=False))
-        split = best_split(X[rows], ys, min_leaf, feats)
+        # The drawn columns in index order, so a tie goes to the lowest index.
+        split = best_split(X[rows][:, feats], ys, min_leaf)
         if split is None:
             return
         j, thr, _ = split
+        j = int(feats[j])
         mask = X[rows, j] <= thr
         cols["feature"][node], cols["threshold"][node] = j, thr
         cols["left"][node] = len(cols["feature"])
