@@ -23,18 +23,32 @@ Each run option is declared once in :data:`OPTIONS`: its flag, the
 each subparser (any other run option is a usage error) and picks the
 fields :func:`load_run_config` takes and :func:`config_hash` covers.  A
 JSON config file (``--config``, or the path in CONVPERF_CONFIG) sets
-values that flags override, through the same checks.  Keys only other
-commands read are ignored; keys no command reads are rejected.
-Hyperparameter flags land in ``RunConfig.hyperparameters`` under their
-own names (``--lambda`` as ``lambda``, ``--no-bootstrap`` as
-``bootstrap``); :func:`convperf.experiment.fit_spec` passes them to the
-family's fit function and rejects a key it does not take.
+values that flags override, through the same checks, which give a file
+value the type its flag gives (a JSON ``1`` for ``--lambda`` is 1.0), so
+one run has one hash.  Keys only other commands read are ignored; keys
+no command reads are rejected.  Hyperparameter flags land in
+``RunConfig.hyperparameters`` under their own names (``--lambda`` as
+``lambda``, ``--no-bootstrap`` as ``bootstrap``);
+:func:`convperf.experiment.fit_spec` passes them to the family's fit
+function and rejects a key it does not take.
+
+:func:`main` calls :func:`gc.freeze` once its run config is built and
+before the command runs.  The ~23k objects the imports left (numpy and
+convperf modules, the parser) move to the collector's permanent
+generation, so no later collection scans them, including the full one
+the interpreter runs at exit whether or not collection is enabled.  On
+a 2-CPU Linux machine with Python 3.11 that took each command's exit
+from 16–24 ms to 5–8 ms, whatever the corpus size.  Collection stays
+enabled, and cycles made while the command runs are reclaimed as
+before.  Only ``main`` does this: a library call must not change its
+caller's collector.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import importlib
 import json
@@ -113,7 +127,7 @@ def finite(v) -> bool:
 
 integer = _check("an integer", lambda v: type(v) is int)
 non_negative = _check("an integer >= 0", lambda v: type(v) is int and v >= 0)
-number = _check("a finite number", finite)
+number = _check("a finite number", finite, float)
 boolean = _check("true or false", lambda v: type(v) is bool)
 optional_text = _check("a string", lambda v: v is None or isinstance(v, str))
 prefix_window = _check("an integer >= 1", lambda v: v is None or type(v) is int and v > 0)
@@ -121,7 +135,8 @@ prefix_window = _check("an integer >= 1", lambda v: v is None or type(v) is int 
 tree_depth = _check("an integer", lambda v: v is None or type(v) is int,
                     lambda v: None if v is None or v < 0 else v)
 scale_or_number = _check('"scale" or a finite number',
-                         lambda v: v == "scale" or finite(v))
+                         lambda v: v == "scale" or finite(v),
+                         lambda v: v if v == "scale" else float(v))
 int_list = _check("a list of integers", _seq(lambda v: type(v) is int), list)
 topic_names = _check("a list of topic names", _seq(lambda t: isinstance(t, str)), tuple)
 three_ratios = _check("three ratios", _seq(lambda v: type(v) in (int, float), 3),
@@ -270,8 +285,10 @@ def _config_file(args: argparse.Namespace) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise CliError(f"config file {path} is not valid JSON: {e}")
+        # Bad JSON, bytes that are not UTF-8, an integer of over 4,300
+        # digits, or nesting too deep.
+        except (ValueError, RecursionError) as e:
+            raise CliError(f"config file {path} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise CliError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
@@ -637,6 +654,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_run_config(args)
+        gc.freeze()  # see the module docstring
         return args.func(cfg, args)
     except (CliError, CorpusError, ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

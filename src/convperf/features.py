@@ -236,7 +236,10 @@ class FeatureTable:
         n = len(self.ids)
         starts = self.offsets[:-1]
         lengths = np.diff(self.offsets)
-        window = lengths if prefix_k is None else np.minimum(lengths, prefix_k)
+        # A window longer than every conversation covers each whole; taking
+        # the shorter first keeps a prefix_k past int64 out of numpy.
+        window = (lengths if prefix_k is None
+                  else np.minimum(lengths, min(prefix_k, lengths.max(initial=0))))
         # Matrix row of each exchange; exchanges past the window go to row n.
         row_of = np.repeat(np.arange(n, dtype=np.int32), lengths)
         if prefix_k is not None:
@@ -317,6 +320,13 @@ class Standardizer:
         return Z
 
 
+# The largest feature magnitude a feature CSV may hold.  Every feature is
+# a count, a share or a length; a value near 1e154 or above squares past a
+# double's range, so a fit standardizes its column to inf (and a model
+# file refuses it) or scores its row as inf.
+FEATURE_LIMIT = 1e100
+
+
 def write_feature_csv(fh, ids, names, X, ratings, capped_lengths, splits) -> None:
     """Interchange CSV: id, features..., rating, capped_length, split."""
     writer = csv.writer(fh, lineterminator="\n")
@@ -337,11 +347,12 @@ def read_feature_csv(fh):
     ratings come back as None.  A row whose width differs from the
     header, a rating outside 1..5, a capped length outside
     1..``LENGTH_CAP``, a split label other than train/dev/test, a
-    feature cell that is not a finite number, and a second row with an
-    id already read (a model could train and test on one conversation)
-    are rejected with the row id (and column).  So is a header that
-    names no feature column, or names one twice (a fit takes its
-    columns by name, so it would read one of the two).
+    feature cell that is not a finite number within ±``FEATURE_LIMIT``,
+    and a second row with an id already read (a model could train and
+    test on one conversation) are rejected with the row id (and
+    column).  So is a header that names no feature column, or names one
+    twice (a fit takes its columns by name, so it would read one of the
+    two).
     """
     reader = csv.reader(fh)
     header = next(reader, None)
@@ -386,12 +397,12 @@ def read_feature_csv(fh):
         splits.append(rec[-1])
         first_split[row_id] = rec[-1]
     X = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
-    bad = np.argwhere(~np.isfinite(X))
+    bad = np.argwhere(~(np.abs(X) <= FEATURE_LIMIT))  # NaN included
     if len(bad):
         i, j = bad[0]
         raise ValueError(
             f"feature CSV row {ids[i]!r}, column {names[j]!r}: "
-            f"{X[i, j]} is not a finite value"
+            f"{X[i, j]} is not a finite value within ±{FEATURE_LIMIT:g}"
         )
     return ids, names, X, ratings, lengths, splits
 

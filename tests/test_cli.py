@@ -1,12 +1,15 @@
 import argparse
+import gc
 import io
 import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -15,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import convperf
 import convperf.experiment as experiment
@@ -160,6 +163,25 @@ def test_corpus_stages_import_only_what_they_run(tmp_path):
     fitting = {"convperf.experiment", "convperf.regressors", "convperf.plots"}
     for command, modules in loaded.items():
         assert not modules & fitting, (command, sorted(modules & fitting))
+
+
+def test_main_freezes_the_import_heap_and_keeps_collecting(pipeline, tmp_path):
+    """What the imports left is frozen, so the collection at exit skips it;
+    collection stays on, and a cycle made after main is still reclaimed."""
+    class Node:
+        pass
+
+    gc.unfreeze()
+    out = tmp_path / "kept.jsonl"
+    assert main(["ingest", "--in", str(pipeline.raw), "--out", str(out)]) == 0
+    assert gc.get_freeze_count() > 0
+    assert gc.isenabled()
+    node = Node()
+    node.self = node
+    ref = weakref.ref(node)
+    del node
+    gc.collect()
+    assert ref() is None
 
 
 def test_evaluate_is_byte_deterministic(pipeline):
@@ -564,15 +586,19 @@ def test_train_rejects_a_non_finite_feature_cell(pipeline, tmp_path, capsys):
     lines = pipeline.feats.read_text().splitlines()
     header = lines[0].split(",")
     cells = lines[3].split(",")
-    cells[2] = "nan"
-    lines[3] = ",".join(cells)
-    bad = tmp_path / "features.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    model_out = tmp_path / "model.json"
-    assert main(["train", "--features", str(bad), "--model-out", str(model_out)]) == 1
-    err = capsys.readouterr().err
-    assert repr(cells[0]) in err and repr(header[2]) in err
-    assert not model_out.exists()
+    # A cell past ±1e154 squares past a double's range: train would write
+    # a model whose standardizer evaluate refuses, and evaluate report inf.
+    for cell in ("nan", "1e300", "-1e155"):
+        cells[2] = cell
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        model_out = tmp_path / "model.json"
+        assert main(["train", "--features", str(bad), "--model-out", str(model_out)]) == 1
+        err = capsys.readouterr().err
+        assert repr(cells[0]) in err and repr(header[2]) in err
+        assert err.endswith(f"{float(cell)} is not a finite value within ±1e+100\n"), err
+        assert not model_out.exists()
 
 
 def edited_feature_csv(pipeline, tmp_path, edit):
@@ -690,7 +716,12 @@ _PARAMS = ("parameters",)
 def edited_model(path, *edits):
     """The model JSON at ``path`` with each (key path, value) edit made;
     the value DELETE removes the key or list item."""
-    obj = json.loads(path.read_text())
+    return edited_json(path.read_text(), *edits)
+
+
+def edited_json(text, *edits):
+    """The JSON value of ``text`` with each edit made, as edited_model makes them."""
+    obj = json.loads(text)
     for keys, value in edits:
         parent = obj
         for key in keys[:-1]:
@@ -911,6 +942,61 @@ def test_a_mutated_jsonl_file_exits_0_or_1_with_one_line(pipeline, data):
         assert not out.exists()
 
 
+def run_quietly(argv, out):
+    """main(argv) with its output captured and warnings raised; asserts it
+    ends with exit 0 and ``out`` written, or exit 1, one error line and no
+    ``out``, and raises nothing."""
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert out.exists() and lines == [], (argv, lines)
+    else:
+        assert code == 1 and len(lines) == 1, (argv, code, err.getvalue())
+        assert lines[0].startswith("error: "), (argv, lines[0])
+        assert not out.exists(), argv
+    return code
+
+
+# Cell values a feature CSV might hold by mistake.
+_ODD_CELLS = ("", "nan", "inf", "-inf", "1e400", "1e300", "-1e200", "-1", "0", "6", "99",
+              "1.5", " 3", "3_0", "x", '"', "\x00", "٣", "−1", "train", "test")
+
+
+@st.composite
+def _odd_cell(draw, text: str) -> bytes:
+    """``text`` (a feature CSV) with one cell, the header's included, replaced."""
+    lines = text.splitlines()
+    row = draw(st.integers(0, len(lines) - 1))
+    cells = lines[row].split(",")
+    cells[draw(st.integers(0, len(cells) - 1))] = draw(
+        st.sampled_from(_ODD_CELLS) | st.text(max_size=3))
+    lines[row] = ",".join(cells)
+    return "\n".join(lines).encode() + b"\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_mutated_feature_csv_exits_0_or_1_with_one_line(pipeline, data):
+    """Replace, insert or delete a few bytes of a valid feature CSV, or put
+    an odd value in one cell; train and evaluate end with exit 0, or exit 1,
+    one error line and no output file, and raise nothing.  A model train
+    writes is one a model file reader takes."""
+    valid = pipeline.feats.read_bytes()
+    mutant = pipeline.root / "mutant.csv"
+    mutant.write_bytes(data.draw(_mutated(valid) | _odd_cell(valid.decode()), label="mutant"))
+    shutil.copy(f"{pipeline.feats}.json", f"{mutant}.json")
+    model, report = pipeline.root / "mutant-model.json", pipeline.root / "mutant-report.csv"
+    if run_quietly(["train", "--features", str(mutant), "--model-out", str(model),
+                    "--lambda", "1.0", "--target", "length"], model) == 0:
+        load_model(model)
+    run_quietly(["evaluate", "--features", str(mutant), "--model", str(pipeline.model),
+                 "--report-out", str(report)], report)
+
+
 def test_tag_rejects_a_lexicon_dir_without_lexicons(pipeline, tmp_path, capsys):
     empty = tmp_path / "lexicons"
     empty.mkdir()
@@ -1053,13 +1139,54 @@ def test_config_file_problems(tmp_path):
     with pytest.raises(CliError, match="missing config file"):
         load_run_config(Namespace(command="synth", config=str(tmp_path / "gone.json")))
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    with pytest.raises(CliError, match="not valid JSON"):
-        load_run_config(Namespace(command="synth", config=str(bad)))
+    for text in (b"{nope", b'{"seed": 1\xff}', b'{"seed": ' + b"7" * 5000 + b"}",
+                 b"[" * 100_000):
+        bad.write_bytes(text)
+        with pytest.raises(CliError, match=f"config file {bad} is not valid JSON: "):
+            load_run_config(Namespace(command="synth", config=str(bad)))
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     with pytest.raises(CliError, match="JSON object"):
         load_run_config(Namespace(command="synth", config=str(arr)))
+
+
+_VALID_CONFIG = {
+    "seed": 0, "min_length": 5, "split": [0.8, 0.1, 0.1], "feature_set": "independent",
+    "prefix_k": None, "target": "length", "family": "ridge",
+    "hyperparameters": {"lambda": 1.0}, "match_mode": "word_boundary",
+    "lexicon_dir": None, "variant": "F1", "exclude_topics": ["intro"],
+    "synth_preset": "default", "synth_n": 1000,
+}
+_ODD_NUMBERS = (-1, 0, 1, 2**63, 10**30, -0.0, 1e-320, 1e300, float("nan"), float("inf"))
+
+
+@st.composite
+def _odd_config(draw) -> bytes:
+    """The valid config with one key path deleted, or its value swapped for
+    another JSON type or an odd number."""
+    keys = draw(st.sampled_from(list(_key_paths(_VALID_CONFIG))[1:]))
+    edit = draw(st.sampled_from((DELETE, *_WRONG_TYPES, *_ODD_NUMBERS)))
+    return json.dumps(edited_json(json.dumps(_VALID_CONFIG), (keys, edit))).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_mutated_config_file_exits_0_or_1_with_one_line(pipeline, data):
+    """Replace, insert or delete a few bytes of a valid config file, or edit
+    one of its values; each command that takes --config ends with exit 0,
+    or exit 1, one error line and no output file, and raises nothing."""
+    config = pipeline.root / "mutant-config.json"
+    config.write_bytes(data.draw(
+        _mutated(json.dumps(_VALID_CONFIG).encode()) | _odd_config(), label="config"))
+    out = pipeline.root / "mutant-out"
+    argv = data.draw(st.sampled_from([
+        ["ingest", "--in", str(pipeline.raw), "--out", str(out)],
+        ["tag", "--in", str(pipeline.kept), "--out", str(out)],
+        ["featurize", "--in", str(pipeline.tagged), "--out", str(out)],
+        ["score-topics", "--in", str(pipeline.tagged), "--out", str(out)],
+        ["train", "--features", str(pipeline.feats), "--model-out", str(out)],
+    ]), label="command")
+    run_quietly([*argv, "--config", str(config)], out)
 
 
 def subcommands():
@@ -1167,8 +1294,9 @@ def test_config_key_no_family_takes_is_rejected(pipeline, tmp_path, capsys):
          "hyperparameters.tol: expects a finite number, got 'x'"),
         (["--family", "svr"], '{"hyperparameters": {"tol": null}}',
          "hyperparameters.tol: expects a finite number, got None"),
+        # A file's integer is the float a flag would give.
         (["--family", "svr"], '{"hyperparameters": {"tol": -1}}',
-         "tol must be positive, got -1"),
+         "tol must be positive, got -1.0"),
     ],
     ids=["lambda-nan", "lambda-inf", "lambda-1e400-file", "epsilon-nan", "gamma-inf",
          "lr-nan-file", "tol-text-file", "tol-null-file", "tol-negative-file"],
@@ -1314,6 +1442,73 @@ def test_config_hash_stability():
     assert a == config_hash(RunConfig(feature_set="dependent", variant="F2"), "train")
     assert len(a) == 16
     int(a, 16)
+
+
+# The family each numeric fit flag is tried on, with flags that keep its
+# fits small.
+_FOREST = ["--family", "forest", "--n-trees", "2", "--max-depth", "3"]
+_MLP = ["--family", "mlp", "--hidden", "4", "--max-epochs", "3"]
+_NUMERIC_FLAGS = {
+    "--seed": _FOREST,
+    "--lambda": ["--family", "ridge"],
+    "--max-depth": ["--family", "tree"],
+    "--min-leaf": ["--family", "tree", "--max-depth", "3"],
+    "--n-trees": ["--family", "forest", "--max-depth", "3"],
+    "--feat-frac": _FOREST,
+    "--C": ["--family", "svr"],
+    "--epsilon": ["--family", "svr"],
+    "--gamma": ["--family", "svr"],
+    "--max-iter": ["--family", "svr"],
+    "--lr": _MLP,
+    "--batch-size": _MLP,
+    "--max-epochs": ["--family", "mlp", "--hidden", "4"],
+    "--patience": _MLP,
+}
+# Spellings of one number, as flag text and as JSON.
+_SPELLINGS = ("{}", "{}.0", "{}e0")
+
+
+def test_every_numeric_fit_flag_is_tried():
+    numeric = {opt.flag for opt in OPTIONS.values()
+               if opt.dest in COMMAND_OPTIONS["train"] and opt.parse in (int, float, gamma)}
+    assert set(_NUMERIC_FLAGS) == numeric
+
+
+@settings(max_examples=30, deadline=None)
+@example(flag="--lambda", n=1, flag_form="{}", file_form="{}")
+@given(flag=st.sampled_from(sorted(_NUMERIC_FLAGS)), n=st.integers(0, 3),
+       flag_form=st.sampled_from(_SPELLINGS), file_form=st.sampled_from(_SPELLINGS))
+def test_a_number_from_a_flag_or_a_file_makes_one_run(
+    pipeline, tmp_path_factory, flag, n, flag_form, file_form
+):
+    """One value, spelled as a flag or as a config file's JSON number, gives
+    train and ablate one config hash, one exit, and byte-identical files."""
+    opt = next(o for o in OPTIONS.values() if o.flag == flag)
+    if opt.parse is int:  # an integer option takes an integer spelling only
+        flag_form = file_form = "{}"
+    key = opt.dest.removeprefix(HP_DEST)
+    entry = f'"{key}": {file_form.format(n)}'
+    config = f'{{"hyperparameters": {{{entry}}}}}' if key != opt.dest else f"{{{entry}}}"
+    path = tmp_path_factory.mktemp("config") / "cfg.json"
+    path.write_text(config)
+    runs = []
+    for spelling in ([flag, flag_form.format(n)], ["--config", str(path)]):
+        root = tmp_path_factory.mktemp("run")
+        base = ["--features", str(pipeline.feats), *_NUMERIC_FLAGS[flag],
+                "--target", "length", *spelling]
+        run = []
+        for argv in (["train", *base, "--model-out", str(root / "model.json")],
+                     ["ablate", *base, "--drop", "length_median",
+                      "--report-out", str(root / "report.csv")]):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            args = build_parser().parse_args(argv)
+            run += [code, err.getvalue(), config_hash(load_run_config(args), argv[0])]
+        run += [(root / name).read_bytes() if (root / name).exists() else None
+                for name in ("model.json", "report.csv")]
+        runs.append(run)
+    assert runs[0] == runs[1]
 
 
 _FIT_FLAGS = {

@@ -161,8 +161,8 @@ def test_prefix_window():
     plan = ["movies"] * 3 + ["comics"] * 3
     conv = conv_with_topics(plan)
     full = feature_values(conv, SCHEMA, DEPENDENT)
-    clamped = feature_values(conv, SCHEMA, DEPENDENT, prefix_k=10)
-    assert clamped == full
+    for k in (10, 2**63, 10**30):  # past int64 too
+        assert feature_values(conv, SCHEMA, DEPENDENT, prefix_k=k) == full
     head = feature_values(conv, SCHEMA, DEPENDENT, prefix_k=3)
     assert head["topic_freq_movies"] == 1.0
     assert head["topic_freq_comics"] == 0.0
