@@ -431,7 +431,12 @@ def _feature_provenance(features_path: str, names) -> tuple[str, int | None]:
             feature_set, prefix_k = (
                 OPTIONS[key].convert(meta[key]) for key in ("feature_set", "prefix_k")
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except UnicodeDecodeError as e:
+            raise CliError(f"feature CSV sidecar {path} is malformed: not UTF-8: "
+                           f"byte 0x{e.object[e.start]:02x} at byte {e.start}") from None
+        # json's ValueError covers a syntax error and an integer past
+        # 4,300 digits, its RecursionError nesting too deep to decode.
+        except (ValueError, RecursionError, KeyError, TypeError) as e:
             raise CliError(f"feature CSV sidecar {path} is malformed: {e!r}")
         except CliError as e:
             raise CliError(f"feature CSV sidecar {path}: {e}") from None

@@ -17,8 +17,11 @@ block of :meth:`FeatureSchema.blocks` (a name prefix, a corpus column
 and its labels), then, for the dependent set, ``topic_dist_median``.
 :func:`build_matrix` is the public way to turn a corpus into feature
 values.  It encodes the corpus once into a
-columnar :class:`FeatureTable` and asks it for one matrix.  Every block
-is counted the same way: one ``np.bincount`` over the window's
+columnar :class:`FeatureTable` and asks it for one matrix.  A window
+reads only its own exchanges: a prefix window gathers each
+conversation's first min(length, k) positions once, and a window that
+covers every conversation whole reads the columns as they are.  Every
+block is counted the same way: one ``np.bincount`` over the window's
 (conversation, pattern) codes, mapped onto the block's labels and
 divided by the window length.  ``length_median`` comes from sorted
 per-row segments of the user word counts, which are the corpus's
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,11 +142,10 @@ class FeatureSchema:
 
 
 def _row_counts(row_of: np.ndarray, codes: np.ndarray, n_codes: int, n: int):
-    """(n, n_codes) counts of each (row, code) pair; rows past n-1 are dropped."""
+    """(n, n_codes) counts of each (row, code) pair."""
     keys = np.multiply(row_of, n_codes, dtype=np.intp)
     keys += codes
-    counts = np.bincount(keys, minlength=(n + 1) * n_codes)
-    return counts[: n * n_codes].reshape(n, n_codes)
+    return np.bincount(keys, minlength=n * n_codes).reshape(n, n_codes)
 
 
 def _segment_medians(segment: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -152,17 +155,19 @@ def _segment_medians(segment: np.ndarray, values: np.ndarray, n: int) -> np.ndar
     """
     size = np.bincount(segment, minlength=n)
     span = int(values.max()) + 1 if len(values) else 1
-    # Sorting segment * span + value sorts the values within each segment.
-    ordered = np.multiply(segment, span, dtype=np.int64)
+    # Sorting segment * span + value sorts the values within each segment;
+    # 32-bit keys, where every key fits, sort faster.
+    ordered = np.multiply(segment, span, dtype=np.int32 if n * span < 2**31 else np.int64)
     ordered += values
     ordered.sort()
-    ordered %= span
     start = np.cumsum(size) - size
     has = size > 0
     lo = start[has] + (size[has] - 1) // 2
     hi = start[has] + size[has] // 2
     medians = np.zeros(n)
-    medians[has] = (ordered[lo] + ordered[hi]) / 2
+    # Each picked key's value is its remainder; the sum is taken in floats,
+    # where two 32-bit values cannot overflow.
+    medians[has] = np.add(ordered[lo] % span, ordered[hi] % span, dtype=float) / 2
     return medians
 
 
@@ -195,10 +200,11 @@ class FeatureTable:
     response-generator name toward its own label or ``other``.
     So a block has at most 2^labels patterns for tags and one per label
     for names, however many distinct values the corpus holds.
-    :meth:`matrix` counts each (conversation, pattern) cell of a window
-    with one ``np.bincount`` per block and maps the counts onto the
-    labels through the patterns, so one table over a split corpus serves
-    every grid cell and every split.
+    :meth:`matrix` gathers a window's own exchanges, counts each
+    (conversation, pattern) cell of them with one ``np.bincount`` per
+    block and maps the counts onto the labels through the patterns, so
+    one table over a split corpus serves every grid cell, window and
+    split, and a short window costs less than a long one.
     """
 
     def __init__(self, corpus: Corpus, schema: FeatureSchema):
@@ -229,34 +235,39 @@ class FeatureTable:
     def matrix(
         self, feature_set: str = DEPENDENT, prefix_k: int | None = None
     ) -> tuple[list[str], np.ndarray]:
-        """(ids, rows) for one feature set and window; see :func:`build_matrix`."""
+        """(ids, rows) for one feature set and window; see :func:`build_matrix`.
+
+        Only the window's exchanges are read: a prefix window gathers
+        their word counts and block codes once, and only those are
+        masked, counted and sorted.
+        """
         blocks = self.schema.blocks(feature_set)
         if prefix_k is not None and prefix_k < 1:
             raise ValueError(f"prefix_k must be >= 1, got {prefix_k}")
         n = len(self.ids)
-        starts = self.offsets[:-1]
         lengths = np.diff(self.offsets)
-        # A window longer than every conversation covers each whole; taking
-        # the shorter first keeps a prefix_k past int64 out of numpy.
-        window = (lengths if prefix_k is None
-                  else np.minimum(lengths, min(prefix_k, lengths.max(initial=0))))
-        # Matrix row of each exchange; exchanges past the window go to row n.
-        row_of = np.repeat(np.arange(n, dtype=np.int32), lengths)
-        if prefix_k is not None:
-            # +1 where a window starts and -1 where it ends: the running
-            # sum is 0 exactly on the exchanges outside every window.
-            edge = np.zeros(len(row_of) + 1, np.int8)
-            edge[starts] = 1
-            edge[starts + window] -= 1
-            row_of[np.cumsum(edge[:-1], dtype=np.int8) == 0] = n
+        # A window at least as long as every conversation covers each whole
+        # and reads the columns as they are.  Comparing before any numpy
+        # call keeps a prefix_k past int64 out of numpy.
+        if prefix_k is None or prefix_k >= int(lengths.max(initial=0)):
+            window, at = lengths, slice(None)
+        else:
+            window = np.minimum(lengths, prefix_k)
+            # The window's exchanges: conversation i's first window[i],
+            # from offsets[i].
+            ends = np.cumsum(window)
+            at = np.repeat(self.offsets[:-1] - (ends - window), window)
+            at += np.arange(ends[-1])
+        row_of = np.repeat(np.arange(n, dtype=np.int32), window)
+        words = self.words[at]
         # Blank user turns do not count toward the median.
-        said = (row_of < n) & (self.words > 0)
-        columns = [_segment_medians(row_of[said], self.words[said], n)]
+        said = words > 0
+        columns = [_segment_medians(row_of[said], words[said], n)]
         dwell = []
         for _, column, _ in blocks:
             codes, patterns = self.blocks[column]
             # Counts are small integers, so the product is exact.
-            counts = _row_counts(row_of, codes, len(patterns), n)
+            counts = _row_counts(row_of, codes[at], len(patterns), n)
             columns.append(counts @ patterns / window[:, None])
             if column == "topic":
                 # Median share of the window per distinct topic.  Each
@@ -348,6 +359,8 @@ def read_feature_csv(fh):
     header, a rating outside 1..5, a capped length outside
     1..``LENGTH_CAP``, a split label other than train/dev/test, a
     feature cell that is not a finite number within ±``FEATURE_LIMIT``,
+    a numeral cell holding an underscore, whitespace or a non-ASCII
+    character (no writer produces one, though ``float`` reads some),
     and a second row with an id already read (a model could train and
     test on one conversation) are rejected with the row id (and
     column).  So is a header that names no feature column, or names one
@@ -379,6 +392,16 @@ def read_feature_csv(fh):
             raise ValueError(f"feature CSV row {row_id!r}: the id is already on a row "
                              f"in split {first_split[row_id]!r}")
         ids.append(row_id)
+        # One check per row: Python's float() and int() also read
+        # underscores, surrounding whitespace and non-ASCII digits.
+        if not _NUMERALS.fullmatch("".join(rec[1:-1])):
+            j, cell = next((j, x) for j, x in enumerate(rec[1:-1])
+                           if not _NUMERALS.fullmatch(x))
+            column, what = ((names[j], "a number") if j < len(names)
+                            else (header[j + 1], "an integer"))
+            raise ValueError(
+                f"feature CSV row {row_id!r}, column {column!r}: {cell!r} is not {what}"
+            )
         try:
             rows.append([float(x) for x in rec[1:-3]])
         except ValueError:
@@ -405,6 +428,11 @@ def read_feature_csv(fh):
             f"{X[i, j]} is not a finite value within ±{FEATURE_LIMIT:g}"
         )
     return ids, names, X, ratings, lengths, splits
+
+
+# The characters of every numeral a feature CSV writer produces, such as
+# ``-1.5e-07``, ``inf`` and ``nan``.
+_NUMERALS = re.compile(r"[0-9A-Za-z.+-]*")
 
 
 def _is_float(cell: str) -> bool:

@@ -433,6 +433,28 @@ def test_a_sidecar_that_does_not_describe_its_csv_is_refused(
     assert not report.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+@pytest.mark.parametrize("body, message", [
+    (b'{"feature_set": \xff"dependent", "prefix_k": null}', "not UTF-8: byte 0xff at byte 16"),
+    (b"[" * 100_000, "RecursionError("),
+    (b'{"feature_set": "independent", "prefix_k": 1%s}' % (b"0" * 5000), "ValueError("),
+], ids=["not-utf8", "too-deep", "too-many-digits"])
+def test_an_undecodable_sidecar_is_named(pipeline, tmp_path, capsys, command, body, message):
+    feats = tmp_path / "features.csv"
+    feats.write_bytes(pipeline.feats.read_bytes())
+    side = tmp_path / "features.csv.json"
+    side.write_bytes(body)
+    report = tmp_path / "report.csv"
+    args = ["--model", str(pipeline.model)] if command == "evaluate" else [
+        "--drop", "length_median"]
+    assert main([command, "--features", str(feats), *args,
+                 "--report-out", str(report)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: feature CSV sidecar {side} is malformed: {message}")
+    assert not report.exists()
+
+
 def fail_after_a_partial_write(monkeypatch):
     """Every output file's first write writes half its text, then raises."""
     def partial_open(path, mode="r", **kwargs):
@@ -963,7 +985,7 @@ def run_quietly(argv, out):
 
 # Cell values a feature CSV might hold by mistake.
 _ODD_CELLS = ("", "nan", "inf", "-inf", "1e400", "1e300", "-1e200", "-1", "0", "6", "99",
-              "1.5", " 3", "3_0", "x", '"', "\x00", "٣", "−1", "train", "test")
+              "1.5", " 3", "3_0", "1_0", " 21 ", "x", '"', "\x00", "٣", "−1", "train", "test")
 
 
 @st.composite
@@ -994,6 +1016,23 @@ def test_a_mutated_feature_csv_exits_0_or_1_with_one_line(pipeline, data):
                     "--lambda", "1.0", "--target", "length"], model) == 0:
         load_model(model)
     run_quietly(["evaluate", "--features", str(mutant), "--model", str(pipeline.model),
+                 "--report-out", str(report)], report)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_mutated_feature_sidecar_exits_0_or_1_with_one_line(pipeline, data):
+    """Replace, insert or delete a few bytes of a valid feature CSV sidecar
+    beside a valid feature CSV; evaluate and ablate end with exit 0, or
+    exit 1, one error line and no output file, and raise nothing."""
+    feats = pipeline.root / "sidecar-mutant.csv"
+    shutil.copy(pipeline.feats, feats)
+    valid = Path(f"{pipeline.feats}.json").read_bytes()
+    Path(f"{feats}.json").write_bytes(data.draw(_mutated(valid), label="sidecar"))
+    report = pipeline.root / "sidecar-mutant-report.csv"
+    run_quietly(["evaluate", "--features", str(feats), "--model", str(pipeline.model),
+                 "--report-out", str(report)], report)
+    run_quietly(["ablate", "--features", str(feats), "--drop", "length_median",
                  "--report-out", str(report)], report)
 
 

@@ -28,7 +28,7 @@ from convperf.features import (
     read_feature_csv,
     write_feature_csv,
 )
-from convperf.features import _held_medians
+from convperf.features import _held_medians, _segment_medians
 
 from conftest import feature_values, record
 
@@ -68,6 +68,22 @@ def test_held_medians_are_each_rows_nonzero_median(rows):
     for row, got in zip(rows, medians.tolist()):
         held = [c for c in row if c]
         assert got == (float(statistics.median(held)) if held else 0.0)
+
+
+@example(segments=[])
+@example(segments=[[], [3], [], [4, 1]])  # empty and one-value segments
+@example(segments=[[10**9], [0, 10**9], [5]])  # 3 * (1e9 + 1) >= 2**31: 64-bit keys
+@given(st.sampled_from([40, 10**9]).flatmap(lambda top: st.lists(
+    st.lists(st.integers(0, top), max_size=6), max_size=8)))
+@settings(max_examples=200, deadline=None)
+def test_segment_medians_are_each_segments_median(segments):
+    flat = [v for seg in segments for v in seg]
+    segment = np.repeat(np.arange(len(segments), dtype=np.int32), list(map(len, segments)))
+    values = np.array(flat, dtype=np.min_scalar_type(max(flat, default=0)))
+    medians = _segment_medians(segment, values, len(segments))
+    assert medians.dtype == np.float64
+    assert medians.tolist() == [float(statistics.median(s)) if s else 0.0
+                                for s in segments]
 
 
 def test_topic_freq_sums_to_one_when_all_topics_known():
@@ -433,6 +449,21 @@ def test_read_feature_csv_rejects_other_files():
         read_feature_csv(io.StringIO("a,b,c\n1,2,3\n"))
     with pytest.raises(ValueError, match=r"not a feature CSV \(the file is empty\)"):
         read_feature_csv(io.StringIO(""))
+
+
+@pytest.mark.parametrize("cell", ["1_0", " 21 ", "21 ", "\t2", "\u0663", "\u00a01", "1e\u0663"])
+@pytest.mark.parametrize("column", ["length_median", "rating", "capped_length"])
+def test_read_feature_csv_refuses_numerals_no_writer_produces(cell, column):
+    names = SCHEMA.names(INDEPENDENT)
+    buf = io.StringIO()
+    write_feature_csv(buf, ["t"], names, np.zeros((1, len(names))), [4], [21], ["train"])
+    header, row = buf.getvalue().splitlines()
+    cells = row.split(",")
+    cells[header.split(",").index(column)] = cell
+    what = "a number" if column in names else "an integer"
+    with pytest.raises(ValueError) as e:
+        read_feature_csv(io.StringIO(f"{header}\n{','.join(cells)}\n"))
+    assert str(e.value) == f"feature CSV row 't', column {column!r}: {cell!r} is not {what}"
 
 
 def test_build_matrix_shape_and_order():
