@@ -96,7 +96,6 @@ class RunConfig:
     match_mode: str = "word_boundary"
     lexicon_dir: str | None = None
     variant: str = "F1"
-    exclude_topics: tuple[str, ...] = ("intro",)
     synth_preset: str = "default"
     synth_n: int = 1000
 
@@ -138,7 +137,6 @@ scale_or_number = _check('"scale" or a finite number',
                          lambda v: v == "scale" or finite(v),
                          lambda v: v if v == "scale" else float(v))
 int_list = _check("a list of integers", _seq(lambda v: type(v) is int), list)
-topic_names = _check("a list of topic names", _seq(lambda t: isinstance(t, str)), tuple)
 three_ratios = _check("three ratios", _seq(lambda v: type(v) in (int, float), 3),
                       lambda v: tuple(map(float, v)))
 
@@ -220,7 +218,6 @@ OPTIONS = {
         Option("--feature-set", "feature_set", choices=Vocabulary("features.FEATURE_SETS")),
         Option("--prefix-k", "prefix_k", prefix_window, int),
         Option("--variant", "variant", choices=Vocabulary("topicscore.VARIANTS")),
-        Option(None, "exclude_topics", topic_names),
         Option("--target", "target", choices=Vocabulary("regressors.TARGET_NAMES")),
         Option("--family", "family", choices=Vocabulary("regressors.FAMILIES"),
                help="model family"),
@@ -254,13 +251,13 @@ COMMAND_OPTIONS = {
     "ingest": ("min_length",),
     "tag": ("match_mode", "lexicon_dir"),
     "featurize": ("seed", "split", "feature_set", "prefix_k"),
-    "score-topics": ("variant", "exclude_topics"),
+    "score-topics": ("variant",),
     "train": _FIT,
     "evaluate": (),
     "ablate": _FIT,
     "correlate": (),
     "export-tree": (),
-    "plot": ("variant", "exclude_topics"),
+    "plot": ("variant",),
 }
 
 
@@ -400,7 +397,7 @@ def cmd_score_topics(cfg: RunConfig, args) -> int:
     from .topicscore import score_topics
 
     corpus = _read_corpus(args.input)
-    report = score_topics(corpus, cfg.variant, exclude_topics=cfg.exclude_topics)
+    report = score_topics(corpus, cfg.variant)
     if args.out:
         with open_output(args.out, newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
@@ -568,7 +565,7 @@ def cmd_plot(cfg: RunConfig, args) -> int:
 
     corpus = _read_corpus(args.input)
     os.makedirs(args.out_dir, exist_ok=True)
-    report = score_topics(corpus, cfg.variant, exclude_topics=cfg.exclude_topics)
+    report = score_topics(corpus, cfg.variant)
     for stem, (labels, values), title in (
         ("length_hist", length_histogram(corpus), "Conversation length"),
         ("rating_hist", rating_histogram(corpus), "Ratings"),

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import functools
 import inspect
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -313,47 +312,45 @@ def run_grid(cells, corpus: Corpus, seed: int = 0) -> list[CellResult]:
     """Train and evaluate every grid cell; results follow grid order.
 
     The split corpus is encoded into one :class:`FeatureTable` per
-    call.  Each prefix window's matrix is built once, at its first cell,
-    over the widest feature set that window's cells use (dependent if
-    any cell uses it), and split into train/dev/test rows.  Each of the
-    window's column lists (a cell's feature set less its dropped
-    columns) gets one :class:`Design`, built at its first cell and
-    shared by every cell that has those columns, so a rating cell and a
-    length cell fit one standardizer.  A window's rows and designs are
-    freed after its last cell, so one window is held at a time when
-    each window's cells are adjacent.
+    call.  Cells are fitted one prefix window at a time, windows in the
+    order they first appear.  A window's matrix is built once, at its
+    first cell, over the widest feature set its cells use (dependent if
+    any cell uses it), and split into train/dev/test rows.  Each of its
+    column lists (a cell's feature set less its dropped columns) gets
+    one :class:`Design`, built at its first cell and shared by every
+    cell with those columns, so a rating cell and a length cell fit one
+    standardizer.  One window's rows and designs are held at a time.
+    A failure names its cell; of failing cells in two windows, the one
+    named is the first in window order.
     """
     if corpus.split is None:
         raise CorpusError("corpus has no split assignment")
     schema = FeatureSchema()
     parts = split_parts(corpus.ids, corpus.ratings, corpus.capped_lengths(), corpus.split)
     table = FeatureTable(corpus, schema)
-    widest = {cell.prefix_k: INDEPENDENT for cell in cells}
-    widest.update((cell.prefix_k, DEPENDENT) for cell in cells
-                  if cell.feature_set == DEPENDENT)
-    uses = Counter(cell.prefix_k for cell in cells)
-    held = {}  # window -> (its rows, its designs by column list)
-    results = []
+    windows = {}  # window -> its cells' grid indices
     for i, cell in enumerate(cells):
-        window = cell.prefix_k
-        try:
-            columns = _columns(cell, schema.names(cell.feature_set))
-            if window not in held:
-                held[window] = take(parts, table.matrix(widest[window], window)[1]), {}
-            splits, designs = held[window]
-            if columns not in designs:
-                designs[columns] = _design(schema.names(widest[window]), splits, columns)
-            design = designs[columns]
-            uses[window] -= 1
-            if not uses[window]:
-                del held[window]
-            results.append(_fit_design(cell, design, seed))
-        except Exception as e:
-            kind = getattr(cell.target, "kind", cell.target)  # or a kind name
-            raise RuntimeError(
-                f"grid cell {i} ({cell.label}, {cell.feature_set}, "
-                f"{kind}, prefix_k={cell.prefix_k}) failed: {e}"
-            ) from e
+        windows.setdefault(cell.prefix_k, []).append(i)
+    results = [None] * len(cells)
+    for window, at in windows.items():
+        feature_sets = {cells[i].feature_set for i in at}
+        widest = DEPENDENT if DEPENDENT in feature_sets else INDEPENDENT
+        splits, designs = None, {}  # the previous window's are freed here
+        for i in at:
+            cell = cells[i]
+            try:
+                columns = _columns(cell, schema.names(cell.feature_set))
+                if splits is None:
+                    splits = take(parts, table.matrix(widest, window)[1])
+                if columns not in designs:
+                    designs[columns] = _design(schema.names(widest), splits, columns)
+                results[i] = _fit_design(cell, designs[columns], seed)
+            except Exception as e:
+                kind = getattr(cell.target, "kind", cell.target)  # or a kind name
+                raise RuntimeError(
+                    f"grid cell {i} ({cell.label}, {cell.feature_set}, "
+                    f"{kind}, prefix_k={cell.prefix_k}) failed: {e}"
+                ) from e
     return results
 
 
@@ -362,7 +359,8 @@ def correlate_metrics(corpus: Corpus) -> CorrelationReport:
 
     Lengths are the capped modeling lengths; compliment and complaint
     rates are the whole-conversation frequency features.  Every
-    conversation must be rated.
+    conversation must be rated, and a series with one value (such as
+    the compliment rate of an untagged corpus) is refused by name.
     """
     if None in corpus.ratings:
         cid = corpus.ids[corpus.ratings.index(None)]
@@ -376,6 +374,10 @@ def correlate_metrics(corpus: Corpus) -> CorrelationReport:
         "compliments": X[:, names.index(f"freq_{SDA_COMPLIMENT}")],
         "complaints": X[:, names.index(f"freq_{SDA_COMPLAINT}")],
     }
+    for name, values in series.items():
+        if values.size and np.all(values == values[0]):
+            raise ValueError(f"{name} is constant over the {values.size} conversations "
+                             f"(every value is {values[0]:g}); its correlations are undefined")
     entries = []
     for a, b in METRIC_PAIRS:
         r, p = pearson(series[a], series[b])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import ModelSpec, Params, TrainedModel, check_training_data
-from .tree import TreeParams, dense_ranks, grow_tree
+from .tree import TreeParams, check_sizes, dense_ranks, grow_tree
 
 FOREST = "forest"
 
@@ -72,6 +72,7 @@ def fit_forest(
     X, y = check_training_data(X, y)
     if y.shape[0] == 0:
         raise ValueError("cannot fit a forest on zero rows")
+    check_sizes(max_depth, min_leaf)
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     if not 0.0 < feat_frac <= 1.0:

@@ -18,6 +18,8 @@ TARGET_NAMES = {
     "median-split": MEDIAN_SPLIT,
     "binned": BINNED_LENGTH,
 }
+BIN_WIDTH = 10  # exchanges per binned_length bin
+MAX_BIN = 7  # the last bin: 70 exchanges and up
 
 
 @dataclass(frozen=True)
@@ -27,23 +29,19 @@ class TargetKind:
     ``median_split`` is a 0/1 regression target (1 when capped length is
     at or above the training-split median); the median is fitted on the
     train split once and frozen here so dev/test use the same cut.
-    ``binned_length`` maps capped length into bins of ``bin_width``
-    exchanges, with everything from ``max_bin * bin_width`` up in the
-    final bin.
+    ``binned_length`` maps capped length into bins of ``BIN_WIDTH``
+    exchanges, with everything from ``MAX_BIN * BIN_WIDTH`` up in the
+    last bin.
     """
 
     kind: str
     median: float | None = None
-    bin_width: int = 10
-    max_bin: int = 7
 
     def __post_init__(self):
         if self.kind not in TARGET_KINDS:
             raise ValueError(f"unknown target kind: {self.kind!r}")
         if self.kind == MEDIAN_SPLIT and self.median is None:
             raise ValueError("median_split target requires a fitted median")
-        if self.bin_width < 1 or self.max_bin < 0:
-            raise ValueError("bin_width must be at least 1 and max_bin at least 0")
 
 
 def fit_target(kind: str, train_capped_lengths) -> TargetKind:
@@ -78,7 +76,7 @@ def targets_from_values(target: TargetKind, ratings, capped_lengths, ids=None) -
     if target.kind == MEDIAN_SPLIT:
         return (lengths >= target.median).astype(float)
     # binned_length
-    bins = np.minimum(lengths // target.bin_width, target.max_bin)
+    bins = np.minimum(lengths // BIN_WIDTH, MAX_BIN)
     return bins.astype(float)
 
 

@@ -290,6 +290,14 @@ def grow_tree(X, y, max_depth=None, min_leaf: int = 1, rng=None, feat_frac=None,
     return _Builder(X, y, max_depth, min_leaf, rng, feat_frac, ranks).build()
 
 
+def check_sizes(max_depth: int | None, min_leaf: int) -> None:
+    """Refuse a leaf size under 1 or a negative depth cap, for a tree or a forest."""
+    if min_leaf < 1:
+        raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+
+
 def fit_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -304,10 +312,7 @@ def fit_tree(
     X, y = check_training_data(X, y)
     if y.shape[0] == 0:
         raise ValueError("cannot fit a tree on zero rows")
-    if min_leaf < 1:
-        raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    check_sizes(max_depth, min_leaf)
     if y.shape[0] < 2 * min_leaf and y.shape[0] > 1:
         raise ValueError(
             f"need at least {2 * min_leaf} rows for min_leaf={min_leaf}, got {y.shape[0]}"

@@ -29,8 +29,8 @@ from .corpus import Corpus
 VARIANTS = ("F1", "F2", "F3")
 
 # The greeting pseudo-topic is not a conversational topic; keep it out of
-# the score population by default.
-DEFAULT_EXCLUDED = ("intro",)
+# the score population.
+EXCLUDED = ("intro",)
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,7 @@ class TopicScoreReport:
         return pairs
 
 
-def score_topics(
-    corpus: Corpus,
-    variant: str,
-    exclude_topics: tuple[str, ...] = DEFAULT_EXCLUDED,
-) -> TopicScoreReport:
+def score_topics(corpus: Corpus, variant: str) -> TopicScoreReport:
     """Sum per-(conversation, topic) scores and z-score across topics.
 
     Every conversation must be rated; filter unrated ones out first.
@@ -63,7 +59,7 @@ def score_topics(
         raise ValueError(f"conversation {unrated[0]!r} is unrated; filter before scoring")
     names = corpus.topic_names
     row_of = np.repeat(np.arange(len(corpus.ids)), np.diff(corpus.offsets))
-    kept = ~np.array([t in exclude_topics for t in names], bool)[corpus.topic]
+    kept = ~np.array([t in EXCLUDED for t in names], bool)[corpus.topic]
     # One cell per (conversation, topic) pair, ordered by conversation.
     cells, cell_of = np.unique(
         row_of[kept] * len(names) + corpus.topic[kept], return_inverse=True

@@ -789,8 +789,8 @@ def edited_json(text, *edits):
       "model file: hyperparameters must be an object, not a list"),
      ("ridge", [(("seed",), "0")], "model file: seed must be an integer, not a string"),
      ("ridge", [(("target",), 5)], "model file: target must be an object, not an integer"),
-     ("ridge", [(("target",), {"kind": "binned_length", "bin_width": 0})],
-      "model file: target: bin_width must be at least 1 and max_bin at least 0"),
+     ("ridge", [(("target",), {"kind": "median_split"})],
+      "model file: target: median_split target requires a fitted median"),
      ("ridge", [(_PARAMS + ("coef", 0), DELETE)],
       "model file: parameters: coef: 10 coefficients, not one per feature name (11)"),
      ("ridge", [(("fingerprint",), "abc")],
@@ -800,7 +800,7 @@ def edited_json(text, *edits):
          "unequal-node-arrays", "cyclic-left", "child-past-the-end", "shared-child",
          "split-past-the-features", "forest-tree-cyclic-left", "short-standardizer",
          "numeric-feature-name", "hyperparameters-list", "seed-string", "target-5",
-         "zero-bin-width", "short-coef", "wrong-fingerprint"],
+         "median-split-without-median", "short-coef", "wrong-fingerprint"],
 )
 @pytest.mark.parametrize("command", ["evaluate", "export-tree"])
 def test_malformed_model_file_is_rejected(pipeline, model_files, tmp_path, capsys, base,
@@ -1172,6 +1172,10 @@ def test_unknown_config_key(tmp_path):
     path = write_config(tmp_path, {"seeed": 3})
     with pytest.raises(CliError, match="unknown config keys"):
         load_run_config(Namespace(command="synth", config=path))
+    # The excluded topics are fixed; a file that sets them is refused.
+    path = write_config(tmp_path, {"exclude_topics": ["intro"]})
+    with pytest.raises(CliError, match="unknown config keys in .*: exclude_topics$"):
+        load_run_config(Namespace(command="score-topics", config=path))
 
 
 def test_config_file_problems(tmp_path):
@@ -1193,7 +1197,7 @@ _VALID_CONFIG = {
     "seed": 0, "min_length": 5, "split": [0.8, 0.1, 0.1], "feature_set": "independent",
     "prefix_k": None, "target": "length", "family": "ridge",
     "hyperparameters": {"lambda": 1.0}, "match_mode": "word_boundary",
-    "lexicon_dir": None, "variant": "F1", "exclude_topics": ["intro"],
+    "lexicon_dir": None, "variant": "F1",
     "synth_preset": "default", "synth_n": 1000,
 }
 _ODD_NUMBERS = (-1, 0, 1, 2**63, 10**30, -0.0, 1e-320, 1e300, float("nan"), float("inf"))
@@ -1336,9 +1340,12 @@ def test_config_key_no_family_takes_is_rejected(pipeline, tmp_path, capsys):
         # A file's integer is the float a flag would give.
         (["--family", "svr"], '{"hyperparameters": {"tol": -1}}',
          "tol must be positive, got -1.0"),
+        # A forest refuses the leaf sizes a tree refuses.
+        (["--family", "forest", "--min-leaf", "0"], None, "min_leaf must be >= 1, got 0"),
     ],
     ids=["lambda-nan", "lambda-inf", "lambda-1e400-file", "epsilon-nan", "gamma-inf",
-         "lr-nan-file", "tol-text-file", "tol-null-file", "tol-negative-file"],
+         "lr-nan-file", "tol-text-file", "tol-null-file", "tol-negative-file",
+         "forest-min-leaf-0"],
 )
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_a_hyperparameter_out_of_its_range_is_refused(
@@ -1355,6 +1362,27 @@ def test_a_hyperparameter_out_of_its_range_is_refused(
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_a_model_file_with_the_old_bin_keys_evaluates_the_same(pipeline, tmp_path, capsys):
+    """A binned model file once held its bins under "target"; one that
+    still does is read as one without them."""
+    model = tmp_path / "binned.json"
+    assert main(["train", "--features", str(pipeline.feats), "--model-out", str(model),
+                 "--family", "ridge", "--lambda", "1.0", "--target", "binned"]) == 0
+    data = json.loads(model.read_text())
+    assert data["target"] == {"kind": "binned_length", "median": None}
+    data["target"].update(bin_width=10, max_bin=7)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(data, indent=1) + "\n")
+    capsys.readouterr()
+    runs = []
+    for path in (model, old):
+        report = tmp_path / f"{path.stem}.csv"
+        assert main(["evaluate", "--features", str(pipeline.feats), "--model", str(path),
+                     "--report-out", str(report)]) == 0
+        runs.append((report.read_bytes(), capsys.readouterr()))
+    assert runs[0] == runs[1]
 
 
 def test_flag_of_another_family_is_rejected(pipeline, tmp_path, capsys):
@@ -1431,8 +1459,7 @@ def required_argv(command):
         (Namespace(hyperparameters={"n_trees": False}),
          "hyperparameters.n_trees (--n-trees): expects an integer, got False"),
         (Namespace(min_length=2.5), "min_length (--min-length): expects an integer, got 2.5"),
-        (Namespace(exclude_topics="intro"),
-         "exclude_topics: expects a list of topic names, got 'intro'"),
+        (Namespace(lexicon_dir=3), "lexicon_dir (--lexicon-dir): expects a string, got 3"),
         (Namespace(hyperparameters=[]), "hyperparameters: expects a JSON object, got []"),
     ],
 )
@@ -1585,7 +1612,7 @@ def sample_flag(opt):
 def test_each_command_takes_and_hashes_only_the_run_options_it_reads(tmp_path, capsys):
     parser = build_parser()
     accepted = {command: set() for command in subcommands()}
-    file_values = {"exclude_topics": []}  # a config-file value per option
+    file_values = {}  # a config-file value per option
     for command in subcommands():
         base = [command, *required_argv(command)]
         default = config_hash(load_run_config(parser.parse_args(base)), command)
@@ -1632,8 +1659,6 @@ def test_each_command_takes_and_hashes_only_the_run_options_it_reads(tmp_path, c
 
     # The same values from a config file are read and hashed by the commands
     # that take the flag, and ignored by the others.
-    reading = {**ACCEPTED_FLAGS, "score-topics": {"--variant", "exclude_topics"},
-               "plot": {"--variant", "exclude_topics"}}
     for dest, value in file_values.items():
         opt, key = OPTIONS[dest], dest.removeprefix(HP_DEST)
         data = {"hyperparameters": {key: value}} if key != dest else {key: value}
@@ -1641,7 +1666,7 @@ def test_each_command_takes_and_hashes_only_the_run_options_it_reads(tmp_path, c
         for command in subcommands():
             cfg = load_run_config(Namespace(command=command, config=path))
             moved = config_hash(cfg, command) != config_hash(RunConfig(), command)
-            assert moved == ((opt.flag or dest) in reading[command]), (command, data)
+            assert moved == (opt.flag in ACCEPTED_FLAGS[command]), (command, data)
     # Nor does a command check the values of keys it ignores.
     others = write_config(tmp_path, {"split": "bad", "hyperparameters": 3})
     assert load_run_config(Namespace(command="synth", config=others)) == RunConfig()

@@ -5,11 +5,13 @@ import io
 import json
 import logging
 import math
+import weakref
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import convperf.corpus as cz
 import convperf.experiment as experiment
@@ -97,6 +99,71 @@ def test_run_grid_encodes_once_and_builds_each_window_once(corpus400, monkeypatc
     ]
     run_grid(cells, corpus400, seed=0)
     assert (calls["table"], calls["matrix"], calls["subset"]) == (1, 3, 0)
+
+
+def test_run_grid_holds_one_window_at_a_time(corpus400, monkeypatch):
+    """Each window's matrix is built once, in the order the windows first
+    appear, and no earlier window's rows or designs are alive when it is
+    built, though every window's cells are interleaved."""
+    built, arrays = [], []  # (window, earlier arrays still alive) per build
+    matrix, design = FeatureTable.matrix, experiment._design
+
+    def tracked_matrix(self, feature_set, prefix_k=None):
+        built.append((prefix_k, sum(ref() is not None for ref in arrays)))
+        return matrix(self, feature_set, prefix_k)
+
+    def tracked_design(names, splits, columns):
+        made = design(names, splits, columns)
+        for rows in (splits, made.splits):
+            arrays.extend(weakref.ref(s.X) for s in rows.values())
+        arrays.append(weakref.ref(made.train))
+        return made
+
+    monkeypatch.setattr(FeatureTable, "matrix", tracked_matrix)
+    monkeypatch.setattr(experiment, "_design", tracked_design)
+    cells = [
+        replace(ridge_cell(target=TargetKind(kind), prefix_k=k), feature_set=feature_set)
+        for kind in (RATING, CAPPED_LENGTH)
+        for feature_set in ("independent", "dependent")
+        for k in (None, 10, 3)
+    ]
+    run_grid(cells, corpus400, seed=0)
+    assert built == [(None, 0), (10, 0), (3, 0)]
+
+
+def test_run_grid_names_the_first_failing_cell_in_window_order(corpus400):
+    cells = [ridge_cell(), ridge_cell(prefix_k=10, drop=("zzz",)), ridge_cell(drop=("yyy",))]
+    # Cell 1 comes first in the grid, but cell 2's window is fitted first.
+    with pytest.raises(RuntimeError, match=r"^grid cell 2 .*: unknown feature names: yyy$"):
+        run_grid(cells, corpus400, seed=0)
+
+
+@pytest.fixture(scope="module")
+def golden_grid():
+    """tests/test_golden.py's 12 grid cells, its corpus, and each cell's report row."""
+    raw = synth.generate(synth.GeneratorConfig(n_conversations=300, seed=0))
+    corpus = cz.split_corpus(tg.tag_corpus(raw, tg.default_config()), seed=0)
+    cells = [
+        GridCell(ModelSpec("ridge", {"lambda": 1.0}), feature_set, TargetKind(kind), k)
+        for feature_set in ("independent", "dependent")
+        for k in (None, 10, 15)
+        for kind in (RATING, CAPPED_LENGTH)
+    ]
+    return corpus, cells, report_rows(run_grid(cells, corpus, seed=0))
+
+
+def report_rows(results) -> list[str]:
+    buf = io.StringIO()
+    write_reports_csv(buf, [result.report for result in results])
+    return buf.getvalue().splitlines()[1:]
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.permutations(range(12)))
+def test_run_grid_reports_follow_any_cell_order(golden_grid, order):
+    corpus, cells, rows = golden_grid
+    permuted = run_grid([cells[i] for i in order], corpus, seed=0)
+    assert report_rows(permuted) == [rows[i] for i in order]
 
 
 def test_user_words_are_counted_once_per_corpus(monkeypatch):
@@ -582,6 +649,15 @@ def test_correlate_metrics_requires_ratings():
     ])
     with pytest.raises(ValueError, match="'a'"):
         correlate_metrics(corp)
+
+
+def test_correlate_metrics_names_a_constant_series():
+    # Nothing is tagged, so every conversation's compliment rate is 0.
+    corpus = synth.generate(synth.GeneratorConfig(n_conversations=300, seed=0))
+    message = (r"^compliments is constant over the 300 conversations \(every value "
+               r"is 0\); its correlations are undefined$")
+    with pytest.raises(ValueError, match=message):
+        correlate_metrics(corpus)
 
 
 def step_tree():

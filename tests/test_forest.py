@@ -118,6 +118,18 @@ def test_validation_errors():
         fit_forest(np.ones(6), y)
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ({"min_leaf": 0}, "min_leaf must be >= 1, got 0"),
+    ({"min_leaf": -3}, "min_leaf must be >= 1, got -3"),
+    ({"max_depth": -1}, "max_depth must be >= 0, got -1"),
+], ids=["min-leaf-0", "min-leaf-negative", "max-depth-negative"])
+@pytest.mark.parametrize("fit", [fit_tree, fit_forest], ids=["tree", "forest"])
+def test_a_tree_and_a_forest_refuse_the_same_sizes(fit, sizes, message):
+    X = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit(X, X[:, 0], **sizes)
+
+
 def same_trees(a, b):
     assert len(a.params.trees) == len(b.params.trees)
     for s, t in zip(a.params.trees, b.params.trees):

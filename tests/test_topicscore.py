@@ -101,8 +101,6 @@ def test_intro_excluded_by_default():
     corpus = Corpus.from_records([conv("a", 4, ["intro", "movies", "music"])])
     report = score_topics(corpus, "F1")
     assert "intro" not in report.topics
-    included = score_topics(corpus, "F1", exclude_topics=())
-    assert "intro" in included.topics
 
 
 def test_unrated_conversation_rejected():
@@ -163,7 +161,7 @@ def test_report_is_plain_data():
 # ---------------------------------------------------- per-conversation oracle
 
 
-def oracle_sums(corpus, variant, exclude_topics):
+def oracle_sums(corpus, variant):
     """Per-topic raw sums from a dict loop over each conversation's
     exchanges, adding each conversation's score in conversation order."""
     sums = {}
@@ -171,7 +169,7 @@ def oracle_sums(corpus, variant, exclude_topics):
         counts, words = {}, {}
         for ex in conv.exchanges:
             t = ex.topic
-            if t in exclude_topics:
+            if t == "intro":
                 continue
             counts[t] = counts.get(t, 0) + 1
             if len(ex.user_text.split()) > 0:
@@ -199,19 +197,18 @@ _scored_exchange = st.fixed_dictionaries({
     convs=st.lists(st.tuples(st.integers(1, 5), st.lists(_scored_exchange, min_size=1,
                                                            max_size=9)), max_size=12),
     variant=st.sampled_from(VARIANTS),
-    exclude=st.sampled_from([(), ("intro",), ("intro", "café"), ("movies", "music")]),
 )
 @settings(max_examples=200, deadline=None)
-def test_score_topics_matches_a_per_conversation_loop(convs, variant, exclude):
+def test_score_topics_matches_a_per_conversation_loop(convs, variant):
     corpus = Corpus.from_records(
         [record(f"c{i}", rating=r, exchanges=ex) for i, (r, ex) in enumerate(convs)]
     )
-    sums = oracle_sums(corpus, variant, exclude)
+    sums = oracle_sums(corpus, variant)
     if len(sums) < 2:
         with pytest.raises(ValueError, match=f"got {len(sums)}$"):
-            score_topics(corpus, variant, exclude)
+            score_topics(corpus, variant)
         return
-    report = score_topics(corpus, variant, exclude)
+    report = score_topics(corpus, variant)
     topics = tuple(sorted(sums))
     raw = np.array([sums[t] for t in topics])
     std = raw.std()
