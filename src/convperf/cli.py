@@ -93,7 +93,6 @@ class RunConfig:
     target: str = "rating"  # a key of regressors.TARGET_NAMES
     family: str = "ridge"
     hyperparameters: dict = field(default_factory=dict)
-    match_mode: str = "word_boundary"
     lexicon_dir: str | None = None
     variant: str = "F1"
     synth_preset: str = "default"
@@ -211,7 +210,6 @@ OPTIONS = {
         Option("--synth-preset", "synth_preset", choices=Vocabulary("synth.PRESETS")),
         Option("--n", "synth_n", integer, int, help="synthetic corpus size"),
         Option("--min-length", "min_length", integer, int),
-        Option("--match-mode", "match_mode", choices=Vocabulary("tagging.MATCH_MODES")),
         Option("--lexicon-dir", "lexicon_dir", optional_text),
         Option("--split", "split", three_ratios, ratios,
                help="train,dev,test ratios (e.g. 0.8,0.1,0.1)"),
@@ -249,7 +247,7 @@ _FIT = ("seed", "target", "family", *(d for d in OPTIONS if d.startswith(HP_DEST
 COMMAND_OPTIONS = {
     "synth": ("seed", "synth_preset", "synth_n"),
     "ingest": ("min_length",),
-    "tag": ("match_mode", "lexicon_dir"),
+    "tag": ("lexicon_dir",),
     "featurize": ("seed", "split", "feature_set", "prefix_k"),
     "score-topics": ("variant",),
     "train": _FIT,
@@ -357,9 +355,9 @@ def cmd_tag(cfg: RunConfig, args) -> int:
     if cfg.lexicon_dir is not None:
         if not os.path.isdir(cfg.lexicon_dir):
             raise CliError(f"missing lexicon directory: {cfg.lexicon_dir}")
-        tagger = load_lexicon_dir(cfg.lexicon_dir, match_mode=cfg.match_mode)
+        tagger = load_lexicon_dir(cfg.lexicon_dir)
     else:
-        tagger = default_config(match_mode=cfg.match_mode)
+        tagger = default_config()
     tagged = tag_corpus(corpus, tagger, overwrite=args.overwrite)
     with open_output(args.out) as fh:
         write_corpus_jsonl(tagged, fh)

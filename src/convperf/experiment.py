@@ -359,12 +359,16 @@ def correlate_metrics(corpus: Corpus) -> CorrelationReport:
 
     Lengths are the capped modeling lengths; compliment and complaint
     rates are the whole-conversation frequency features.  Every
-    conversation must be rated, and a series with one value (such as
-    the compliment rate of an untagged corpus) is refused by name.
+    conversation must be rated, and there must be at least 3, the fewest
+    a p-value takes; a series with one value (such as the compliment
+    rate of an untagged corpus) is refused by name.
     """
     if None in corpus.ratings:
         cid = corpus.ids[corpus.ratings.index(None)]
         raise ValueError(f"conversation {cid!r} has no rating")
+    if len(corpus) < 3:
+        raise ValueError(f"correlations need at least 3 conversations, "
+                         f"the corpus has {len(corpus)}")
     schema = FeatureSchema()
     names = schema.names(INDEPENDENT)
     _, X = build_matrix(corpus, schema, INDEPENDENT)
@@ -375,7 +379,7 @@ def correlate_metrics(corpus: Corpus) -> CorrelationReport:
         "complaints": X[:, names.index(f"freq_{SDA_COMPLAINT}")],
     }
     for name, values in series.items():
-        if values.size and np.all(values == values[0]):
+        if np.all(values == values[0]):
             raise ValueError(f"{name} is constant over the {values.size} conversations "
                              f"(every value is {values[0]:g}); its correlations are undefined")
     entries = []

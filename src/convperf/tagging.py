@@ -9,11 +9,11 @@ file per label, one pattern per line; blank lines and lines starting with
 
 Patterns and texts meet in one normal form: lowercase, single spaces
 between words, none around them.  Loading a pattern normalizes it, and a
-``Lexicon`` accepts no other form.  In the default ``word_boundary`` mode
-a lexicon matches a text when one of its patterns occurs literally
-(``str.find``) in the normalized text with no word character right
-before or after it.  With both sides normalized, a space in a pattern can
-only meet the one space between two words, so this literal search is exact.
+``Lexicon`` accepts no other form.  A lexicon matches a text when one of
+its patterns occurs literally (``str.find``) in the normalized text with
+no word character right before or after it.  With both sides normalized,
+a space in a pattern can only meet the one space between two words, so
+this literal search is exact.
 
 MIDAS dialogue-act tags are deliberately never synthesized here; they
 come from ingested logs only, since producing them requires the host
@@ -30,10 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, _Interner, _tag_set
-
-WHOLE_UTTERANCE = "whole_utterance"
-WORD_BOUNDARY = "word_boundary"
-MATCH_MODES = (WORD_BOUNDARY, WHOLE_UTTERANCE)
 
 SDA_COMPLIMENT = "sda_compliment"
 SDA_COMPLAINT = "sda_complaint"
@@ -63,66 +59,55 @@ _WORD = re.compile(r"\w")
 
 
 class TaggerConfig:
-    """Immutable set of lexicons plus the match mode."""
+    """Immutable set of lexicons with unique labels."""
 
-    def __init__(self, lexicons: list[Lexicon], match_mode: str = WORD_BOUNDARY):
-        if match_mode not in MATCH_MODES:
-            raise ValueError(f"unknown match mode: {match_mode!r}")
+    def __init__(self, lexicons: list[Lexicon]):
         labels = [l.label for l in lexicons]
         if len(set(labels)) != len(labels):
             raise ValueError("lexicon labels must be unique")
         self.lexicons = tuple(lexicons)
-        self.match_mode = match_mode
-        self._exact = {l.label: frozenset(l.patterns) for l in lexicons}
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l.label for l in self.lexicons)
 
 
-def load_lexicon_file(path: Path, label: str | None = None) -> Lexicon:
+def load_lexicon_file(path: Path) -> Lexicon:
+    """The lexicon a file holds, labelled with the file's stem."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"lexicon file {path} is not UTF-8: "
+                         f"byte 0x{e.object[e.start]:02x} at byte {e.start}") from None
     patterns = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = _normalize(line)
         if line and not line.startswith("#"):
             patterns.append(line)
-    return Lexicon(label=label or path.stem, patterns=tuple(patterns))
+    return Lexicon(label=path.stem, patterns=tuple(patterns))
 
 
-def load_lexicon_dir(path: Path, match_mode: str = WORD_BOUNDARY) -> TaggerConfig:
+def load_lexicon_dir(path: Path) -> TaggerConfig:
     """Load every ``*.txt`` file in a directory as one lexicon each."""
     files = sorted(Path(path).glob("*.txt"))
     if not files:
         raise ValueError(f"no lexicon files (*.txt) found in {path}")
-    return TaggerConfig([load_lexicon_file(f) for f in files], match_mode=match_mode)
+    return TaggerConfig([load_lexicon_file(f) for f in files])
 
 
-def default_config(match_mode: str = WORD_BOUNDARY) -> TaggerConfig:
-    """Tagger over the shipped compliment/complaint lexicons."""
-    root = resources.files("convperf") / "data" / "lexicons"
-    lexicons = [
-        load_lexicon_file(root / f"{name}.txt", label=name)
-        for name in (SDA_COMPLIMENT, SDA_COMPLAINT)
-    ]
-    return TaggerConfig(lexicons, match_mode=match_mode)
+def default_config() -> TaggerConfig:
+    """Tagger over the shipped lexicons in ``convperf/data/lexicons``."""
+    return load_lexicon_dir(resources.files("convperf") / "data" / "lexicons")
 
 
 def _hits(texts: list[str], cfg: TaggerConfig) -> dict[str, np.ndarray]:
     """Per label, the ascending positions of the texts its lexicon matches
-    once each text is normalized: the whole text (``WHOLE_UTTERANCE``) or a
-    run of its words (``WORD_BOUNDARY``, a literal search; see above).
+    once each text is normalized: as a run of whole words, by a literal
+    search (see above).
 
-    The run search scans all texts joined by newlines and resumes one
+    The search scans all texts joined by newlines and resumes one
     character past each occurrence, so overlapping ones are all seen ("a a"
     in "xa a a").  Normalizing turns every whitespace run into one space,
     so neither a normalized text nor a pattern holds a newline: no
     occurrence spans two texts, and the boundary test sees the newline as
     a text's edge.  Starts map to texts by their end offsets."""
     norms = [_normalize(t) for t in texts]
-    if cfg.match_mode == WHOLE_UTTERANCE:
-        return {
-            label: np.array([i for i, t in enumerate(norms) if t in pats], dtype=np.intp)
-            for label, pats in cfg._exact.items()
-        }
     joined = "\n".join(norms)
     ends = np.cumsum([len(t) + 1 for t in norms], dtype=np.intp)
     find, word = joined.find, _WORD.match

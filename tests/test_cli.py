@@ -967,7 +967,7 @@ def test_a_mutated_jsonl_file_exits_0_or_1_with_one_line(pipeline, data):
 def run_quietly(argv, out):
     """main(argv) with its output captured and warnings raised; asserts it
     ends with exit 0 and ``out`` written, or exit 1, one error line and no
-    ``out``, and raises nothing."""
+    ``out``, and raises nothing.  Returns that error line, or None."""
     out.unlink(missing_ok=True)
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err), warnings.catch_warnings():
@@ -980,7 +980,8 @@ def run_quietly(argv, out):
         assert code == 1 and len(lines) == 1, (argv, code, err.getvalue())
         assert lines[0].startswith("error: "), (argv, lines[0])
         assert not out.exists(), argv
-    return code
+        return lines[0]
+    return None
 
 
 # Cell values a feature CSV might hold by mistake.
@@ -1013,7 +1014,7 @@ def test_a_mutated_feature_csv_exits_0_or_1_with_one_line(pipeline, data):
     shutil.copy(f"{pipeline.feats}.json", f"{mutant}.json")
     model, report = pipeline.root / "mutant-model.json", pipeline.root / "mutant-report.csv"
     if run_quietly(["train", "--features", str(mutant), "--model-out", str(model),
-                    "--lambda", "1.0", "--target", "length"], model) == 0:
+                    "--lambda", "1.0", "--target", "length"], model) is None:
         load_model(model)
     run_quietly(["evaluate", "--features", str(mutant), "--model", str(pipeline.model),
                  "--report-out", str(report)], report)
@@ -1044,7 +1045,71 @@ def test_tag_rejects_a_lexicon_dir_without_lexicons(pipeline, tmp_path, capsys):
     argv = ["tag", "--in", str(pipeline.kept), "--out", str(out)]
     assert main(argv + ["--lexicon-dir", str(empty)]) == 1
     assert "no lexicon files" in capsys.readouterr().err
+
+
+LEXICONS = Path(convperf.__file__).parent / "data" / "lexicons"
+
+
+def test_tag_with_a_copy_of_the_shipped_lexicons_writes_the_same_bytes(pipeline, tmp_path):
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(LEXICONS, lexicons)
+    out = tmp_path / "out.jsonl"
+    argv = ["tag", "--in", str(pipeline.kept), "--out", str(out)]
+    assert main(argv + ["--lexicon-dir", str(lexicons)]) == 0
+    assert out.read_bytes() == pipeline.tagged.read_bytes()
+
+
+def test_tag_takes_no_match_mode(pipeline, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    argv = ["tag", "--in", str(pipeline.kept), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--match-mode", "word_boundary"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --match-mode" in capsys.readouterr().err
+    path = write_config(tmp_path, {"match_mode": "word_boundary"})
+    assert main(argv + ["--config", path]) == 1
+    assert capsys.readouterr().err == f"error: unknown config keys in {path}: match_mode\n"
     assert not out.exists()
+
+
+def test_tag_names_a_lexicon_file_that_is_not_utf8(pipeline, tmp_path, capsys):
+    lexicons = tmp_path / "lexicons"
+    shutil.copytree(LEXICONS, lexicons)
+    bad = lexicons / "sda_compliment.txt"
+    bad.write_bytes(b"nice\xff one\n")
+    out = tmp_path / "out.jsonl"
+    argv = ["tag", "--in", str(pipeline.kept), "--out", str(out), "--lexicon-dir", str(lexicons)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: lexicon file {bad} is not UTF-8: byte 0xff at byte 4\n")
+    assert not out.exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_mutated_lexicon_file_exits_0_or_1_with_one_line(pipeline, data):
+    """Replace, insert or delete a few bytes of the shipped compliment
+    lexicon in a lexicon directory; tag ends with exit 0, or exit 1, one
+    error line naming the lexicon and no output file, and raises nothing."""
+    lexicons = pipeline.root / "mutant-lexicons"
+    lexicons.mkdir(exist_ok=True)
+    valid = (LEXICONS / "sda_compliment.txt").read_bytes()
+    (lexicons / "sda_compliment.txt").write_bytes(data.draw(_mutated(valid), label="lexicon"))
+    out = pipeline.root / "mutant-tagged.jsonl"
+    line = run_quietly(["tag", "--in", str(pipeline.kept), "--out", str(out),
+                        "--lexicon-dir", str(lexicons)], out)
+    assert line is None or "sda_compliment" in line, line
+
+
+def test_correlate_refuses_fewer_than_3_conversations(pipeline, tmp_path, capsys):
+    for n in (0, 2):
+        small = tmp_path / f"small-{n}.jsonl"
+        small.write_bytes(b"".join(pipeline.tagged.read_bytes().splitlines(True)[:n]))
+        report = tmp_path / "corr.csv"
+        assert main(["correlate", "--in", str(small), "--report-out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: correlations need at least 3 conversations, the corpus has {n}\n")
+        assert not report.exists()
 
 
 def test_correlate_outputs(pipeline, capsys):
@@ -1196,8 +1261,7 @@ def test_config_file_problems(tmp_path):
 _VALID_CONFIG = {
     "seed": 0, "min_length": 5, "split": [0.8, 0.1, 0.1], "feature_set": "independent",
     "prefix_k": None, "target": "length", "family": "ridge",
-    "hyperparameters": {"lambda": 1.0}, "match_mode": "word_boundary",
-    "lexicon_dir": None, "variant": "F1",
+    "hyperparameters": {"lambda": 1.0}, "lexicon_dir": None, "variant": "F1",
     "synth_preset": "default", "synth_n": 1000,
 }
 _ODD_NUMBERS = (-1, 0, 1, 2**63, 10**30, -0.0, 1e-320, 1e300, float("nan"), float("inf"))
@@ -1448,7 +1512,7 @@ def required_argv(command):
         (Namespace(feature_set="zzz"), "unknown feature set"),
         (Namespace(family="zzz"), "unknown model family"),
         (Namespace(variant="F9"), "variant"),
-        (Namespace(match_mode="fuzzy"), "match mode"),
+        (Namespace(synth_n="5"), "synth_n (--n): expects an integer, got '5'"),
         (Namespace(synth_preset="zzz"), "synth preset"),
         (Namespace(prefix_k="10"), "prefix_k (--prefix-k): expects an integer >= 1, got '10'"),
         (Namespace(seed="3"), "seed (--seed): expects an integer >= 0, got '3'"),
@@ -1585,7 +1649,7 @@ _FIT_FLAGS = {
 ACCEPTED_FLAGS = {
     "synth": {"--seed", "--synth-preset", "--n"},
     "ingest": {"--min-length"},
-    "tag": {"--match-mode", "--lexicon-dir"},
+    "tag": {"--lexicon-dir"},
     "featurize": {"--seed", "--split", "--feature-set", "--prefix-k"},
     "score-topics": {"--variant"},
     "train": _FIT_FLAGS,
@@ -1655,7 +1719,7 @@ def test_each_command_takes_and_hashes_only_the_run_options_it_reads(tmp_path, c
     assert exc.value.code == 2
     assert accepted == ACCEPTED_FLAGS
     # 12 options on 11 commands and 16 more on train and ablate were 164.
-    assert sum(len(f) + bool(f) for f in accepted.values()) == 56
+    assert sum(len(f) + bool(f) for f in accepted.values()) == 55
 
     # The same values from a config file are read and hashed by the commands
     # that take the flag, and ignored by the others.

@@ -651,6 +651,15 @@ def test_correlate_metrics_requires_ratings():
         correlate_metrics(corp)
 
 
+@pytest.mark.parametrize("n", [0, 2])
+def test_correlate_metrics_refuses_fewer_than_3_conversations(n):
+    corpus = cz.Corpus.from_records(
+        [record(f"c{i}", n=6, rating=i + 1) for i in range(n)])
+    message = f"^correlations need at least 3 conversations, the corpus has {n}$"
+    with pytest.raises(ValueError, match=message):
+        correlate_metrics(corpus)
+
+
 def test_correlate_metrics_names_a_constant_series():
     # Nothing is tagged, so every conversation's compliment rate is 0.
     corpus = synth.generate(synth.GeneratorConfig(n_conversations=300, seed=0))

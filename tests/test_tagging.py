@@ -8,8 +8,6 @@ from convperf.corpus import Corpus
 from convperf.tagging import (
     Lexicon,
     TaggerConfig,
-    WHOLE_UTTERANCE,
-    WORD_BOUNDARY,
     _hits,
     _normalize,
     default_config,
@@ -24,7 +22,7 @@ CFG = default_config()
 
 
 def tag_utterance(text, cfg):
-    """Labels whose lexicon matches one text under the config's match mode."""
+    """Labels whose lexicon matches one text."""
     return frozenset(label for label, at in _hits([text], cfg).items() if len(at))
 
 
@@ -49,14 +47,6 @@ def test_substring_on_word_boundaries():
 
 def test_punctuated_phrase_matches():
     assert tag_utterance("wow you are the best a.i. ever", CFG) == {"sda_compliment"}
-
-
-def test_whole_utterance_mode():
-    strict = default_config(match_mode=WHOLE_UTTERANCE)
-    assert tag_utterance("that's so cool", strict) == {"sda_compliment"}
-    assert tag_utterance("i think that's so cool", strict) == frozenset()
-    # normalization still collapses whitespace and case
-    assert tag_utterance("  THAT'S   so cool ", strict) == {"sda_compliment"}
 
 
 def test_multiple_labels_co_occur():
@@ -197,7 +187,8 @@ def test_phrase_split_across_exchanges_is_not_tagged():
 
 
 def test_default_config_loads_shipped_lexicons():
-    assert set(CFG.labels()) == {"sda_compliment", "sda_complaint"}
+    # Every shipped *.txt file, in sorted order.
+    assert [l.label for l in CFG.lexicons] == ["sda_complaint", "sda_compliment"]
     by_label = {l.label: l.patterns for l in CFG.lexicons}
     assert "that's so cool" in by_label["sda_compliment"]
     assert "i don't care" in by_label["sda_complaint"]
@@ -221,11 +212,8 @@ def test_lexicon_validation():
 
 
 def test_tagger_config_validation():
-    lex = Lexicon("a", ("x",))
-    with pytest.raises(ValueError, match="match mode"):
-        TaggerConfig([lex], match_mode="fuzzy")
     with pytest.raises(ValueError, match="unique"):
-        TaggerConfig([lex, Lexicon("a", ("y",))])
+        TaggerConfig([Lexicon("a", ("x",)), Lexicon("a", ("y",))])
 
 
 def test_load_lexicon_dir(tmp_path):
@@ -233,7 +221,7 @@ def test_load_lexicon_dir(tmp_path):
     (tmp_path / "sda_repeat.txt").write_text("say that again\n")
     (tmp_path / "notes.md").write_text("ignored")
     cfg = load_lexicon_dir(tmp_path)
-    assert set(cfg.labels()) == {"sda_abuse", "sda_repeat"}
+    assert [l.label for l in cfg.lexicons] == ["sda_abuse", "sda_repeat"]
     assert tag_utterance("oh SHUT UP now", cfg) == {"sda_abuse"}
     assert tag_utterance("go  away", cfg) == {"sda_abuse"}
 
@@ -244,4 +232,14 @@ def test_load_lexicon_dir(tmp_path):
 
 def test_load_lexicon_dir_empty(tmp_path):
     with pytest.raises(ValueError, match="no lexicon files"):
+        load_lexicon_dir(tmp_path)
+
+
+def test_a_lexicon_file_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "sda_compliment.txt"
+    path.write_bytes(b"nice\xff one\n")
+    message = rf"^lexicon file {re.escape(str(path))} is not UTF-8: byte 0xff at byte 4$"
+    with pytest.raises(ValueError, match=message):
+        load_lexicon_file(path)
+    with pytest.raises(ValueError, match=message):
         load_lexicon_dir(tmp_path)
