@@ -34,7 +34,7 @@ from .features import (
     Standardizer,
     build_matrix,
 )
-from .metrics import mse, pearson, r_squared
+from .metrics import MIN_N, mse, pearson, r_squared
 from .regressors import (
     FOREST,
     LASSO,
@@ -366,8 +366,8 @@ def correlate_metrics(corpus: Corpus) -> CorrelationReport:
     if None in corpus.ratings:
         cid = corpus.ids[corpus.ratings.index(None)]
         raise ValueError(f"conversation {cid!r} has no rating")
-    if len(corpus) < 3:
-        raise ValueError(f"correlations need at least 3 conversations, "
+    if len(corpus) < MIN_N:
+        raise ValueError(f"correlations need at least {MIN_N} conversations, "
                          f"the corpus has {len(corpus)}")
     schema = FeatureSchema()
     names = schema.names(INDEPENDENT)

@@ -113,12 +113,16 @@ def r_squared(pred, truth) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+# The fewest observations a correlation's p-value takes (n - 2 >= 1 degree of freedom).
+MIN_N = 3
+
+
 def pearson(pred, truth) -> tuple[float, float]:
     """Sample correlation and its two-tailed t-test p-value."""
     p, t = _check_pair(pred, truth)
     n = p.size
-    if n < 3:
-        raise ValueError(f"need n >= 3 for a p-value, got {n}")
+    if n < MIN_N:
+        raise ValueError(f"need n >= {MIN_N} for a p-value, got {n}")
     dp = p - p.mean()
     dt = t - t.mean()
     denom = math.sqrt(float(np.sum(dp * dp)) * float(np.sum(dt * dt)))

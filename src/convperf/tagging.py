@@ -25,7 +25,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
+from importlib.resources.abc import Traversable
+from pathlib import Path, PurePath
 
 import numpy as np
 
@@ -68,7 +69,7 @@ class TaggerConfig:
         self.lexicons = tuple(lexicons)
 
 
-def load_lexicon_file(path: Path) -> Lexicon:
+def load_lexicon_file(path: Path | Traversable) -> Lexicon:
     """The lexicon a file holds, labelled with the file's stem."""
     try:
         text = path.read_text(encoding="utf-8")
@@ -80,12 +81,15 @@ def load_lexicon_file(path: Path) -> Lexicon:
         line = _normalize(line)
         if line and not line.startswith("#"):
             patterns.append(line)
-    return Lexicon(label=path.stem, patterns=tuple(patterns))
+    return Lexicon(label=PurePath(path.name).stem, patterns=tuple(patterns))
 
 
-def load_lexicon_dir(path: Path) -> TaggerConfig:
-    """Load every ``*.txt`` file in a directory as one lexicon each."""
-    files = sorted(Path(path).glob("*.txt"))
+def load_lexicon_dir(path: str | Path | Traversable) -> TaggerConfig:
+    """Load every ``*.txt`` file in a directory as one lexicon each, in
+    name order.  The directory may be any ``Traversable``, so the shipped
+    lexicons load from a zip-imported package as well."""
+    root = Path(path) if isinstance(path, str) else path
+    files = sorted((f for f in root.iterdir() if f.name.endswith(".txt")), key=lambda f: f.name)
     if not files:
         raise ValueError(f"no lexicon files (*.txt) found in {path}")
     return TaggerConfig([load_lexicon_file(f) for f in files])

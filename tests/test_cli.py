@@ -1045,6 +1045,7 @@ def test_tag_rejects_a_lexicon_dir_without_lexicons(pipeline, tmp_path, capsys):
     argv = ["tag", "--in", str(pipeline.kept), "--out", str(out)]
     assert main(argv + ["--lexicon-dir", str(empty)]) == 1
     assert "no lexicon files" in capsys.readouterr().err
+    assert not out.exists()
 
 
 LEXICONS = Path(convperf.__file__).parent / "data" / "lexicons"

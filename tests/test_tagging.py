@@ -1,9 +1,12 @@
 import re
 import sys
+import zipfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import convperf
 from convperf.corpus import Corpus
 from convperf.tagging import (
     Lexicon,
@@ -228,6 +231,18 @@ def test_load_lexicon_dir(tmp_path):
     lex = load_lexicon_file(tmp_path / "sda_abuse.txt")
     assert lex.label == "sda_abuse"
     assert lex.patterns == ("shut up", "go away")
+
+
+def test_load_lexicon_dir_reads_a_zipped_directory(tmp_path):
+    """A zip-imported package's lexicons load as the files on disk do."""
+    shipped = Path(convperf.__file__).parent / "data" / "lexicons"
+    archive = tmp_path / "lexicons.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        for f in shipped.iterdir():
+            z.write(f, f"lexicons/{f.name}")
+    zipped = load_lexicon_dir(zipfile.Path(archive, "lexicons/"))
+    assert zipped.lexicons == default_config().lexicons
+    assert [l.label for l in zipped.lexicons] == ["sda_complaint", "sda_compliment"]
 
 
 def test_load_lexicon_dir_empty(tmp_path):
