@@ -178,12 +178,12 @@ class Vocabulary(Sequence):
 
 
 class Option(NamedTuple):
-    """A run option: its flag (None if only a config file sets it), its
-    dest (a RunConfig field, or HP_DEST + a hyperparameter key), the reader
-    of its flag text (None: a bare flag that stores False), and the choices
-    or the check that a value from the flag or the file must pass."""
+    """A run option: its flag, its dest (a RunConfig field, or HP_DEST + a
+    hyperparameter key), the reader of its flag text (None: a bare flag
+    that stores False), and the choices or the check that a value from the
+    flag or the file must pass."""
 
-    flag: str | None
+    flag: str
     dest: str
     check: Callable | None = None
     parse: Callable | None = str
@@ -199,8 +199,7 @@ class Option(NamedTuple):
                                  f"(choose from {', '.join(self.choices)})")
             return self.check(value) if self.check else value
         except ValueError as e:
-            name = f"{self.dest} ({self.flag})" if self.flag else self.dest
-            raise CliError(f"{name}: {e}") from None
+            raise CliError(f"{self.dest} ({self.flag}): {e}") from None
 
 
 OPTIONS = {
@@ -230,7 +229,6 @@ OPTIONS = {
         Option("--epsilon", HP_DEST + "epsilon", number, float),
         Option("--gamma", HP_DEST + "gamma", scale_or_number, gamma,
                help='"scale" or a positive number'),
-        Option(None, HP_DEST + "tol", number),  # SVR's stopping gap, from a file only
         Option("--max-iter", HP_DEST + "max_iter", integer, int),
         Option("--hidden", HP_DEST + "hidden", int_list, hidden_sizes,
                help="MLP hidden sizes, e.g. 100,50"),
@@ -448,7 +446,8 @@ def _load_feature_splits(path: str):
     from .features import read_feature_csv
 
     _require_file(path, "feature CSV")
-    with open(path, encoding="utf-8", newline="") as fh:
+    # A byte that is not UTF-8 reaches read_feature_csv, which names its line.
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         try:
             ids, names, X, ratings, lengths, splits = read_feature_csv(fh)
         except ValueError as e:
@@ -591,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         if COMMAND_OPTIONS[name]:
             sp.add_argument("--config", help="JSON run-config file")
-        for opt in (OPTIONS[d] for d in COMMAND_OPTIONS[name] if OPTIONS[d].flag):
+        for opt in (OPTIONS[d] for d in COMMAND_OPTIONS[name]):
             kwargs = {"type": opt.parse, "metavar": opt.dest.removeprefix(HP_DEST).upper()}
             if opt.parse is None:
                 kwargs = {"action": "store_const", "const": False}

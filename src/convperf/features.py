@@ -48,58 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import LENGTH_CAP, SPLIT_NAMES, Corpus
+from .corpus import LENGTH_CAP, SPLIT_NAMES, Corpus, _refuse_escaped_bytes
 
 logger = logging.getLogger(__name__)
 
 INDEPENDENT = "independent"
 DEPENDENT = "dependent"
 FEATURE_SETS = (INDEPENDENT, DEPENDENT)
-
-DEFAULT_TOPICS = (
-    "movies",
-    "music",
-    "animals",
-    "video_games",
-    "hobbies",
-    "sports",
-    "tv",
-    "books",
-    "food",
-    "travel",
-    "astronomy",
-    "nutrition",
-    "comics",
-    "news",
-    "harry_potter",
-    "intro",
-    "other",
-)
-
-DEFAULT_SDA_LABELS = (
-    "sda_compliment",
-    "sda_complaint",
-    "sda_abuse",
-    "sda_repeat",
-    "sda_dev_command",
-    "sda_red_topic",
-)
-
-DEFAULT_MIDAS_LABELS = (
-    "user_init",
-    "sys_init",
-    "pos_answer",
-    "neg_answer",
-)
-
-DEFAULT_RESPONSE_GENERATORS = (
-    "intro",
-    "menu",
-    "fact",
-    "opinion",
-    "question",
-    "other",
-)
 
 _warned_unknown: set[tuple[str, str]] = set()
 # The name-valued corpus columns and the kind of name each holds.
@@ -115,10 +70,13 @@ class FeatureSchema:
     response-generator lists end in the ``other`` catch-all.
     """
 
-    topics = DEFAULT_TOPICS
-    sda_labels = DEFAULT_SDA_LABELS
-    midas_labels = DEFAULT_MIDAS_LABELS
-    response_generators = DEFAULT_RESPONSE_GENERATORS
+    topics = ("movies", "music", "animals", "video_games", "hobbies", "sports", "tv",
+              "books", "food", "travel", "astronomy", "nutrition", "comics", "news",
+              "harry_potter", "intro", "other")
+    sda_labels = ("sda_compliment", "sda_complaint", "sda_abuse", "sda_repeat",
+                  "sda_dev_command", "sda_red_topic")
+    midas_labels = ("user_init", "sys_init", "pos_answer", "neg_answer")
+    response_generators = ("intro", "menu", "fact", "opinion", "question", "other")
 
     def blocks(self, feature_set: str) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
         """The ordered frequency blocks of a feature set: (name prefix,
@@ -365,9 +323,11 @@ def read_feature_csv(fh):
     test on one conversation) are rejected with the row id (and
     column).  So is a header that names no feature column, or names one
     twice (a fit takes its columns by name, so it would read one of the
-    two).
+    two).  A byte that is not UTF-8, read as a lone surrogate from a
+    stream opened with ``errors="surrogateescape"``, is refused with its
+    line and byte column, as :func:`convperf.corpus.parse_corpus` does.
     """
-    reader = csv.reader(fh)
+    reader = csv.reader(_utf8_lines(fh))
     header = next(reader, None)
     if header is None:
         raise ValueError("not a feature CSV (the file is empty)")
@@ -428,6 +388,17 @@ def read_feature_csv(fh):
             f"{X[i, j]} is not a finite value within ±{FEATURE_LIMIT:g}"
         )
     return ids, names, X, ratings, lengths, splits
+
+
+def _utf8_lines(fh):
+    """``fh``'s lines, the first byte that is not UTF-8 refused by its line."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                _refuse_escaped_bytes(line)
+            except ValueError as e:  # a CorpusError
+                raise ValueError(f"feature CSV line {lineno}: {e}") from None
+        yield line
 
 
 # The characters of every numeral a feature CSV writer produces, such as

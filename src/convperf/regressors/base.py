@@ -243,5 +243,14 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise ValueError(f"trained model {path} is not UTF-8: "
+                         f"byte 0x{e.object[e.start]:02x} at byte {e.start}") from None
+    # Bad JSON, an integer of over 4,300 digits, or nesting too deep.
+    except (ValueError, RecursionError) as e:
+        raise ValueError(f"trained model {path} is not valid JSON: {e}") from None
+    return model_from_json(obj)

@@ -139,8 +139,15 @@ def fit_mlp(
         raise ValueError("cannot train on zero rows")
     if any(h < 1 for h in hidden):
         raise ValueError(f"hidden sizes must be >= 1, got {hidden}")
-    if not lr > 0 or batch_size < 1 or max_epochs < 0 or patience < 1:
-        raise ValueError("bad training hyperparameters")
+    # Written so that NaN fails each check.
+    if not lr > 0.0:
+        raise ValueError(f"lr must be positive, got {lr}")
+    if not batch_size >= 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if not max_epochs >= 0:
+        raise ValueError(f"max_epochs must be >= 0, got {max_epochs}")
+    if not patience >= 1:
+        raise ValueError(f"patience must be >= 1, got {patience}")
 
     rng = np.random.default_rng(seed)
     init = init_weights(X.shape[1], tuple(hidden), rng)

@@ -51,6 +51,9 @@ SVR = "svr"
 # of a 4,096-point fit.
 KERNEL_CACHE_BYTES = 128 * 2**20
 
+# SMO stops once the KKT gap (see the module docstring) is at most TOL.
+TOL = 1e-3
+
 
 class ConvergenceError(RuntimeError):
     """SMO ran out of iterations before the KKT gap closed."""
@@ -195,13 +198,13 @@ def fit_svr(
     C: float = 1.0,
     epsilon: float = 0.1,
     gamma="scale",
-    tol: float = 1e-3,
     max_iter: int | None = None,
 ) -> TrainedModel:
     """Fit RBF support vector regression by SMO.
 
     Raises :class:`ConvergenceError` with the final KKT gap if the
-    budget runs out.  Only points with nonzero beta are stored.
+    budget runs out before the gap closes to :data:`TOL`.  Only points
+    with nonzero beta are stored.
     """
     X, y = check_training_data(X, y)
     n = y.shape[0]
@@ -212,8 +215,6 @@ def fit_svr(
         raise ValueError(f"C must be positive, got {C}")
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     g = resolve_gamma(X, gamma)
     if max_iter is None:
         max_iter = max(20_000, 200 * n)
@@ -236,7 +237,7 @@ def fit_svr(
         i = int(lo.argmax())
         j = int(hi.argmin())
         viol = lo[i] - hi[j]
-        if viol <= tol:
+        if viol <= TOL:
             break
         row_i = krow(i)
         row_j = krow(j)
@@ -257,11 +258,11 @@ def fit_svr(
     else:
         raise ConvergenceError(
             f"SMO hit the iteration budget ({max_iter}) with KKT gap "
-            f"{viol:.3e} > tol {tol:g}; raise max_iter or loosen tol"
+            f"{viol:.3e} > tol {TOL:g}; raise max_iter"
         )
-    if viol > tol:
+    if viol > TOL:
         raise ConvergenceError(
-            f"SMO stalled with KKT gap {viol:.3e} > tol {tol:g}"
+            f"SMO stalled with KKT gap {viol:.3e} > tol {TOL:g}"
         )
 
     # The loop left before stepping, so lo and hi are the final
@@ -281,7 +282,7 @@ def fit_svr(
     spec = ModelSpec(
         family=SVR,
         hyperparameters={
-            "C": C, "epsilon": epsilon, "gamma": g, "tol": tol, "max_iter": max_iter
+            "C": C, "epsilon": epsilon, "gamma": g, "tol": TOL, "max_iter": max_iter
         },
     )
     params = SvrParams(

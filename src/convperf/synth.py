@@ -26,14 +26,20 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .corpus import Corpus, _Interner
+from .corpus import Corpus
 from .tagging import default_config
 
 _SHORT_MAX = 4  # accidental-invocation lengths are 1.._SHORT_MAX
 _BODY_MIN = 5
+_LENGTH_MAX = 200  # every longer body clips to this length
 _VERBOSITY_MAX = 100.0  # cap on the Poisson word-count rate, reached at full engagement
+_ENGAGEMENT_SHAPE = 2.0  # engagement is Beta(shape, shape), symmetric about 0.5
+_LENGTH_LOG_BASE = 2.2  # mean log body length at zero engagement
+_RATING_BASE = 3.25  # mean unrounded rating at zero engagement
 
-DEFAULT_TOPIC_APPEAL = (
+# Each topic's appeal; a conversation's topic interest is drawn from
+# Dirichlet(_TOPIC_CONCENTRATION * appeal).
+_TOPIC_APPEAL = (
     ("movies", 2.2),
     ("music", 2.0),
     ("animals", 1.6),
@@ -51,6 +57,10 @@ DEFAULT_TOPIC_APPEAL = (
     ("harry_potter", 0.5),
     ("other", 0.9),
 )
+_TOPIC_CONCENTRATION = 1.2
+_TOPIC_ALPHA = _TOPIC_CONCENTRATION * np.array([w for _, w in _TOPIC_APPEAL])
+_TOPICS = tuple(t for t, _ in _TOPIC_APPEAL) + ("intro",)
+_SYSTEM = tuple(f"let us talk about {t}" for t in _TOPICS)  # by topic code
 
 _RG_CHOICES = ("fact", "opinion", "question", "menu", "other")
 _RG_PROBS = (0.35, 0.22, 0.2, 0.13, 0.1)
@@ -95,23 +105,19 @@ class GeneratorConfig:
     """Knobs for the planted-structure generator.
 
     Rates are per exchange; every ``*_gain`` scales the engagement
-    linkage of its rate (complaint and neg_answer couple to 1-e).
+    linkage of its rate (complaint and neg_answer couple to 1-e).  The
+    engagement shape, the length and rating bases, the length cap and
+    the topics' appeal are module constants.
     """
 
     n_conversations: int
     seed: int = 0
-    # latent user model
-    engagement_alpha: float = 2.0
-    engagement_beta: float = 2.0
     # length model (log scale for the non-accidental body)
     short_mass: float = 0.15
-    length_log_base: float = 2.2
     length_log_gain: float = 1.55
     length_log_noise: float = 0.10
-    length_max: int = 200
     # rating linkage (defaults tuned numerically: full-corpus rating
     # mean ~3.72, median 4, rating/length r ~0.134 at large n)
-    rating_base: float = 3.25
     rating_gain: float = 1.03
     rating_noise: float = 1.0
     # verbosity (filler words per user utterance)
@@ -129,9 +135,6 @@ class GeneratorConfig:
     pos_answer_gain: float = 0.45
     neg_answer_base: float = 0.05
     neg_answer_gain: float = 0.35
-    # topics
-    topic_appeal: tuple[tuple[str, float], ...] = DEFAULT_TOPIC_APPEAL
-    topic_concentration: float = 1.2
 
 
 def _validate(cfg: GeneratorConfig) -> None:
@@ -160,16 +163,6 @@ def _validate(cfg: GeneratorConfig) -> None:
             f"verbosity_base + verbosity_gain must be <= {_VERBOSITY_MAX:g}, got "
             f"{cfg.verbosity_base:g} + {cfg.verbosity_gain:g}"
         )
-    if cfg.engagement_alpha <= 0 or cfg.engagement_beta <= 0:
-        raise GeneratorError("engagement shape parameters must be positive")
-    if cfg.length_max < _BODY_MIN:
-        raise GeneratorError(f"length_max must be >= {_BODY_MIN}")
-    if not cfg.topic_appeal:
-        raise GeneratorError("topic inventory is empty")
-    if not all(0 < w < math.inf for _, w in cfg.topic_appeal):
-        raise GeneratorError("topic appeal weights must be positive and finite")
-    if cfg.topic_concentration <= 0:
-        raise GeneratorError(f"topic_concentration must be > 0, got {cfg.topic_concentration}")
 
 
 def _lexicon_phrases() -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -200,27 +193,27 @@ _MIDAS_SETS = tuple(
 )
 
 
-def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, topics, phrases):
+def _block(rng: dict, cfg: GeneratorConfig, n: int, phrases):
     """Draw the next ``n`` conversations from the streams ``rng``.
 
     Returns lists of their lengths and ratings and of each exchange's
     user text, then arrays of each exchange's topic, rg and midas codes
-    (indices into ``topics``, ``_RG_NAMES`` and ``((),) + _MIDAS_SETS``).
+    (indices into ``_TOPICS``, ``_RG_NAMES`` and ``((),) + _MIDAS_SETS``).
     """
-    e = rng["engagement"].beta(cfg.engagement_alpha, cfg.engagement_beta, n)
+    e = rng["engagement"].beta(_ENGAGEMENT_SHAPE, _ENGAGEMENT_SHAPE, n)
     short = rng["short_flag"].random(n) < cfg.short_mass
     short_len = rng["short_length"].integers(1, _SHORT_MAX + 1, n)
     log_len = rng["body_length"].normal(
-        cfg.length_log_base + cfg.length_log_gain * e, cfg.length_log_noise
+        _LENGTH_LOG_BASE + cfg.length_log_gain * e, cfg.length_log_noise
     )
     # Capping the exponent first leaves every length as it was and keeps
-    # exp from overflowing; anything above the cap clips to length_max.
-    log_len = np.minimum(log_len, math.log(cfg.length_max + 1))
-    body = np.clip(np.floor(np.exp(log_len) + 0.5), _BODY_MIN, cfg.length_max)
+    # exp from overflowing; anything above the cap clips to _LENGTH_MAX.
+    log_len = np.minimum(log_len, math.log(_LENGTH_MAX + 1))
+    body = np.clip(np.floor(np.exp(log_len) + 0.5), _BODY_MIN, _LENGTH_MAX)
     lengths = np.where(short, short_len, body).astype(np.intp)
-    r_cont = rng["rating"].normal(cfg.rating_base + cfg.rating_gain * e, cfg.rating_noise)
+    r_cont = rng["rating"].normal(_RATING_BASE + cfg.rating_gain * e, cfg.rating_noise)
     ratings = np.clip(np.floor(r_cont + 0.5), 1, 5).astype(int)
-    interest = rng["topic_interest"].dirichlet(cfg.topic_concentration * appeal, n)
+    interest = rng["topic_interest"].dirichlet(_TOPIC_ALPHA, n)
 
     conv = np.repeat(np.arange(n), lengths)  # each exchange's conversation
     u = rng["exchange_uniforms"].random((len(conv), 6))
@@ -242,7 +235,7 @@ def _block(rng: dict, cfg: GeneratorConfig, n: int, appeal, topics, phrases):
     lam = (cfg.verbosity_base + cfg.verbosity_gain * e)[conv]
     return (
         (lengths.tolist(), ratings.tolist(), _user_texts(rng, lam, comp, compl, *phrases)),
-        (topic % len(topics), rg % len(_RG_NAMES), midas),
+        (topic % len(_TOPICS), rg % len(_RG_NAMES), midas),
     )
 
 
@@ -286,24 +279,19 @@ def generate(cfg: GeneratorConfig) -> Corpus:
     """Generate a corpus; same config (seed included) → identical output."""
     _validate(cfg)
     phrases = _lexicon_phrases()
-    topics = [t for t, _ in cfg.topic_appeal] + ["intro"]
-    appeal = np.array([w for _, w in cfg.topic_appeal], dtype=float)
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(_STREAMS))
     rng = dict(zip(_STREAMS, map(np.random.default_rng, seeds)))
     n = cfg.n_conversations
     lengths, ratings, user, codes = [], [], [], []
     for i in range(0, n, _BLOCK):
-        lists, arrays = _block(rng, cfg, min(_BLOCK, n - i), appeal, topics, phrases)
+        lists, arrays = _block(rng, cfg, min(_BLOCK, n - i), phrases)
         for column, part in zip((lengths, ratings, user), lists):
             column += part
         codes.append(arrays)
     topic, rg, midas = map(np.concatenate, zip(*codes))
     offsets = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(lengths, out=offsets[1:])
-    # A name listed twice in topic_appeal still has one code.
-    names = _Interner()
-    topic = np.array([names.code(t) for t in topics], dtype=np.int32)[topic]
-    system = [f"let us talk about {t}" for t in names.values]
+    topic = topic.astype(np.int32)
     width = max(6, len(str(n - 1)))
     return Corpus._from_columns(
         ids=[f"syn-{i:0{width}d}" for i in range(n)],
@@ -312,10 +300,10 @@ def generate(cfg: GeneratorConfig) -> Corpus:
         topic=topic,
         rg=rg.astype(np.int32),
         user=user,
-        system=list(map(system.__getitem__, topic.tolist())),
+        system=list(map(_SYSTEM.__getitem__, topic.tolist())),
         midas=midas,
         sda=np.zeros(len(topic), dtype=np.int32),
-        topic_names=tuple(names.values),
+        topic_names=_TOPICS,
         rg_names=_RG_NAMES,
         tagsets=((),) + tuple(tuple(sorted(s)) for s in _MIDAS_SETS),
         split=None,

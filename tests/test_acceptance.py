@@ -37,6 +37,7 @@ from convperf.regressors import (
     fit_linear,
     fit_svr,
     fit_tree,
+    svr,
 )
 from convperf.regressors.mlp import init_weights, loss_and_grads
 
@@ -284,8 +285,8 @@ def test_criterion_1_solver_oracles(capsys):
 
     X = np.linspace(0.0, 2.0 * np.pi, 30, endpoint=False).reshape(-1, 1)
     y = np.sin(X[:, 0])
-    C, eps, tol = 10.0, 0.05, 1e-3
-    model = fit_svr(X, y, C=C, epsilon=eps, gamma=1.0, tol=tol)
+    C, eps, tol = 10.0, 0.05, svr.TOL
+    model = fit_svr(X, y, C=C, epsilon=eps, gamma=1.0)
     beta = np.zeros(len(y))
     for row, b in zip(model.params.sv_x, model.params.sv_beta):
         hits = np.where((X == row).all(axis=1))[0]

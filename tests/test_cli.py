@@ -634,6 +634,28 @@ def edited_feature_csv(pipeline, tmp_path, edit):
     return path, cells[0]
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_byte_that_is_not_utf8_in_a_feature_csv_is_named_at_its_line(
+    pipeline, tmp_path, capsys, command
+):
+    """The line and byte column of the file, past the first 8 KiB (one
+    decode chunk), not a position within a chunk."""
+    lines = pipeline.feats.read_bytes().split(b"\n")
+    starts = np.cumsum([0] + [len(line) + 1 for line in lines])
+    row = int(np.argmax(starts > 8192))
+    lines[row] = lines[row][:5] + b"\xff" + lines[row][5:]
+    bad = tmp_path / "features.csv"
+    bad.write_bytes(b"\n".join(lines))
+    shutil.copy(f"{pipeline.feats}.json", f"{bad}.json")
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--model-out", str(out)],
+            "evaluate": ["evaluate", "--model", str(pipeline.model), "--report-out", str(out)]}
+    assert main([*argv[command], "--features", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: feature CSV line {row + 1}: not UTF-8: byte 0xff at byte column 6\n")
+    assert not out.exists()
+
+
 def test_train_rejects_a_row_with_a_missing_cell(pipeline, tmp_path, capsys):
     bad, row_id = edited_feature_csv(pipeline, tmp_path, lambda cells: cells.pop(2))
     model_out = tmp_path / "model.json"
@@ -815,6 +837,24 @@ def test_malformed_model_file_is_rejected(pipeline, model_files, tmp_path, capsy
     assert main([*argv, "--model", str(model)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "export-tree"])
+@pytest.mark.parametrize("body, message", [
+    (b'\xff{"version": 1}', "is not UTF-8: byte 0xff at byte 0"),
+    (b'{"version": 1, ', "is not valid JSON: Expecting property name enclosed in double quotes"),
+    (b"[" * 100_000, "is not valid JSON: maximum recursion depth exceeded"),
+], ids=["not-utf8", "truncated", "too-deep"])
+def test_an_undecodable_model_file_is_named(pipeline, tmp_path, capsys, command, body,
+                                            message):
+    model = tmp_path / "model.json"
+    model.write_bytes(body)
+    argv = {"evaluate": ["evaluate", "--features", str(pipeline.feats)],
+            "export-tree": ["export-tree"]}[command]
+    assert main([*argv, "--model", str(model)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: trained model {model} {message}")
 
 
 @pytest.mark.parametrize(
@@ -1382,6 +1422,9 @@ def test_config_key_no_family_takes_is_rejected(pipeline, tmp_path, capsys):
     assert not model_out.exists()
 
 
+_NO_TOL = "svr has no hyperparameter 'tol' (it takes C, epsilon, gamma, max_iter)"
+
+
 @pytest.mark.parametrize(
     "flags, config, message",
     [
@@ -1397,14 +1440,10 @@ def test_config_key_no_family_takes_is_rejected(pipeline, tmp_path, capsys):
          'hyperparameters.gamma (--gamma): expects "scale" or a finite number, got inf'),
         (["--family", "mlp"], '{"hyperparameters": {"lr": NaN}}',
          "hyperparameters.lr (--lr): expects a finite number, got nan"),
-        # tol has no flag; only a config file sets it.
-        (["--family", "svr"], '{"hyperparameters": {"tol": "x"}}',
-         "hyperparameters.tol: expects a finite number, got 'x'"),
-        (["--family", "svr"], '{"hyperparameters": {"tol": null}}',
-         "hyperparameters.tol: expects a finite number, got None"),
-        # A file's integer is the float a flag would give.
-        (["--family", "svr"], '{"hyperparameters": {"tol": -1}}',
-         "tol must be positive, got -1.0"),
+        # SMO's stopping gap is a constant; a file's tol is refused, whatever its value.
+        (["--family", "svr"], '{"hyperparameters": {"tol": "x"}}', _NO_TOL),
+        (["--family", "svr"], '{"hyperparameters": {"tol": null}}', _NO_TOL),
+        (["--family", "svr"], '{"hyperparameters": {"tol": -1}}', _NO_TOL),
         # A forest refuses the leaf sizes a tree refuses.
         (["--family", "forest", "--min-leaf", "0"], None, "min_leaf must be >= 1, got 0"),
     ],
@@ -1558,7 +1597,7 @@ def test_help_lists_each_run_option_and_its_choices(command, capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     listed = {line.split()[0] for line in text.splitlines() if line.startswith("  --")}
-    for opt in (OPTIONS[d] for d in COMMAND_OPTIONS[command] if OPTIONS[d].flag):
+    for opt in (OPTIONS[d] for d in COMMAND_OPTIONS[command]):
         assert opt.flag in listed, (command, opt.flag)
         if opt.choices:
             assert f"  {opt.flag} {{{','.join(opt.choices)}}}" in text, (command, opt.flag)
@@ -1681,7 +1720,7 @@ def test_each_command_takes_and_hashes_only_the_run_options_it_reads(tmp_path, c
     for command in subcommands():
         base = [command, *required_argv(command)]
         default = config_hash(load_run_config(parser.parse_args(base)), command)
-        for opt in (o for o in OPTIONS.values() if o.flag):
+        for opt in OPTIONS.values():
             argv = base + sample_flag(opt)
             try:
                 args = parser.parse_args(argv)

@@ -337,9 +337,12 @@ def test_fit_spec_defaults_come_from_the_fit_signature(family):
         ("forest", {"seed": 1, "hidden": [4]},
          "forest has no hyperparameters 'seed', 'hidden' (it takes n_trees,"),
         ("mlp", {"dev": None}, "mlp has no hyperparameter 'dev'"),
+        # SMO's stopping gap is the constant svr.TOL.
+        ("svr", {"tol": 0.01},
+         "svr has no hyperparameter 'tol' (it takes C, epsilon, gamma, max_iter)"),
     ],
     ids=["misspelled", "misspelled-lambda", "other-family", "keyword-name",
-         "supplied-and-other", "supplied"],
+         "supplied-and-other", "supplied", "svr-tol"],
 )
 def test_fit_spec_rejects_keys_the_fit_function_does_not_take(family, hp, message):
     X = np.arange(12.0).reshape(6, 2)
@@ -356,9 +359,11 @@ def test_fit_spec_rejects_keys_the_fit_function_does_not_take(family, hp, messag
         ("svr", {"C": math.nan}, "C must be positive, got nan"),
         ("svr", {"epsilon": math.nan}, "epsilon must be >= 0, got nan"),
         ("svr", {"gamma": math.nan}, "gamma must be positive, got nan"),
-        ("svr", {"tol": math.nan}, "tol must be positive, got nan"),
-        ("svr", {"tol": 0.0}, "tol must be positive, got 0.0"),
-        ("mlp", {"lr": math.nan}, "bad training hyperparameters"),
+        ("mlp", {"lr": 0.0}, "lr must be positive, got 0.0"),
+        ("mlp", {"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ("mlp", {"lr": math.nan}, "lr must be positive, got nan"),
+        ("mlp", {"max_epochs": -1}, "max_epochs must be >= 0, got -1"),
+        ("mlp", {"patience": 0}, "patience must be >= 1, got 0"),
     ],
 )
 def test_fit_functions_refuse_nan_in_their_range_checks(family, hp, message):

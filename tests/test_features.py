@@ -303,8 +303,8 @@ def schema_codes(values, inventory):
 
 @st.composite
 def coded_corpus(draw):
-    """A parsed or synthesized corpus with unknown names and tags, whole,
-    filtered to a minimum length, or one split of it."""
+    """A parsed corpus with unknown names and tags, or a synthesized one,
+    whole, filtered to a minimum length, or one split of it."""
     if draw(st.booleans()):
         exchanges = st.lists(st.fixed_dictionaries({
             "topic": st.sampled_from(_NAMES), "rg": st.sampled_from(_RGS),
@@ -316,10 +316,8 @@ def coded_corpus(draw):
             [record(f"c{i}", exchanges=ex) for i, ex in enumerate(convs)]
         )
     else:
-        names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4))
         corpus = synth.generate(synth.GeneratorConfig(
             n_conversations=draw(st.integers(3, 30)), seed=draw(st.integers(0, 99)),
-            topic_appeal=tuple((name, 1.0) for name in names),
         ))
     view = draw(st.sampled_from(["whole", "filtered", "split"]))
     if view == "filtered":

@@ -1,5 +1,5 @@
 """Pinned SHA-256 digests of a small synthetic corpus and what is derived
-from it.
+from it, and of the corpus each other generator preset gives.
 
 A change to the generator's draw order, to the tag-set encoding or to the
 JSONL byte format changes one of these digests.
@@ -26,6 +26,11 @@ sharing one matrix per window, and histograms counted over corpus columns
 instead of per-conversation views.  The SVR digest alone was re-taken
 earlier, when SMO's kernel rows moved to the squared-norm expansion,
 which changes the fitted weights at the rounding level.
+
+The preset digests came later, when the generator's fixed settings left
+``GeneratorConfig`` for module constants, and were taken from the code
+before that change.  The "default" preset's corpus is the one
+``RAW_SHA256`` pins.
 """
 
 import hashlib
@@ -50,7 +55,7 @@ from convperf.regressors import (
     make_targets,
     save_model,
 )
-from convperf.synth import GeneratorConfig, generate
+from convperf.synth import PRESETS, GeneratorConfig, generate
 from convperf.tagging import default_config, tag_corpus
 
 RAW_SHA256 = "12ca171457638d5dd170f5f3e459d9657c8819a55c11fd5e48c2ee33f9c88f82"
@@ -63,6 +68,12 @@ MODEL_SHA256 = {
     "ridge": "42ec8ac3ecc35fccee8903e8039803da34512d6667d413a5c57d8d24159faab5",
     "svr": "c7ed8fdaae40c89fe2d22216ee4324fe1d6b4dbf142ce31bcd84b290352ad58b",
     "tree": "55e23324197e04a60faf1139c9071f9af26e8119e8397c1cfad248d0199a3311",
+}
+# The JSONL of 300 conversations at seed 0 from each preset but "default".
+PRESET_SHA256 = {
+    "compliment": "24fff27cd19aa3a16d714a253bd1ab0e44f3db6475f89bb1190074940fcf140a",
+    "deterministic": "de5c09f154e2bb4d31df7807de4c2082dd04433e4bb266cd097ac0f3182ad66e",
+    "single-signal": "5d15500124f079e288491a4bbf501996ec35fc9bde4e63a827ae01e5cc391cd5",
 }
 PLOT_SHA256 = {
     "length_hist.csv": "1d959063616dba171169d925f16f8ef55f8b4f9e31e5cdcafd2e8c5fcd85996f",
@@ -94,6 +105,12 @@ def dependent(raw):
 
 def test_generated_corpus_bytes(raw):
     assert _jsonl_sha256(raw) == RAW_SHA256
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_SHA256))
+def test_preset_corpus_bytes(preset):
+    corpus = generate(PRESETS[preset](300, seed=0))
+    assert _jsonl_sha256(corpus) == PRESET_SHA256[preset]
 
 
 def test_tagged_corpus_bytes(raw):

@@ -170,13 +170,13 @@ def test_validation_errors():
     y = np.ones(6)
     with pytest.raises(ValueError, match="hidden"):
         fit_mlp(X, y, hidden=(0,))
-    with pytest.raises(ValueError, match="hyperparameters"):
+    with pytest.raises(ValueError, match="^lr must be positive, got 0.0$"):
         fit_mlp(X, y, lr=0.0)
-    with pytest.raises(ValueError, match="hyperparameters"):
+    with pytest.raises(ValueError, match="^batch_size must be >= 1, got 0$"):
         fit_mlp(X, y, batch_size=0)
-    with pytest.raises(ValueError, match="hyperparameters"):
+    with pytest.raises(ValueError, match="^max_epochs must be >= 0, got -1$"):
         fit_mlp(X, y, max_epochs=-1)
-    with pytest.raises(ValueError, match="hyperparameters"):
+    with pytest.raises(ValueError, match="^patience must be >= 1, got 0$"):
         fit_mlp(X, y, patience=0)
     with pytest.raises(ValueError, match="zero rows"):
         fit_mlp(np.ones((0, 2)), np.ones(0))

@@ -76,8 +76,8 @@ def test_constant_target_empty_support():
 
 def test_kkt_conditions_sine():
     X, y = sine_data()
-    C, eps, tol = 10.0, 0.05, 1e-3
-    model = fit_svr(X, y, C=C, epsilon=eps, gamma=1.0, tol=tol)
+    C, eps, tol = 10.0, 0.05, svr.TOL
+    model = fit_svr(X, y, C=C, epsilon=eps, gamma=1.0)
     gap, lo_max, hi_min = kkt_gap(X, y, model, C, eps)
     assert gap <= tol + 1e-6
     assert lo_max - tol - 1e-6 <= model.params.intercept <= hi_min + tol + 1e-6
@@ -87,8 +87,8 @@ def test_kkt_conditions_two_features():
     rng = np.random.default_rng(300)
     X = rng.normal(size=(40, 2))
     y = np.sin(X[:, 0]) + 0.5 * X[:, 1] ** 2
-    C, eps, tol = 5.0, 0.1, 1e-3
-    model = fit_svr(X, y, C=C, epsilon=eps, tol=tol)
+    C, eps, tol = 5.0, 0.1, svr.TOL
+    model = fit_svr(X, y, C=C, epsilon=eps)
     gap, lo_max, hi_min = kkt_gap(X, y, model, C, eps)
     assert gap <= tol + 1e-6
     assert lo_max - tol - 1e-6 <= model.params.intercept <= hi_min + tol + 1e-6
@@ -96,8 +96,8 @@ def test_kkt_conditions_two_features():
 
 def test_inside_tube_points_have_zero_beta():
     X, y = sine_data()
-    eps, tol = 0.05, 1e-3
-    model = fit_svr(X, y, C=10.0, epsilon=eps, gamma=1.0, tol=tol)
+    eps, tol = 0.05, svr.TOL
+    model = fit_svr(X, y, C=10.0, epsilon=eps, gamma=1.0)
     beta = recover_betas(X, model)
     resid = np.abs(y - model.predict_prepared(X))
     inside = resid < eps - tol
@@ -108,8 +108,8 @@ def test_inside_tube_points_have_zero_beta():
 
 def test_free_support_vectors_sit_on_tube():
     X, y = sine_data()
-    C, eps, tol = 10.0, 0.05, 1e-3
-    model = fit_svr(X, y, C=C, epsilon=eps, gamma=1.0, tol=tol)
+    C, eps, tol = 10.0, 0.05, svr.TOL
+    model = fit_svr(X, y, C=C, epsilon=eps, gamma=1.0)
     beta = recover_betas(X, model)
     resid = np.abs(y - model.predict_prepared(X))
     free = (np.abs(beta) > 1e-8) & (np.abs(beta) < C - 1e-8)
@@ -218,7 +218,7 @@ def test_kkt_conditions_with_duplicated_rows(monkeypatch):
     X = np.repeat(rng.normal(size=(25, 3)), 3, axis=0)
     X = np.column_stack([X, np.tile([0.0, 1e-9, 2e-9], 25)])
     y = np.sin(X[:, 0]) + 0.5 * rng.normal(size=X.shape[0])
-    C, eps, tol = 2.0, 0.1, 1e-3
+    C, eps, tol = 2.0, 0.1, svr.TOL
     etas = []
     step = svr._pair_step
 
@@ -227,7 +227,7 @@ def test_kkt_conditions_with_duplicated_rows(monkeypatch):
         return step(beta_i, beta_j, F_i, F_j, eta, *rest)
 
     monkeypatch.setattr(svr, "_pair_step", recording)
-    model = fit_svr(X, y, C=C, epsilon=eps, tol=tol)
+    model = fit_svr(X, y, C=C, epsilon=eps)
     assert min(etas) < 1e-12
     gap, lo_max, hi_min = kkt_gap(X, y, model, C, eps)
     assert gap <= tol + 1e-6

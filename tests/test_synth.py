@@ -119,21 +119,15 @@ def test_filler_never_triggers_tags():
         (dict(n_conversations=5, compliment_base=-0.1), "compliment_base"),
         (dict(n_conversations=5, length_log_noise=-1.0), "length_log_noise"),
         (dict(n_conversations=5, rating_noise=-0.5), "rating_noise"),
-        (dict(n_conversations=5, engagement_alpha=0.0), "engagement"),
-        (dict(n_conversations=5, length_max=4), "length_max"),
-        (dict(n_conversations=5, topic_appeal=()), "topic"),
-        (
-            dict(n_conversations=5, topic_appeal=(("movies", 0.0),)),
-            "appeal",
-        ),
-        (
-            dict(n_conversations=5, topic_appeal=(("movies", math.inf),)),
-            "appeal",
-        ),
-        (dict(n_conversations=5, topic_concentration=0.0), "topic_concentration"),
-        (dict(n_conversations=5, topic_concentration=-1.0), "topic_concentration"),
-        (dict(n_conversations=5, length_log_base=math.nan), "length_log_base"),
-        (dict(n_conversations=5, rating_base=math.nan), "rating_base"),
+        (dict(n_conversations=5, complaint_base=1.5), "complaint_base"),
+        (dict(n_conversations=5, user_init_base=-0.1), "user_init_base"),
+        (dict(n_conversations=5, pos_answer_base=1.1), "pos_answer_base"),
+        (dict(n_conversations=5, neg_answer_base=-0.5), "neg_answer_base"),
+        (dict(n_conversations=5, short_mass=-0.01), "short_mass"),
+        (dict(n_conversations=5, verbosity_base=-1.0), "verbosity_base"),
+        (dict(n_conversations=5, verbosity_gain=-1.0), "verbosity_gain"),
+        (dict(n_conversations=5, length_log_gain=math.nan), "length_log_gain"),
+        (dict(n_conversations=5, rating_gain=math.nan), "rating_gain"),
         (dict(n_conversations=5, verbosity_base=math.inf), "verbosity_base"),
         (dict(n_conversations=5, verbosity_base=1e20), "verbosity_base"),
         (dict(n_conversations=5, verbosity_gain=1e20), "verbosity_gain"),
@@ -149,7 +143,7 @@ def test_huge_log_length_clips_to_length_max():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # exp must not overflow
         corp = generate(GeneratorConfig(n_conversations=20, short_mass=0.0,
-                                        length_log_base=1000.0))
+                                        length_log_gain=1000.0))
     assert corp.lengths().tolist() == [200] * 20
 
 
