@@ -61,10 +61,11 @@ from typing import NamedTuple
 
 from .corpus import (
     SPLIT_NAMES,
-    CorpusError,
     filter_min_length,
+    open_input,
     open_output,
     parse_corpus,
+    read_input,
     split_corpus,
     write_corpus_jsonl,
 )
@@ -273,17 +274,7 @@ def _config_file(args: argparse.Namespace) -> dict:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    if not os.path.isfile(path):
-        raise CliError(f"missing config file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        # Bad JSON, bytes that are not UTF-8, an integer of over 4,300
-        # digits, or nesting too deep.
-        except (ValueError, RecursionError) as e:
-            raise CliError(f"config file {path} is not valid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise CliError(f"config file {path} must hold a JSON object")
+    data = read_input(path, "config file", as_json=True)
     unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise CliError(f"unknown config keys in {path}: {', '.join(unknown)}")
@@ -308,16 +299,9 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**data, hyperparameters=hp)
 
 
-def _require_file(path: str, what: str) -> str:
-    if not os.path.isfile(path):
-        raise CliError(f"missing {what}: {path}")
-    return path
-
-
 def _read_corpus(path: str):
-    _require_file(path, "corpus file")
     # A byte that is not UTF-8 reaches parse_corpus, which names its line.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open_input(path, "corpus file") as fh:
         return parse_corpus(fh)
 
 
@@ -375,7 +359,7 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
     splits = [SPLIT_NAMES[k] for k in corpus.split.tolist()]
     # Both files are replaced only once both are written.
     with (open_output(args.out, newline="") as fh,
-          open_output(_sidecar(args.out)) as side):
+          open_output(args.out + ".json") as side):
         write_feature_csv(
             fh, ids, names, X, corpus.ratings, corpus.capped_lengths(), splits
         )
@@ -408,31 +392,21 @@ def cmd_score_topics(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _sidecar(features_path: str) -> str:
-    return features_path + ".json"
-
-
 def _feature_provenance(features_path: str, names) -> tuple[str, int | None]:
     """(feature_set, prefix_k) from the sidecar featurize wrote, each checked
     as its option is, and the set's names checked against the CSV's."""
     from .features import FeatureSchema
 
-    path = _require_file(_sidecar(features_path), "feature CSV sidecar")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-            feature_set, prefix_k = (
-                OPTIONS[key].convert(meta[key]) for key in ("feature_set", "prefix_k")
-            )
-        except UnicodeDecodeError as e:
-            raise CliError(f"feature CSV sidecar {path} is malformed: not UTF-8: "
-                           f"byte 0x{e.object[e.start]:02x} at byte {e.start}") from None
-        # json's ValueError covers a syntax error and an integer past
-        # 4,300 digits, its RecursionError nesting too deep to decode.
-        except (ValueError, RecursionError, KeyError, TypeError) as e:
-            raise CliError(f"feature CSV sidecar {path} is malformed: {e!r}")
-        except CliError as e:
-            raise CliError(f"feature CSV sidecar {path}: {e}") from None
+    path = features_path + ".json"
+    meta = read_input(path, "feature CSV sidecar", as_json=True)
+    try:
+        feature_set, prefix_k = (
+            OPTIONS[key].convert(meta[key]) for key in ("feature_set", "prefix_k")
+        )
+    except KeyError as e:
+        raise CliError(f"feature CSV sidecar {path} has no {e} key") from None
+    except CliError as e:
+        raise CliError(f"feature CSV sidecar {path}: {e}") from None
     if FeatureSchema().names(feature_set) != tuple(names):
         raise CliError(f"feature CSV sidecar {path}: feature_set {feature_set!r} "
                        f"does not name the columns of {features_path}")
@@ -445,9 +419,8 @@ def _load_feature_splits(path: str):
     from .experiment import split_parts, take
     from .features import read_feature_csv
 
-    _require_file(path, "feature CSV")
     # A byte that is not UTF-8 reaches read_feature_csv, which names its line.
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open_input(path, "feature CSV", newline="") as fh:
         try:
             ids, names, X, ratings, lengths, splits = read_feature_csv(fh)
         except ValueError as e:
@@ -485,7 +458,6 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
     names, splits = _load_feature_splits(args.features)
     feature_set, prefix_k = _feature_provenance(args.features, names)
-    _require_file(args.model, "trained model")
     model = load_model(args.model)
     for key in ("feature_names", "standardizer", "target"):
         if getattr(model, key) is None:  # a model saved before bind()
@@ -542,7 +514,6 @@ def cmd_export_tree(cfg: RunConfig, args) -> int:
     from .experiment import export_tree
     from .regressors import load_model
 
-    _require_file(args.model, "trained model")
     model = load_model(args.model)
     text = export_tree(
         model, depth_limit=args.depth_limit, tree_index=args.tree_index
@@ -561,8 +532,8 @@ def cmd_plot(cfg: RunConfig, args) -> int:
     from .topicscore import score_topics
 
     corpus = _read_corpus(args.input)
-    os.makedirs(args.out_dir, exist_ok=True)
     report = score_topics(corpus, cfg.variant)
+    os.makedirs(args.out_dir, exist_ok=True)
     for stem, (labels, values), title in (
         ("length_hist", length_histogram(corpus), "Conversation length"),
         ("rating_hist", rating_histogram(corpus), "Ratings"),
@@ -655,7 +626,7 @@ def main(argv=None) -> int:
         cfg = load_run_config(args)
         gc.freeze()  # see the module docstring
         return args.func(cfg, args)
-    except (CliError, CorpusError, ValueError, RuntimeError, OSError) as e:
+    except (CliError, ValueError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

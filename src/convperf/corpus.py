@@ -38,7 +38,8 @@ corpus fault is named at the first bad record, by its line.
 iterating a corpus yields :class:`Conversation` views whose
 ``exchanges`` build each :class:`Exchange` only when it is accessed.
 Every file a command writes goes through :func:`open_output`, so a
-failed write leaves no partial output and any earlier file intact.
+failed write leaves no partial output and any earlier file intact, and
+every file it reads through :func:`open_input` or :func:`read_input`.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.resources.abc import Traversable
 from json.encoder import encode_basestring
+from pathlib import Path
 
 import numpy as np
 
@@ -581,6 +584,41 @@ def open_output(path, newline: str | None = None):
         if isinstance(e, OSError) and e.filename == tmp:
             e.filename = path  # name the file the caller asked for
         raise
+
+
+def _input(path: str | Traversable, kind: str) -> Traversable:
+    file = Path(path) if isinstance(path, str) else path
+    if not file.is_file():
+        raise ValueError(f"missing {kind}: {path}")
+    return file
+
+
+def open_input(path: str | Traversable, kind: str, newline: str | None = None):
+    """``path``, a file of ``kind``, open as UTF-8 text for a reader that names
+    a byte that is not UTF-8 by its line: ``errors="surrogateescape"`` reads
+    each such byte as a lone surrogate in U+DC80..U+DCFF."""
+    return _input(path, kind).open(encoding="utf-8", errors="surrogateescape",
+                                   newline=newline)
+
+
+def read_input(path: str | Traversable, kind: str, as_json: bool = False):
+    """The text of ``path``, a file of ``kind`` (e.g. "config file") read
+    whole, or with ``as_json`` the JSON object it holds.  A ValueError names
+    each fault in one wording; README's "Input files" lists them."""
+    data = _input(path, kind).read_bytes()
+    try:
+        text = data.decode("utf-8")
+        if not as_json:
+            return text
+        obj = json.loads(text)
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{kind} {path} is not UTF-8: "
+                         f"byte 0x{e.object[e.start]:02x} at byte {e.start}") from None
+    except (ValueError, RecursionError) as e:  # bad syntax, over 4,300 digits, too deep
+        raise ValueError(f"{kind} {path} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} {path} must hold a JSON object")
+    return obj
 
 
 _EXCHANGE_JSON = (

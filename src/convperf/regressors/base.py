@@ -26,7 +26,7 @@ from typing import Annotated, ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from ..corpus import open_output
+from ..corpus import open_output, read_input
 from ..features import Standardizer
 from .targets import TargetKind
 
@@ -243,14 +243,9 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """The model in the file ``path``; a ValueError names the file first."""
+    obj = read_input(path, "trained model", as_json=True)
     try:
-        obj = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as e:
-        raise ValueError(f"trained model {path} is not UTF-8: "
-                         f"byte 0x{e.object[e.start]:02x} at byte {e.start}") from None
-    # Bad JSON, an integer of over 4,300 digits, or nesting too deep.
-    except (ValueError, RecursionError) as e:
-        raise ValueError(f"trained model {path} is not valid JSON: {e}") from None
-    return model_from_json(obj)
+        return model_from_json(obj)
+    except ValueError as e:
+        raise ValueError(f"trained model {path}: {e}") from None

@@ -1,9 +1,10 @@
 """Linear family: ordinary least squares, ridge, and lasso.
 
-All three fit an unpenalized intercept by centering.  OLS goes through a
-QR factorization (not the normal equations, which the test oracles use
-independently); ridge solves the shifted normal system in closed form;
-lasso runs cyclic coordinate descent with soft thresholding to a
+All three fit an unpenalized intercept by centering.  OLS, and ridge at
+``lam=0``, which is the same estimator, go through one QR factorization
+(not the normal equations, which the test oracles use independently);
+ridge at a positive ``lam`` solves the shifted normal system in closed
+form; lasso runs cyclic coordinate descent with soft thresholding to a
 stationarity tolerance on coefficient change.
 """
 
@@ -67,13 +68,6 @@ def _fit_ols(Xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
     return np.linalg.solve(R, Q.T @ yc)
 
 
-def _fit_ridge(Xc: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
-    if lam == 0.0:  # unregularized: the same singular systems as OLS
-        _require_full_rank(np.linalg.qr(Xc, mode="r"))
-    d = Xc.shape[1]
-    return np.linalg.solve(Xc.T @ Xc + lam * np.eye(d), Xc.T @ yc)
-
-
 def _fit_lasso(Xc: np.ndarray, yc: np.ndarray, lam: float) -> np.ndarray:
     n, d = Xc.shape
     col_sq = np.einsum("ij,ij->j", Xc, Xc)
@@ -110,15 +104,18 @@ def fit_linear(
     """Fit one of the linear family members.
 
     ``lam`` is the ridge/lasso regularization weight (ignored for OLS).
-    OLS requires more rows than columns; OLS and ridge at ``lam=0``
-    raise :class:`SingularSystemError` on rank-deficient inputs.
+    Ridge at ``lam=0`` is fitted as OLS is, so OLS and ridge at ``lam=0``
+    both require more rows than columns and raise
+    :class:`SingularSystemError` on rank-deficient inputs.
     """
     X, y = check_training_data(X, y)
     if not lam >= 0:  # NaN too
         raise ValueError(f"regularization must be >= 0, got {lam}")
-    if family == OLS and X.shape[0] <= X.shape[1]:
+    unpenalized = family == OLS or family == RIDGE and lam == 0.0
+    if unpenalized and X.shape[0] <= X.shape[1]:
+        what = "ols" if family == OLS else "ridge at lambda 0"
         raise ValueError(
-            f"ols needs more rows than columns, got {X.shape[0]}x{X.shape[1]}"
+            f"{what} needs more rows than columns, got {X.shape[0]}x{X.shape[1]}"
         )
 
     x_mean = X.mean(axis=0)
@@ -126,10 +123,10 @@ def fit_linear(
     Xc = X - x_mean
     yc = y - y_mean
 
-    if family == OLS:
+    if unpenalized:
         beta = _fit_ols(Xc, yc)
     elif family == RIDGE:
-        beta = _fit_ridge(Xc, yc, lam)
+        beta = np.linalg.solve(Xc.T @ Xc + lam * np.eye(X.shape[1]), Xc.T @ yc)
     elif family == LASSO:
         beta = _fit_lasso(Xc, yc, lam)
     else:

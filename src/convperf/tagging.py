@@ -30,7 +30,7 @@ from pathlib import Path, PurePath
 
 import numpy as np
 
-from .corpus import Corpus, _Interner, _tag_set
+from .corpus import Corpus, _Interner, _tag_set, read_input
 
 SDA_COMPLIMENT = "sda_compliment"
 SDA_COMPLAINT = "sda_complaint"
@@ -71,17 +71,9 @@ class TaggerConfig:
 
 def load_lexicon_file(path: Path | Traversable) -> Lexicon:
     """The lexicon a file holds, labelled with the file's stem."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ValueError(f"lexicon file {path} is not UTF-8: "
-                         f"byte 0x{e.object[e.start]:02x} at byte {e.start}") from None
-    patterns = []
-    for line in text.splitlines():
-        line = _normalize(line)
-        if line and not line.startswith("#"):
-            patterns.append(line)
-    return Lexicon(label=PurePath(path.name).stem, patterns=tuple(patterns))
+    lines = map(_normalize, read_input(path, "lexicon file").splitlines())
+    patterns = tuple(line for line in lines if line and not line.startswith("#"))
+    return Lexicon(label=PurePath(path.name).stem, patterns=patterns)
 
 
 def load_lexicon_dir(path: str | Path | Traversable) -> TaggerConfig:

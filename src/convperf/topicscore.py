@@ -50,10 +50,12 @@ def score_topics(corpus: Corpus, variant: str) -> TopicScoreReport:
     """Sum per-(conversation, topic) scores and z-score across topics.
 
     Every conversation must be rated; filter unrated ones out first.
-    Needs at least two topics for the z-scores to be defined.
+    Needs a conversation and two topics for the z-scores to be defined.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown scoring variant: {variant!r}")
+    if not len(corpus):
+        raise ValueError("topic scores need at least 1 conversation, the corpus has 0")
     unrated = [cid for cid, r in zip(corpus.ids, corpus.ratings) if r is None]
     if unrated:
         raise ValueError(f"conversation {unrated[0]!r} is unrated; filter before scoring")

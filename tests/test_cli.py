@@ -433,26 +433,91 @@ def test_a_sidecar_that_does_not_describe_its_csv_is_refused(
     assert not report.exists()
 
 
-@pytest.mark.parametrize("command", ["evaluate", "ablate"])
-@pytest.mark.parametrize("body, message", [
-    (b'{"feature_set": \xff"dependent", "prefix_k": null}', "not UTF-8: byte 0xff at byte 16"),
-    (b"[" * 100_000, "RecursionError("),
-    (b'{"feature_set": "independent", "prefix_k": 1%s}' % (b"0" * 5000), "ValueError("),
-], ids=["not-utf8", "too-deep", "too-many-digits"])
-def test_an_undecodable_sidecar_is_named(pipeline, tmp_path, capsys, command, body, message):
+# A fault of a JSON file read whole: its id, a body that shows it, and what
+# follows "<kind> <path> " in the message.
+_UNDECODABLE_JSON = [
+    ("not-utf8-at-0", b'\xff{"version": 1}', "is not UTF-8: byte 0xff at byte 0"),
+    ("not-utf8-at-10", b'{"seed": 1\xff}', "is not UTF-8: byte 0xff at byte 10"),
+    ("not-utf8-at-16", b'{"feature_set": \xff"dependent", "prefix_k": null}',
+     "is not UTF-8: byte 0xff at byte 16"),
+    ("bad-name", b"{nope", "is not valid JSON: Expecting property name enclosed in double"),
+    ("truncated", b'{"version": 1, ',
+     "is not valid JSON: Expecting property name enclosed in double"),
+    ("too-many-digits", b'{"seed": ' + b"7" * 5000 + b"}",
+     "is not valid JSON: Exceeds the limit (4300 digits)"),
+    ("too-many-digits-in-a-window",
+     b'{"feature_set": "independent", "prefix_k": 1' + b"0" * 5000 + b"}",
+     "is not valid JSON: Exceeds the limit (4300 digits)"),
+    ("too-deep", b"[" * 100_000, "is not valid JSON: maximum recursion depth exceeded"),
+    ("not-an-object", b"[1, 2]", "must hold a JSON object"),
+]
+# Each kind of input file: the commands that read it, and its faults but
+# "missing".  The corpus JSONL and feature CSV name a bad byte by its line
+# (test_an_undecodable_line_is_named).
+_INPUT_FILES = {
+    "config file": (["synth"], _UNDECODABLE_JSON),
+    "feature CSV sidecar": (["evaluate", "ablate"], _UNDECODABLE_JSON),
+    "trained model": (["evaluate", "export-tree"], _UNDECODABLE_JSON),
+    "lexicon file": (["tag"], [
+        ("not-utf8-at-4", b"nice\xff one\n", "is not UTF-8: byte 0xff at byte 4")]),
+    "corpus file": (["ingest"], []),
+    "feature CSV": (["train"], []),
+}
+
+
+def _input_file_reader(pipeline, tmp_path, kind, command):
+    """The path of a ``kind`` file under tmp_path, and the command line that
+    reads it, which would write tmp_path / "out" (a model, report or corpus)."""
+    out = str(tmp_path / "out")
     feats = tmp_path / "features.csv"
-    feats.write_bytes(pipeline.feats.read_bytes())
-    side = tmp_path / "features.csv.json"
-    side.write_bytes(body)
-    report = tmp_path / "report.csv"
-    args = ["--model", str(pipeline.model)] if command == "evaluate" else [
-        "--drop", "length_median"]
-    assert main([command, "--features", str(feats), *args,
-                 "--report-out", str(report)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"error: feature CSV sidecar {side} is malformed: {message}")
-    assert not report.exists()
+    if kind == "config file":
+        config = tmp_path / "run.json"
+        return config, ["synth", "--out", out, "--config", str(config)]
+    if kind == "feature CSV sidecar":
+        shutil.copy(pipeline.feats, feats)
+        args = {"evaluate": ["--model", str(pipeline.model)],
+                "ablate": ["--drop", "length_median"]}[command]
+        return tmp_path / "features.csv.json", [
+            command, "--features", str(feats), *args, "--report-out", out]
+    if kind == "trained model":
+        model = tmp_path / "model.json"
+        args = {"evaluate": ["--features", str(pipeline.feats), "--report-out", out],
+                "export-tree": ["--out", out]}[command]
+        return model, [command, "--model", str(model), *args]
+    if kind == "lexicon file":
+        lexicons = tmp_path / "lexicons"
+        shutil.copytree(LEXICONS, lexicons)
+        (lexicons / "sda_compliment.txt").unlink()
+        return lexicons / "sda_compliment.txt", [
+            "tag", "--in", str(pipeline.kept), "--out", out, "--lexicon-dir", str(lexicons)]
+    if kind == "corpus file":
+        corpus = tmp_path / "corpus.jsonl"
+        return corpus, ["ingest", "--in", str(corpus), "--out", out]
+    return feats, ["train", "--features", str(feats), "--model-out", out]
+
+
+@pytest.mark.parametrize("kind, command, body, reason", [
+    pytest.param(kind, command, body, reason, id=f"{kind}-{command}-{fault}".replace(" ", "-"))
+    for kind, (commands, faults) in _INPUT_FILES.items() for command in commands
+    for fault, body, reason in [("missing", None, None), *faults]
+])
+def test_an_input_file_fault_has_one_wording(pipeline, tmp_path, capsys, kind, command,
+                                             body, reason):
+    """Each input file the CLI reads is refused in one wording per fault,
+    whatever its kind and whichever command reads it: exit 1, one line
+    naming the kind and the path, and no output."""
+    path, argv = _input_file_reader(pipeline, tmp_path, kind, command)
+    if body is None:  # missing; a lexicon file is a link to nothing
+        if kind == "lexicon file":
+            path.symlink_to(tmp_path / "gone.txt")
+        expected = f"error: missing {kind}: {path}"
+    else:
+        path.write_bytes(body)
+        expected = f"error: {kind} {path} {reason}"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(expected) and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def fail_after_a_partial_write(monkeypatch):
@@ -779,7 +844,7 @@ def edited_json(text, *edits):
 
 @pytest.mark.parametrize(
     "base, edits, message",
-    [(None, "[1, 2]", "a model file must hold a JSON object"),
+    [(None, "[1, 2]", "must hold a JSON object"),
      (None, '{"version": 1, "family": "ridge"}', "model file has no 'parameters' key"),
      (None, '{"version": 1, "parameters": {}}', "model file has no 'family' key"),
      ("ridge", [(_PARAMS, {})], "model file has no 'parameters.coef' key"),
@@ -836,25 +901,10 @@ def test_malformed_model_file_is_rejected(pipeline, model_files, tmp_path, capsy
             "export-tree": ["export-tree"]}[command]
     assert main([*argv, "--model", str(model)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("command", ["evaluate", "export-tree"])
-@pytest.mark.parametrize("body, message", [
-    (b'\xff{"version": 1}', "is not UTF-8: byte 0xff at byte 0"),
-    (b'{"version": 1, ', "is not valid JSON: Expecting property name enclosed in double quotes"),
-    (b"[" * 100_000, "is not valid JSON: maximum recursion depth exceeded"),
-], ids=["not-utf8", "truncated", "too-deep"])
-def test_an_undecodable_model_file_is_named(pipeline, tmp_path, capsys, command, body,
-                                            message):
-    model = tmp_path / "model.json"
-    model.write_bytes(body)
-    argv = {"evaluate": ["evaluate", "--features", str(pipeline.feats)],
-            "export-tree": ["export-tree"]}[command]
-    assert main([*argv, "--model", str(model)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"error: trained model {model} {message}")
+    # The file is named first: "<path> must hold ..." or "<path>: model file ...".
+    sep = " " if base is None and edits == "[1, 2]" else ": "
+    assert err.startswith(f"error: trained model {model}{sep}{message}")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -1153,6 +1203,18 @@ def test_correlate_refuses_fewer_than_3_conversations(pipeline, tmp_path, capsys
         assert not report.exists()
 
 
+@pytest.mark.parametrize("command", ["score-topics", "plot"])
+def test_topic_scores_refuse_an_empty_corpus_by_name(tmp_path, capsys, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out"
+    argv = {"score-topics": ["--out", str(out)], "plot": ["--out-dir", str(out)]}[command]
+    assert main([command, "--in", str(empty), *argv]) == 1
+    assert capsys.readouterr().err == (
+        "error: topic scores need at least 1 conversation, the corpus has 0\n")
+    assert not out.exists()
+
+
 def test_correlate_outputs(pipeline, capsys):
     rep = pipeline.root / "corr.csv"
     assert (
@@ -1285,17 +1347,12 @@ def test_unknown_config_key(tmp_path):
 
 
 def test_config_file_problems(tmp_path):
-    with pytest.raises(CliError, match="missing config file"):
+    # Decode faults: test_an_input_file_fault_has_one_wording.
+    with pytest.raises(ValueError, match="missing config file"):
         load_run_config(Namespace(command="synth", config=str(tmp_path / "gone.json")))
-    bad = tmp_path / "bad.json"
-    for text in (b"{nope", b'{"seed": 1\xff}', b'{"seed": ' + b"7" * 5000 + b"}",
-                 b"[" * 100_000):
-        bad.write_bytes(text)
-        with pytest.raises(CliError, match=f"config file {bad} is not valid JSON: "):
-            load_run_config(Namespace(command="synth", config=str(bad)))
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
-    with pytest.raises(CliError, match="JSON object"):
+    with pytest.raises(ValueError, match="JSON object"):
         load_run_config(Namespace(command="synth", config=str(arr)))
 
 

@@ -86,6 +86,13 @@ def test_ols_needs_more_rows_than_columns():
         fit_linear(np.ones((3, 3)), np.ones(3))
 
 
+def test_ridge_at_zero_lambda_needs_more_rows_than_columns_as_ols_does():
+    with pytest.raises(ValueError, match="^ridge at lambda 0 needs more rows than "
+                                         "columns, got 3x3$"):
+        fit_linear(np.eye(3), np.ones(3), family=RIDGE, lam=0.0)
+    assert np.isfinite(fit_linear(np.eye(3), np.ones(3), family=RIDGE, lam=1.0).params.coef).all()
+
+
 def test_ridge_limit_behavior():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 3))
@@ -101,7 +108,9 @@ def test_ridge_zero_lambda_equals_ols():
     y = rng.normal(size=30)
     a = fit_linear(X, y, family=OLS)
     b = fit_linear(X, y, family=RIDGE, lam=0.0)
-    assert np.abs(a.params.coef - b.params.coef).max() < 1e-9
+    # One least-squares path: the same bits, not just close.
+    assert a.params.coef.tobytes() == b.params.coef.tobytes()
+    assert a.params.intercept == b.params.intercept
 
 
 def test_ridge_stationarity():
