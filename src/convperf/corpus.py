@@ -67,8 +67,10 @@ SPLIT_NAMES = ("train", "dev", "test")
 # Conversations serialized per write() call, which bounds the text held.
 _WRITE_BLOCK = 200
 
-# Texts per block in word_counts; it bounds the joined text and its views.
-_WORD_BLOCK = 4096
+# Texts per block in word_counts, tagging._hits and Corpus._select: it bounds
+# the temporary copies a pass over the texts holds (a joined block, its views,
+# its normalized texts or Python ints).
+_TEXT_BLOCK = 4096
 
 # The non-ASCII characters for which str.isspace() is true.
 _UNICODE_SPACES = (
@@ -150,8 +152,8 @@ def word_counts(texts) -> np.ndarray:
     opens the block; each text counts the starts within its bounds.
     """
     counts = np.zeros(len(texts), np.intp)
-    for lo in range(0, len(texts), _WORD_BLOCK):
-        block = texts[lo : lo + _WORD_BLOCK]
+    for lo in range(0, len(texts), _TEXT_BLOCK):
+        block = texts[lo : lo + _TEXT_BLOCK]
         joined = " ".join(block)
         if joined.isascii():
             points = np.frombuffer(joined.encode("ascii"), np.uint8)
@@ -358,7 +360,12 @@ class Corpus:
         # Position of each kept exchange in this corpus's columns.
         picked = np.arange(offsets[-1], dtype=np.intp)
         picked += np.repeat(starts - offsets[:-1], sizes)
-        at = picked.tolist()
+        # The exchanges' strings, a block of positions at a time as Python ints.
+        user, system = [], []
+        for lo in range(0, len(picked), _TEXT_BLOCK):
+            at = picked[lo : lo + _TEXT_BLOCK].tolist()
+            user += map(self.user.__getitem__, at)
+            system += map(self.system.__getitem__, at)
         rows_at = rows.tolist()
         return self._replace(
             ids=list(map(self.ids.__getitem__, rows_at)),
@@ -366,8 +373,8 @@ class Corpus:
             offsets=offsets,
             topic=self.topic[picked],
             rg=self.rg[picked],
-            user=list(map(self.user.__getitem__, at)),
-            system=list(map(self.system.__getitem__, at)),
+            user=user,
+            system=system,
             midas=self.midas[picked],
             sda=self.sda[picked],
             split=None if self.split is None else self.split[rows],
@@ -589,6 +596,8 @@ def open_output(path, newline: str | None = None):
 def _input(path: str | Traversable, kind: str) -> Traversable:
     file = Path(path) if isinstance(path, str) else path
     if not file.is_file():
+        if file.is_dir() or isinstance(file, Path) and file.exists():
+            raise ValueError(f"{kind} {path} is not a file")
         raise ValueError(f"missing {kind}: {path}")
     return file
 

@@ -145,7 +145,7 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a bool
 
 
 def _array(value, kind: type, rank: int | None, path: str) -> np.ndarray:
-    error = ValueError(f"model file: {path} must be a {'' if rank is None else f'rank-{rank} '}"
+    error = ValueError(f"{path} must be a {'' if rank is None else f'rank-{rank} '}"
                        f"list of {'64-bit integers' if kind is int else 'finite numbers'}")
     items, depth = [value], 0
     while items and all(type(v) is list for v in items) and depth != rank:
@@ -180,18 +180,18 @@ def decode(hint, value, path: str):
             if f.name in value:
                 kwargs[f.name] = decode(hints[f.name], value[f.name], key)
             elif f.default is MISSING and f.default_factory is MISSING:
-                raise ValueError(f"model file has no {key!r} key")
+                raise ValueError(f"missing key {key!r}")
         try:
             return hint(**kwargs)
         except ValueError as e:
-            raise ValueError(f"model file: {path}: {e}") from None
+            raise ValueError(f"{path}: {e}") from None
     if hint is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
     if type(value) is hint is not float:
         return value
     expected = "a list" if origin is tuple else "an object" if is_dataclass(hint) else (
         "a finite number" if hint is float else _JSON_TYPES[hint])
-    raise ValueError(f"model file: {path} must be {expected}, not {_JSON_TYPES[type(value)]}")
+    raise ValueError(f"{path} must be {expected}, not {_JSON_TYPES[type(value)]}")
 
 
 def model_to_json(model: TrainedModel) -> dict:
@@ -222,11 +222,11 @@ def model_from_json(obj) -> TrainedModel:
     params = decode(cls, f.parameters, "parameters")
     names, std = f.feature_names, f.standardizer
     if std is not None and not len(std.mean) == len(std.std) == len(names or ()):
-        raise ValueError("model file: standardizer mean and std need one value per "
+        raise ValueError("standardizer mean and std need one value per "
                          f"feature name ({len(names or ())})")
     fingerprint = None if names is None else schema_fingerprint(names)
     if f.fingerprint != fingerprint:
-        raise ValueError(f"model file: fingerprint {f.fingerprint!r} does not match "
+        raise ValueError(f"fingerprint {f.fingerprint!r} does not match "
                          f"feature_names, whose fingerprint is {fingerprint!r}")
     if names is not None:
         params.check_features(len(names), "parameters")

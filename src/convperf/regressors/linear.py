@@ -37,7 +37,7 @@ class LinearParams(Params):
 
     def check_features(self, n: int, path: str) -> None:
         if len(self.coef) != n:
-            raise ValueError(f"model file: {path}: coef: {len(self.coef)} coefficients, "
+            raise ValueError(f"{path}: coef: {len(self.coef)} coefficients, "
                              f"not one per feature name ({n})")
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ class MlpParams(Params):
     def check_features(self, n: int, path: str) -> None:
         rows = self.layers[0].shape[0]
         if rows != n:
-            raise ValueError(f"model file: {path}: layers[0]: {rows} rows, "
+            raise ValueError(f"{path}: layers[0]: {rows} rows, "
                              f"not one per feature name ({n})")
 
     def predict(self, X: np.ndarray) -> np.ndarray:

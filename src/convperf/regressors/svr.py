@@ -74,7 +74,7 @@ class SvrParams(Params):
 
     def check_features(self, n: int, path: str) -> None:
         if len(self.sv_x) and self.sv_x.shape[1] != n:
-            raise ValueError(f"model file: {path}: sv_x: {self.sv_x.shape[1]} columns, "
+            raise ValueError(f"{path}: sv_x: {self.sv_x.shape[1]} columns, "
                              f"not one per feature name ({n})")
 
     def predict(self, X: np.ndarray) -> np.ndarray:

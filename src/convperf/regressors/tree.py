@@ -74,7 +74,7 @@ class TreeParams(Params):
 
     def check_features(self, n: int, path: str) -> None:
         if self.feature.max() >= n:
-            raise ValueError(f"model file: {path}: feature: split on column "
+            raise ValueError(f"{path}: feature: split on column "
                              f"{self.feature.max()}, past the {n} feature names")
 
     @property

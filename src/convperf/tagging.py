@@ -13,7 +13,9 @@ between words, none around them.  Loading a pattern normalizes it, and a
 its patterns occurs literally (``str.find``) in the normalized text with
 no word character right before or after it.  With both sides normalized,
 a space in a pattern can only meet the one space between two words, so
-this literal search is exact.
+this literal search is exact.  A corpus is normalized and searched one
+block of texts at a time (``corpus._TEXT_BLOCK``), so tagging holds no
+copy of the whole corpus's texts.
 
 MIDAS dialogue-act tags are deliberately never synthesized here; they
 come from ingested logs only, since producing them requires the host
@@ -30,7 +32,7 @@ from pathlib import Path, PurePath
 
 import numpy as np
 
-from .corpus import Corpus, _Interner, _tag_set, read_input
+from .corpus import _TEXT_BLOCK, Corpus, _Interner, _tag_set, read_input
 
 SDA_COMPLIMENT = "sda_compliment"
 SDA_COMPLAINT = "sda_complaint"
@@ -78,10 +80,13 @@ def load_lexicon_file(path: Path | Traversable) -> Lexicon:
 
 def load_lexicon_dir(path: str | Path | Traversable) -> TaggerConfig:
     """Load every ``*.txt`` file in a directory as one lexicon each, in
-    name order.  The directory may be any ``Traversable``, so the shipped
-    lexicons load from a zip-imported package as well."""
+    name order.  A directory named ``*.txt`` is skipped, while a link to
+    nothing is read and so refused as a missing file.  The directory may be
+    any ``Traversable``, so the shipped lexicons load from a zip-imported
+    package as well."""
     root = Path(path) if isinstance(path, str) else path
-    files = sorted((f for f in root.iterdir() if f.name.endswith(".txt")), key=lambda f: f.name)
+    files = sorted((f for f in root.iterdir() if f.name.endswith(".txt") and not f.is_dir()),
+                   key=lambda f: f.name)
     if not files:
         raise ValueError(f"no lexicon files (*.txt) found in {path}")
     return TaggerConfig([load_lexicon_file(f) for f in files])
@@ -97,29 +102,32 @@ def _hits(texts: list[str], cfg: TaggerConfig) -> dict[str, np.ndarray]:
     once each text is normalized: as a run of whole words, by a literal
     search (see above).
 
-    The search scans all texts joined by newlines and resumes one
-    character past each occurrence, so overlapping ones are all seen ("a a"
-    in "xa a a").  Normalizing turns every whitespace run into one space,
-    so neither a normalized text nor a pattern holds a newline: no
-    occurrence spans two texts, and the boundary test sees the newline as
-    a text's edge.  Starts map to texts by their end offsets."""
-    norms = [_normalize(t) for t in texts]
-    joined = "\n".join(norms)
-    ends = np.cumsum([len(t) + 1 for t in norms], dtype=np.intp)
-    find, word = joined.find, _WORD.match
-    hits = {}
-    for lex in cfg.lexicons:
-        starts = []
-        for p in lex.patterns:
-            i = find(p)
-            while i >= 0:
-                if not (i and word(joined, i - 1) or word(joined, i + len(p))):
-                    starts.append(i)
-                i = find(p, i + 1)
-        hit = np.zeros(len(norms), dtype=bool)
-        hit[np.searchsorted(ends, np.array(starts, dtype=np.intp), side="right")] = True
-        hits[lex.label] = np.flatnonzero(hit)
-    return hits
+    The search scans one block of ``_TEXT_BLOCK`` texts at a time, the
+    block's normalized texts joined by newlines, and resumes one character
+    past each occurrence, so overlapping ones are all seen ("a a" in
+    "xa a a").  Normalizing turns every whitespace run into one space, so
+    neither a normalized text nor a pattern holds a newline: no occurrence
+    spans two texts, hence none spans two blocks, and the boundary test
+    sees the newline as a text's edge.  Starts map to texts by their end
+    offsets within the block."""
+    word = _WORD.match
+    hit = {lex.label: np.zeros(len(texts), dtype=bool) for lex in cfg.lexicons}
+    for lo in range(0, len(texts), _TEXT_BLOCK):
+        norms = [_normalize(t) for t in texts[lo : lo + _TEXT_BLOCK]]
+        joined = "\n".join(norms)
+        ends = np.cumsum([len(t) + 1 for t in norms], dtype=np.intp)
+        find = joined.find
+        for lex in cfg.lexicons:
+            starts = []
+            for p in lex.patterns:
+                i = find(p)
+                while i >= 0:
+                    if not (i and word(joined, i - 1) or word(joined, i + len(p))):
+                        starts.append(i)
+                    i = find(p, i + 1)
+            at = np.searchsorted(ends, np.array(starts, dtype=np.intp), side="right")
+            hit[lex.label][lo + at] = True
+    return {label: np.flatnonzero(h) for label, h in hit.items()}
 
 
 def tag_corpus(corpus: Corpus, cfg: TaggerConfig, overwrite: bool = False) -> Corpus:

@@ -451,17 +451,20 @@ _UNDECODABLE_JSON = [
     ("too-deep", b"[" * 100_000, "is not valid JSON: maximum recursion depth exceeded"),
     ("not-an-object", b"[1, 2]", "must hold a JSON object"),
 ]
+# A directory where the file should be.
+_DIRECTORY = ("directory", "directory", "is not a file")
 # Each kind of input file: the commands that read it, and its faults but
 # "missing".  The corpus JSONL and feature CSV name a bad byte by its line
-# (test_an_undecodable_line_is_named).
+# (test_an_undecodable_line_is_named).  A directory in a lexicon directory
+# is skipped (test_load_lexicon_dir_skips_a_directory).
 _INPUT_FILES = {
-    "config file": (["synth"], _UNDECODABLE_JSON),
-    "feature CSV sidecar": (["evaluate", "ablate"], _UNDECODABLE_JSON),
-    "trained model": (["evaluate", "export-tree"], _UNDECODABLE_JSON),
+    "config file": (["synth"], [_DIRECTORY, *_UNDECODABLE_JSON]),
+    "feature CSV sidecar": (["evaluate", "ablate"], [_DIRECTORY, *_UNDECODABLE_JSON]),
+    "trained model": (["evaluate", "export-tree"], [_DIRECTORY, *_UNDECODABLE_JSON]),
     "lexicon file": (["tag"], [
         ("not-utf8-at-4", b"nice\xff one\n", "is not UTF-8: byte 0xff at byte 4")]),
-    "corpus file": (["ingest"], []),
-    "feature CSV": (["train"], []),
+    "corpus file": (["ingest"], [_DIRECTORY]),
+    "feature CSV": (["train"], [_DIRECTORY]),
 }
 
 
@@ -512,7 +515,10 @@ def test_an_input_file_fault_has_one_wording(pipeline, tmp_path, capsys, kind, c
             path.symlink_to(tmp_path / "gone.txt")
         expected = f"error: missing {kind}: {path}"
     else:
-        path.write_bytes(body)
+        if body == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(body)
         expected = f"error: {kind} {path} {reason}"
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -845,43 +851,43 @@ def edited_json(text, *edits):
 @pytest.mark.parametrize(
     "base, edits, message",
     [(None, "[1, 2]", "must hold a JSON object"),
-     (None, '{"version": 1, "family": "ridge"}', "model file has no 'parameters' key"),
-     (None, '{"version": 1, "parameters": {}}', "model file has no 'family' key"),
-     ("ridge", [(_PARAMS, {})], "model file has no 'parameters.coef' key"),
-     ("ridge", [(("standardizer",), {})], "model file has no 'standardizer.mean' key"),
+     (None, '{"version": 1, "family": "ridge"}', "missing key 'parameters'"),
+     (None, '{"version": 1, "parameters": {}}', "missing key 'family'"),
+     ("ridge", [(_PARAMS, {})], "missing key 'parameters.coef'"),
+     ("ridge", [(("standardizer",), {})], "missing key 'standardizer.mean'"),
      ("ridge", [(("feature_names",), 5)],
-      "model file: feature_names must be a list, not an integer"),
+      "feature_names must be a list, not an integer"),
      ("forest", [(_PARAMS + ("trees",), 5)],
-      "model file: parameters.trees must be a list, not an integer"),
-     ("tree", [(_PARAMS + ("left",), DELETE)], "model file has no 'parameters.left' key"),
+      "parameters.trees must be a list, not an integer"),
+     ("tree", [(_PARAMS + ("left",), DELETE)], "missing key 'parameters.left'"),
      ("tree", [(_PARAMS + ("feature", 0), 1.5)],
-      "model file: parameters.feature must be a rank-1 list of 64-bit integers"),
+      "parameters.feature must be a rank-1 list of 64-bit integers"),
      ("tree", [(_PARAMS + ("value", 0), DELETE)],
-      "model file: parameters: value: the node arrays need one equal length"),
+      "parameters: value: the node arrays need one equal length"),
      ("tree", [(_PARAMS + ("left", 0), 0)],
-      "model file: parameters: left: node 0's child is 0, not a later node"),
+      "parameters: left: node 0's child is 0, not a later node"),
      ("tree", [(_PARAMS + ("right", 0), 10_000)],
-      "model file: parameters: right: node 0's child is 10000, not a later node"),
+      "parameters: right: node 0's child is 10000, not a later node"),
      ("tree", [(_PARAMS + ("right", 0), lambda right: right - 1)],
-      "model file: parameters: left, right: each node but the root needs exactly one parent"),
+      "parameters: left, right: each node but the root needs exactly one parent"),
      ("tree", [(_PARAMS + ("feature", 0), 99)],
-      "model file: parameters: feature: split on column 99, past the"),
+      "parameters: feature: split on column 99, past the"),
      ("forest", [(_PARAMS + ("trees", 2, "left", 0), 0)],
-      "model file: parameters.trees[2]: left: node 0's child is 0"),
+      "parameters.trees[2]: left: node 0's child is 0"),
      ("ridge", [(("standardizer", "std", 0), DELETE)],
-      "model file: standardizer mean and std need one value per feature name"),
+      "standardizer mean and std need one value per feature name"),
      ("ridge", [(("feature_names", 0), 3)],
-      "model file: feature_names[0] must be a string, not an integer"),
+      "feature_names[0] must be a string, not an integer"),
      ("ridge", [(("hyperparameters",), [])],
-      "model file: hyperparameters must be an object, not a list"),
-     ("ridge", [(("seed",), "0")], "model file: seed must be an integer, not a string"),
-     ("ridge", [(("target",), 5)], "model file: target must be an object, not an integer"),
+      "hyperparameters must be an object, not a list"),
+     ("ridge", [(("seed",), "0")], "seed must be an integer, not a string"),
+     ("ridge", [(("target",), 5)], "target must be an object, not an integer"),
      ("ridge", [(("target",), {"kind": "median_split"})],
-      "model file: target: median_split target requires a fitted median"),
+      "target: median_split target requires a fitted median"),
      ("ridge", [(_PARAMS + ("coef", 0), DELETE)],
-      "model file: parameters: coef: 10 coefficients, not one per feature name (11)"),
+      "parameters: coef: 10 coefficients, not one per feature name (11)"),
      ("ridge", [(("fingerprint",), "abc")],
-      "model file: fingerprint 'abc' does not match feature_names, whose fingerprint is")],
+      "fingerprint 'abc' does not match feature_names, whose fingerprint is")],
     ids=["list", "no-parameters", "no-family", "empty-parameters", "empty-standardizer",
          "feature-names-5", "trees-5", "tree-without-left", "split-feature-1.5",
          "unequal-node-arrays", "cyclic-left", "child-past-the-end", "shared-child",
@@ -901,7 +907,7 @@ def test_malformed_model_file_is_rejected(pipeline, model_files, tmp_path, capsy
             "export-tree": ["export-tree"]}[command]
     assert main([*argv, "--model", str(model)]) == 1
     err = capsys.readouterr().err
-    # The file is named first: "<path> must hold ..." or "<path>: model file ...".
+    # The file is named first: "<path> must hold ..." or "<path>: <key path> ...".
     sep = " " if base is None and edits == "[1, 2]" else ": "
     assert err.startswith(f"error: trained model {model}{sep}{message}")
     assert err.count("\n") == 1

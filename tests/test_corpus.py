@@ -1,11 +1,14 @@
 import dataclasses
 import io
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import convperf.corpus
 import convperf.synth as synth
 import convperf.tagging as tg
 from convperf.corpus import (
@@ -676,3 +679,82 @@ def test_views_count_exchanges_without_building_them(monkeypatch):
 
     monkeypatch.setattr(Corpus, "_exchange", refuse)
     assert [len(c.exchanges) for c in corpus] == [4, 9]
+
+
+# ------------------------------------------------------------- text blocks
+
+
+def _patch_text_block(mp, size):
+    """Every pass over the texts works ``size`` texts at a time."""
+    mp.setattr(convperf.corpus, "_TEXT_BLOCK", size)
+    mp.setattr(tg, "_TEXT_BLOCK", size)
+
+
+# Whitespace that str.split() splits on (a newline, \x1c, \u2028) inside a
+# text, words that match only across the seam of two texts ("so" | "cool"),
+# and a capital sigma, which lowercases to a final sigma at a word's end.
+_SEAM_PIECES = ["so", "cool", "so cool", "a", "x", " ", "\n", "\x1c", "\u2028", "Σ", "ς"]
+_SEAM_TEXTS = st.one_of(
+    st.just(""),
+    st.lists(st.sampled_from(_SEAM_PIECES), max_size=5).map("".join),
+    st.lists(st.sampled_from(_SEAM_PIECES), max_size=4).map(lambda p: "".join(p) + "Σ"),
+)
+_SEAM_CFG = tg.TaggerConfig([
+    tg.Lexicon("sda_compliment", ("so cool", "cool so")),
+    tg.Lexicon("sda_abuse", ("ς", "σ", "a a")),
+    tg.Lexicon("sda_repeat", ("x",)),
+])
+
+
+@given(conversations=st.lists(st.lists(_SEAM_TEXTS, min_size=1, max_size=4),
+                              min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_text_block_boundaries_change_no_stage(conversations):
+    records = [record(f"c{i}", exchanges=[{"user": t} for t in texts])
+               for i, texts in enumerate(conversations)]
+    split = {r["id"]: SPLIT_NAMES[i % 3] for i, r in enumerate(records)}
+    corpus = Corpus.from_records(records, split_assignment=split)
+
+    def stages():
+        return (tg.tag_corpus(corpus, _SEAM_CFG), filter_min_length(corpus, 2),
+                *(corpus.subset(s) for s in SPLIT_NAMES))
+
+    expected = stages()  # one block: the corpus is smaller than the default
+    for size in (1, 2, 3, len(corpus.user) + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            _patch_text_block(mp, size)
+            assert stages() == expected
+
+
+def _new_column_bytes(before: Corpus, after: Corpus) -> int:
+    """Bytes of the columns ``after`` does not share with ``before``: an
+    array's data, or a list's pointers (the strings themselves are shared)."""
+    old = vars(before)
+    return sum(col.nbytes if isinstance(col, np.ndarray) else sys.getsizeof(col)
+               for name, col in vars(after).items() if col is not old.get(name))
+
+
+@pytest.mark.parametrize("stage", [
+    lambda corpus: tg.tag_corpus(corpus, tg.default_config(), overwrite=True),
+    lambda corpus: filter_min_length(corpus, 5),
+], ids=["tag_corpus", "filter_min_length"])
+def test_a_stage_holds_no_copy_of_the_texts(monkeypatch, stage):
+    """With small blocks, a stage's traced peak memory grows with the corpus
+    by the columns it outputs and two arrays of exchange positions (16 bytes
+    an exchange), not by a copy of the texts: a Python object per text or
+    per position costs tens of bytes an exchange."""
+    _patch_text_block(monkeypatch, 64)
+    grown = allowed = 0
+    for sign, n in ((-1, 300), (1, 1200)):
+        corpus = synth.generate(synth.GeneratorConfig(n_conversations=n, seed=0))
+        corpus = corpus._replace(sda=np.zeros_like(corpus.sda))  # tagging changes it
+        stage(corpus)  # warm: load the lexicons, fill caches
+        tracemalloc.start()
+        try:
+            out = stage(corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grown += sign * peak
+        allowed += sign * (_new_column_bytes(corpus, out) + 16 * len(corpus.user))
+    assert grown <= allowed

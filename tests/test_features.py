@@ -16,7 +16,7 @@ from convperf.corpus import (
     split_corpus,
     word_counts,
 )
-from convperf.corpus import _UNICODE_SPACES, _WORD_BLOCK
+from convperf.corpus import _UNICODE_SPACES, _TEXT_BLOCK
 from convperf.features import (
     DEPENDENT,
     FEATURE_SETS,
@@ -213,7 +213,7 @@ _texts = st.one_of(
 
 @given(
     texts=st.lists(_texts, max_size=24),
-    repeat=st.sampled_from([1, 2, _WORD_BLOCK // 5 + 1]),
+    repeat=st.sampled_from([1, 2, _TEXT_BLOCK // 5 + 1]),
 )
 @settings(max_examples=150, deadline=None)
 def test_word_counts_match_word_count(texts, repeat):

@@ -139,12 +139,12 @@ def test_an_empty_list_decodes_at_the_declared_rank():
      (str, 3), (dict, []), (tuple[str, ...], "ab"), (TargetKind, 5), (TargetKind, [])],
 )
 def test_decode_names_the_key_of_a_malformed_value(hint, value):
-    with pytest.raises(ValueError, match=r"^model file: a\.b\[2\] must be "):
+    with pytest.raises(ValueError, match=r"^a\.b\[2\] must be "):
         decode(hint, value, "a.b[2]")
 
 
 def test_decode_names_a_missing_key_and_fills_defaults():
-    with pytest.raises(ValueError, match=r"^model file has no 'target\.kind' key$"):
+    with pytest.raises(ValueError, match=r"^missing key 'target\.kind'$"):
         decode(TargetKind, {"median": None}, "target")
     assert decode(TargetKind, {"kind": CAPPED_LENGTH}, "target") == TargetKind(CAPPED_LENGTH)
 
@@ -195,7 +195,7 @@ def test_a_tree_the_builder_could_not_grow_is_refused(tree_json, case):
         "leaf with a child": lambda: _edit(p, "left", leaf, 1),
         "shared child": lambda: _edit(p, "right", 0, p["left"][0]),
     }[case]()
-    expected = "model file: parameters.trees[1]: " + TREE_DEFECTS[case].format(i=i, leaf=leaf)
+    expected = "parameters.trees[1]: " + TREE_DEFECTS[case].format(i=i, leaf=leaf)
     forest = {"trees": [p, bad]}
     with pytest.raises(ValueError) as err:
         decode(ForestParams, forest, "parameters")
@@ -222,13 +222,13 @@ def test_a_split_feature_past_the_feature_names_is_refused(family):
     y = X[:, 2] + 0.1 * rng.normal(size=80)  # so trees split on column 2
     params = fit_spec(SPECS[family], X, y).params
     params.check_features(3, "parameters")
-    with pytest.raises(ValueError, match="^model file: " + _TOO_WIDE[family]):
+    with pytest.raises(ValueError, match="^" + _TOO_WIDE[family]):
         params.check_features(2, "parameters")
 
 
 def test_svr_needs_one_support_vector_row_per_coefficient():
     params = {"sv_x": [[1.0], [2.0]], "sv_beta": [0.5], "intercept": 0.0, "gamma": 1.0}
-    with pytest.raises(ValueError, match=r"^model file: parameters: sv_x: 2 support "
+    with pytest.raises(ValueError, match=r"^parameters: sv_x: 2 support "
                                          r"vectors, not one per sv_beta entry \(1\)"):
         decode(SvrParams, params, "parameters")
 

@@ -233,6 +233,12 @@ def test_load_lexicon_dir(tmp_path):
     assert lex.patterns == ("shut up", "go away")
 
 
+def test_load_lexicon_dir_skips_a_directory(tmp_path):
+    (tmp_path / "sda_repeat.txt").write_text("say that again\n")
+    (tmp_path / "sda_x.txt").mkdir()
+    assert [l.label for l in load_lexicon_dir(tmp_path).lexicons] == ["sda_repeat"]
+
+
 def test_load_lexicon_dir_reads_a_zipped_directory(tmp_path):
     """A zip-imported package's lexicons load as the files on disk do."""
     shipped = Path(convperf.__file__).parent / "data" / "lexicons"
