@@ -27,13 +27,16 @@ tag set is validated and encoded once, not once per exchange.
 ``words``, each exchange's user word count, is counted from ``user``
 with :func:`word_counts` the first time it is read, and kept.
 :func:`parse_corpus` and :func:`convperf.synth.generate` fill the
-columns directly; filtering, splitting and :meth:`Corpus.subset` are
-index selections.  Records in the JSONL schema, decoded, are the only
-way in from outside: :meth:`Corpus.from_records` validates them, and
-:func:`parse_corpus` is line decoding plus that constructor.  Every
-string must be encodable as UTF-8, so a lone surrogate (which a JSON
-escape such as ``"\\ud800"`` can produce) is refused there too.  A
-corpus fault is named at the first bad record, by its line.
+columns directly, and both hold each repeated system text once: every
+exchange with that text holds one string object (a parse shares the
+first ``_TEXT_BLOCK`` distinct texts).  Filtering, splitting and
+:meth:`Corpus.subset` are index selections.  Records in the JSONL
+schema, decoded, are the only way in from outside:
+:meth:`Corpus.from_records` validates them, and :func:`parse_corpus` is
+line decoding plus that constructor.  Every string must be encodable as
+UTF-8, so a lone surrogate (which a JSON escape such as ``"\\ud800"``
+can produce) is refused there too.  A corpus fault is named at the
+first bad record, by its line.
 :class:`Exchange` and :class:`Conversation` are read-only output:
 iterating a corpus yields :class:`Conversation` views whose
 ``exchanges`` build each :class:`Exchange` only when it is accessed.
@@ -65,11 +68,12 @@ LENGTH_CAP = 75
 SPLIT_NAMES = ("train", "dev", "test")
 
 # Conversations serialized per write() call, which bounds the text held.
-_WRITE_BLOCK = 200
+_WRITE_BLOCK = 50
 
 # Texts per block in word_counts, tagging._hits and Corpus._select: it bounds
 # the temporary copies a pass over the texts holds (a joined block, its views,
-# its normalized texts or Python ints).
+# its normalized texts or Python ints).  It also bounds the table of system
+# texts a parse shares (_Columns.system_texts).
 _TEXT_BLOCK = 4096
 
 # The non-ASCII characters for which str.isspace() is true.
@@ -191,6 +195,9 @@ class _Columns:
         self.system: list[str] = []
         self.midas: list[int] = []
         self.sda: list[int] = []
+        # The first _TEXT_BLOCK distinct system texts, each mapped to the one
+        # object every exchange with that text holds.
+        self.system_texts: dict[str, str] = {}
         self.topics = _Interner()
         self.rgs = _Interner()
         self.tags = _Interner([()])  # code 0 is the empty tag set
@@ -233,6 +240,10 @@ class Corpus:
         cls, records, split_assignment: dict[str, str] | None = None
     ) -> Corpus:
         """Validate decoded JSONL records and build their corpus, in order.
+
+        Equal system texts share one string object, up to the first
+        ``_TEXT_BLOCK`` distinct texts; the table that shares them is
+        dropped once the corpus is built.
 
         Raises :class:`CorpusError` at the first bad record, naming its
         field (a lone surrogate included), which :func:`parse_corpus`
@@ -428,6 +439,7 @@ def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
     topics, rgs, users, systems = b.topic, b.rg, b.user, b.system
     midas, sda = b.midas, b.sda
     topic_codes, rg_codes = b.topics.codes, b.rgs.codes
+    shared = b.system_texts
     first = len(topics)
     for j, e in enumerate(raw):
         if type(e) is not dict and not isinstance(e, dict):
@@ -471,7 +483,12 @@ def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
         topics.append(tc)
         rgs.append(gc)
         users.append(user)
-        systems.append(system)
+        text = shared.get(system)
+        if text is None:
+            text = system
+            if len(shared) < _TEXT_BLOCK:
+                shared[text] = text
+        systems.append(text)
         midas.append(mc)
         sda.append(sc)
     if not _encodes("".join(users[first:]) + "".join(systems[first:])):

@@ -31,9 +31,11 @@ machine-eps * gamma * |x|^2, stays small for any column offset) and
 keeps each row's squared norm, so a kernel row is one BLAS
 matrix-vector product plus O(n) elementwise work.  A row's own entry
 gets exactly zero distance, so K_ii = 1.  Rows are computed lazily into
-a least-recently-used cache bounded by ``KERNEL_CACHE_BYTES``; an
-evicted row is recomputed bit for bit, so the budget changes speed, not
-the fit.
+a least-recently-used cache of at most half the rows and at most
+``KERNEL_CACHE_BYTES``, as LIBSVM bounds its kernel cache (Chang & Lin,
+ACM TIST 2, 2011).  SMO asks again mostly for rows it used recently, so
+half the rows recompute few more than all of them would.  An evicted
+row is recomputed bit for bit, so the bound changes speed, not the fit.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ from .base import FloatMatrix, FloatVector, ModelSpec, Params, TrainedModel, che
 
 SVR = "svr"
 
-# Byte budget of the kernel-row cache.  Rows beyond it are evicted least
-# recently used first and recomputed on demand; 128 MiB holds every row
-# of a 4,096-point fit.
+# Byte budget of the kernel-row cache, which also holds at most half the
+# rows.  Rows beyond it are evicted least recently used first and
+# recomputed on demand; the budget is the smaller bound from 5,793 points.
 KERNEL_CACHE_BYTES = 128 * 2**20
 
 # SMO stops once the KKT gap (see the module docstring) is at most TOL.
@@ -107,7 +109,8 @@ def _kernel_rows(X, gamma):
     """``row(i)``: row i of the training kernel matrix, from a bounded LRU cache."""
     X = X - X.mean(axis=0)  # same distances; rounding no longer grows with offsets
     sq = (X * X).sum(axis=1)
-    max_rows = max(2, KERNEL_CACHE_BYTES // (8 * X.shape[0]))
+    n = X.shape[0]
+    max_rows = max(2, min(-(-n // 2), KERNEL_CACHE_BYTES // (8 * n)))
     cache: dict[int, np.ndarray] = {}  # insertion order is recency order
 
     def row(i: int) -> np.ndarray:

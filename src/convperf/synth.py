@@ -184,7 +184,7 @@ _STREAMS = (
 
 # Conversations drawn per call to each stream; bounds the memory the draws
 # hold, and changes no value.
-_BLOCK = 1000
+_BLOCK = 256
 
 _MIDAS_SETS = tuple(
     (init,) + answer

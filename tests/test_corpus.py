@@ -381,6 +381,69 @@ def test_record_round_trip_explicit():
     assert json.loads(buf.getvalue()) == rec
 
 
+def _written(corpus: Corpus) -> str:
+    buf = io.StringIO()
+    write_corpus_jsonl(corpus, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("size", [1, 3, 121])
+def test_write_block_size_changes_no_byte(monkeypatch, size):
+    corpus = synth.generate(synth.GeneratorConfig(n_conversations=120, seed=6))
+    before = _written(corpus)  # three blocks of the default size
+    monkeypatch.setattr(convperf.corpus, "_WRITE_BLOCK", size)
+    assert _written(corpus) == before
+
+
+# System texts a corpus repeats: non-ASCII, empty, one character, and a
+# text and its prefix.
+_SYSTEM_POOL = ["let us talk about movies", "¿qué tal? 🎬 ünï", "", "k",
+                "let us talk about"]
+
+
+class _RecordedColumns(convperf.corpus._Columns):
+    """Columns that keep each parse's table of shared system texts."""
+
+    tables: list = []
+
+    def corpus(self):
+        self.tables.append(self.system_texts)
+        return super().corpus()
+
+
+@given(st.lists(st.lists(st.sampled_from(range(len(_SYSTEM_POOL))), min_size=1, max_size=6),
+                min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_repeated_system_texts_are_held_once(conversations):
+    # json.loads makes each text a new object, so equal texts arrive as
+    # distinct objects, as they do from a file.
+    lines = [json.dumps(record(f"c{i}", exchanges=[{"system": _SYSTEM_POOL[k]} for k in picks]),
+                        ensure_ascii=False)
+             for i, picks in enumerate(conversations)]
+    records = list(map(json.loads, lines))
+    reference = "".join(map(reference_line, records))
+    parsed = parse_corpus(lines)
+    built = Corpus.from_records(records)
+    for corpus in (parsed, built):
+        assert len({id(s) for s in corpus.system}) == len(set(corpus.system))
+        assert corpus == parsed
+        assert _written(corpus) == reference
+
+    # A table bounded at two texts shares the first two and keeps the
+    # rest as they came.
+    distinct = len({_SYSTEM_POOL[k] for picks in conversations for k in picks})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convperf.corpus, "_TEXT_BLOCK", 2)
+        mp.setattr(convperf.corpus, "_Columns", _RecordedColumns)
+        _RecordedColumns.tables = []
+        bounded = [parse_corpus(lines), Corpus.from_records(list(map(json.loads, lines)))]
+    assert [len(t) for t in _RecordedColumns.tables] == [min(2, distinct)] * 2
+    for corpus, table in zip(bounded, _RecordedColumns.tables):
+        assert all(s is table[s] for s in corpus.system if s in table)
+        assert corpus == parsed
+        assert _written(corpus) == reference
+
+
 def test_corpus_equality_ignores_tag_set_codes():
     a = from_records(record("a", sda=["x"]), record("b", sda=["y"]))
     b = from_records(record("b", sda=["y"]), record("a", sda=["x"]))

@@ -207,6 +207,19 @@ def test_kernel_cache_budget_of_two_rows_gives_the_same_fit(monkeypatch):
     assert bounded.params.intercept == unbounded.params.intercept
 
 
+def test_kernel_cache_keeps_at_most_half_the_rows():
+    X = np.random.default_rng(5).normal(size=(10, 3))
+    row = svr._kernel_rows(X, 0.5)
+    first = [row(i) for i in range(10)]
+    # Five rows fit: the five used last are still cached, the rest recomputed.
+    for i in range(5, 10):
+        assert row(i) is first[i]
+    for i in range(5):
+        again = row(i)
+        assert again is not first[i]
+        assert np.array_equal(again, first[i])
+
+
 def test_kkt_conditions_with_duplicated_rows(monkeypatch):
     # Each point three times with different targets, so the solver pairs
     # copies, whose eta = K_ii + K_jj - 2 K_ij is 0 or a rounding error
