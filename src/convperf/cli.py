@@ -4,11 +4,12 @@ train | evaluate | ablate | correlate | export-tree | plot.
 Stages communicate through files (corpus JSONL, feature CSV, model
 JSON, report CSV) so expensive steps can be reused across runs.
 ``featurize`` also writes ``<features>.json``, a sidecar naming the
-feature set and prefix window; ``evaluate`` and ``ablate`` label their
-reports from it.  ``train``, ``evaluate`` and ``ablate`` describe each
-fit as a :class:`convperf.experiment.GridCell` (``ablate``'s second
-cell names the dropped columns) and fit and score it through
-:func:`convperf.experiment.fit_and_report` and
+feature set and prefix window.  ``train``, ``evaluate`` and ``ablate``
+read the CSV and its sidecar through one loader, which refuses a
+sidecar that does not describe its CSV, and describe each fit as a
+:class:`convperf.experiment.GridCell` labelled from the sidecar
+(``ablate``'s second cell names the dropped columns); they fit and score
+it through :func:`convperf.experiment.fit_and_report` and
 :func:`convperf.experiment.evaluate_model`, the path grid runs use.
 
 This module imports only :mod:`convperf.corpus`; each command imports
@@ -336,7 +337,9 @@ def cmd_tag(cfg: RunConfig, args) -> int:
     corpus = _read_corpus(args.input)
     if cfg.lexicon_dir is not None:
         if not os.path.isdir(cfg.lexicon_dir):
-            raise CliError(f"missing lexicon directory: {cfg.lexicon_dir}")
+            raise CliError(f"lexicon directory {cfg.lexicon_dir} is not a directory"
+                           if os.path.exists(cfg.lexicon_dir) else
+                           f"missing lexicon directory: {cfg.lexicon_dir}")
         tagger = load_lexicon_dir(cfg.lexicon_dir)
     else:
         tagger = default_config()
@@ -392,32 +395,14 @@ def cmd_score_topics(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _feature_provenance(features_path: str, names) -> tuple[str, int | None]:
-    """(feature_set, prefix_k) from the sidecar featurize wrote, each checked
-    as its option is, and the set's names checked against the CSV's."""
-    from .features import FeatureSchema
-
-    path = features_path + ".json"
-    meta = read_input(path, "feature CSV sidecar", as_json=True)
-    try:
-        feature_set, prefix_k = (
-            OPTIONS[key].convert(meta[key]) for key in ("feature_set", "prefix_k")
-        )
-    except KeyError as e:
-        raise CliError(f"feature CSV sidecar {path} has no {e} key") from None
-    except CliError as e:
-        raise CliError(f"feature CSV sidecar {path}: {e}") from None
-    if FeatureSchema().names(feature_set) != tuple(names):
-        raise CliError(f"feature CSV sidecar {path}: feature_set {feature_set!r} "
-                       f"does not name the columns of {features_path}")
-    return feature_set, prefix_k
-
-
-def _load_feature_splits(path: str):
-    """Feature names and the CSV's rows by split, as
+def _load_features(path: str):
+    """The feature CSV at ``path`` and the sidecar featurize wrote beside it:
+    the CSV's feature names, the sidecar's feature set and prefix window
+    (each checked as its option is, and the set's names checked against the
+    CSV's), and the CSV's rows by split, as
     :func:`convperf.experiment.take` gives them."""
     from .experiment import split_parts, take
-    from .features import read_feature_csv
+    from .features import FeatureSchema, read_feature_csv
 
     # A byte that is not UTF-8 reaches read_feature_csv, which names its line.
     with open_input(path, "feature CSV", newline="") as fh:
@@ -425,11 +410,24 @@ def _load_feature_splits(path: str):
             ids, names, X, ratings, lengths, splits = read_feature_csv(fh)
         except ValueError as e:
             raise CliError(f"{path}: {e}") from None
+    side = path + ".json"
+    meta = read_input(side, "feature CSV sidecar", as_json=True)
+    try:
+        feature_set, prefix_k = (
+            OPTIONS[key].convert(meta[key]) for key in ("feature_set", "prefix_k")
+        )
+    except KeyError as e:
+        raise CliError(f"feature CSV sidecar {side} has no {e} key") from None
+    except CliError as e:
+        raise CliError(f"feature CSV sidecar {side}: {e}") from None
+    if FeatureSchema().names(feature_set) != names:
+        raise CliError(f"feature CSV sidecar {side}: feature_set {feature_set!r} "
+                       f"does not name the columns of {path}")
     split = list(map(SPLIT_NAMES.index, splits))
-    return names, take(split_parts(ids, ratings, lengths, split), X)
+    return names, feature_set, prefix_k, take(split_parts(ids, ratings, lengths, split), X)
 
 
-def _fit(cfg: RunConfig, names, splits, feature_set, prefix_k, name=None, drop=()):
+def _fit(cfg: RunConfig, names, feature_set, prefix_k, splits, name=None, drop=()):
     from .experiment import GridCell, fit_and_report
     from .regressors import TARGET_NAMES, ModelSpec
 
@@ -441,9 +439,8 @@ def _fit(cfg: RunConfig, names, splits, feature_set, prefix_k, name=None, drop=(
 def cmd_train(cfg: RunConfig, args) -> int:
     from .regressors import save_model
 
-    names, splits = _load_feature_splits(args.features)
-    # The test report is not written, so it needs no feature-set labels.
-    model = _fit(cfg, names, splits, None, None).model
+    names, feature_set, prefix_k, splits = _load_features(args.features)
+    model = _fit(cfg, names, feature_set, prefix_k, splits).model
     save_model(model, args.model_out)
     print(
         f"trained {cfg.family} on {len(splits['train'].ids)} rows "
@@ -456,8 +453,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     from .experiment import GridCell, evaluate_model, format_report_table, write_reports_csv
     from .regressors import load_model
 
-    names, splits = _load_feature_splits(args.features)
-    feature_set, prefix_k = _feature_provenance(args.features, names)
+    names, feature_set, prefix_k, splits = _load_features(args.features)
     model = load_model(args.model)
     for key in ("feature_names", "standardizer", "target"):
         if getattr(model, key) is None:  # a model saved before bind()
@@ -480,16 +476,12 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 def cmd_ablate(cfg: RunConfig, args) -> int:
     from .experiment import format_report_table, write_reports_csv
 
-    names, splits = _load_feature_splits(args.features)
-    feature_set, prefix_k = _feature_provenance(args.features, names)
+    features = _load_features(args.features)
     drop = tuple(tok for tok in args.drop.split(",") if tok)
-    unknown = [d for d in drop if d not in names]
-    if unknown:  # before the base fit, which may fail for its own reasons
-        raise CliError(f"unknown feature names: {', '.join(unknown)}")
-    reports = [
-        _fit(cfg, names, splits, feature_set, prefix_k, name, dropped).report
-        for name, dropped in ((None, ()), (f"{cfg.family}-ablated", drop))
-    ]
+    # The ablated cell first: its fit refuses an unknown name before the
+    # base fit, which may fail for its own reasons.
+    ablated = _fit(cfg, *features, f"{cfg.family}-ablated", drop).report
+    reports = [_fit(cfg, *features).report, ablated]
     if args.report_out:
         with open_output(args.report_out, newline="") as fh:
             write_reports_csv(fh, reports, config_hash(cfg, args.command))

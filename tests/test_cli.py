@@ -29,7 +29,7 @@ from convperf.cli import (
     OPTIONS,
     CliError,
     RunConfig,
-    _load_feature_splits,
+    _load_features,
     build_parser,
     config_hash,
     gamma,
@@ -253,6 +253,21 @@ def test_ablate_unknown_feature(pipeline, capsys):
     assert "unknown feature names" in capsys.readouterr().err
 
 
+def test_ablate_refuses_an_unknown_name_before_a_base_fit_that_fails(
+    pipeline, tmp_path, capsys
+):
+    """ridge at lambda 0 refuses the pipeline's rank-deficient design; a
+    mistyped --drop is still named, and no report is written."""
+    report = tmp_path / "report.csv"
+    argv = ["ablate", "--features", str(pipeline.feats), "--lambda", "0",
+            "--report-out", str(report)]
+    assert main([*argv, "--drop", "length_median"]) == 1
+    assert "singular least-squares system" in capsys.readouterr().err
+    assert main([*argv, "--drop", "length_median,lenght_median"]) == 1
+    assert capsys.readouterr().err == "error: unknown feature names: lenght_median\n"
+    assert not report.exists()
+
+
 def test_train_tree_then_export(pipeline, capsys):
     model_p = pipeline.root / "tree.json"
     dot_p = pipeline.root / "tree.dot"
@@ -404,7 +419,19 @@ def test_evaluate_needs_the_featurize_sidecar(pipeline, tmp_path, capsys):
     assert "missing feature CSV sidecar" in err and "bare.csv.json" in err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+def test_train_needs_the_featurize_sidecar(pipeline, tmp_path, capsys):
+    """train refuses the CSV that evaluate and ablate would refuse, so it
+    saves no model that they could not score."""
+    bare = tmp_path / "bare.csv"
+    bare.write_bytes(pipeline.feats.read_bytes())
+    model_out = tmp_path / "model.json"
+    assert main(["train", "--features", str(bare), "--lambda", "1",
+                 "--model-out", str(model_out)]) == 1
+    assert capsys.readouterr().err == f"error: missing feature CSV sidecar: {bare}.json\n"
+    assert not model_out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
 @pytest.mark.parametrize(
     "sidecar,key",
     [
@@ -423,14 +450,14 @@ def test_a_sidecar_that_does_not_describe_its_csv_is_refused(
     feats.write_bytes(pipeline.feats.read_bytes())  # independent columns
     side = tmp_path / "features.csv.json"
     side.write_text(json.dumps(sidecar))
-    report = tmp_path / "report.csv"
-    args = ["--model", str(pipeline.model)] if command == "evaluate" else [
-        "--drop", "length_median"]
-    assert main([command, "--features", str(feats), *args,
-                 "--report-out", str(report)]) == 1
+    out = tmp_path / "out"
+    args = {"train": ["--lambda", "1", "--model-out", str(out)],
+            "evaluate": ["--model", str(pipeline.model), "--report-out", str(out)],
+            "ablate": ["--drop", "length_median", "--report-out", str(out)]}[command]
+    assert main([command, "--features", str(feats), *args]) == 1
     err = capsys.readouterr().err
-    assert f"feature CSV sidecar {side}: {key}" in err
-    assert not report.exists()
+    assert f"feature CSV sidecar {side}: {key}" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 # A fault of a JSON file read whole: its id, a body that shows it, and what
@@ -459,7 +486,8 @@ _DIRECTORY = ("directory", "directory", "is not a file")
 # is skipped (test_load_lexicon_dir_skips_a_directory).
 _INPUT_FILES = {
     "config file": (["synth"], [_DIRECTORY, *_UNDECODABLE_JSON]),
-    "feature CSV sidecar": (["evaluate", "ablate"], [_DIRECTORY, *_UNDECODABLE_JSON]),
+    "feature CSV sidecar": (["train", "evaluate", "ablate"],
+                            [_DIRECTORY, *_UNDECODABLE_JSON]),
     "trained model": (["evaluate", "export-tree"], [_DIRECTORY, *_UNDECODABLE_JSON]),
     "lexicon file": (["tag"], [
         ("not-utf8-at-4", b"nice\xff one\n", "is not UTF-8: byte 0xff at byte 4")]),
@@ -478,10 +506,10 @@ def _input_file_reader(pipeline, tmp_path, kind, command):
         return config, ["synth", "--out", out, "--config", str(config)]
     if kind == "feature CSV sidecar":
         shutil.copy(pipeline.feats, feats)
-        args = {"evaluate": ["--model", str(pipeline.model)],
-                "ablate": ["--drop", "length_median"]}[command]
-        return tmp_path / "features.csv.json", [
-            command, "--features", str(feats), *args, "--report-out", out]
+        args = {"train": ["--model-out", out],
+                "evaluate": ["--model", str(pipeline.model), "--report-out", out],
+                "ablate": ["--drop", "length_median", "--report-out", out]}[command]
+        return tmp_path / "features.csv.json", [command, "--features", str(feats), *args]
     if kind == "trained model":
         model = tmp_path / "model.json"
         args = {"evaluate": ["--features", str(pipeline.feats), "--report-out", out],
@@ -651,7 +679,8 @@ def test_a_feature_csv_holds_the_split_rows_run_grid_takes(
     window = [] if prefix_k is None else ["--prefix-k", str(prefix_k)]
     assert main(["featurize", "--in", str(partly_rated), "--out", str(feats), "--seed", "2",
                  "--feature-set", feature_set, *window]) == 0
-    names, from_csv = _load_feature_splits(str(feats))
+    names, *sidecar, from_csv = _load_features(str(feats))
+    assert sidecar == [feature_set, prefix_k]
 
     taken = []  # what run_grid takes for its one window
     monkeypatch.setattr(experiment, "take", lambda parts, X: taken.append(take(parts, X))
@@ -1120,13 +1149,16 @@ def test_a_mutated_feature_csv_exits_0_or_1_with_one_line(pipeline, data):
 @given(data=st.data())
 def test_a_mutated_feature_sidecar_exits_0_or_1_with_one_line(pipeline, data):
     """Replace, insert or delete a few bytes of a valid feature CSV sidecar
-    beside a valid feature CSV; evaluate and ablate end with exit 0, or
-    exit 1, one error line and no output file, and raise nothing."""
+    beside a valid feature CSV; train, evaluate and ablate end with exit 0,
+    or exit 1, one error line and no output file, and raise nothing."""
     feats = pipeline.root / "sidecar-mutant.csv"
     shutil.copy(pipeline.feats, feats)
     valid = Path(f"{pipeline.feats}.json").read_bytes()
     Path(f"{feats}.json").write_bytes(data.draw(_mutated(valid), label="sidecar"))
+    model = pipeline.root / "sidecar-mutant-model.json"
     report = pipeline.root / "sidecar-mutant-report.csv"
+    run_quietly(["train", "--features", str(feats), "--lambda", "1.0",
+                 "--model-out", str(model)], model)
     run_quietly(["evaluate", "--features", str(feats), "--model", str(pipeline.model),
                  "--report-out", str(report)], report)
     run_quietly(["ablate", "--features", str(feats), "--drop", "length_median",
@@ -1142,6 +1174,18 @@ def test_tag_rejects_a_lexicon_dir_without_lexicons(pipeline, tmp_path, capsys):
     assert main(argv + ["--lexicon-dir", str(empty)]) == 1
     assert "no lexicon files" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_tag_names_a_lexicon_dir_that_is_missing_or_no_directory(pipeline, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    argv = ["tag", "--in", str(pipeline.kept), "--out", str(out), "--lexicon-dir"]
+    a_file = tmp_path / "lexicons.txt"
+    a_file.write_text("nice\n")
+    for path, message in ((tmp_path / "gone", f"missing lexicon directory: {tmp_path / 'gone'}"),
+                          (a_file, f"lexicon directory {a_file} is not a directory")):
+        assert main([*argv, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 LEXICONS = Path(convperf.__file__).parent / "data" / "lexicons"
