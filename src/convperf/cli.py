@@ -12,6 +12,12 @@ sidecar that does not describe its CSV, and describe each fit as a
 it through :func:`convperf.experiment.fit_and_report` and
 :func:`convperf.experiment.evaluate_model`, the path grid runs use.
 
+The corpus stages (synth, ingest, tag, featurize) hold one block of
+conversations at a time, not the corpus: they draw it with
+:func:`convperf.synth.generate_blocks` or read it with
+:func:`convperf.corpus.parse_blocks`.  score-topics, correlate and plot
+read the whole corpus.
+
 This module imports only :mod:`convperf.corpus`; each command imports
 the modules it runs, so ``ingest`` loads nothing else and only the
 fitting and reporting commands load the regressors.  An option's choices
@@ -62,12 +68,14 @@ from typing import NamedTuple
 
 from .corpus import (
     SPLIT_NAMES,
+    assign_splits,
+    check_min_length,
     filter_min_length,
     open_input,
     open_output,
+    parse_blocks,
     parse_corpus,
     read_input,
-    split_corpus,
     write_corpus_jsonl,
 )
 
@@ -310,22 +318,30 @@ def _read_corpus(path: str):
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
-    from .synth import PRESETS, generate
+    from .synth import PRESETS, generate_blocks
 
-    corpus = generate(PRESETS[cfg.synth_preset](cfg.synth_n, seed=cfg.seed))
+    blocks = generate_blocks(PRESETS[cfg.synth_preset](cfg.synth_n, seed=cfg.seed))
+    n = 0
     with open_output(args.out) as fh:
-        write_corpus_jsonl(corpus, fh)
-    print(f"wrote {len(corpus)} conversations to {args.out}")
+        for block in blocks:
+            write_corpus_jsonl(block, fh)
+            n += len(block)
+    print(f"wrote {n} conversations to {args.out}")
     return 0
 
 
 def cmd_ingest(cfg: RunConfig, args) -> int:
-    corpus = _read_corpus(args.input)
-    kept = filter_min_length(corpus, cfg.min_length)
-    with open_output(args.out) as fh:
-        write_corpus_jsonl(kept, fh)
+    check_min_length(cfg.min_length)  # before the corpus is read
+    n_read = n_kept = 0
+    # A byte that is not UTF-8 reaches parse_blocks, which names its line.
+    with open_input(args.input, "corpus file") as src, open_output(args.out) as fh:
+        for block in parse_blocks(src):
+            kept = filter_min_length(block, cfg.min_length)
+            write_corpus_jsonl(kept, fh)
+            n_read += len(block)
+            n_kept += len(kept)
     print(
-        f"ingested {len(corpus)} conversations, kept {len(kept)} with "
+        f"ingested {n_read} conversations, kept {n_kept} with "
         f"length >= {cfg.min_length} -> {args.out}"
     )
     return 0
@@ -334,7 +350,6 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
 def cmd_tag(cfg: RunConfig, args) -> int:
     from .tagging import default_config, load_lexicon_dir, tag_corpus
 
-    corpus = _read_corpus(args.input)
     if cfg.lexicon_dir is not None:
         if not os.path.isdir(cfg.lexicon_dir):
             raise CliError(f"lexicon directory {cfg.lexicon_dir} is not a directory"
@@ -343,29 +358,40 @@ def cmd_tag(cfg: RunConfig, args) -> int:
         tagger = load_lexicon_dir(cfg.lexicon_dir)
     else:
         tagger = default_config()
-    tagged = tag_corpus(corpus, tagger, overwrite=args.overwrite)
-    with open_output(args.out) as fh:
-        write_corpus_jsonl(tagged, fh)
-    n_tagged = int((tagged.sda != 0).sum())  # code 0 is the empty tag set
-    print(f"tagged {len(tagged)} conversations ({n_tagged} exchanges carry tags)")
+    n = n_tagged = 0
+    with open_input(args.input, "corpus file") as src, open_output(args.out) as fh:
+        for block in parse_blocks(src):
+            tagged = tag_corpus(block, tagger, overwrite=args.overwrite)
+            write_corpus_jsonl(tagged, fh)
+            n += len(tagged)
+            n_tagged += int((tagged.sda != 0).sum())  # code 0 is the empty tag set
+    print(f"tagged {n} conversations ({n_tagged} exchanges carry tags)")
     return 0
 
 
 def cmd_featurize(cfg: RunConfig, args) -> int:
-    from .features import FeatureSchema, build_matrix, write_feature_csv
+    import numpy as np
 
-    corpus = _read_corpus(args.input)
-    corpus = split_corpus(corpus, ratios=cfg.split, seed=cfg.seed)
+    from .features import FeatureSchema, FeatureTable, warn_unknown, write_feature_csv
+
     schema = FeatureSchema()
-    ids, X = build_matrix(corpus, schema, cfg.feature_set, cfg.prefix_k)
+    ids, ratings, lengths, rows, unknown = [], [], [], [], set()
+    with open_input(args.input, "corpus file") as src:
+        for block in parse_blocks(src):
+            table = FeatureTable(block, schema)
+            rows.append(table.rows(cfg.feature_set, cfg.prefix_k))
+            unknown |= table.unknown
+            ids += block.ids
+            ratings += block.ratings
+            lengths += block.capped_lengths()
+    # The split of the whole corpus, as split_corpus assigns it.
+    splits = [SPLIT_NAMES[k] for k in assign_splits(len(ids), cfg.split, cfg.seed).tolist()]
+    warn_unknown(unknown, cfg.feature_set)  # once, in the order one table gives
     names = schema.names(cfg.feature_set)
-    splits = [SPLIT_NAMES[k] for k in corpus.split.tolist()]
     # Both files are replaced only once both are written.
     with (open_output(args.out, newline="") as fh,
           open_output(args.out + ".json") as side):
-        write_feature_csv(
-            fh, ids, names, X, corpus.ratings, corpus.capped_lengths(), splits
-        )
+        write_feature_csv(fh, ids, names, np.concatenate(rows), ratings, lengths, splits)
         json.dump({"feature_set": cfg.feature_set, "prefix_k": cfg.prefix_k}, side)
         side.write("\n")
     n_train = splits.count("train")

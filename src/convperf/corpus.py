@@ -26,17 +26,23 @@ Each table is filled by one :class:`_Interner`, so a distinct name or
 tag set is validated and encoded once, not once per exchange.
 ``words``, each exchange's user word count, is counted from ``user``
 with :func:`word_counts` the first time it is read, and kept.
-:func:`parse_corpus` and :func:`convperf.synth.generate` fill the
-columns directly, and both hold each repeated system text once: every
-exchange with that text holds one string object (a parse shares the
-first ``_TEXT_BLOCK`` distinct texts).  Filtering, splitting and
+:func:`parse_blocks` and :func:`convperf.synth.generate_blocks` fill
+the columns directly, one block of ``_BLOCK`` (256) conversations at a
+time, and both hold each repeated system text once: every exchange with
+that text holds one string object (a parse shares the first
+``_TEXT_BLOCK`` distinct texts).  Filtering, splitting and
 :meth:`Corpus.subset` are index selections.  Records in the JSONL
-schema, decoded, are the only way in from outside:
-:meth:`Corpus.from_records` validates them, and :func:`parse_corpus` is
-line decoding plus that constructor.  Every string must be encodable as
-UTF-8, so a lone surrogate (which a JSON escape such as ``"\\ud800"``
-can produce) is refused there too.  A corpus fault is named at the
-first bad record, by its line.
+schema, decoded, are the only way in from outside: each is validated as
+it joins its block, :func:`parse_blocks` is line decoding plus that, and
+:meth:`Corpus.from_records`, :func:`parse_corpus` and
+:func:`convperf.synth.generate` join the blocks into one corpus.  A
+corpus stage of the CLI (synth, ingest, tag, featurize) holds one block,
+not the corpus; what carries from block to block is the ids seen, the
+line number, the tables of names and tag sets, and the count of blank
+user turns.  Every string must be encodable as UTF-8, so a lone
+surrogate (which a JSON escape such as ``"\\ud800"`` can produce) is
+refused there too.  A corpus fault is named at the first bad record, by
+its line, whatever its block.
 :class:`Exchange` and :class:`Conversation` are read-only output:
 iterating a corpus yields :class:`Conversation` views whose
 ``exchanges`` build each :class:`Exchange` only when it is accessed.
@@ -66,6 +72,10 @@ logger = logging.getLogger(__name__)
 LENGTH_CAP = 75
 
 SPLIT_NAMES = ("train", "dev", "test")
+
+# Conversations per block: parse_blocks and synth.generate_blocks yield
+# blocks of this many, and a corpus stage of the CLI holds one block at a time.
+_BLOCK = 256
 
 # Conversations serialized per write() call, which bounds the text held.
 _WRITE_BLOCK = 50
@@ -182,10 +192,15 @@ def _tag_set(tags) -> tuple:
 
 
 class _Columns:
-    """Columns of a corpus under construction, appended conversation by
-    conversation."""
+    """Columns of a block under construction, appended conversation by
+    conversation, and the tables their codes index.
 
-    def __init__(self):
+    ``raw_codes`` maps each tag list already seen, as a tuple in input
+    order, to its tag-set code.  The tables (and the shared system texts)
+    go on from block to block through :meth:`fresh`, so every block of one
+    parse codes a name or tag set alike."""
+
+    def __init__(self, tables=None):
         self.ids: list[str] = []
         self.ratings: list[int | None] = []
         self.ends: list[int] = []
@@ -195,12 +210,17 @@ class _Columns:
         self.system: list[str] = []
         self.midas: list[int] = []
         self.sda: list[int] = []
-        # The first _TEXT_BLOCK distinct system texts, each mapped to the one
-        # object every exchange with that text holds.
-        self.system_texts: dict[str, str] = {}
-        self.topics = _Interner()
-        self.rgs = _Interner()
-        self.tags = _Interner([()])  # code 0 is the empty tag set
+        # system_texts holds the first _TEXT_BLOCK distinct system texts, each
+        # mapped to the one object every exchange with that text holds.
+        self.system_texts, self.topics, self.rgs, self.tags, self.raw_codes = tables or (
+            {}, _Interner(), _Interner(), _Interner([()]), {(): 0}
+        )  # tag-set code 0 is the empty set
+
+    def fresh(self) -> _Columns:
+        """Empty columns that go on with these columns' tables."""
+        return type(self)(
+            (self.system_texts, self.topics, self.rgs, self.tags, self.raw_codes)
+        )
 
     def corpus(self) -> Corpus:
         offsets = np.zeros(len(self.ends) + 1, dtype=np.intp)
@@ -239,7 +259,8 @@ class Corpus:
     def from_records(
         cls, records, split_assignment: dict[str, str] | None = None
     ) -> Corpus:
-        """Validate decoded JSONL records and build their corpus, in order.
+        """Validate decoded JSONL records and build their corpus, in order:
+        the blocks of :func:`_blocks`, joined.
 
         Equal system texts share one string object, up to the first
         ``_TEXT_BLOCK`` distinct texts; the table that shares them is
@@ -250,17 +271,9 @@ class Corpus:
         names by its line; on a duplicate id; and on a split assignment
         that does not cover exactly the ids with known split names.
         """
-        b = _Columns()
-        raw_codes = {(): 0}  # code 0 is the empty tag set
-        seen: set[str] = set()
-        for obj in records:
-            cid = _add_record(b, raw_codes, obj)
-            if cid in seen:
-                raise CorpusError(f"duplicate conversation id {cid!r}")
-            seen.add(cid)
-        corpus = b.corpus()
+        corpus = _join(_blocks(records))
         if split_assignment is not None:
-            if split_assignment.keys() != seen:
+            if split_assignment.keys() != set(corpus.ids):
                 raise CorpusError("split assignment does not cover the id set")
             bad = set(split_assignment.values()) - set(SPLIT_NAMES)
             if bad:
@@ -269,14 +282,6 @@ class Corpus:
             corpus.split = np.array(
                 [code[split_assignment[i]] for i in corpus.ids], dtype=np.int8
             )
-        # Blank user turns past each conversation's first exchange.
-        user = corpus.user
-        empty_user = sum(1 for u in user if not u.strip()) - sum(
-            1 for i in corpus.offsets[:-1].tolist() if not user[i].strip()
-        )
-        if empty_user:
-            # Real ASR logs contain blank user turns; tolerated outside exchange 0.
-            logger.warning("parsed %d empty user utterances past exchange 0", empty_user)
         return corpus
 
     @classmethod
@@ -408,12 +413,11 @@ _STRING_FIELDS = ("topic", "rg", "user", "system")
 _NO_TAGS: list = []  # a missing tag list; read, never mutated
 
 
-def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
+def _add_record(b: _Columns, obj) -> str:
     """Validate one decoded record and append it to the columns.
 
-    ``raw_codes`` maps each tag list already seen, as a tuple in input
-    order, to its tag-set code.  A topic or rg name, or a tag list, is
-    validated when its table first sees it.  Returns the conversation id.
+    A topic or rg name, or a tag list, is validated when its table first
+    sees it.  Returns the conversation id.
 
     Checks, in order: the record's type; the id's type, then lone
     surrogates; the rating's type; the exchange list; per exchange, its
@@ -437,7 +441,7 @@ def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
     if not raw:
         raise CorpusError(f"conversation {cid!r} has no exchanges")
     topics, rgs, users, systems = b.topic, b.rg, b.user, b.system
-    midas, sda = b.midas, b.sda
+    midas, sda, raw_codes = b.midas, b.sda, b.raw_codes
     topic_codes, rg_codes = b.topics.codes, b.rgs.codes
     shared = b.system_texts
     first = len(topics)
@@ -471,13 +475,13 @@ def _add_record(b: _Columns, raw_codes: dict, obj) -> str:
         except (KeyError, TypeError):
             mc = None
         if mc is None:
-            mc = _new_tag_code(b, raw_codes, m, "midas", cid, j)
+            mc = _new_tag_code(b, m, "midas", cid, j)
         try:
             sc = raw_codes[tuple(s)] if type(s) is list else None
         except (KeyError, TypeError):
             sc = None
         if sc is None:
-            sc = _new_tag_code(b, raw_codes, s, "sda", cid, j)
+            sc = _new_tag_code(b, s, "sda", cid, j)
         if not topic:
             raise CorpusError(f"exchange topic must be non-empty{_at(cid, j)}")
         topics.append(tc)
@@ -512,7 +516,7 @@ def _lone_surrogate(key: str, cid: str, j: int) -> CorpusError:
     return CorpusError(f"exchange field {key!r} holds a lone surrogate{_at(cid, j)}")
 
 
-def _new_tag_code(b: _Columns, raw_codes: dict, tags, key: str, cid: str, j: int) -> int:
+def _new_tag_code(b: _Columns, tags, key: str, cid: str, j: int) -> int:
     """Tag-set code of a new tag list, which must hold strings UTF-8 can encode."""
     if isinstance(tags, list):
         try:
@@ -522,7 +526,7 @@ def _new_tag_code(b: _Columns, raw_codes: dict, tags, key: str, cid: str, j: int
         else:
             if not _encodes(text):
                 raise _lone_surrogate(key, cid, j)
-            code = raw_codes[tuple(tags)] = b.tags.code(_tag_set(tags))
+            code = b.raw_codes[tuple(tags)] = b.tags.code(_tag_set(tags))
             return code
     raise CorpusError(f"exchange field {key!r} must be a list of strings{_at(cid, j)}")
 
@@ -556,17 +560,77 @@ def _refuse_escaped_bytes(line: str) -> None:
             )
 
 
-def parse_corpus(stream) -> Corpus:
-    """Parse line-delimited conversation records.
+def _blocks(records):
+    """Validate decoded records one at a time into blocks of at most
+    ``_BLOCK`` conversations, and yield each block as a corpus, in order.
 
-    ``stream`` is any iterable of lines (an open file works).  Input order
-    is preserved; blank lines are skipped.  Each line is decoded and the
-    records go through :meth:`Corpus.from_records`, whose
-    :class:`CorpusError` is prefixed with the 1-based number of the line
-    it names.  A line JSON cannot decode is refused the same way, and so
-    is a byte that is not UTF-8 when the stream was opened with
-    ``errors="surrogateescape"``, which reads each such byte as a lone
-    surrogate in U+DC80..U+DCFF.
+    What the blocks share goes on from one to the next: the ids seen, so a
+    duplicate id is refused at its record whatever its block, and the
+    tables (see :class:`_Columns`).  After the last block, one warning
+    counts the blank user turns past each conversation's first exchange
+    in all of them.
+    """
+    from itertools import islice
+
+    records = iter(records)
+    seen: set[str] = set()
+    empty_user = 0
+    b = _Columns()
+    while True:
+        for obj in islice(records, _BLOCK):
+            cid = _add_record(b, obj)
+            if cid in seen:
+                raise CorpusError(f"duplicate conversation id {cid!r}")
+            seen.add(cid)
+        if not b.ids:
+            break
+        block = b.corpus()
+        user = block.user
+        empty_user += sum(1 for u in user if not u.strip()) - sum(
+            1 for i in block.offsets[:-1].tolist() if not user[i].strip()
+        )
+        yield block
+        b = b.fresh()
+    if empty_user:
+        # Real ASR logs contain blank user turns; tolerated outside exchange 0.
+        logger.warning("parsed %d empty user utterances past exchange 0", empty_user)
+
+
+def _join(blocks) -> Corpus:
+    """One corpus of the blocks' conversations, in order.  Each block's
+    tables extend the tables of the blocks before it, as one parse or one
+    generator makes them, so the codes are kept and the last block's tables
+    index them all."""
+    ids, ratings, user, system, parts = [], [], [], [], []
+    for last in blocks:
+        ids += last.ids
+        ratings += last.ratings
+        user += last.user
+        system += last.system
+        parts.append((last.lengths(), last.topic, last.rg, last.midas, last.sda))
+    if len(parts) < 2:
+        return last if parts else _Columns().corpus()
+    lengths, topic, rg, midas, sda = (np.concatenate(c) for c in zip(*parts))
+    offsets = np.zeros(len(ids) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    return Corpus._from_columns(
+        ids, ratings, offsets, topic, rg, user, system, midas, sda,
+        last.topic_names, last.rg_names, last.tagsets, None,
+    )
+
+
+def parse_blocks(stream):
+    """Parse line-delimited conversation records a block at a time.
+
+    ``stream`` is any iterable of lines (an open file works).  Each line is
+    decoded and validated in turn, and every ``_BLOCK`` conversations are
+    yielded as one corpus (see :func:`_blocks`), so a caller that handles
+    each block holds one, not the file.  Input order is preserved; blank
+    lines are skipped.  A record's :class:`CorpusError` is prefixed with
+    the 1-based number of its line, whatever its block.  A line JSON cannot
+    decode is refused the same way, and so is a byte that is not UTF-8 when
+    the stream was opened with ``errors="surrogateescape"``, which reads
+    each such byte as a lone surrogate in U+DC80..U+DCFF.
     """
     lineno = 0
 
@@ -587,9 +651,15 @@ def parse_corpus(stream) -> Corpus:
             yield obj
 
     try:
-        return Corpus.from_records(records())
+        yield from _blocks(records())
     except CorpusError as e:
         raise CorpusError(f"line {lineno}: {e}") from e
+
+
+def parse_corpus(stream) -> Corpus:
+    """Parse line-delimited conversation records: :func:`parse_blocks`,
+    its blocks joined into one corpus."""
+    return _join(parse_blocks(stream))
 
 
 @contextmanager
@@ -697,9 +767,14 @@ def filter_min_length(corpus: Corpus, min_len: int = 5) -> Corpus:
     the operation is idempotent.  Any split assignment is restricted to
     the surviving ids.
     """
+    check_min_length(min_len)
+    return corpus._select(np.flatnonzero(corpus.lengths() >= min_len))
+
+
+def check_min_length(min_len: int) -> None:
+    """Refuse a minimum length below 1, as :func:`filter_min_length` does."""
     if min_len < 1:
         raise ValueError(f"min_len must be >= 1, got {min_len}")
-    return corpus._select(np.flatnonzero(corpus.lengths() >= min_len))
 
 
 def split_corpus(
@@ -713,9 +788,16 @@ def split_corpus(
     to train.  The assignment depends only on the id order and the seed,
     never on conversation content.
     """
+    return corpus._replace(split=assign_splits(len(corpus), ratios, seed))
+
+
+def assign_splits(
+    n: int, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1), seed: int = 0
+) -> np.ndarray:
+    """Each of ``n`` conversations' index into :data:`SPLIT_NAMES`, as
+    :func:`split_corpus` assigns them to a corpus of ``n``."""
     if not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must lie in [0, 1] and sum to 1, got {ratios}")
-    n = len(corpus)
     if n < 3:
         raise CorpusError(f"need at least 3 conversations to split, got {n}")
     n_dev = int(n * ratios[1])
@@ -726,4 +808,4 @@ def split_corpus(
     split[order[:n_train]] = 0
     split[order[n_train : n_train + n_dev]] = 1
     split[order[n_train + n_dev :]] = 2
-    return corpus._replace(split=split)
+    return split

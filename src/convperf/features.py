@@ -33,8 +33,12 @@ call :meth:`FeatureTable.matrix` for each:
 :func:`convperf.experiment.run_grid` encodes the whole split corpus into
 one table, builds one matrix per prefix window, over the widest feature
 set that window's cells use, and selects every split's rows and each
-design's columns from it.  The independent columns of a dependent matrix
-equal the independent matrix.
+design's columns from it.  ``featurize`` builds one table per block of
+conversations and keeps only each block's :meth:`FeatureTable.rows`; a
+row reads only its own conversation, so the rows are the ones one table
+of the corpus gives, and :func:`warn_unknown` then warns of the blocks'
+unknown names in the order one table would.  The independent columns of
+a dependent matrix equal the independent matrix.
 Standardizers are fitted on training vectors only and applied unchanged
 to dev/test.
 """
@@ -193,7 +197,14 @@ class FeatureTable:
     def matrix(
         self, feature_set: str = DEPENDENT, prefix_k: int | None = None
     ) -> tuple[list[str], np.ndarray]:
-        """(ids, rows) for one feature set and window; see :func:`build_matrix`.
+        """(ids, rows) for one feature set and window; see :func:`build_matrix`."""
+        X = self.rows(feature_set, prefix_k)
+        warn_unknown(self.unknown, feature_set)
+        return list(self.ids), X
+
+    def rows(self, feature_set: str = DEPENDENT, prefix_k: int | None = None) -> np.ndarray:
+        """The rows of :meth:`matrix`, which warns of the names in
+        ``unknown`` and this does not.
 
         Only the window's exchanges are read: a prefix window gathers
         their word counts and block codes once, and only those are
@@ -233,12 +244,17 @@ class FeatureTable:
                 # topic's.  Dividing by the window, like every count,
                 # keeps the feature invariant under exchange duplication.
                 dwell.append(_held_medians(counts) / window)
-        if feature_set != INDEPENDENT:
-            # Each name mapped to ``other`` is warned about once per process.
-            for key in sorted(self.unknown - _warned_unknown):
-                _warned_unknown.add(key)
-                logger.warning("unknown %s %r mapped to 'other'", *key)
-        return list(self.ids), np.column_stack(columns + dwell)
+        return np.column_stack(columns + dwell)
+
+
+def warn_unknown(unknown: set[tuple[str, str]], feature_set: str) -> None:
+    """Warn that each (kind, name) in ``unknown`` is mapped to ``other``, in
+    sorted order, once per process, unless ``feature_set`` reads no names."""
+    if feature_set == INDEPENDENT:
+        return
+    for key in sorted(unknown - _warned_unknown):
+        _warned_unknown.add(key)
+        logger.warning("unknown %s %r mapped to 'other'", *key)
 
 
 def build_matrix(

@@ -14,9 +14,11 @@ acts, while filler words never overlap lexicon vocabulary.
 
 Randomness: one root seed spawns one stream per kind of draw
 (:data:`_STREAMS`), and each stream is drawn a block of conversations at a
-time.  Conversation i takes the i-th values of every stream whatever the
-corpus or block size, so a corpus is a prefix of every larger corpus with
-the same seed (ids gain a digit past a million conversations).
+time (:func:`generate_blocks` yields each block as a corpus, and
+:func:`generate` joins them).  Conversation i takes the i-th values of
+every stream whatever the corpus or block size, so a corpus is a prefix of
+every larger corpus with the same seed (ids gain a digit past a million
+conversations).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import _BLOCK, Corpus, _join
 from .tagging import default_config
 
 _SHORT_MAX = 4  # accidental-invocation lengths are 1.._SHORT_MAX
@@ -182,24 +184,18 @@ _STREAMS = (
     "word_count", "filler",
 )
 
-# Conversations drawn per call to each stream; bounds the memory the draws
-# hold, and changes no value.
-_BLOCK = 256
-
 _MIDAS_SETS = tuple(
     (init,) + answer
     for init in ("sys_init", "user_init")
     for answer in ((), ("pos_answer",), ("neg_answer",))
 )
+_TAGSETS = ((),) + tuple(tuple(sorted(s)) for s in _MIDAS_SETS)
 
 
-def _block(rng: dict, cfg: GeneratorConfig, n: int, phrases):
-    """Draw the next ``n`` conversations from the streams ``rng``.
-
-    Returns lists of their lengths and ratings and of each exchange's
-    user text, then arrays of each exchange's topic, rg and midas codes
-    (indices into ``_TOPICS``, ``_RG_NAMES`` and ``((),) + _MIDAS_SETS``).
-    """
+def _block(rng: dict, cfg: GeneratorConfig, start: int, n: int, width: int,
+           phrases) -> Corpus:
+    """Draw the next ``n`` conversations from the streams ``rng``; their
+    ids number them from ``start`` in ``width`` digits."""
     e = rng["engagement"].beta(_ENGAGEMENT_SHAPE, _ENGAGEMENT_SHAPE, n)
     short = rng["short_flag"].random(n) < cfg.short_mass
     short_len = rng["short_length"].integers(1, _SHORT_MAX + 1, n)
@@ -217,7 +213,9 @@ def _block(rng: dict, cfg: GeneratorConfig, n: int, phrases):
 
     conv = np.repeat(np.arange(n), lengths)  # each exchange's conversation
     u = rng["exchange_uniforms"].random((len(conv), 6))
-    first = np.cumsum(lengths) - lengths
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    first = offsets[:-1]  # each conversation's first exchange
     topic = _pick(_cdf(interest)[conv], u[:, 0])
     rg = _pick(_RG_CDF, u[:, 1])
     topic[first] = rg[first] = -1  # the intro, last in both tables
@@ -233,9 +231,21 @@ def _block(rng: dict, cfg: GeneratorConfig, n: int, phrases):
     comp = u[:, 4] < rate(cfg.compliment_base, cfg.compliment_gain, e)
     compl = u[:, 5] < rate(cfg.complaint_base, cfg.complaint_gain, 1.0 - e)
     lam = (cfg.verbosity_base + cfg.verbosity_gain * e)[conv]
-    return (
-        (lengths.tolist(), ratings.tolist(), _user_texts(rng, lam, comp, compl, *phrases)),
-        (topic % len(_TOPICS), rg % len(_RG_NAMES), midas),
+    topic = (topic % len(_TOPICS)).astype(np.int32)
+    return Corpus._from_columns(
+        ids=[f"syn-{i:0{width}d}" for i in range(start, start + n)],
+        ratings=ratings.tolist(),
+        offsets=offsets,
+        topic=topic,
+        rg=(rg % len(_RG_NAMES)).astype(np.int32),
+        user=_user_texts(rng, lam, comp, compl, *phrases),
+        system=list(map(_SYSTEM.__getitem__, topic.tolist())),
+        midas=midas,
+        sda=np.zeros(len(topic), dtype=np.int32),
+        topic_names=_TOPICS,
+        rg_names=_RG_NAMES,
+        tagsets=_TAGSETS,
+        split=None,
     )
 
 
@@ -275,39 +285,22 @@ def _user_texts(rng: dict, lam, comp, compl, compliments, complaints) -> list[st
     return text.replace(" \n", "\n").split("\n")[:-1]
 
 
-def generate(cfg: GeneratorConfig) -> Corpus:
-    """Generate a corpus; same config (seed included) → identical output."""
+def generate_blocks(cfg: GeneratorConfig):
+    """The corpus of ``cfg`` as corpora of ``_BLOCK`` conversations each
+    (the last may hold fewer), in order; ``cfg`` is checked at the call."""
     _validate(cfg)
     phrases = _lexicon_phrases()
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(_STREAMS))
     rng = dict(zip(_STREAMS, map(np.random.default_rng, seeds)))
     n = cfg.n_conversations
-    lengths, ratings, user, codes = [], [], [], []
-    for i in range(0, n, _BLOCK):
-        lists, arrays = _block(rng, cfg, min(_BLOCK, n - i), phrases)
-        for column, part in zip((lengths, ratings, user), lists):
-            column += part
-        codes.append(arrays)
-    topic, rg, midas = map(np.concatenate, zip(*codes))
-    offsets = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(lengths, out=offsets[1:])
-    topic = topic.astype(np.int32)
     width = max(6, len(str(n - 1)))
-    return Corpus._from_columns(
-        ids=[f"syn-{i:0{width}d}" for i in range(n)],
-        ratings=ratings,
-        offsets=offsets,
-        topic=topic,
-        rg=rg.astype(np.int32),
-        user=user,
-        system=list(map(_SYSTEM.__getitem__, topic.tolist())),
-        midas=midas,
-        sda=np.zeros(len(topic), dtype=np.int32),
-        topic_names=_TOPICS,
-        rg_names=_RG_NAMES,
-        tagsets=((),) + tuple(tuple(sorted(s)) for s in _MIDAS_SETS),
-        split=None,
-    )
+    return (_block(rng, cfg, i, min(_BLOCK, n - i), width, phrases)
+            for i in range(0, n, _BLOCK))
+
+
+def generate(cfg: GeneratorConfig) -> Corpus:
+    """Generate a corpus; same config (seed included) → identical output."""
+    return _join(generate_blocks(cfg))
 
 
 def compliment_driven_config(n_conversations: int, seed: int = 0) -> GeneratorConfig:

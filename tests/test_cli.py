@@ -2,12 +2,15 @@ import argparse
 import gc
 import io
 import json
+import logging
 import os
 import re
 import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
 import weakref
 from argparse import Namespace
@@ -22,6 +25,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import convperf
 import convperf.experiment as experiment
+import convperf.features
+import convperf.synth
 from convperf.cli import (
     COMMAND_OPTIONS,
     CONFIG_ENV,
@@ -577,13 +582,17 @@ def test_an_output_that_cannot_be_created_is_named(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-@pytest.mark.parametrize("command", ["ingest", "featurize", "train", "evaluate"])
+@pytest.mark.parametrize(
+    "command", ["synth", "ingest", "tag", "featurize", "train", "evaluate"]
+)
 def test_a_failed_write_leaves_no_partial_output(
     pipeline, tmp_path, monkeypatch, capsys, command, existing
 ):
     out = tmp_path / "out"
     argv = {
+        "synth": ["--out", str(out), "--n", "30"],
         "ingest": ["--in", str(pipeline.raw), "--out", str(out)],
+        "tag": ["--in", str(pipeline.kept), "--out", str(out)],
         "featurize": ["--in", str(pipeline.tagged), "--out", str(out)],
         "train": ["--features", str(pipeline.feats), "--model-out", str(out),
                   "--lambda", "1.0"],
@@ -600,6 +609,213 @@ def test_a_failed_write_leaves_no_partial_output(
     assert "No space left on device" in capsys.readouterr().err
     # No temporary file is left, and earlier outputs keep their bytes.
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def patch_block(mp, size):
+    """Every corpus stage reads, draws and writes ``size`` conversations a block."""
+    mp.setattr(convperf.corpus, "_BLOCK", size)
+    mp.setattr(convperf.synth, "_BLOCK", size)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("command, source", [("ingest", "raw"), ("tag", "kept"),
+                                             ("featurize", "tagged")])
+def test_an_input_fault_past_the_first_block_leaves_no_partial_output(
+    pipeline, tmp_path, monkeypatch, capsys, command, source, existing
+):
+    lines = getattr(pipeline, source).read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines) + '{"id": "last", "exchanges": 3}\n')
+    out = tmp_path / "out"
+    outputs = [out, tmp_path / "out.json"] if command == "featurize" else [out]
+    if existing:
+        for i, path in enumerate(outputs):
+            path.write_bytes(f"earlier output {i}\n".encode())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    patch_block(monkeypatch, 1)
+    assert main([command, "--in", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: line {len(lines) + 1}: conversation 'last': exchanges must be a list\n"
+    )
+    # No temporary file is left, and earlier outputs keep their bytes.
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("size", [1, 7, 256])
+@pytest.mark.parametrize("command, source", [("ingest", "raw"), ("tag", "kept")])
+def test_out_may_be_the_input(pipeline, tmp_path, monkeypatch, command, source, size):
+    """The input stays open while the blocks are written to a temporary file,
+    which replaces it only at the end."""
+    patch_block(monkeypatch, size)
+    fresh, inplace = tmp_path / "fresh.jsonl", tmp_path / "inplace.jsonl"
+    shutil.copyfile(getattr(pipeline, source), inplace)
+    assert main([command, "--in", str(inplace), "--out", str(fresh)]) == 0
+    assert main([command, "--in", str(inplace), "--out", str(inplace)]) == 0
+    assert inplace.read_bytes() == fresh.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.jsonl", "inplace.jsonl"]
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_featurize_splits_the_corpus_not_each_block(pipeline, tmp_path, capsys,
+                                                      monkeypatch, size):
+    """The split is drawn once, from the count of every block's rows."""
+    argv = ["featurize", "--in", str(pipeline.tagged), "--feature-set", "dependent",
+            "--prefix-k", "10", "--seed", "3", "--out"]
+    assert main([*argv, str(tmp_path / "whole.csv")]) == 0
+    whole = capsys.readouterr().out
+    patch_block(monkeypatch, size)
+    assert main([*argv, str(tmp_path / "blocks.csv")]) == 0
+    assert capsys.readouterr().out == whole.replace("whole.csv", "blocks.csv")
+    rows = (tmp_path / "whole.csv").read_text().splitlines()
+    assert {row.rsplit(",", 1)[1] for row in rows[1:]} == {"train", "dev", "test"}
+    assert (tmp_path / "blocks.csv").read_text().splitlines() == rows
+
+
+class _Logged(logging.Handler):
+    """The messages convperf logs while it is installed."""
+
+    def __enter__(self):
+        self.messages = []
+        logging.getLogger("convperf").addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        logging.getLogger("convperf").removeHandler(self)
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def run_stages(root, stages) -> list:
+    """Each stage run in ``root``: its exit code, stdout, stderr and logged
+    messages, then the bytes of every file left in ``root``.  Each stage
+    starts with no name warned about yet."""
+    seen = []
+    for argv in stages:
+        out, err = io.StringIO(), io.StringIO()
+        with (pytest.MonkeyPatch.context() as mp, _Logged() as logged,
+              redirect_stdout(out), redirect_stderr(err)):
+            mp.chdir(root)
+            mp.setattr(convperf.features, "_warned_unknown", set())
+            code = main(list(argv))
+        seen.append((argv[0], code, out.getvalue(), err.getvalue(), logged))
+    return seen + sorted((p.name, p.read_bytes()) for p in Path(root).iterdir())
+
+
+_WALK = (
+    ("ingest", "--in", "in.jsonl", "--out", "kept.jsonl", "--min-length", "2"),
+    ("tag", "--in", "kept.jsonl", "--out", "tagged.jsonl"),
+    ("tag", "--in", "in.jsonl", "--out", "over.jsonl", "--overwrite"),
+    ("featurize", "--in", "tagged.jsonl", "--out", "ind.csv"),
+    ("featurize", "--in", "over.jsonl", "--out", "dep.csv", "--feature-set", "dependent",
+     "--prefix-k", "10"),
+)
+# Known and unknown topic and rg names, blank user turns, texts the shipped
+# lexicons tag, and tags a log may already carry.
+_EXCHANGES = st.fixed_dictionaries({
+    "topic": st.sampled_from(["movies", "music", "zeta_lore", "alpha_lore"]),
+    "rg": st.sampled_from(["fact", "menu", "oracle_rg", "beta_rg"]),
+    "user": st.sampled_from(["quartz lantern", "", " ", "you talk really nice",
+                             "well i don't care"]),
+    "sda": st.sampled_from([[], ["sda_abuse"], ["sda_compliment", "sda_repeat"]]),
+    "midas": st.sampled_from([[], ["user_init"], ["sys_init", "pos_answer"]]),
+})
+_CONVERSATIONS = st.lists(
+    st.tuples(st.lists(_EXCHANGES, min_size=1, max_size=12),
+              st.sampled_from([None, 1, 4]), st.booleans()),
+    min_size=1, max_size=9,
+)
+
+
+@given(conversations=_CONVERSATIONS, n=st.integers(1, 9), seed=st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_block_boundaries_change_no_output(conversations, n, seed):
+    """Bytes, stdout, stderr and warnings of every corpus stage are the same
+    whatever the block size: the ids seen, the line numbers, the tables, the
+    blank user turns and the unknown names carry from block to block."""
+    lines = []
+    for i, (exchanges, rating, blank_after) in enumerate(conversations):
+        lines.append(json.dumps({"id": f"c{i}", "rating": rating, "exchanges": exchanges}))
+        lines += [""] * blank_after
+    walk = [("synth", "--out", "raw.jsonl", "--n", str(n), "--seed", str(seed)), *_WALK]
+    runs = []
+    for size in (None, 1, 2, 3, len(conversations) + 1):
+        with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+            if size is not None:
+                patch_block(mp, size)
+            Path(root, "in.jsonl").write_text("\n".join(lines) + "\n")
+            runs.append(run_stages(root, walk))
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_a_duplicate_id_in_a_later_block_is_named_at_its_line(tmp_path):
+    lines = [json.dumps(record(cid)) for cid in ("a", "b", "c", "", "b")]
+    lines[3] = ""  # a blank line counts toward the line numbers
+    (tmp_path / "in.jsonl").write_text("\n".join(lines) + "\n")
+    stages = [("ingest", "--in", "in.jsonl", "--out", "kept.jsonl")]
+    expected = run_stages(tmp_path, stages)
+    assert expected[0][1:4] == (1, "", "error: line 5: duplicate conversation id 'b'\n")
+    for size in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            patch_block(mp, size)
+            assert run_stages(tmp_path, stages) == expected
+
+
+def test_blank_user_turns_in_two_blocks_give_one_warning(tmp_path):
+    blank = [{}, {"user": " "}, {}]
+    lines = [json.dumps(record(cid, exchanges=blank)) for cid in ("a", "b", "c")]
+    (tmp_path / "in.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.MonkeyPatch.context() as mp:
+        patch_block(mp, 2)
+        (stage,) = run_stages(tmp_path, [("tag", "--in", "in.jsonl", "--out", "t.jsonl")])[:1]
+    assert stage[1] == 0
+    assert stage[4] == ["parsed 3 empty user utterances past exchange 0"]
+
+
+def test_unknown_names_in_different_blocks_warn_once_each_in_sorted_order(tmp_path):
+    lines = [json.dumps(record(cid, topic=topic, rg=rg)) for cid, topic, rg in (
+        ("a", "zeta_lore", "fact"), ("b", "movies", "oracle_rg"),
+        ("c", "alpha_lore", "fact"), ("d", "zeta_lore", "oracle_rg"))]
+    (tmp_path / "in.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.MonkeyPatch.context() as mp:
+        patch_block(mp, 1)
+        (stage,) = run_stages(tmp_path, [("featurize", "--in", "in.jsonl", "--out", "f.csv",
+                                          "--feature-set", "dependent")])[:1]
+    assert stage[1] == 0
+    assert stage[4] == [
+        "unknown response generator 'oracle_rg' mapped to 'other'",
+        "unknown topic 'alpha_lore' mapped to 'other'",
+        "unknown topic 'zeta_lore' mapped to 'other'",
+    ]
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest", "tag", "featurize"])
+def test_a_corpus_stage_holds_a_block_not_the_corpus(tmp_path, monkeypatch, command):
+    """With blocks of 16 conversations, a stage's traced peak memory grows by
+    less than 512 bytes per conversation from a corpus of 300 conversations
+    to one of 1,200, whatever their lengths: it keeps the ids seen and, for
+    featurize, each conversation's row.  A stage that held the corpus would
+    grow by its texts, 2.5-3.5 KB per conversation here."""
+    patch_block(monkeypatch, 16)
+    peaks = []
+    for n in (300, 1200):
+        raw = tmp_path / f"raw{n}.jsonl"
+        assert main(["synth", "--out", str(raw), "--n", str(n), "--seed", "0"]) == 0
+        argv = {
+            "synth": ["--out", str(raw), "--n", str(n), "--seed", "0"],
+            "ingest": ["--in", str(raw), "--out", str(tmp_path / "kept.jsonl")],
+            "tag": ["--in", str(raw), "--out", str(tmp_path / "tagged.jsonl")],
+            "featurize": ["--in", str(raw), "--out", str(tmp_path / "features.csv")],
+        }[command]
+        with redirect_stdout(io.StringIO()):
+            assert main([command, *argv]) == 0  # warm: imports, lexicons
+            tracemalloc.start()
+            try:
+                assert main([command, *argv]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 512 * 900, peaks
 
 
 @pytest.mark.parametrize(
@@ -1173,6 +1389,18 @@ def test_tag_rejects_a_lexicon_dir_without_lexicons(pipeline, tmp_path, capsys):
     argv = ["tag", "--in", str(pipeline.kept), "--out", str(out)]
     assert main(argv + ["--lexicon-dir", str(empty)]) == 1
     assert "no lexicon files" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tag_checks_the_lexicon_dir_before_it_reads_the_corpus(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "a", "exchanges": 3}\n')
+    gone = tmp_path / "gone"
+    out = tmp_path / "out.jsonl"
+    for corpus in (bad, tmp_path / "missing.jsonl"):
+        argv = ["tag", "--in", str(corpus), "--out", str(out), "--lexicon-dir", str(gone)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: missing lexicon directory: {gone}\n"
     assert not out.exists()
 
 

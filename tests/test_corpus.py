@@ -17,6 +17,7 @@ from convperf.corpus import (
     CorpusError,
     LENGTH_CAP,
     filter_min_length,
+    parse_blocks,
     parse_corpus,
     split_corpus,
     word_counts,
@@ -28,6 +29,21 @@ from conftest import UNDECODABLE_IDS, UNDECODABLE_LINES, record
 
 def from_records(*records, split=None):
     return Corpus.from_records(records, split_assignment=split)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 6])
+def test_parse_blocks_yields_blocks_that_join_to_the_corpus(monkeypatch, size):
+    records = [record(f"c{i}", n=1 + i % 3, topic=f"t{i % 4}", sda=[f"s{i % 2}"])
+               for i in range(5)]
+    lines = [json.dumps(r) for r in records]
+    expected = parse_corpus(lines)
+    monkeypatch.setattr(convperf.corpus, "_BLOCK", size)
+    blocks = list(parse_blocks(lines))
+    assert [len(b) for b in blocks] == [len(records[i : i + size])
+                                        for i in range(0, len(records), size)]
+    assert sum((b.ids for b in blocks), []) == expected.ids
+    assert parse_corpus(lines) == expected == Corpus.from_records(records)
+    assert parse_corpus(lines).topic_names == expected.topic_names
 
 
 def test_parse_single_line():

@@ -223,6 +223,22 @@ def test_block_size_changes_no_byte(monkeypatch):
     assert jsonl_lines(300, 6) == before
 
 
+def test_generate_blocks_yields_the_corpus_a_block_at_a_time(monkeypatch):
+    monkeypatch.setattr(sy, "_BLOCK", 7)
+    blocks = list(sy.generate_blocks(GeneratorConfig(n_conversations=30, seed=6)))
+    assert [len(b) for b in blocks] == [7, 7, 7, 7, 2]
+    buf = io.StringIO()
+    for block in blocks:
+        cz.write_corpus_jsonl(block, buf)
+    assert buf.getvalue().splitlines() == jsonl_lines(30, 6)
+    assert blocks[-1].ids == ["syn-000028", "syn-000029"]
+
+
+def test_generate_blocks_checks_its_config_when_called():
+    with pytest.raises(GeneratorError, match="n_conversations must be >= 1"):
+        sy.generate_blocks(GeneratorConfig(n_conversations=0))
+
+
 @given(
     k=st.integers(2, 20),
     alpha=st.floats(0.05, 5.0),
