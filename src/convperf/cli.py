@@ -70,6 +70,7 @@ from .corpus import (
     SPLIT_NAMES,
     assign_splits,
     check_min_length,
+    check_split,
     filter_min_length,
     open_input,
     open_output,
@@ -350,14 +351,8 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
 def cmd_tag(cfg: RunConfig, args) -> int:
     from .tagging import default_config, load_lexicon_dir, tag_corpus
 
-    if cfg.lexicon_dir is not None:
-        if not os.path.isdir(cfg.lexicon_dir):
-            raise CliError(f"lexicon directory {cfg.lexicon_dir} is not a directory"
-                           if os.path.exists(cfg.lexicon_dir) else
-                           f"missing lexicon directory: {cfg.lexicon_dir}")
-        tagger = load_lexicon_dir(cfg.lexicon_dir)
-    else:
-        tagger = default_config()
+    # Before the corpus is read.
+    tagger = default_config() if cfg.lexicon_dir is None else load_lexicon_dir(cfg.lexicon_dir)
     n = n_tagged = 0
     with open_input(args.input, "corpus file") as src, open_output(args.out) as fh:
         for block in parse_blocks(src):
@@ -374,6 +369,7 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
 
     from .features import FeatureSchema, FeatureTable, warn_unknown, write_feature_csv
 
+    check_split(cfg.split)  # before the corpus is read
     schema = FeatureSchema()
     ids, ratings, lengths, rows, unknown = [], [], [], [], set()
     with open_input(args.input, "corpus file") as src:

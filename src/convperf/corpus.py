@@ -777,6 +777,13 @@ def check_min_length(min_len: int) -> None:
         raise ValueError(f"min_len must be >= 1, got {min_len}")
 
 
+def check_split(ratios: tuple[float, float, float]) -> None:
+    """Refuse split ratios outside [0, 1] or not summing to 1, as
+    :func:`assign_splits` does."""
+    if not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"split ratios must lie in [0, 1] and sum to 1, got {ratios}")
+
+
 def split_corpus(
     corpus: Corpus,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -796,8 +803,7 @@ def assign_splits(
 ) -> np.ndarray:
     """Each of ``n`` conversations' index into :data:`SPLIT_NAMES`, as
     :func:`split_corpus` assigns them to a corpus of ``n``."""
-    if not all(0.0 <= r <= 1.0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must lie in [0, 1] and sum to 1, got {ratios}")
+    check_split(ratios)
     if n < 3:
         raise CorpusError(f"need at least 3 conversations to split, got {n}")
     n_dev = int(n * ratios[1])

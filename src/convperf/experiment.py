@@ -33,6 +33,7 @@ from .features import (
     FeatureTable,
     Standardizer,
     build_matrix,
+    warn_unknown,
 )
 from .metrics import MIN_N, mse, pearson, r_squared
 from .regressors import (
@@ -312,8 +313,9 @@ def run_grid(cells, corpus: Corpus, seed: int = 0) -> list[CellResult]:
     """Train and evaluate every grid cell; results follow grid order.
 
     The split corpus is encoded into one :class:`FeatureTable` per
-    call.  Cells are fitted one prefix window at a time, windows in the
-    order they first appear.  A window's matrix is built once, at its
+    call; its unknown names are warned of first if a cell reads the
+    dependent set.  Cells are fitted one prefix window at a time,
+    windows in the order they first appear.  A window's matrix is built once, at its
     first cell, over the widest feature set its cells use (dependent if
     any cell uses it), and split into train/dev/test rows.  Each of its
     column lists (a cell's feature set less its dropped columns) gets
@@ -328,6 +330,8 @@ def run_grid(cells, corpus: Corpus, seed: int = 0) -> list[CellResult]:
     schema = FeatureSchema()
     parts = split_parts(corpus.ids, corpus.ratings, corpus.capped_lengths(), corpus.split)
     table = FeatureTable(corpus, schema)
+    if any(cell.feature_set == DEPENDENT for cell in cells):
+        warn_unknown(table.unknown, DEPENDENT)
     windows = {}  # window -> its cells' grid indices
     for i, cell in enumerate(cells):
         windows.setdefault(cell.prefix_k, []).append(i)
@@ -341,7 +345,7 @@ def run_grid(cells, corpus: Corpus, seed: int = 0) -> list[CellResult]:
             try:
                 columns = _columns(cell, schema.names(cell.feature_set))
                 if splits is None:
-                    splits = take(parts, table.matrix(widest, window)[1])
+                    splits = take(parts, table.rows(widest, window))
                 if columns not in designs:
                     designs[columns] = _design(schema.names(widest), splits, columns)
                 results[i] = _fit_design(cell, designs[columns], seed)

@@ -16,8 +16,8 @@ settable field, and its columns once: ``length_median``, each frequency
 block of :meth:`FeatureSchema.blocks` (a name prefix, a corpus column
 and its labels), then, for the dependent set, ``topic_dist_median``.
 :func:`build_matrix` is the public way to turn a corpus into feature
-values.  It encodes the corpus once into a
-columnar :class:`FeatureTable` and asks it for one matrix.  A window
+values.  It encodes the corpus once into a columnar :class:`FeatureTable`,
+whose :meth:`FeatureTable.rows` alone builds feature rows.  A window
 reads only its own exchanges: a prefix window gathers each
 conversation's first min(length, k) positions once, and a window that
 covers every conversation whole reads the columns as they are.  Every
@@ -29,16 +29,16 @@ per-row segments of the user word counts, which are the corpus's
 ``topic_dist_median`` comes from each row's sorted topic counts, whose
 last nonzero entries are the topics the window holds.  Callers that
 need several matrices over the same conversations keep the table and
-call :meth:`FeatureTable.matrix` for each:
+call :meth:`FeatureTable.rows` for each:
 :func:`convperf.experiment.run_grid` encodes the whole split corpus into
 one table, builds one matrix per prefix window, over the widest feature
 set that window's cells use, and selects every split's rows and each
 design's columns from it.  ``featurize`` builds one table per block of
-conversations and keeps only each block's :meth:`FeatureTable.rows`; a
-row reads only its own conversation, so the rows are the ones one table
-of the corpus gives, and :func:`warn_unknown` then warns of the blocks'
-unknown names in the order one table would.  The independent columns of
-a dependent matrix equal the independent matrix.
+conversations and keeps only each block's rows; a row reads only its own
+conversation, so the rows are the ones one table of the corpus gives.
+Rows never warn of a table's ``unknown`` names; :func:`warn_unknown` does,
+once per ``build_matrix`` or ``run_grid`` call and ``featurize`` command.
+The independent columns of a dependent matrix equal the independent matrix.
 Standardizers are fitted on training vectors only and applied unchanged
 to dev/test.
 """
@@ -60,7 +60,6 @@ INDEPENDENT = "independent"
 DEPENDENT = "dependent"
 FEATURE_SETS = (INDEPENDENT, DEPENDENT)
 
-_warned_unknown: set[tuple[str, str]] = set()
 # The name-valued corpus columns and the kind of name each holds.
 _NAME_KINDS = {"topic": "topic", "rg": "response generator"}
 
@@ -162,7 +161,7 @@ class FeatureTable:
     response-generator name toward its own label or ``other``.
     So a block has at most 2^labels patterns for tags and one per label
     for names, however many distinct values the corpus holds.
-    :meth:`matrix` gathers a window's own exchanges, counts each
+    :meth:`rows` gathers a window's own exchanges, counts each
     (conversation, pattern) cell of them with one ``np.bincount`` per
     block and maps the counts onto the labels through the patterns, so
     one table over a split corpus serves every grid cell, window and
@@ -194,17 +193,9 @@ class FeatureTable:
             code = code.astype(np.min_scalar_type(len(patterns)))
             self.blocks[column] = code[codes], patterns
 
-    def matrix(
-        self, feature_set: str = DEPENDENT, prefix_k: int | None = None
-    ) -> tuple[list[str], np.ndarray]:
-        """(ids, rows) for one feature set and window; see :func:`build_matrix`."""
-        X = self.rows(feature_set, prefix_k)
-        warn_unknown(self.unknown, feature_set)
-        return list(self.ids), X
-
     def rows(self, feature_set: str = DEPENDENT, prefix_k: int | None = None) -> np.ndarray:
-        """The rows of :meth:`matrix`, which warns of the names in
-        ``unknown`` and this does not.
+        """One row per conversation of ``ids`` for one feature set and
+        window, as :func:`build_matrix` gives them, without its warning.
 
         Only the window's exchanges are read: a prefix window gathers
         their word counts and block codes once, and only those are
@@ -249,11 +240,10 @@ class FeatureTable:
 
 def warn_unknown(unknown: set[tuple[str, str]], feature_set: str) -> None:
     """Warn that each (kind, name) in ``unknown`` is mapped to ``other``, in
-    sorted order, once per process, unless ``feature_set`` reads no names."""
+    sorted order, on every call, unless ``feature_set`` reads no names."""
     if feature_set == INDEPENDENT:
         return
-    for key in sorted(unknown - _warned_unknown):
-        _warned_unknown.add(key)
+    for key in sorted(unknown):
         logger.warning("unknown %s %r mapped to 'other'", *key)
 
 
@@ -269,9 +259,12 @@ def build_matrix(
     conversation's first ``prefix_k`` exchanges; with ``prefix_k=None``
     the whole conversation is used, and a prefix longer than the
     conversation clamps to its length.  Unknown topics and response
-    generators count toward the ``other`` catch-all.
+    generators count toward the ``other`` catch-all, warned of once a call.
     """
-    return FeatureTable(corpus, schema).matrix(feature_set, prefix_k)
+    table = FeatureTable(corpus, schema)
+    X = table.rows(feature_set, prefix_k)
+    warn_unknown(table.unknown, feature_set)
+    return list(table.ids), X
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,16 @@ def load_lexicon_file(path: Path | Traversable) -> Lexicon:
 def load_lexicon_dir(path: str | Path | Traversable) -> TaggerConfig:
     """Load every ``*.txt`` file in a directory as one lexicon each, in
     name order.  A directory named ``*.txt`` is skipped, while a link to
-    nothing is read and so refused as a missing file.  The directory may be
-    any ``Traversable``, so the shipped lexicons load from a zip-imported
+    nothing is read and so refused as a missing file.  A path that is no
+    directory is refused by name.  The directory may be any
+    ``Traversable``, so the shipped lexicons load from a zip-imported
     package as well."""
     root = Path(path) if isinstance(path, str) else path
+    if not root.is_dir():
+        # A Traversable need not have exists(); one that is no file is missing.
+        if getattr(root, "exists", root.is_file)():
+            raise ValueError(f"lexicon directory {path} is not a directory")
+        raise ValueError(f"missing lexicon directory: {path}")
     files = sorted((f for f in root.iterdir() if f.name.endswith(".txt") and not f.is_dir()),
                    key=lambda f: f.name)
     if not files:

@@ -25,7 +25,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import convperf
 import convperf.experiment as experiment
-import convperf.features
 import convperf.synth
 from convperf.cli import (
     COMMAND_OPTIONS,
@@ -688,15 +687,13 @@ class _Logged(logging.Handler):
 
 def run_stages(root, stages) -> list:
     """Each stage run in ``root``: its exit code, stdout, stderr and logged
-    messages, then the bytes of every file left in ``root``.  Each stage
-    starts with no name warned about yet."""
+    messages, then the bytes of every file left in ``root``."""
     seen = []
     for argv in stages:
         out, err = io.StringIO(), io.StringIO()
         with (pytest.MonkeyPatch.context() as mp, _Logged() as logged,
               redirect_stdout(out), redirect_stderr(err)):
             mp.chdir(root)
-            mp.setattr(convperf.features, "_warned_unknown", set())
             code = main(list(argv))
         seen.append((argv[0], code, out.getvalue(), err.getvalue(), logged))
     return seen + sorted((p.name, p.read_bytes()) for p in Path(root).iterdir())
@@ -787,6 +784,46 @@ def test_unknown_names_in_different_blocks_warn_once_each_in_sorted_order(tmp_pa
         "unknown topic 'alpha_lore' mapped to 'other'",
         "unknown topic 'zeta_lore' mapped to 'other'",
     ]
+
+
+def test_each_featurize_run_warns_of_its_own_unknown_names(tmp_path):
+    """A second run in the same process warns as the first did."""
+    lines = [json.dumps(record(cid, topic="zeta_lore")) for cid in "abc"]
+    (tmp_path / "in.jsonl").write_text("\n".join(lines) + "\n")
+    stage = ("featurize", "--in", "in.jsonl", "--out", "f.csv", "--feature-set", "dependent")
+    first, second = run_stages(tmp_path, [stage, stage])[:2]
+    assert first[1] == second[1] == 0
+    assert first[4] == second[4] == ["unknown topic 'zeta_lore' mapped to 'other'"]
+
+
+# A corpus stage's bad option value and the one line that refuses it.
+_BAD_OPTIONS = [
+    (("ingest", "--min-length", "0"), "min_len must be >= 1, got 0"),
+    (("tag", "--lexicon-dir", "gone"), "missing lexicon directory: gone"),
+    (("featurize", "--split", "0.9,0.9,0.9"),
+     "split ratios must lie in [0, 1] and sum to 1, got (0.9, 0.9, 0.9)"),
+    (("featurize", "--prefix-k", "0"), "prefix_k (--prefix-k): expects an integer >= 1, got 0"),
+]
+_MALFORMED = [b'{"id": "a", "exchanges": 3}', b"not json", b"{}",
+              *(line for line, _ in UNDECODABLE_LINES[:2])]
+
+
+@given(case=st.sampled_from(_BAD_OPTIONS), first=st.sampled_from(_MALFORMED),
+       rest=st.integers(0, 2))
+@settings(max_examples=25, deadline=None)
+def test_a_bad_option_is_refused_before_the_corpus_is_read(case, first, rest):
+    """Whatever the corpus's first line holds, the option's message is the
+    one printed, and no output is written; without the option, the line
+    is what is refused."""
+    (command, *flags), message = case
+    lines = [first, *(json.dumps(record(f"c{i}")).encode() for i in range(rest))]
+    with tempfile.TemporaryDirectory() as root:
+        Path(root, "in.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+        argv = (command, "--in", "in.jsonl", "--out", "out")
+        refused, read, *files = run_stages(root, [(*argv, *flags), argv])
+    assert refused[1:] == (1, "", f"error: {message}\n", [])
+    assert read[1] == 1 and read[3].startswith("error: line 1: ")
+    assert [name for name, _ in files] == ["in.jsonl"]
 
 
 @pytest.mark.parametrize("command", ["synth", "ingest", "tag", "featurize"])

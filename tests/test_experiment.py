@@ -83,7 +83,7 @@ def test_run_grid_encodes_once_and_builds_each_window_once(corpus400, monkeypatc
 
     for owner, name, key in (
         (FeatureTable, "__init__", "table"),
-        (FeatureTable, "matrix", "matrix"),
+        (FeatureTable, "rows", "rows"),
         (cz.Corpus, "subset", "subset"),
     ):
         monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
@@ -98,7 +98,7 @@ def test_run_grid_encodes_once_and_builds_each_window_once(corpus400, monkeypatc
         for feature_set, k in windows
     ]
     run_grid(cells, corpus400, seed=0)
-    assert (calls["table"], calls["matrix"], calls["subset"]) == (1, 3, 0)
+    assert (calls["table"], calls["rows"], calls["subset"]) == (1, 3, 0)
 
 
 def test_run_grid_holds_one_window_at_a_time(corpus400, monkeypatch):
@@ -106,11 +106,11 @@ def test_run_grid_holds_one_window_at_a_time(corpus400, monkeypatch):
     appear, and no earlier window's rows or designs are alive when it is
     built, though every window's cells are interleaved."""
     built, arrays = [], []  # (window, earlier arrays still alive) per build
-    matrix, design = FeatureTable.matrix, experiment._design
+    rows, design = FeatureTable.rows, experiment._design
 
-    def tracked_matrix(self, feature_set, prefix_k=None):
+    def tracked_rows(self, feature_set, prefix_k=None):
         built.append((prefix_k, sum(ref() is not None for ref in arrays)))
-        return matrix(self, feature_set, prefix_k)
+        return rows(self, feature_set, prefix_k)
 
     def tracked_design(names, splits, columns):
         made = design(names, splits, columns)
@@ -119,7 +119,7 @@ def test_run_grid_holds_one_window_at_a_time(corpus400, monkeypatch):
         arrays.append(weakref.ref(made.train))
         return made
 
-    monkeypatch.setattr(FeatureTable, "matrix", tracked_matrix)
+    monkeypatch.setattr(FeatureTable, "rows", tracked_rows)
     monkeypatch.setattr(experiment, "_design", tracked_design)
     cells = [
         replace(ridge_cell(target=TargetKind(kind), prefix_k=k), feature_set=feature_set)
@@ -205,6 +205,25 @@ def test_an_independent_window_maps_no_topic(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "unknown topic 'grid_only_topic' mapped to 'other'"
     ]
+
+
+def test_each_run_grid_call_warns_once_before_its_first_cell(caplog):
+    """One warning per name per call, a dependent cell in two windows
+    notwithstanding, logged before any cell is fitted: a grid whose first
+    cell fails still warns."""
+    convs = [record(f"c{i}", n=5 + i % 7, rating=1 + i % 5, topic="grid_only_topic")
+             for i in range(40)]
+    corpus = cz.split_corpus(cz.Corpus.from_records(convs), seed=0)
+    cells = [replace(ridge_cell(prefix_k=k), feature_set="dependent") for k in (None, 3)]
+    warning = "unknown topic 'grid_only_topic' mapped to 'other'"
+    with caplog.at_level(logging.WARNING, logger="convperf.features"):
+        run_grid(cells, corpus)
+        run_grid(cells, corpus)
+        assert [r.getMessage() for r in caplog.records] == [warning] * 2
+        caplog.clear()
+        with pytest.raises(RuntimeError, match=r"^grid cell 0 .*: unknown feature names"):
+            run_grid([ridge_cell(drop=("zzz",))] + cells, corpus)
+    assert [r.getMessage() for r in caplog.records] == [warning]
 
 
 def test_run_grid_order_fields_and_binding(corpus400):

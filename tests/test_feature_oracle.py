@@ -117,8 +117,8 @@ def test_one_table_serves_every_window_in_any_order(convs, order, splits):
             [oracle_row(c, SCHEMA, feature_set, prefix_k) for c in convs]
         )
         ids = [c["id"] for c in convs]
-        cases = [(ids, table.matrix(feature_set, prefix_k), expected)]
-        _, whole = split_table.matrix(feature_set, prefix_k)
+        cases = [(ids, (table.ids, table.rows(feature_set, prefix_k)), expected)]
+        whole = split_table.rows(feature_set, prefix_k)
         for split, rows in take(parts, whole).items():
             picked = [i for i, s in enumerate(splits[: len(convs)]) if s == split]
             cases.append(([f"s{i}" for i in picked], rows[:2], expected[picked]))

@@ -110,12 +110,13 @@ def test_unknown_topic_and_rg_warn_once_and_count_as_other(caplog):
     table = FeatureTable(corpus, SCHEMA)
     names = SCHEMA.names(DEPENDENT)
     with caplog.at_level(logging.WARNING, logger="convperf.features"):
-        table.matrix(INDEPENDENT)  # topics and rgs are not features there
+        table.rows(INDEPENDENT)  # topics and rgs are not features there
+        build_matrix(corpus, SCHEMA, INDEPENDENT)
         assert caplog.records == []
-        _, X = table.matrix(DEPENDENT)
-        _, head = table.matrix(DEPENDENT, prefix_k=2)
+        X = table.rows(DEPENDENT)  # rows never warn; build_matrix does
+        head = table.rows(DEPENDENT, prefix_k=2)
         build_matrix(corpus, SCHEMA, DEPENDENT)
-    assert sorted(r.getMessage() for r in caplog.records) == [
+    assert [r.getMessage() for r in caplog.records] == [
         "unknown response generator 'oracle_rg' mapped to 'other'",
         "unknown topic 'tachyon_lore' mapped to 'other'",
     ]
@@ -131,7 +132,21 @@ def test_prefix_k_below_one_is_rejected(prefix_k):
     with pytest.raises(ValueError, match="prefix_k must be >= 1"):
         build_matrix(corpus, SCHEMA, INDEPENDENT, prefix_k)
     with pytest.raises(ValueError, match="prefix_k must be >= 1"):
-        FeatureTable(corpus, SCHEMA).matrix(DEPENDENT, prefix_k)
+        FeatureTable(corpus, SCHEMA).rows(DEPENDENT, prefix_k)
+
+
+def test_each_build_matrix_call_warns_of_its_own_unknown_names(caplog):
+    """A call warns of the names it maps to ``other``, whatever an earlier
+    call in the process warned of."""
+    corpus = Corpus.from_records(
+        [record("u", exchanges=[{"topic": "quasar_lore", "rg": "fact"}] * 2)]
+    )
+    with caplog.at_level(logging.WARNING, logger="convperf.features"):
+        for _ in range(2):
+            build_matrix(corpus, SCHEMA, DEPENDENT, prefix_k=1)
+    assert [r.getMessage() for r in caplog.records] == [
+        "unknown topic 'quasar_lore' mapped to 'other'"
+    ] * 2
 
 
 @pytest.mark.parametrize("feature_set", [INDEPENDENT, DEPENDENT])

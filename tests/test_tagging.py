@@ -233,6 +233,17 @@ def test_load_lexicon_dir(tmp_path):
     assert lex.patterns == ("shut up", "go away")
 
 
+def test_load_lexicon_dir_names_a_path_that_is_missing_or_no_directory(tmp_path):
+    a_file = tmp_path / "lexicons.txt"
+    a_file.write_text("nice\n")
+    for path in (tmp_path / "gone", str(tmp_path / "gone")):
+        with pytest.raises(ValueError, match=f"^missing lexicon directory: {re.escape(str(path))}$"):
+            load_lexicon_dir(path)
+    with pytest.raises(ValueError, match=f"^lexicon directory {re.escape(str(a_file))} "
+                                         "is not a directory$"):
+        load_lexicon_dir(str(a_file))
+
+
 def test_load_lexicon_dir_skips_a_directory(tmp_path):
     (tmp_path / "sda_repeat.txt").write_text("say that again\n")
     (tmp_path / "sda_x.txt").mkdir()
