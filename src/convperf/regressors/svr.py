@@ -30,12 +30,17 @@ inner products a.b and the squared norms.  The fit centres X once
 machine-eps * gamma * |x|^2, stays small for any column offset) and
 keeps each row's squared norm, so a kernel row is one BLAS
 matrix-vector product plus O(n) elementwise work.  A row's own entry
-gets exactly zero distance, so K_ii = 1.  Rows are computed lazily into
-a least-recently-used cache of at most half the rows and at most
-``KERNEL_CACHE_BYTES``, as LIBSVM bounds its kernel cache (Chang & Lin,
-ACM TIST 2, 2011).  SMO asks again mostly for rows it used recently, so
-half the rows recompute few more than all of them would.  An evicted
-row is recomputed bit for bit, so the bound changes speed, not the fit.
+gets exactly zero distance, so K_ii = 1.  Rows are computed lazily, in
+place, into the slots of one slab of at most a third of the rows and at
+most ``KERNEL_CACHE_BYTES``, as LIBSVM bounds its kernel cache (Chang &
+Lin, ACM TIST 2, 2011).  The slot of the least recently used row is
+reused.  SMO asks again mostly for rows it used recently, so a third of
+the rows recompute few more than all of them would.  An evicted row is
+recomputed bit for bit, so the bound changes speed, not the fit.  Only
+used slots are resident, and the slab goes back to the OS when the fit
+returns.  :meth:`SvrParams.predict` builds the kernel a block of rows at
+a time, each block and its temporary within the same byte budget, so
+its memory does not grow with the number of rows predicted.
 """
 
 from __future__ import annotations
@@ -48,9 +53,10 @@ from .base import FloatMatrix, FloatVector, ModelSpec, Params, TrainedModel, che
 
 SVR = "svr"
 
-# Byte budget of the kernel-row cache, which also holds at most half the
-# rows.  Rows beyond it are evicted least recently used first and
-# recomputed on demand; the budget is the smaller bound from 5,793 points.
+# Byte budget of the fit's kernel slab, which also holds at most a third
+# of the rows, and of each block of kernel rows a prediction builds.  Rows
+# beyond it are evicted least recently used first and recomputed on
+# demand; the budget is the smaller bound from 7,094 points.
 KERNEL_CACHE_BYTES = 128 * 2**20
 
 # SMO stops once the KKT gap (see the module docstring) is at most TOL.
@@ -81,15 +87,19 @@ class SvrParams(Params):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if self.sv_beta.shape[0] == 0:
+        m = self.sv_beta.shape[0]
+        if m == 0:
             return np.full(X.shape[0], self.intercept)
-        K = _rbf(
-            X @ self.sv_x.T,
-            (X * X).sum(axis=1)[:, None],
-            (self.sv_x * self.sv_x).sum(axis=1)[None, :],
-            self.gamma,
-        )
-        return K @ self.sv_beta + self.intercept
+        # A block's kernel and _rbf's temporary a_sq + b_sq, 16 bytes an entry.
+        rows = max(1, KERNEL_CACHE_BYTES // (16 * m))
+        sv_sq = (self.sv_x * self.sv_x).sum(axis=1)[None, :]
+        out = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], rows):
+            Xb = X[start:start + rows]
+            K = _rbf(Xb @ self.sv_x.T, (Xb * Xb).sum(axis=1)[:, None], sv_sq, self.gamma)
+            out[start:start + rows] = K @ self.sv_beta + self.intercept
+            del K  # else it lives on beside the next block's two arrays
+        return out
 
 
 def _rbf(cross, a_sq, b_sq, gamma):
@@ -106,23 +116,26 @@ def _rbf(cross, a_sq, b_sq, gamma):
 
 
 def _kernel_rows(X, gamma):
-    """``row(i)``: row i of the training kernel matrix, from a bounded LRU cache."""
+    """``row(i)``: row i of the training kernel matrix, a view into a bounded LRU slab."""
     X = X - X.mean(axis=0)  # same distances; rounding no longer grows with offsets
     sq = (X * X).sum(axis=1)
     n = X.shape[0]
-    max_rows = max(2, min(-(-n // 2), KERNEL_CACHE_BYTES // (8 * n)))
-    cache: dict[int, np.ndarray] = {}  # insertion order is recency order
+    max_rows = max(2, min(-(-n // 3), KERNEL_CACHE_BYTES // (8 * n)))
+    slab = np.empty((max_rows, n))  # pages of unused slots stay unmapped
+    slot_of: dict[int, int] = {}  # row -> slot; insertion order is recency order
 
     def row(i: int) -> np.ndarray:
-        r = cache.pop(i, None)
-        if r is None:
-            r = X @ X[i]
+        s = slot_of.pop(i, None)
+        if s is None:
+            if len(slot_of) < max_rows:
+                s = len(slot_of)  # slots 0 .. len - 1 are in use
+            else:
+                s = slot_of.pop(next(iter(slot_of)))
+            r = np.matmul(X, X[i], out=slab[s])
             r[i] = sq[i]  # then the distance to itself is exactly 0 and K_ii = 1
-            r = _rbf(r, sq, sq[i], gamma)
-            if len(cache) >= max_rows:
-                del cache[next(iter(cache))]
-        cache[i] = r
-        return r
+            _rbf(r, sq, sq[i], gamma)
+        slot_of[i] = s
+        return slab[s]
 
     return row
 
@@ -221,6 +234,8 @@ def fit_svr(
     g = resolve_gamma(X, gamma)
     if max_iter is None:
         max_iter = max(20_000, 200 * n)
+    elif max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     krow = _kernel_rows(X, g)
     beta = np.zeros(n)

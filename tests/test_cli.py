@@ -1818,10 +1818,12 @@ _NO_TOL = "svr has no hyperparameter 'tol' (it takes C, epsilon, gamma, max_iter
         (["--family", "svr"], '{"hyperparameters": {"tol": -1}}', _NO_TOL),
         # A forest refuses the leaf sizes a tree refuses.
         (["--family", "forest", "--min-leaf", "0"], None, "min_leaf must be >= 1, got 0"),
+        # Without the check SMO took no step and blamed the iteration budget.
+        (["--family", "svr", "--max-iter", "-3"], None, "max_iter must be >= 1, got -3"),
     ],
     ids=["lambda-nan", "lambda-inf", "lambda-1e400-file", "epsilon-nan", "gamma-inf",
          "lr-nan-file", "tol-text-file", "tol-null-file", "tol-negative-file",
-         "forest-min-leaf-0"],
+         "forest-min-leaf-0", "svr-max-iter-negative"],
 )
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_a_hyperparameter_out_of_its_range_is_refused(

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -157,6 +159,8 @@ def test_validation_errors():
         fit_svr(X, y, C=0.0)
     with pytest.raises(ValueError, match="epsilon"):
         fit_svr(X, y, epsilon=-0.1)
+    with pytest.raises(ValueError, match="max_iter must be >= 1, got 0"):
+        fit_svr(X, y, max_iter=0)
     with pytest.raises(ValueError, match="at least 2 rows"):
         fit_svr(np.ones((1, 2)), np.ones(1))
     with pytest.raises(ValueError, match="\\(n, d\\)"):
@@ -207,17 +211,108 @@ def test_kernel_cache_budget_of_two_rows_gives_the_same_fit(monkeypatch):
     assert bounded.params.intercept == unbounded.params.intercept
 
 
-def test_kernel_cache_keeps_at_most_half_the_rows():
+def fresh_row(X, g, i):
+    """Row i as the cache computes it on a miss."""
+    return svr._kernel_rows(X, g)(i).copy()
+
+
+def test_kernel_slab_keeps_a_third_of_the_rows_least_recently_used_first(monkeypatch):
+    for n, slots in ((2, 2), (3, 2), (6, 2), (7, 3), (10, 4), (31, 11)):
+        row = svr._kernel_rows(np.random.default_rng(n).normal(size=(n, 2)), 0.5)
+        assert row(0).base.shape == (slots, n)
+
     X = np.random.default_rng(5).normal(size=(10, 3))
+    expected = [fresh_row(X, 0.5, i) for i in range(10)]
+    computed = []
+    rbf = svr._rbf
+    monkeypatch.setattr(svr, "_rbf", lambda r, *a: computed.append(r.ctypes.data) or rbf(r, *a))
     row = svr._kernel_rows(X, 0.5)
-    first = [row(i) for i in range(10)]
-    # Five rows fit: the five used last are still cached, the rest recomputed.
-    for i in range(5, 10):
-        assert row(i) is first[i]
-    for i in range(5):
-        again = row(i)
-        assert again is not first[i]
-        assert np.array_equal(again, first[i])
+    for i in range(10):
+        row(i)
+    # Four slots, each reused once the slab is full.
+    assert len(computed) == 10 and len(set(computed)) == 4
+    # Rows 6-9 are held; a hit moves row 6 to most recent, so the next
+    # miss takes the slot of row 7, the least recently used.
+    computed.clear()
+    assert np.array_equal(row(6), expected[6]) and not computed
+    slot_of_7 = row(7).ctypes.data
+    assert not computed
+    for i in (8, 9, 6):
+        row(i)
+    got = row(0)
+    assert computed == [slot_of_7] and got.ctypes.data == slot_of_7
+    # An evicted row comes back bit for bit.
+    assert np.array_equal(got, expected[0])
+    assert np.array_equal(row(7), expected[7])
+
+    # At two slots the two rows of an SMO step stay valid together.
+    monkeypatch.setattr(svr, "_rbf", rbf)
+    monkeypatch.setattr(svr, "KERNEL_CACHE_BYTES", 0)
+    row = svr._kernel_rows(X, 0.5)
+    for i, j in ((0, 1), (2, 3), (1, 2), (9, 0), (0, 9), (4, 0)):
+        row_i, row_j = row(i), row(j)
+        assert np.array_equal(row_i, expected[i]) and np.array_equal(row_j, expected[j])
+
+
+@given(st.integers(2, 40), st.integers(0, 50), st.lists(st.integers(0, 39), max_size=60),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_kernel_slab_holds_at_most_max_rows_and_every_row_is_exact(n, budget_rows, requests,
+                                                                   seed):
+    X = np.random.default_rng(seed).normal(size=(n, 3))
+    g = resolve_gamma(X, "scale")
+    expected = [fresh_row(X, g, i) for i in range(n)]
+    budget = budget_rows * 8 * n + 7  # a few bytes over budget_rows rows
+    max_rows = max(2, min(-(-n // 3), budget_rows))
+    with mock.patch.object(svr, "KERNEL_CACHE_BYTES", budget):
+        row = svr._kernel_rows(X, g)
+    last = None
+    for i in (r % n for r in requests):
+        got = row(i)
+        assert got.base.shape == (max_rows, n)
+        assert np.array_equal(got, expected[i])
+        if last is not None:  # the row before stays valid, as an SMO step needs
+            assert np.array_equal(last[1], expected[last[0]])
+        last = (i, got)
+
+
+def whole_matrix_prediction(p, X):
+    """What predict computed before it went a block of rows at a time."""
+    K = svr._rbf(X @ p.sv_x.T, (X * X).sum(axis=1)[:, None],
+                 (p.sv_x * p.sv_x).sum(axis=1)[None, :], p.gamma)
+    return K @ p.sv_beta + p.intercept
+
+
+def random_params(rng, m, d):
+    return svr.SvrParams(sv_x=rng.normal(size=(m, d)), sv_beta=rng.uniform(-1, 1, size=m),
+                         intercept=0.25, gamma=1.0 / d)
+
+
+def test_prediction_in_one_block_equals_the_whole_matrix_product():
+    rng = np.random.default_rng(9)
+    p = random_params(rng, 300, 4)
+    X = rng.normal(size=(200, 4))
+    assert np.array_equal(p.predict(X), whole_matrix_prediction(p, X))
+    assert p.predict(np.empty((0, 4))).shape == (0,)
+
+
+def test_prediction_in_blocks_bounds_memory_and_matches(monkeypatch):
+    rng = np.random.default_rng(10)
+    p = random_params(rng, 2000, 5)
+    X = rng.normal(size=(3001, 5))  # 94 blocks of 32 rows, the last one short
+    whole = whole_matrix_prediction(p, X)  # a 48 MB kernel
+    budget = 2**20
+    monkeypatch.setattr(svr, "KERNEL_CACHE_BYTES", budget)
+    tracemalloc.start()
+    try:
+        got = p.predict(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The budget plus arrays of one entry per row or per support-vector
+    # coordinate (about 0.15 MB here), not the 48 MB of the whole kernel.
+    assert peak <= 1.25 * budget
+    assert np.abs(got - whole).max() <= 1e-12
 
 
 def test_kkt_conditions_with_duplicated_rows(monkeypatch):
